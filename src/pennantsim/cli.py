@@ -29,7 +29,7 @@ from .kalman import (GaussianState, NoiseEstimate, NoiseParams,
 from .mcmc import (PARAM_NAMES, ChainConfig, PosteriorDraws, PriorConfig,
                    derived_seed, effective_sample_size, export_trace,
                    run_chains, split_rhat, tune_proposal_std, write_trace_csv)
-from .season import (LeagueStructure, SeasonResult, SimOptions, TeamSimState,
+from .season import (SeasonResult, SimOptions, TeamSimState,
                      export_win_histogram, generate_schedule, read_league_csv,
                      read_schedule_csv, run_replications, summarize)
 
@@ -422,12 +422,13 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
     labels = terciles.labels
 
     pool_lines = ["team,window_start,sigma_obs,sigma_process,converged"]
-    n_converged = 0
+    n_converged = n_pinned = 0
     for team in sorted(estimates):
         for est in estimates[team]:
             if not est.converged:
                 continue
             n_converged += 1
+            n_pinned += est.pinned
             pool_lines.append(f"{team},{est.window_start},"
                               f"{float(est.sigma_obs)!r},"
                               f"{float(est.sigma_process)!r},1")
@@ -436,7 +437,8 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
         tercile_lines.append(f"{team},{labels[team]},{early[team]!r}")
 
     meta = {"window_length": window, "teams_fit": len(estimates),
-            "teams_skipped": len(skipped), "converged_windows": n_converged}
+            "teams_skipped": len(skipped), "converged_windows": n_converged,
+            "pinned_windows": n_pinned}
     outputs = {"noise_estimates.csv": pool_lines,
                "terciles.csv": tercile_lines,
                "noise_metadata.txt": _metadata_lines(cfg, "noise", meta)}
@@ -446,6 +448,8 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
              for label in ("low", "medium", "high")}
     print(f"fit {n_converged} converged windows across {len(estimates)} "
           f"teams (skipped {len(skipped)})")
+    print(f"pinned_windows={n_pinned} (converged windows with "
+          f"sigma_process at the search-box floor)")
     print(f"terciles: low {sizes['low']}, medium {sizes['medium']}, "
           f"high {sizes['high']}")
     return EXIT_OK
@@ -453,14 +457,17 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
 
 def _load_noise_artifacts(cfg: RunConfig):
     """Pools and tercile labels written by cmd_noise, or (None, None) when
-    the point-mode override allows running without them."""
+    --draws point with --era-mode forecast runs without them (raw last ERA,
+    zero noise). Path mode reads the noise on every game, so it never falls
+    back."""
     pool_path = os.path.join(cfg.out, "noise_estimates.csv")
     terc_path = os.path.join(cfg.out, "terciles.csv")
     if not (os.path.exists(pool_path) and os.path.exists(terc_path)):
-        if cfg.draws == "point":
+        if cfg.draws == "point" and cfg.era_mode == "forecast":
             return None, None
         raise PipelineError(f"noise pools missing in {cfg.out}; run the "
-                            f"`noise` command first (or use --draws point)")
+                            f"`noise` command first (only --draws point with "
+                            f"--era-mode forecast runs without them)")
     pools: dict[str, list[NoiseEstimate]] = {}
     labels: dict[str, str] = {}
     with open(terc_path, encoding="utf-8") as fh:

@@ -240,50 +240,6 @@ def _parse_stream(fh, name, known_teams) -> list[RawGameRow]:
     return rows
 
 
-def write_game_log(rows: list[RawGameRow], path) -> None:
-    """Serialize rows so that re-parsing reproduces them exactly."""
-    if not rows:
-        raise ValueError("refusing to write an empty game log")
-    raw_shape = rows[0].home_runs is not None
-    has_records = rows[0].home_record_pre is not None
-    base = RAW_COLUMNS if raw_shape else PRECOMPUTED_COLUMNS
-    header = base + (RECORD_COLUMNS if has_records else ())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            parts = [row.date.isoformat(), row.home, row.away]
-            if raw_shape:
-                if row.home_runs is None or row.away_runs is None:
-                    raise ValueError(f"row {row.row_number}: mixed shapes; "
-                                     f"run totals missing")
-                parts += [str(row.home_runs), str(row.away_runs)]
-            else:
-                if row.home_winpct_pre is None or row.away_winpct_pre is None:
-                    raise ValueError(f"row {row.row_number}: mixed shapes; "
-                                     f"pregame win percentages missing")
-                parts += ["1" if row.home_won else "0",
-                          repr(float(row.home_winpct_pre)),
-                          repr(float(row.away_winpct_pre))]
-            parts += [repr(float(row.home_avg_pre)),
-                      repr(float(row.away_avg_pre)),
-                      repr(float(row.home_era_pre)),
-                      repr(float(row.away_era_pre))]
-            if has_records:
-                if row.home_record_pre is None or row.away_record_pre is None:
-                    raise ValueError(f"row {row.row_number}: mixed shapes; "
-                                     f"pregame records missing")
-                parts += ["%d-%d" % row.home_record_pre,
-                          "%d-%d" % row.away_record_pre]
-            fh.write(",".join(parts) + "\n")
-
-
-def merge_rows(*row_lists) -> list[RawGameRow]:
-    """Deterministic multi-file merge: by date, then original order."""
-    merged = [row for rows in row_lists for row in rows]
-    merged.sort(key=lambda r: r.date)  # stable: ties keep input order
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # record derivation
 

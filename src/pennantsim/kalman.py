@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-# ERA values emitted by the path simulator never go below this.
-ERA_FLOOR = 0.01
+from .model import ERA_FLOOR
 
 # Noise estimation is unreliable below this many observations.
 MIN_WINDOW = 10
@@ -75,6 +74,12 @@ class NoiseEstimate:
     @property
     def sigma_process(self) -> float:
         return self.params.sigma_process
+
+    @property
+    def pinned(self) -> bool:
+        """sigma_process sits at the lower edge of the search box, where the
+        maximizer stops when the window's MLE is zero process noise."""
+        return self.sigma_process <= _SIGMA_MIN * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,9 @@ def estimate_noise(window, *, team: str = "", window_start: int = 0) -> NoiseEst
     diffuse initial state (mean = first observation, variance = 10x the
     window's sample variance). A window with no variation at all has its MLE
     pinned at zero noise, outside the search box; that case short-circuits to
-    (0, 0) flagged as not converged.
+    (0, 0) flagged as not converged. A window whose MLE has zero process
+    noise stops at the box's sigma_process floor and is still flagged
+    converged; NoiseEstimate.pinned marks it.
     """
     obs = np.asarray(window, dtype=float)
     if obs.ndim != 1:
@@ -349,7 +356,7 @@ def simulate_era_path(init_mean: float, noise: NoiseParams, n_steps: int,
 
     Each step advances the latent level by one process-noise increment and
     emits that level plus observation noise. Emitted values are floored at
-    0.01 (an ERA cannot be negative). With return_latent the un-floored
+    ERA_FLOOR (an ERA cannot be negative). With return_latent the un-floored
     latent path comes back too.
     """
     if init_mean < 0:

@@ -1,7 +1,8 @@
 """Random-walk Metropolis sampling of the three contribution exponents.
 
 The prior is independent Uniform(0, r_max) per exponent; the target is the
-marginalized game-outcome likelihood from the model module. Chains use joint
+marginalized game-outcome likelihood, evaluated on a design of per-game log
+strength ratios built once from the training records. Chains use joint
 Gaussian proposals, derive per-chain seeds from a base seed, and come with
 split R-hat / effective-sample-size diagnostics and a plain-text trace export.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import GameRecord, record_ratios
+from .model import ERA_FLOOR, STAT_FLOOR, GameRecord
 from .stats import nearest_rank_quantile
 
 logger = logging.getLogger(__name__)
@@ -102,18 +103,23 @@ def log_ratio_design(games: list[GameRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Design arrays for fast likelihood evaluation.
 
     Returns (L, won): L[i] holds the log strength ratios of game i, won[i]
-    the home-win flag. With u = L @ r, the marginal log-likelihood is
-    won.u - sum log(1 + e^u).
+    the home-win flag. Stats are floored before dividing, and the ERA ratio
+    is away/home so that every ratio favors home when above 1. With
+    u = L @ r, the relative strength is e^u and the marginal log-likelihood
+    is won.u - sum log(1 + e^u).
     """
     if not games:
         raise ValueError("no games to fit")
     L = np.empty((len(games), 3))
     won = np.empty(len(games))
-    for i, game in enumerate(games):
-        ratios = record_ratios(game)
-        L[i] = (math.log(ratios.win_pct), math.log(ratios.batting),
-                math.log(ratios.era))
-        won[i] = 1.0 if game.home_won else 0.0
+    for i, g in enumerate(games):
+        L[i] = (math.log(max(g.home_win_pct, STAT_FLOOR)
+                         / max(g.away_win_pct, STAT_FLOOR)),
+                math.log(max(g.home_batting_avg, STAT_FLOOR)
+                         / max(g.away_batting_avg, STAT_FLOOR)),
+                math.log(max(g.away_era, ERA_FLOOR)
+                         / max(g.home_era, ERA_FLOOR)))
+        won[i] = 1.0 if g.home_won else 0.0
     return L, won
 
 

@@ -1,10 +1,16 @@
-"""Game-outcome probability model.
+"""Game-outcome model: the covariate floors and the historical game record.
 
 A game is summarized by three home-vs-away strength ratios (win percentage,
-batting average, starting-pitcher ERA). An exponent-weighted product of the
-ratios gives the home team's relative strength; the win probability follows
-a two-stage Beta-Bernoulli structure whose marginal is strength/(1+strength),
-independent of the Beta concentration.
+batting average, starting-pitcher ERA), each oriented so bigger favors home:
+win percentage and batting are home/away, ERA is away/home. An
+exponent-weighted product of the ratios gives the home team's relative
+strength s; the win probability follows a two-stage Beta-Bernoulli structure
+whose marginal is s/(1+s), independent of the Beta concentration.
+
+The equation has two shipped copies: `mcmc.log_ratio_design` forms the
+floored log-ratios of historical records for the fit, and the game loop of
+`season.run_replication` forms the strength of simulated games. Both floor
+their inputs with the constants below.
 """
 
 from __future__ import annotations
@@ -13,86 +19,12 @@ import datetime
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Win percentage / batting average floor applied before forming ratios, so a
 # 0.000 stat early in a season cannot divide by zero.
 STAT_FLOOR = 1e-3
-# ERA gets a higher floor (a 0.00 ERA is physical but breaks the ratio scale).
+# ERA gets a higher floor (a 0.00 ERA is physical but breaks the ratio scale);
+# simulated and generated ERA paths never go below it either.
 ERA_FLOOR = 0.01
-
-
-@dataclass(frozen=True)
-class TeamStats:
-    """Pregame covariates for one side of a matchup."""
-
-    win_pct: float
-    batting_avg: float
-    era: float
-
-
-@dataclass(frozen=True)
-class StrengthRatios:
-    """Home-vs-away covariate ratios; each is oriented so bigger favors home.
-
-    win_pct and batting are home/away; era is away/home (a lower home ERA is
-    an advantage, so the ratio is inverted to keep all three "bigger is
-    better").
-    """
-
-    win_pct: float
-    batting: float
-    era: float
-
-    def __post_init__(self):
-        for name, value in (("win_pct", self.win_pct),
-                            ("batting", self.batting),
-                            ("era", self.era)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"ratio {name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Contribution exponents for the three ratios plus the Beta concentration.
-
-    The concentration is a configuration constant (default 1.0), never
-    estimated: the marginal win probability does not depend on it, so single
-    game outcomes carry no information about it.
-    """
-
-    win_pct_exp: float
-    batting_exp: float
-    era_exp: float
-    concentration: float = 1.0
-
-    def __post_init__(self):
-        for name, value in (("win_pct_exp", self.win_pct_exp),
-                            ("batting_exp", self.batting_exp),
-                            ("era_exp", self.era_exp)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"exponent {name} must be nonnegative and finite, got {value}")
-        if not (math.isfinite(self.concentration) and self.concentration > 0):
-            raise ValueError(f"concentration must be positive, got {self.concentration}")
-
-    @property
-    def exponents(self) -> tuple[float, float, float]:
-        return (self.win_pct_exp, self.batting_exp, self.era_exp)
-
-
-@dataclass(frozen=True)
-class GamePrediction:
-    """Model output for one matchup: relative strength and home-win probability."""
-
-    strength: float
-    win_prob: float
-    home_won: bool | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.strength) and self.strength > 0):
-            raise ValueError(f"strength must be positive and finite, got {self.strength}")
-        if not (0.0 < self.win_prob < 1.0):
-            raise ValueError(f"win_prob must be in (0, 1), got {self.win_prob}")
 
 
 @dataclass(frozen=True)
@@ -137,125 +69,3 @@ class GameRecord:
         for name in ("home_era", "away_era"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} is negative")
-
-    @property
-    def home_stats(self) -> TeamStats:
-        return TeamStats(self.home_win_pct, self.home_batting_avg, self.home_era)
-
-    @property
-    def away_stats(self) -> TeamStats:
-        return TeamStats(self.away_win_pct, self.away_batting_avg, self.away_era)
-
-
-def relative_strength(ratios: StrengthRatios, params: ModelParams) -> float:
-    """Exponent-weighted product of the three strength ratios."""
-    strength = (ratios.win_pct ** params.win_pct_exp
-                * ratios.batting ** params.batting_exp
-                * ratios.era ** params.era_exp)
-    if not (math.isfinite(strength) and strength > 0):
-        raise ValueError(f"relative strength is not a positive finite number "
-                         f"(ratios={ratios}, exponents={params.exponents})")
-    return strength
-
-
-def home_win_prob(strength: float) -> float:
-    """Marginal home-win probability strength/(1+strength).
-
-    This is the mean of the Beta stage, so it does not depend on the
-    concentration.
-    """
-    if not (math.isfinite(strength) and strength > 0):
-        raise ValueError(f"strength must be positive and finite, got {strength}")
-    return strength / (1.0 + strength)
-
-
-def sample_win_prob(strength: float, concentration: float,
-                    rng: np.random.Generator) -> float:
-    """Draw a latent home-win probability from Beta(concentration*strength, concentration)."""
-    if not (math.isfinite(strength) and strength > 0):
-        raise ValueError(f"strength must be positive and finite, got {strength}")
-    if not (math.isfinite(concentration) and concentration > 0):
-        raise ValueError(f"concentration must be positive, got {concentration}")
-    return float(rng.beta(concentration * strength, concentration))
-
-
-def sample_outcome(p: float, rng: np.random.Generator) -> bool:
-    """One Bernoulli trial: home win with probability p."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"probability out of [0, 1]: {p}")
-    return bool(rng.random() < p)
-
-
-def latent_win_prob_draw(strength: float, concentration: float, home_won: bool,
-                         rng: np.random.Generator) -> float:
-    """Draw the latent win probability conditioned on the observed outcome.
-
-    Beta-Bernoulli conjugacy: the latent probability's posterior given one
-    outcome is Beta(c*strength + won, c + 1 - won). Used to reconstruct
-    per-game latent probabilities for trace exports.
-    """
-    if not (math.isfinite(strength) and strength > 0):
-        raise ValueError(f"strength must be positive and finite, got {strength}")
-    if not (math.isfinite(concentration) and concentration > 0):
-        raise ValueError(f"concentration must be positive, got {concentration}")
-    won = 1.0 if home_won else 0.0
-    return float(rng.beta(concentration * strength + won, concentration + 1.0 - won))
-
-
-def floored_strength(home_win_pct: float, home_avg: float, home_era: float,
-                     away_win_pct: float, away_avg: float, away_era: float,
-                     win_pct_exp: float, batting_exp: float, era_exp: float) -> float:
-    """Relative strength straight from six covariates, with floors applied.
-
-    Scalar fast path shared by the record-based API and the season simulator's
-    inner loop.
-    """
-    alpha = max(home_win_pct, STAT_FLOOR) / max(away_win_pct, STAT_FLOOR)
-    beta = max(home_avg, STAT_FLOOR) / max(away_avg, STAT_FLOOR)
-    gamma = max(away_era, ERA_FLOOR) / max(home_era, ERA_FLOOR)
-    return alpha ** win_pct_exp * beta ** batting_exp * gamma ** era_exp
-
-
-def pregame_ratios(home: TeamStats, away: TeamStats) -> StrengthRatios:
-    """Form the three ratios from both sides' pregame stats.
-
-    Stats are floored first, so zero win percentages or ERAs never divide by
-    zero. The ERA ratio is away/home.
-    """
-    return StrengthRatios(
-        win_pct=max(home.win_pct, STAT_FLOOR) / max(away.win_pct, STAT_FLOOR),
-        batting=max(home.batting_avg, STAT_FLOOR) / max(away.batting_avg, STAT_FLOOR),
-        era=max(away.era, ERA_FLOOR) / max(home.era, ERA_FLOOR),
-    )
-
-
-def record_ratios(record: GameRecord) -> StrengthRatios:
-    return pregame_ratios(record.home_stats, record.away_stats)
-
-
-def predict_game(record: GameRecord, params: ModelParams) -> GamePrediction:
-    """Point prediction for one game under fixed parameters."""
-    strength = relative_strength(record_ratios(record), params)
-    return GamePrediction(strength=strength, win_prob=home_win_prob(strength),
-                          home_won=record.home_won)
-
-
-def log_likelihood(params: ModelParams, games: list[GameRecord]) -> float:
-    """Marginal log-likelihood of observed outcomes.
-
-    Each game contributes ln(s/(1+s)) on a home win and ln(1/(1+s)) otherwise,
-    where s is the game's relative strength. The Beta stage marginalizes out
-    exactly, so the concentration does not appear.
-    """
-    total = 0.0
-    for i, game in enumerate(games):
-        strength = relative_strength(record_ratios(game), params)
-        if game.home_won:
-            term = math.log(strength) - math.log1p(strength)
-        else:
-            term = -math.log1p(strength)
-        if not math.isfinite(term):
-            raise ValueError(f"non-finite log-likelihood term at record {i} "
-                             f"({game.date} {game.home_team} vs {game.away_team})")
-        total += term
-    return total

@@ -13,21 +13,14 @@ import csv
 import datetime
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .batting import WalkConfig
-from .kalman import (
-    ERA_FLOOR,
-    GaussianState,
-    NoiseEstimate,
-    NoiseParams,
-    TercileGrouping,
-    sample_noise,
-)
+from .kalman import GaussianState, NoiseParams, sample_noise
 from .mcmc import PosteriorDraws
-from .model import STAT_FLOOR, floored_strength
+from .model import ERA_FLOOR, STAT_FLOOR
 from .stats import nearest_rank_quantile
 
 PROBABILITY_MODES = ("marginal", "two-stage")
@@ -54,13 +47,6 @@ class TeamSimState:
     @property
     def games_played(self) -> int:
         return self.wins + self.losses
-
-    @property
-    def win_pct(self) -> float:
-        if self.games_played == 0:
-            raise ValueError(f"{self.team}: win percentage undefined with no "
-                             f"games played")
-        return self.wins / self.games_played
 
 
 @dataclass(frozen=True)
@@ -200,6 +186,10 @@ class SimOptions:
     draw per game ('posterior-predictive') or the posterior mean ('point').
     era_mode: 'forecast' feeds each game the current ERA forecast mean;
     'path' random-walks the latent ERA and feeds a noisy observation.
+
+    The concentration is a configuration constant (default 1.0), never
+    estimated: the marginal win probability does not depend on it, so single
+    game outcomes carry no information about it.
     """
 
     probability_mode: str = "marginal"
@@ -235,76 +225,6 @@ def _draw_matrix(draws) -> np.ndarray:
         raise ValueError(f"posterior draws must be a nonempty (n, 3) array, "
                          f"got shape {arr.shape}")
     return arr
-
-
-# ---------------------------------------------------------------------------
-# single-game simulation
-
-
-def _clamped_average(deviation: float, walk: WalkConfig) -> float:
-    avg = walk.league_mean + deviation
-    if avg < walk.clamp_low:
-        return walk.clamp_low
-    if avg > walk.clamp_high:
-        return walk.clamp_high
-    return avg
-
-
-def simulate_game(home: TeamSimState, away: TeamSimState, draws,
-                  opts: SimOptions, rng: np.random.Generator) -> bool:
-    """Simulate one game; returns True on a home win.
-
-    The ERA covariate is the forecast mean of the latent state (constant
-    under the random walk). Exponents come from one uniformly chosen
-    posterior draw or the posterior mean, per opts.draw_mode.
-    """
-    for side in (home, away):
-        if side.games_played == 0:
-            raise ValueError(f"{side.team} has no games on record; simulation "
-                             f"requires the burn-in to have been played")
-    matrix = _draw_matrix(draws)
-    if opts.draw_mode == "posterior-predictive":
-        r1, r2, r3 = matrix[int(rng.integers(matrix.shape[0]))]
-    else:
-        r1, r2, r3 = matrix.mean(axis=0)
-    strength = floored_strength(
-        home.win_pct, _clamped_average(home.batting_deviation, opts.walk),
-        home.era_state.mean,
-        away.win_pct, _clamped_average(away.batting_deviation, opts.walk),
-        away.era_state.mean,
-        r1, r2, r3)
-    if opts.probability_mode == "two-stage":
-        m = opts.concentration
-        p = float(rng.beta(m * strength, m))
-    else:
-        p = strength / (1.0 + strength)
-    return bool(rng.random() < p)
-
-
-def update_after_game(state: TeamSimState, won: bool, walk: WalkConfig,
-                      rng: np.random.Generator, *,
-                      era_mode: str = "forecast") -> TeamSimState:
-    """Post-game state transition.
-
-    Adds the result to the record, advances the batting deviation one
-    random-walk step, and propagates the ERA state one process step: the
-    variance always grows by sigma_process^2; in path mode the mean also
-    takes a fresh latent increment.
-    """
-    if era_mode not in ERA_MODES:
-        raise ValueError(f"era_mode must be one of {ERA_MODES}, got {era_mode!r}")
-    deviation = state.batting_deviation + float(rng.normal(0.0, walk.step_std))
-    q = state.noise.sigma_process ** 2
-    mean = state.era_state.mean
-    if era_mode == "path":
-        mean = max(mean + float(rng.normal(0.0, state.noise.sigma_process)),
-                   ERA_FLOOR)
-    era_state = GaussianState(mean=mean, var=state.era_state.var + q)
-    return replace(state,
-                   wins=state.wins + (1 if won else 0),
-                   losses=state.losses + (0 if won else 1),
-                   batting_deviation=deviation,
-                   era_state=era_state)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +339,8 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         if era_a < era_floor:
             era_a = era_floor
 
-        # same formula as model.floored_strength, inlined for the hot loop
+        # the simulation's copy of the strength formula; the fit's copy is
+        # mcmc.log_ratio_design, and a test ties the two together
         strength = ((wp_h / wp_a) ** r1 * (avg_h / avg_a) ** r2
                     * (era_a / era_h) ** r3)
         if two_stage:
@@ -628,13 +549,6 @@ def read_schedule_csv(path) -> Schedule:
             games.append(ScheduledGame(date=day, home=row["home"],
                                        away=row["away"]))
     return Schedule(games=tuple(games), synthetic=False)
-
-
-def write_schedule_csv(schedule: Schedule, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("date,home,away\n")
-        for g in schedule.games:
-            fh.write(f"{g.date.isoformat()},{g.home},{g.away}\n")
 
 
 def read_league_csv(path, season_length: int = 162) -> LeagueStructure:

@@ -2,10 +2,40 @@
 
 Nothing in here calls into the package's own numerics: the point is a second
 route to the same answers (batch linear-Gaussian conditioning instead of the
-sequential filter; lattice integration instead of MCMC).
+sequential filter; lattice integration instead of MCMC; per-game Bernoulli
+probabilities from the raw record fields instead of the log-ratio design).
 """
 
+import math
+
 import numpy as np
+
+# The model's covariate floors, restated here so the oracle shares no code
+# with the package: win percentage and batting average, then ERA.
+STAT_FLOOR = 1e-3
+ERA_FLOOR = 0.01
+
+
+def game_log_likelihood(records, exponents):
+    """Log-likelihood of recorded outcomes, one game at a time.
+
+    Each record needs the fields home_win_pct, away_win_pct,
+    home_batting_avg, away_batting_avg, home_era, away_era and home_won.
+    The home side's strength is the product of the floored home/away win
+    percentage and batting ratios and the floored away/home ERA ratio, each
+    raised to its exponent; the game contributes log(s/(1+s)) on a home win
+    and log(1/(1+s)) otherwise.
+    """
+    r1, r2, r3 = exponents
+    total = 0.0
+    for g in records:
+        s = ((max(g.home_win_pct, STAT_FLOOR)
+              / max(g.away_win_pct, STAT_FLOOR)) ** r1
+             * (max(g.home_batting_avg, STAT_FLOOR)
+                / max(g.away_batting_avg, STAT_FLOOR)) ** r2
+             * (max(g.away_era, ERA_FLOOR) / max(g.home_era, ERA_FLOOR)) ** r3)
+        total += math.log((s if g.home_won else 1.0) / (1.0 + s))
+    return total
 
 
 def batch_filtered_moments(init_mean, init_var, observations,

@@ -12,12 +12,14 @@ from session fixtures so the whole gate stays cheap to run on every change.
 import datetime
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from cli_fixtures import league_teams, write_game_log_file, write_league_file
+from matchups import OneOffMatchups
 from oracles import batch_filtered_moments, batch_window_loglik
 from pennantsim.batting import WalkConfig, simulate_walk
 from pennantsim.cli import main
@@ -35,7 +37,7 @@ from pennantsim.mcmc import (
     run_chain,
     split_rhat,
 )
-from pennantsim.model import GameRecord, sample_outcome, sample_win_prob
+from pennantsim.model import GameRecord
 from pennantsim.season import (
     LeagueStructure,
     SimOptions,
@@ -104,15 +106,24 @@ def test_season_totals_conserved_and_fast():
 
 
 def test_two_stage_rate_matches_marginal_formula():
-    # drawing p ~ Beta(m*s, m) and then the outcome ~ Bernoulli(p) must give
-    # an overall win rate of s/(1+s) for any concentration m
-    rng = np.random.default_rng(99)
+    # the engine in two-stage mode draws p ~ Beta(m*s, m) and then the
+    # outcome ~ Bernoulli(p); over 100,000 one-off games per cell the win
+    # rate must be s/(1+s) for any concentration m. The strength comes from
+    # the ERA ratio alone: away ERA 1, 4 or 12 against a home ERA of 4.
+    draws = np.array([[0.0, 0.0, 1.0]])
     n = 100_000
-    for strength in (0.25, 1.0, 3.0):
-        for concentration in (0.5, 1.0, 10.0):
-            wins = sum(sample_outcome(sample_win_prob(strength, concentration,
-                                                      rng), rng)
-                       for _ in range(n))
+    matchups = OneOffMatchups(n)
+    home = TeamSimState(team="H", wins=10, losses=10, batting_deviation=0.0,
+                        era_state=GaussianState(mean=4.0, var=0.0),
+                        noise=NoiseParams(sigma_obs=0.0, sigma_process=0.0))
+    for i, strength in enumerate((0.25, 1.0, 3.0)):
+        away = replace(home, era_state=GaussianState(mean=4.0 * strength,
+                                                     var=0.0))
+        for j, concentration in enumerate((0.5, 1.0, 10.0)):
+            opts = SimOptions(probability_mode="two-stage",
+                              concentration=concentration)
+            wins = sum(matchups.home_wins(home, away, draws,
+                                          seed=99 + 3 * i + j, opts=opts))
             expected = strength / (1.0 + strength)
             se = math.sqrt(expected * (1.0 - expected) / n)
             assert abs(wins / n - expected) < 3.0 * se, \

@@ -204,14 +204,31 @@ def test_noise_outputs(pipeline):
     assert {row["window_start"] for row in pool} <= {"0", "1", "2"}
 
 
-def test_noise_deterministic(pipeline, tmp_path):
+def test_noise_pinned_windows_counted(pipeline):
+    # pinned_windows counts the pool rows whose sigma_process sits at the
+    # 1e-4 search-box floor; they stay in the pool, flagged converged
+    pool = read_csv_dicts(pipeline["out"] / "noise_estimates.csv")
+    expected = sum(float(row["sigma_process"]) <= 1e-4 * (1 + 1e-9)
+                   for row in pool)
+    meta = dict(line.split("=", 1) for line in
+                (pipeline["out"] / "noise_metadata.txt").read_text()
+                .splitlines())
+    assert int(meta["pinned_windows"]) == expected
+
+
+def test_noise_deterministic(pipeline, tmp_path, capsys):
     out2 = tmp_path / "out2"
     args = [a if a != str(pipeline["out"]) else str(out2)
             for a in pipeline["common"]]
     assert main(["noise", *args, "--window-length", "30"]) == 0
-    for name in ("noise_estimates.csv", "terciles.csv"):
+    for name in ("noise_estimates.csv", "terciles.csv",
+                 "noise_metadata.txt"):
         assert (out2 / name).read_bytes() == \
             (pipeline["out"] / name).read_bytes()
+    # the printed summary reports the same pinned count as the metadata
+    pinned = [line for line in (out2 / "noise_metadata.txt").read_text()
+              .splitlines() if line.startswith("pinned_windows=")]
+    assert f"{pinned[0]} " in capsys.readouterr().out
 
 
 def test_noise_all_series_too_short(pipeline, tmp_path, capsys):
@@ -362,6 +379,21 @@ def test_simulate_point_mode_without_noise(pipeline, tmp_path):
                 .splitlines())
     assert meta["noise_pools"] == "none"
     assert meta["draws_mode"] == "point"
+
+
+def test_simulate_path_mode_without_noise_names_command(pipeline, tmp_path,
+                                                         capsys):
+    # path mode reads each team's ERA noise on every game, so point draws do
+    # not let it run on the zero-noise fallback
+    out = tmp_path / "pathonly"
+    out.mkdir()
+    shutil.copy(pipeline["out"] / "draws.csv", out / "draws.csv")
+    args = [a if a != str(pipeline["out"]) else str(out)
+            for a in pipeline["common"]]
+    assert main(["simulate", *args, "--replications", "2",
+                 "--draws", "point", "--era-mode", "path"]) == 3
+    assert "`noise`" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
 
 
 def test_simulate_unknown_histogram_team(pipeline, capsys):

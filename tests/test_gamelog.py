@@ -22,9 +22,7 @@ from pennantsim.gamelog import (
     era_series,
     filter_training_window,
     games_played_filter,
-    merge_rows,
     parse_game_log,
-    write_game_log,
 )
 from pennantsim.model import GameRecord
 
@@ -73,7 +71,6 @@ def test_parse_raw_shape_derives_outcome():
     assert rows[0].home_won is True
     assert rows[1].home_won is False
     assert rows[0].home_runs == 5 and rows[0].away_runs == 3
-    assert rows[0].home_winpct_pre is None
 
 
 def test_parse_record_columns():
@@ -140,34 +137,43 @@ def test_parse_short_row_rejected():
         parse_game_log(io.StringIO(text))
 
 
-def test_round_trip_precomputed(tmp_path):
+def test_round_trip_precomputed():
+    # every column of the precomputed shape lands in its field unchanged
     text = (PRECOMPUTED_HEADER + "\n"
             "2024-06-01,NYA,BOS,1,0.6,0.55,0.251,0.249,3.5,4.2\n"
             "2024-06-02,BOS,NYA,0,0.55,0.62,0.249,0.251,4.0,3.1\n")
     rows = parse_game_log(io.StringIO(text))
-    path = tmp_path / "log.csv"
-    write_game_log(rows, path)
-    assert parse_game_log(path) == rows
+    assert rows == [
+        RawGameRow(row_number=2, date=datetime.date(2024, 6, 1), home="NYA",
+                   away="BOS", home_won=True, home_avg_pre=0.251,
+                   away_avg_pre=0.249, home_era_pre=3.5, away_era_pre=4.2,
+                   home_winpct_pre=0.6, away_winpct_pre=0.55),
+        RawGameRow(row_number=3, date=datetime.date(2024, 6, 2), home="BOS",
+                   away="NYA", home_won=False, home_avg_pre=0.249,
+                   away_avg_pre=0.251, home_era_pre=4.0, away_era_pre=3.1,
+                   home_winpct_pre=0.55, away_winpct_pre=0.62),
+    ]
 
 
-def test_round_trip_raw_with_records(tmp_path):
+def test_round_trip_raw_with_records():
+    # every column of the raw shape, W-L records included, lands in its
+    # field unchanged; the outcome comes from the score
     text = (RAW_HEADER + ",home_record_pre,away_record_pre\n"
             "2024-06-01,NYA,BOS,5,3,0.251,0.249,3.5,4.2,25-15,18-22\n"
             "2024-06-03,BOS,NYA,9,1,0.249,0.251,4.0,3.1,18-23,26-15\n")
     rows = parse_game_log(io.StringIO(text))
-    path = tmp_path / "log.csv"
-    write_game_log(rows, path)
-    assert parse_game_log(path) == rows
-
-
-def test_merge_rows_stable_by_date():
-    a = [make_row(2, datetime.date(2024, 6, 1), "A", "B"),
-         make_row(3, datetime.date(2024, 6, 3), "A", "C")]
-    b = [make_row(2, datetime.date(2024, 6, 1), "D", "E"),
-         make_row(3, datetime.date(2024, 6, 2), "D", "F")]
-    merged = merge_rows(a, b)
-    assert [(r.home, r.date.day) for r in merged] == [
-        ("A", 1), ("D", 1), ("D", 2), ("A", 3)]
+    assert rows == [
+        RawGameRow(row_number=2, date=datetime.date(2024, 6, 1), home="NYA",
+                   away="BOS", home_won=True, home_avg_pre=0.251,
+                   away_avg_pre=0.249, home_era_pre=3.5, away_era_pre=4.2,
+                   home_runs=5, away_runs=3, home_record_pre=(25, 15),
+                   away_record_pre=(18, 22)),
+        RawGameRow(row_number=3, date=datetime.date(2024, 6, 3), home="BOS",
+                   away="NYA", home_won=True, home_avg_pre=0.249,
+                   away_avg_pre=0.251, home_era_pre=4.0, away_era_pre=3.1,
+                   home_runs=9, away_runs=1, home_record_pre=(18, 23),
+                   away_record_pre=(26, 15)),
+    ]
 
 
 # ---------------------------------------------------------------------------

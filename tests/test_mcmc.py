@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import game_log_likelihood
 from pennantsim.mcmc import (
     ChainConfig,
     PosteriorDraws,
@@ -21,7 +22,7 @@ from pennantsim.mcmc import (
     tune_proposal_std,
     write_trace_csv,
 )
-from pennantsim.model import GameRecord, ModelParams, log_likelihood
+from pennantsim.model import GameRecord
 
 
 def even_game(i, home_won=None):
@@ -79,11 +80,12 @@ def test_run_chain_rejects_empty_dataset():
 
 
 def test_design_likelihood_matches_record_route():
-    # dual route: vectorized design evaluation vs per-record model likelihood
+    # dual route: vectorized design evaluation vs the independent per-record
+    # oracle likelihood
     games = skewed_games(60, seed=4)
     L, won = log_ratio_design(games)
     for r in ((1.0, 1.0, 1.0), (1.5, 0.8, 0.6), (0.0, 0.0, 0.0), (2.5, 0.1, 1.9)):
-        direct = log_likelihood(ModelParams(*r), games)
+        direct = game_log_likelihood(games, r)
         via_design = design_log_likelihood(L, won, np.asarray(r))
         assert via_design == pytest.approx(direct, abs=1e-8)
 

@@ -1,29 +1,20 @@
-"""Tests for the game-outcome model: ratios, strength, two-stage structure,
-and the marginalized likelihood."""
+"""Tests for the game-outcome model as the fit evaluates it: floored and
+oriented strength ratios, the strength/probability link, and the marginalized
+likelihood, all through `mcmc.log_ratio_design` and
+`mcmc.design_log_likelihood`. The simulator's copy of the strength formula
+is tied to this one in tests/test_season.py."""
 
 import datetime
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pennantsim.model import (
-    GamePrediction,
-    GameRecord,
-    ModelParams,
-    StrengthRatios,
-    TeamStats,
-    floored_strength,
-    home_win_prob,
-    latent_win_prob_draw,
-    log_likelihood,
-    predict_game,
-    pregame_ratios,
-    record_ratios,
-    relative_strength,
-    sample_outcome,
-    sample_win_prob,
-)
+from oracles import game_log_likelihood
+from pennantsim.mcmc import PriorConfig, design_log_likelihood, log_ratio_design
+from pennantsim.model import GameRecord
+from pennantsim.season import SimOptions
 
 
 def make_record(home_win_pct=0.5, away_win_pct=0.5, home_avg=0.25,
@@ -36,52 +27,73 @@ def make_record(home_win_pct=0.5, away_win_pct=0.5, home_avg=0.25,
     )
 
 
+def design_row(record):
+    """The record's (win pct, batting, ERA) log-ratios."""
+    L, _ = log_ratio_design([record])
+    return L[0]
+
+
+def p_home(record, exponents):
+    """The model's home-win probability: exp of a home win's likelihood."""
+    L, won = log_ratio_design([replace(record, home_won=True)])
+    return math.exp(design_log_likelihood(L, won, np.asarray(exponents, float)))
+
+
+def strength(record, exponents):
+    p = p_home(record, exponents)
+    return p / (1.0 - p)
+
+
 # ---------------------------------------------------------------------------
 # relative strength
 
 
 def test_strength_all_even_ratios_is_one():
-    ratios = StrengthRatios(1.0, 1.0, 1.0)
-    params = ModelParams(0.7, 1.3, 2.9)
-    assert relative_strength(ratios, params) == 1.0
+    assert strength(make_record(), (0.7, 1.3, 2.9)) == pytest.approx(
+        1.0, abs=1e-15)
 
 
 def test_strength_single_active_exponent():
-    ratios = StrengthRatios(1.25, 0.7, 2.0)
-    params = ModelParams(1.0, 0.0, 0.0)
-    assert relative_strength(ratios, params) == pytest.approx(1.25, abs=1e-15)
+    record = make_record(home_win_pct=0.625, home_avg=0.175, away_era=8.0)
+    assert strength(record, (1.0, 0.0, 0.0)) == pytest.approx(1.25, abs=1e-12)
 
 
 def test_strength_weighted_product():
     # oracle: high-precision evaluation of 1.2**0.5 * 0.9**1.0 * 1.1**2.0
-    ratios = StrengthRatios(1.2, 0.9, 1.1)
-    params = ModelParams(0.5, 1.0, 2.0)
-    assert relative_strength(ratios, params) == pytest.approx(
+    record = make_record(home_win_pct=0.6, home_avg=0.225, away_era=4.4)
+    assert strength(record, (0.5, 1.0, 2.0)) == pytest.approx(
         1.1929397302462517, abs=1e-12)
 
 
 def test_strength_monotone_in_each_ratio():
-    params = ModelParams(0.8, 0.8, 0.8)
-    base = relative_strength(StrengthRatios(1.1, 1.0, 1.0), params)
-    assert relative_strength(StrengthRatios(1.2, 1.0, 1.0), params) > base
-    assert relative_strength(StrengthRatios(1.1, 1.1, 1.0), params) > base
-    assert relative_strength(StrengthRatios(1.1, 1.0, 1.1), params) > base
+    r = (0.8, 0.8, 0.8)
+    base = strength(make_record(home_win_pct=0.55), r)
+    assert strength(make_record(home_win_pct=0.6), r) > base
+    assert strength(make_record(home_win_pct=0.55, home_avg=0.275), r) > base
+    assert strength(make_record(home_win_pct=0.55, away_era=4.4), r) > base
 
 
 def test_ratio_validation_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        StrengthRatios(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        StrengthRatios(1.0, -2.0, 1.0)
-    with pytest.raises(ValueError):
-        StrengthRatios(1.0, 1.0, math.inf)
+    # no ratio can come out nonpositive or infinite: records with
+    # non-finite, negative or zero-batting stats are refused, and zero win
+    # percentages and ERAs are floored
+    for bad in (dict(home_win_pct=math.nan), dict(away_era=math.inf),
+                dict(home_avg=0.0), dict(away_era=-2.0)):
+        with pytest.raises(ValueError):
+            make_record(**bad)
+    row = design_row(make_record(home_win_pct=0.0, away_win_pct=0.0,
+                                 home_era=0.0, away_era=0.0))
+    assert row.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(-0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ModelParams(1.0, 1.0, 1.0, concentration=0.0)
+    # the exponents live in the prior box, the concentration in the
+    # simulation options; both refuse values the model cannot use
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PriorConfig(r_max=bad)
+        with pytest.raises(ValueError):
+            SimOptions(concentration=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -89,108 +101,36 @@ def test_params_validation():
 
 
 def test_marginal_prob_even_matchup():
-    assert home_win_prob(1.0) == 0.5
+    # strength 1: a home win and a home loss are equally likely
+    for won in (True, False):
+        L, w = log_ratio_design([make_record(home_won=won)])
+        assert design_log_likelihood(L, w, np.ones(3)) == pytest.approx(
+            math.log(0.5), abs=1e-15)
 
 
 def test_marginal_prob_matches_beta_sampling_oracle():
     # oracle: empirical mean of Beta(m*lam, m) draws equals lam/(1+lam)
-    # regardless of m.
+    # regardless of m; the likelihood's win probability is that mean
     rng = np.random.default_rng(314)
     n = 10**6
-    for lam, expected in ((3.0, 0.75), (0.25, 0.2)):
+    for home_pct, away_pct, lam, expected in ((0.75, 0.25, 3.0, 0.75),
+                                              (0.2, 0.8, 0.25, 0.2)):
         for m in (0.5, 1.0, 10.0):
             draws = rng.beta(m * lam, m, size=n)
             se = draws.std(ddof=1) / math.sqrt(n)
             assert abs(draws.mean() - expected) < 4 * se
-        assert home_win_prob(lam) == pytest.approx(expected, abs=1e-12)
+        record = make_record(home_win_pct=home_pct, away_win_pct=away_pct)
+        assert p_home(record, (1.0, 0.0, 0.0)) == pytest.approx(expected,
+                                                                abs=1e-12)
 
 
 def test_marginal_prob_strictly_increasing():
-    probs = [home_win_prob(lam) for lam in (0.1, 0.5, 1.0, 2.0, 10.0)]
+    # win-pct ratios 0.1, 0.5, 1, 2, 10
+    pairs = ((0.05, 0.5), (0.25, 0.5), (0.5, 0.5), (0.5, 0.25), (0.5, 0.05))
+    probs = [p_home(make_record(home_win_pct=h, away_win_pct=a),
+                    (1.0, 0.0, 0.0))
+             for h, a in pairs]
     assert all(a < b for a, b in zip(probs, probs[1:]))
-
-
-def test_marginal_prob_rejects_bad_strength():
-    with pytest.raises(ValueError):
-        home_win_prob(0.0)
-    with pytest.raises(ValueError):
-        home_win_prob(-1.0)
-
-
-# ---------------------------------------------------------------------------
-# two-stage draws
-
-
-def test_latent_prob_concentration_limit():
-    rng = np.random.default_rng(0)
-    draws = [sample_win_prob(1.0, 1e6, rng) for _ in range(200)]
-    assert all(abs(p - 0.5) < 0.01 for p in draws)
-
-
-def test_latent_prob_mean_matches_marginal():
-    rng = np.random.default_rng(7)
-    n = 10**5
-    draws = rng.beta(1.0 * 2.0, 1.0, size=n)  # lam=2, m=1
-    se = draws.std(ddof=1) / math.sqrt(n)
-    assert abs(draws.mean() - 2.0 / 3.0) < 3 * se
-    # scalar API agrees in distribution: check a smaller sample
-    rng2 = np.random.default_rng(7)
-    scalar_draws = np.array([sample_win_prob(2.0, 1.0, rng2) for _ in range(n)])
-    assert abs(scalar_draws.mean() - 2.0 / 3.0) < 3 * se
-
-
-def test_latent_prob_rejects_zero_concentration():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_win_prob(1.0, 0.0, rng)
-
-
-def test_outcome_degenerate_probabilities():
-    rng = np.random.default_rng(0)
-    assert sample_outcome(1.0, rng) is True
-    assert sample_outcome(0.0, rng) is False
-    with pytest.raises(ValueError):
-        sample_outcome(1.5, rng)
-
-
-def test_outcome_reproducible_and_unbiased():
-    seq1 = [sample_outcome(0.5, np.random.default_rng(42)) for _ in range(1)]
-    seq2 = [sample_outcome(0.5, np.random.default_rng(42)) for _ in range(1)]
-    assert seq1 == seq2
-    rng = np.random.default_rng(11)
-    n = 10**5
-    wins = sum(sample_outcome(0.5, rng) for _ in range(n))
-    se = math.sqrt(0.25 / n)
-    assert abs(wins / n - 0.5) < 3 * se
-
-
-def test_two_stage_rate_invariant_to_concentration():
-    # the marginal win rate should not move with m
-    n = 10**5
-    lam = 2.0
-    rates = []
-    for m in (0.5, 10.0):
-        rng = np.random.default_rng(99)
-        p = rng.beta(m * lam, m, size=n)
-        wins = rng.random(n) < p
-        rates.append(wins.mean())
-    se = math.sqrt(0.25 / n)
-    expected = home_win_prob(lam)
-    for rate in rates:
-        assert abs(rate - expected) < 3 * se
-
-
-def test_latent_reconstruction_posterior_moments():
-    # posterior of the latent p given one outcome is Beta(m*lam+x, m+1-x);
-    # oracle: closed-form Beta mean
-    rng = np.random.default_rng(5)
-    n = 10**5
-    lam, m = 1.5, 1.0
-    for won, a, b in ((True, m * lam + 1, m), (False, m * lam, m + 1)):
-        draws = np.array([latent_win_prob_draw(lam, m, won, rng)
-                          for _ in range(n)])
-        se = draws.std(ddof=1) / math.sqrt(n)
-        assert abs(draws.mean() - a / (a + b)) < 4 * se
 
 
 # ---------------------------------------------------------------------------
@@ -198,55 +138,37 @@ def test_latent_reconstruction_posterior_moments():
 
 
 def test_ratios_identical_stats_are_even():
-    stats = TeamStats(0.5, 0.26, 3.8)
-    assert pregame_ratios(stats, stats) == StrengthRatios(1.0, 1.0, 1.0)
+    record = make_record(home_avg=0.26, away_avg=0.26, home_era=3.8,
+                         away_era=3.8)
+    assert design_row(record).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_ratios_win_pct_direct():
-    home = TeamStats(0.6, 0.25, 4.0)
-    away = TeamStats(0.4, 0.25, 4.0)
-    assert pregame_ratios(home, away).win_pct == pytest.approx(1.5)
+    row = design_row(make_record(home_win_pct=0.6, away_win_pct=0.4))
+    assert row[0] == pytest.approx(math.log(1.5))
 
 
 def test_ratios_era_inverted():
     # lower home ERA must favor home: ratio is away/home
-    home = TeamStats(0.5, 0.25, 3.0)
-    away = TeamStats(0.5, 0.25, 4.5)
-    assert pregame_ratios(home, away).era == pytest.approx(1.5)
+    row = design_row(make_record(home_era=3.0, away_era=4.5))
+    assert row[2] == pytest.approx(math.log(1.5))
 
 
 def test_ratios_floor_zero_stats():
-    home = TeamStats(0.0, 0.25, 0.0)
-    away = TeamStats(0.5, 0.25, 4.0)
-    ratios = pregame_ratios(home, away)
-    assert ratios.win_pct == pytest.approx(1e-3 / 0.5)
-    assert ratios.era == pytest.approx(4.0 / 0.01)
+    row = design_row(make_record(home_win_pct=0.0, home_era=0.0))
+    assert row[0] == pytest.approx(math.log(1e-3 / 0.5))
+    assert row[2] == pytest.approx(math.log(4.0 / 0.01))
 
 
 def test_symmetry_swap_inverts_ratios():
-    home = TeamStats(0.55, 0.27, 3.5)
-    away = TeamStats(0.45, 0.24, 4.2)
-    fwd = pregame_ratios(home, away)
-    rev = pregame_ratios(away, home)
-    assert rev.win_pct == pytest.approx(1.0 / fwd.win_pct)
-    assert rev.batting == pytest.approx(1.0 / fwd.batting)
-    assert rev.era == pytest.approx(1.0 / fwd.era)
-    # equal exponents: swapping sides sends p to 1-p
-    params = ModelParams(0.9, 0.9, 0.9)
-    p_fwd = home_win_prob(relative_strength(fwd, params))
-    p_rev = home_win_prob(relative_strength(rev, params))
-    assert p_fwd + p_rev == pytest.approx(1.0, abs=1e-12)
-
-
-def test_floored_strength_matches_record_path():
-    record = make_record(home_win_pct=0.61, away_win_pct=0.47,
-                         home_avg=0.262, away_avg=0.244,
-                         home_era=3.41, away_era=4.73)
-    params = ModelParams(1.2, 0.7, 0.4)
-    via_record = relative_strength(record_ratios(record), params)
-    via_scalar = floored_strength(0.61, 0.262, 3.41, 0.47, 0.244, 4.73,
-                                  1.2, 0.7, 0.4)
-    assert via_scalar == pytest.approx(via_record, rel=1e-15)
+    fwd = make_record(home_win_pct=0.55, away_win_pct=0.45, home_avg=0.27,
+                      away_avg=0.24, home_era=3.5, away_era=4.2)
+    rev = make_record(home_win_pct=0.45, away_win_pct=0.55, home_avg=0.24,
+                      away_avg=0.27, home_era=4.2, away_era=3.5)
+    assert design_row(rev) == pytest.approx(-design_row(fwd))
+    # swapping sides sends p to 1-p
+    r = (0.9, 0.9, 0.9)
+    assert p_home(fwd, r) + p_home(rev, r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_game_record_rejects_same_team():
@@ -265,39 +187,27 @@ def test_game_record_rejects_out_of_range_stats():
 
 
 # ---------------------------------------------------------------------------
-# prediction and likelihood
-
-
-def test_predict_game_even_matchup():
-    pred = predict_game(make_record(), ModelParams(1.0, 1.0, 1.0))
-    assert pred.strength == pytest.approx(1.0)
-    assert pred.win_prob == pytest.approx(0.5)
-    assert pred.home_won is True
-
-
-def test_prediction_validation():
-    with pytest.raises(ValueError):
-        GamePrediction(strength=1.0, win_prob=1.0)
-    with pytest.raises(ValueError):
-        GamePrediction(strength=-1.0, win_prob=0.5)
+# likelihood
 
 
 def test_loglik_single_even_game():
-    games = [make_record(home_won=True)]
-    ll = log_likelihood(ModelParams(1.0, 1.0, 1.0), games)
-    assert ll == pytest.approx(math.log(0.5), abs=1e-12)
+    L, won = log_ratio_design([make_record(home_won=True)])
+    assert design_log_likelihood(L, won, np.ones(3)) == pytest.approx(
+        math.log(0.5), abs=1e-12)
 
 
 def test_loglik_two_favored_wins():
     # lam=3 via the win-pct ratio alone; oracle: 2*ln(0.75)
     games = [make_record(home_win_pct=0.75, away_win_pct=0.25, home_won=True)
              for _ in range(2)]
-    ll = log_likelihood(ModelParams(1.0, 0.0, 0.0), games)
-    assert ll == pytest.approx(-0.5753641449035618, abs=1e-12)
+    L, won = log_ratio_design(games)
+    assert design_log_likelihood(L, won, np.array([1.0, 0.0, 0.0])) == \
+        pytest.approx(-0.5753641449035618, abs=1e-12)
 
 
 def test_loglik_empty_is_zero():
-    assert log_likelihood(ModelParams(1.0, 1.0, 1.0), []) == 0.0
+    assert design_log_likelihood(np.empty((0, 3)), np.empty(0),
+                                 np.ones(3)) == 0.0
 
 
 def test_loglik_additive_over_disjoint_sets():
@@ -310,7 +220,10 @@ def test_loglik_additive_over_disjoint_sets():
                          away_era=float(rng.uniform(3.0, 5.0)),
                          home_won=bool(rng.random() < 0.5))
              for _ in range(20)]
-    params = ModelParams(1.4, 0.6, 0.8)
-    whole = log_likelihood(params, games)
-    parts = log_likelihood(params, games[:7]) + log_likelihood(params, games[7:])
+    r = np.array([1.4, 0.6, 0.8])
+    L, won = log_ratio_design(games)
+    whole = design_log_likelihood(L, won, r)
+    parts = (design_log_likelihood(L[:7], won[:7], r)
+             + design_log_likelihood(L[7:], won[7:], r))
     assert whole == pytest.approx(parts, abs=1e-10)
+    assert whole == pytest.approx(game_log_likelihood(games, r), abs=1e-10)

@@ -1,18 +1,22 @@
 """Season simulation tests.
 
 Outcome-level checks use regimes where the result is forced (overwhelming
-strength ratios) or analytically known (all-equal teams), so none of them
-re-derive the simulator's internal stream layout.
+strength ratios) or analytically known (all-equal teams, or rates over many
+one-off matchups from tests/matchups.py), so none of them re-derive the
+simulator's internal stream layout.
 """
 
 import datetime
+import math
 
 import numpy as np
 import pytest
 
+from matchups import OneOffMatchups
 from pennantsim.kalman import (GaussianState, NoiseEstimate, NoiseParams,
                                TercileGrouping)
-from pennantsim.model import relative_strength, StrengthRatios, ModelParams
+from pennantsim.mcmc import design_log_likelihood, log_ratio_design
+from pennantsim.model import GameRecord
 from pennantsim.season import (
     ForecastSummary,
     LeagueStructure,
@@ -29,10 +33,7 @@ from pennantsim.season import (
     read_schedule_csv,
     run_replication,
     run_replications,
-    simulate_game,
     summarize,
-    update_after_game,
-    write_schedule_csv,
 )
 
 
@@ -115,118 +116,94 @@ def test_team_forecast_probability_bounds():
 
 
 def test_state_win_pct_requires_games():
-    state = make_state("A", wins=0, losses=0)
-    with pytest.raises(ValueError, match="no games played"):
-        state.win_pct
+    # with no burn-in required, a 0-0 team reaches the game loop unless the
+    # engine refuses it: its win percentage would divide by zero
+    league = tiny_league()
+    states = [make_state(t) for t in league.teams]
+    states[0] = make_state("E0", wins=0, losses=0)
+    sched = Schedule(games=(
+        ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
+    with pytest.raises(ValueError, match="win percentage undefined"):
+        run_replication(states, sched, np.ones((1, 3)), league, seed=0,
+                        opts=SimOptions(burn_in_games=0))
 
 
 # ---------------------------------------------------------------------------
-# single-game behavior
+# single-game behavior: rates over one-off matchups run through the engine
 
 
-def test_simulate_game_requires_played_games():
-    fresh = make_state("A", wins=0, losses=0)
-    other = make_state("B")
-    with pytest.raises(ValueError, match="no games on record"):
-        simulate_game(fresh, other, np.ones((1, 3)), SimOptions(),
-                      np.random.default_rng(0))
-
-
-def test_simulate_game_matches_analytic_probability():
+def test_engine_matches_analytic_probability():
     # equal teams, unit exponents -> strength 1 -> home win prob one half
-    home = make_state("H")
-    away = make_state("A")
-    rng = np.random.default_rng(2)
     n = 40_000
-    wins = sum(simulate_game(home, away, np.ones((1, 3)), SimOptions(), rng)
-               for _ in range(n))
+    wins = sum(OneOffMatchups(n).home_wins(make_state("H"), make_state("A"),
+                                           np.ones((1, 3)), seed=2))
     se = 0.5 / np.sqrt(n)
     assert abs(wins / n - 0.5) < 4 * se
 
 
-def test_simulate_game_tracks_strength_ratio():
-    # skewed matchup: empirical rate should match s/(1+s) from the
-    # model-layer strength computed independently of the simulator
+def test_engine_tracks_strength_ratio():
+    # skewed matchup: empirical rate should match s/(1+s), with s worked
+    # out by hand from the states
     home = make_state("H", wins=13, losses=7, deviation=0.02, era=3.5)
     away = make_state("A", wins=8, losses=12, deviation=-0.01, era=4.4)
-    params = ModelParams(win_pct_exp=1.4, batting_exp=0.7, era_exp=0.5)
-    ratios = StrengthRatios(win_pct=(13 / 20) / (8 / 20),
-                            batting=0.27 / 0.24,
-                            era=4.4 / 3.5)
-    s = relative_strength(ratios, params)
+    s = (((13 / 20) / (8 / 20)) ** 1.4 * (0.27 / 0.24) ** 0.7
+         * (4.4 / 3.5) ** 0.5)
     p = s / (1 + s)
     draws = np.array([[1.4, 0.7, 0.5]])
-    rng = np.random.default_rng(3)
     n = 40_000
-    wins = sum(simulate_game(home, away, draws, SimOptions(), rng)
-               for _ in range(n))
+    wins = sum(OneOffMatchups(n).home_wins(home, away, draws, seed=3))
     se = np.sqrt(p * (1 - p) / n)
     assert abs(wins / n - p) < 4 * se
 
 
-def test_simulate_game_two_stage_same_marginal():
+def test_engine_two_stage_same_marginal():
     # Beta(m*s, m) has mean s/(1+s), so the marginal win rate is unchanged
-    home = make_state("H")
-    away = make_state("A")
     opts = SimOptions(probability_mode="two-stage", concentration=2.0)
-    rng = np.random.default_rng(4)
     n = 40_000
-    wins = sum(simulate_game(home, away, np.ones((1, 3)), opts, rng)
-               for _ in range(n))
+    wins = sum(OneOffMatchups(n).home_wins(make_state("H"), make_state("A"),
+                                           np.ones((1, 3)), seed=4,
+                                           opts=opts))
     se = 0.5 / np.sqrt(n)
     assert abs(wins / n - 0.5) < 4 * se
 
 
-def test_simulate_game_point_mode_uses_posterior_mean():
+def test_engine_point_mode_uses_posterior_mean():
     # an outlier draw dominates the uniform picks but not the mean
     home = make_state("H", wins=19, losses=1)
     away = make_state("A", wins=1, losses=19)
     draws = np.array([[8.0, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 7)
     opts = SimOptions(draw_mode="point")
-    rng = np.random.default_rng(5)
     # mean exponents (1, 0, 0) -> s = 19 -> p = 0.95
     n = 20_000
-    wins = sum(simulate_game(home, away, draws, opts, rng) for _ in range(n))
+    wins = sum(OneOffMatchups(n).home_wins(home, away, draws, seed=5,
+                                           opts=opts))
     se = np.sqrt(0.95 * 0.05 / n)
     assert abs(wins / n - 0.95) < 4 * se
 
 
-def test_update_after_game_increments_record():
-    state = make_state("A", wins=10, losses=10)
-    rng = np.random.default_rng(6)
-    won = update_after_game(state, True, SimOptions().walk, rng)
-    lost = update_after_game(state, False, SimOptions().walk,
-                             np.random.default_rng(6))
-    assert (won.wins, won.losses) == (11, 10)
-    assert (lost.wins, lost.losses) == (10, 11)
-
-
-def test_update_after_game_walk_step_oracle():
-    # twin generator replays the single normal draw
-    walk = SimOptions().walk
-    state = make_state("A", deviation=0.01)
-    nxt = update_after_game(state, True, walk, np.random.default_rng(7))
-    step = float(np.random.default_rng(7).normal(0.0, walk.step_std))
-    assert nxt.batting_deviation == pytest.approx(0.01 + step, abs=1e-15)
-
-
-def test_update_after_game_era_variance_grows():
-    state = make_state("A", sigma_process=0.05)
-    nxt = update_after_game(state, True, SimOptions().walk,
-                            np.random.default_rng(8))
-    assert nxt.era_state.mean == state.era_state.mean
-    assert nxt.era_state.var == pytest.approx(state.era_state.var + 0.05 ** 2)
-
-
-def test_update_after_game_path_mode_moves_mean():
-    walk = SimOptions().walk
-    state = make_state("A", era=4.0, sigma_process=0.3)
-    nxt = update_after_game(state, True, walk, np.random.default_rng(9),
-                            era_mode="path")
-    twin = np.random.default_rng(9)
-    twin.normal(0.0, walk.step_std)  # the batting step comes first
-    expected = max(4.0 + float(twin.normal(0.0, 0.3)), 0.01)
-    assert nxt.era_state.mean == pytest.approx(expected, abs=1e-15)
+def test_engine_strength_matches_fit_design_with_floors_binding():
+    # The engine's game loop and mcmc.log_ratio_design are the two shipped
+    # copies of the strength formula. A winless home side and a 0.00 home
+    # ERA make both floors bind, and the batting deviations and unequal
+    # exponents make every ratio count, so a floor dropped or changed on
+    # either side moves the engine's rate off the design's probability.
+    home = make_state("H", wins=0, losses=20, deviation=0.02, era=0.0)
+    away = make_state("A", wins=3, losses=17, deviation=-0.015, era=4.0)
+    r = np.array([0.3, 1.1, 0.2])
+    league_mean = SimOptions().walk.league_mean
+    record = GameRecord(
+        date=datetime.date(2024, 8, 1), home_team="H", away_team="A",
+        home_win_pct=home.wins / home.games_played,
+        away_win_pct=away.wins / away.games_played,
+        home_batting_avg=league_mean + home.batting_deviation,
+        away_batting_avg=league_mean + away.batting_deviation,
+        home_era=home.era_state.mean, away_era=away.era_state.mean,
+        home_won=True)
+    p = math.exp(design_log_likelihood(*log_ratio_design([record]), r))
+    n = 40_000
+    wins = sum(OneOffMatchups(n).home_wins(home, away, r[None, :], seed=13))
+    se = math.sqrt(p * (1 - p) / n)
+    assert abs(wins / n - p) < 4 * se
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +537,16 @@ def test_generate_schedule_rejects_overplayed_team():
 
 
 def test_schedule_csv_round_trip(tmp_path):
-    league = tiny_league()
-    sched = generate_schedule(league, {t: 4 for t in league.teams}, seed=5)
+    # each row becomes one game, in file order
     path = tmp_path / "sched.csv"
-    write_schedule_csv(sched, path)
-    back = read_schedule_csv(path)
-    assert back.games == sched.games
-    assert not back.synthetic  # provenance is not stored in the file
+    path.write_text("date,home,away\n2024-08-01,E0,W0\n"
+                    "2024-08-01,W1,E2\n2024-08-03,E1,W2\n")
+    sched = read_schedule_csv(path)
+    day = datetime.date
+    assert sched.games == (ScheduledGame(day(2024, 8, 1), "E0", "W0"),
+                           ScheduledGame(day(2024, 8, 1), "W1", "E2"),
+                           ScheduledGame(day(2024, 8, 3), "E1", "W2"))
+    assert not sched.synthetic  # a file schedule is not synthetic
 
 
 def test_schedule_csv_rejects_bad_header(tmp_path):
