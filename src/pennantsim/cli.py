@@ -18,18 +18,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .batting import WalkConfig
 from .gamelog import (DatasetFilter, batting_series, current_standings,
                       date_window_filter, derive_pregame_records, era_series,
                       filter_training_window, games_played_filter,
                       parse_game_log)
 from .kalman import (GaussianState, NoiseEstimate, NoiseParams,
-                     TercileGrouping, filter_series, group_terciles,
-                     sliding_noise_estimates)
+                     filter_series, group_terciles, sliding_noise_estimates)
 from .mcmc import (PARAM_NAMES, ChainConfig, PosteriorDraws, PriorConfig,
                    derived_seed, effective_sample_size, export_trace,
                    run_chains, split_rhat, tune_proposal_std, write_trace_csv)
-from .season import (SeasonResult, SimOptions, TeamSimState,
+from .season import (SeasonResult, SimOptions, TeamSimState, WalkConfig,
                      export_win_histogram, generate_schedule, read_league_csv,
                      read_schedule_csv, run_replications, summarize)
 
@@ -504,7 +502,7 @@ def _median_noise(pool) -> NoiseParams:
 
 
 def _initial_states(rows, league, pools, labels, cfg: RunConfig):
-    """Current record, batting deviation, and filtered ERA state per team."""
+    """Current record, batting deviation, and filtered ERA level per team."""
     standings = current_standings(rows)
     eras = era_series(rows)
     battings = batting_series(rows)
@@ -525,15 +523,15 @@ def _initial_states(rows, league, pools, labels, cfg: RunConfig):
             spread = float(np.var(series)) if len(series) > 1 else 0.0
             init = GaussianState(mean=series[0],
                                  var=max(10.0 * spread, 1e-6))
-            era_state = filter_series(init, series, noise).filtered[-1]
+            era = filter_series(init, series, noise).mean
         else:
             label = ""
             noise = NoiseParams(sigma_obs=0.0, sigma_process=0.0)
-            era_state = GaussianState(mean=series[-1], var=0.0)
+            era = series[-1]
         states.append(TeamSimState(
             team=team, wins=wins, losses=losses,
             batting_deviation=battings[team][-1] - walk.league_mean,
-            era_state=era_state, noise=noise, tercile=label))
+            era=era, noise=noise, tercile=label))
     return states
 
 
@@ -583,19 +581,9 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
         played = {t: sum(standings[t]) for t in league.teams}
         schedule = generate_schedule(league, played, seed=cfg.seed)
 
-    terciles = None
-    if pools is not None:
-        grouped = {"low": [], "medium": [], "high": []}
-        for team, label in labels.items():
-            grouped[label].append(team)
-        terciles = TercileGrouping(low=tuple(sorted(grouped["low"])),
-                                   medium=tuple(sorted(grouped["medium"])),
-                                   high=tuple(sorted(grouped["high"])))
-
     results = run_replications(cfg.replications, states, schedule, draws,
                                league, cfg.seed, opts=cfg.sim_options(),
-                               noise_pools=pools, terciles=terciles,
-                               n_jobs=cfg.jobs)
+                               noise_pools=pools, n_jobs=cfg.jobs)
     summary = summarize(results)
 
     outputs = {}

@@ -2,9 +2,9 @@
 
 The latent ERA follows a random walk x[t+1] = x[t] + w[t] with process noise
 variance q; observations are y[t] = x[t] + v[t] with observation noise
-variance r. This module covers filtering, pure-propagation forecasting,
-windowed maximum-likelihood noise estimation, tercile grouping of teams by
-early-season ERA, and synthetic ERA path generation.
+variance r. This module covers filtering, windowed maximum-likelihood noise
+estimation (one filter recursion serves both), tercile grouping of teams by
+early-season ERA, and noise resampling.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-
-from .model import ERA_FLOOR
 
 # Noise estimation is unreliable below this many observations.
 MIN_WINDOW = 10
@@ -100,13 +98,6 @@ class TercileGrouping:
             raise ValueError(f"tercile sizes differ by more than 1: "
                              f"{[len(g) for g in groups]}")
 
-    def label_of(self, team: str) -> str:
-        for label, group in (("low", self.low), ("medium", self.medium),
-                             ("high", self.high)):
-            if team in group:
-                return label
-        raise KeyError(f"team {team!r} not in any tercile")
-
     @property
     def labels(self) -> dict[str, str]:
         return {t: label
@@ -115,111 +106,54 @@ class TercileGrouping:
                 for t in group}
 
 
-@dataclass(frozen=True)
-class FilterResult:
-    """Output of filter_series: per-step posterior states plus the one-step-ahead
-    predictive states needed for likelihood evaluation."""
-
-    filtered: tuple[GaussianState, ...]
-    predicted: tuple[GaussianState, ...]
-
-    def __post_init__(self):
-        if len(self.filtered) != len(self.predicted):
-            raise ValueError("filtered/predicted length mismatch")
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([s.mean for s in self.filtered])
-
-    @property
-    def variances(self) -> np.ndarray:
-        return np.array([s.var for s in self.filtered])
-
-
 # ---------------------------------------------------------------------------
-# filtering and forecasting
+# filtering and the prediction-error likelihood
 
 
-def filter_step(prior: GaussianState, observation: float,
-                noise: NoiseParams) -> GaussianState:
-    """One predict/update cycle of the local-level filter.
+def _local_level(obs, r: float, q: float, mean: float,
+                 var: float) -> tuple[float, float, float]:
+    """Run the local-level filter over obs from the state (mean, var).
 
-    Predict adds the process variance; update blends in the observation with
-    gain K = P/(P + r), leaving the posterior variance at (1-K)P <= P.
+    Each step adds the process variance q, then blends in the observation
+    with gain K = P/(P + r), leaving the posterior variance at (1-K)P <= P.
+    The one-step prediction errors give the Gaussian log-likelihood as a
+    by-product (Durbin & Koopman 2012, ch. 2). Returns (log-likelihood,
+    final filtered mean, final filtered variance).
     """
-    if not math.isfinite(observation):
-        raise ValueError(f"observation is not finite: {observation}")
-    var_pred = prior.var + noise.sigma_process ** 2
-    denom = var_pred + noise.sigma_obs ** 2
-    if denom == 0.0:
-        raise ValueError("Kalman gain undefined: zero observation noise with "
-                         "zero predicted variance")
-    gain = var_pred / denom
-    mean = prior.mean + gain * (observation - prior.mean)
-    var = (1.0 - gain) * var_pred
-    return GaussianState(mean=mean, var=var)
+    ll = 0.0
+    for y in obs:
+        var_pred = var + q
+        f = var_pred + r
+        if f == 0.0:
+            raise ValueError("Kalman gain undefined: zero observation noise "
+                             "with zero predicted variance")
+        e = y - mean
+        ll -= 0.5 * (math.log(2.0 * math.pi * f) + e * e / f)
+        gain = var_pred / f
+        mean += gain * e
+        var = (1.0 - gain) * var_pred
+    return ll, mean, var
 
 
 def filter_series(init: GaussianState, observations,
-                  noise: NoiseParams) -> FilterResult:
-    """Filter a whole series; filtered[t] is the posterior after observation t.
+                  noise: NoiseParams) -> GaussianState:
+    """Filter a whole series; returns the posterior after its last observation.
 
     The first observation is treated like any other: one process step from
-    the initial state, then the measurement update. predicted[t] holds the
-    pre-update state (the one-step-ahead predictive mean/variance).
+    the initial state, then the measurement update.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim != 1 or obs.size == 0:
         raise ValueError("observations must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(obs)):
         raise ValueError("observations contain non-finite values")
-    q = noise.sigma_process ** 2
-    filtered = []
-    predicted = []
-    state = init
-    for y in obs:
-        predicted.append(GaussianState(state.mean, state.var + q))
-        state = filter_step(state, float(y), noise)
-        filtered.append(state)
-    return FilterResult(filtered=tuple(filtered), predicted=tuple(predicted))
-
-
-def forecast(state: GaussianState, horizon: int,
-             noise: NoiseParams) -> list[GaussianState]:
-    """Pure-propagation forecast: h steps ahead the mean is unchanged (random
-    walk) and the variance has grown by h process-noise variances.
-
-    Returns one state per step 1..horizon; horizon 0 gives an empty forecast.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    q = noise.sigma_process ** 2
-    return [GaussianState(mean=state.mean, var=state.var + h * q)
-            for h in range(1, horizon + 1)]
+    _, mean, var = _local_level(obs.tolist(), noise.sigma_obs ** 2,
+                                noise.sigma_process ** 2, init.mean, init.var)
+    return GaussianState(mean=mean, var=var)
 
 
 # ---------------------------------------------------------------------------
 # noise estimation
-
-
-def _prediction_error_loglik(log_sigmas, obs: np.ndarray,
-                             init: GaussianState) -> float:
-    """Gaussian log-likelihood of a window via one-step prediction errors."""
-    r = math.exp(2.0 * log_sigmas[0])   # observation variance
-    q = math.exp(2.0 * log_sigmas[1])   # process variance
-    mean, var = init.mean, init.var
-    ll = 0.0
-    for y in obs:
-        var_pred = var + q
-        f = var_pred + r
-        if f <= 0.0:
-            return -math.inf
-        e = y - mean
-        ll -= 0.5 * (math.log(2.0 * math.pi * f) + e * e / f)
-        gain = var_pred / f
-        mean += gain * e
-        var = (1.0 - gain) * var_pred
-    return ll
 
 
 def estimate_noise(window, *, team: str = "", window_start: int = 0) -> NoiseEstimate:
@@ -262,6 +196,7 @@ def estimate_noise(window, *, team: str = "", window_start: int = 0) -> NoiseEst
         (0.7 * diff_sd, 0.1 * diff_sd),
     ]
     lo, hi = math.log(_SIGMA_MIN), math.log(_SIGMA_MAX)
+    values = obs.tolist()
 
     best_x = None
     best_ll = -math.inf
@@ -270,7 +205,9 @@ def estimate_noise(window, *, team: str = "", window_start: int = 0) -> NoiseEst
         x0 = np.clip([math.log(max(s_obs, _SIGMA_MIN)),
                       math.log(max(s_proc, _SIGMA_MIN))], lo, hi)
         res = optimize.minimize(
-            lambda x: -_prediction_error_loglik(x, obs, init), x0,
+            lambda x: -_local_level(values, math.exp(2.0 * x[0]),
+                                    math.exp(2.0 * x[1]), init.mean,
+                                    init.var)[0], x0,
             method="Nelder-Mead",
             bounds=[(lo, hi), (lo, hi)],
             options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 400},
@@ -343,29 +280,3 @@ def sample_noise(group: str, pool: list[NoiseEstimate],
         raise ValueError(f"no converged noise estimates in pool for tercile "
                          f"{group!r}")
     return usable[int(rng.integers(len(usable)))].params
-
-
-# ---------------------------------------------------------------------------
-# synthetic path generation
-
-
-def simulate_era_path(init_mean: float, noise: NoiseParams, n_steps: int,
-                      rng: np.random.Generator, *,
-                      return_latent: bool = False):
-    """Simulate an observed ERA series from the local-level model.
-
-    Each step advances the latent level by one process-noise increment and
-    emits that level plus observation noise. Emitted values are floored at
-    ERA_FLOOR (an ERA cannot be negative). With return_latent the un-floored
-    latent path comes back too.
-    """
-    if init_mean < 0:
-        raise ValueError(f"init_mean must be nonnegative, got {init_mean}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    latent = init_mean + np.cumsum(rng.normal(0.0, noise.sigma_process, n_steps))
-    observed = np.maximum(latent + rng.normal(0.0, noise.sigma_obs, n_steps),
-                          ERA_FLOOR)
-    if return_latent:
-        return observed, latent
-    return observed

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batting import WalkConfig
-from .kalman import GaussianState, NoiseParams, sample_noise
+from .kalman import NoiseParams, sample_noise
 from .mcmc import PosteriorDraws
 from .model import ERA_FLOOR, STAT_FLOOR
 from .stats import nearest_rank_quantile
@@ -29,14 +28,36 @@ ERA_MODES = ("forecast", "path")
 
 
 @dataclass(frozen=True)
+class WalkConfig:
+    """Batting random walk: team averages are deviations from a league mean,
+    and each game a team plays adds one Normal(0, step_std^2) increment to
+    its deviation. The implied average (mean + deviation) is clamped to
+    [clamp_low, clamp_high]; the raw deviation is not."""
+
+    step_std: float = 0.0015
+    league_mean: float = 0.250
+    clamp_low: float = 0.150
+    clamp_high: float = 0.400
+
+    def __post_init__(self):
+        if not (math.isfinite(self.step_std) and self.step_std > 0):
+            raise ValueError(f"step_std must be positive, got {self.step_std}")
+        if not 0.0 < self.clamp_low < self.league_mean < self.clamp_high < 1.0:
+            raise ValueError(
+                f"need 0 < clamp_low < league_mean < clamp_high < 1, got "
+                f"({self.clamp_low}, {self.league_mean}, {self.clamp_high})")
+
+
+@dataclass(frozen=True)
 class TeamSimState:
-    """Evolving per-team state during a simulated season."""
+    """Evolving per-team state during a simulated season. era is the latent
+    ERA level the season starts from (the filtered mean)."""
 
     team: str
     wins: int
     losses: int
     batting_deviation: float
-    era_state: GaussianState
+    era: float
     noise: NoiseParams
     tercile: str = ""
 
@@ -149,9 +170,6 @@ class SeasonResult:
     wins: dict[str, int]
     qualifiers: frozenset[str]
 
-    def total_wins(self) -> int:
-        return sum(self.wins.values())
-
 
 @dataclass(frozen=True)
 class TeamForecast:
@@ -231,28 +249,30 @@ def _draw_matrix(draws) -> np.ndarray:
 # replications
 
 
-def _resolved_noise(initial, noise_pools, terciles, noise_rng):
-    """Per-team noise for one replication: freshly sampled from the tercile
-    pools when given, otherwise each team's stored parameters."""
+def _resolved_noise(initial, noise_pools, noise_rng):
+    """Per-team noise for one replication: freshly sampled from the pool of
+    each team's tercile when pools are given, otherwise each team's stored
+    parameters."""
     if noise_pools is None:
         return {s.team: s.noise for s in initial}
-    if terciles is None:
-        raise ValueError("noise_pools given without tercile grouping")
     resolved = {}
     for state in sorted(initial, key=lambda s: s.team):
-        label = state.tercile or terciles.label_of(state.team)
+        if not state.tercile:
+            raise ValueError(f"noise_pools given but {state.team} has no "
+                             f"tercile")
         try:
-            pool = noise_pools[label]
+            pool = noise_pools[state.tercile]
         except KeyError:
-            raise ValueError(f"no noise pool for tercile {label!r}") from None
-        resolved[state.team] = sample_noise(label, pool, noise_rng)
+            raise ValueError(f"no noise pool for tercile "
+                             f"{state.tercile!r}") from None
+        resolved[state.team] = sample_noise(state.tercile, pool, noise_rng)
     return resolved
 
 
 def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
                     seed, *, replication_id: int = 0,
                     opts: SimOptions | None = None,
-                    noise_pools=None, terciles=None) -> SeasonResult:
+                    noise_pools=None) -> SeasonResult:
     """One full pass over the schedule; deterministic given the seed.
 
     The seed (an integer or a SeedSequence) is split into independent streams
@@ -282,16 +302,18 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     game_ss, tie_ss, noise_ss = ss.spawn(3)
-    noise = _resolved_noise(states, noise_pools, terciles,
-                            np.random.default_rng(noise_ss))
+    path = opts.era_mode == "path"
+    if path:   # forecast mode never reads the noise, so it samples none
+        noise = _resolved_noise(states, noise_pools,
+                                np.random.default_rng(noise_ss))
+        sig_proc = [noise[s.team].sigma_process for s in states]
+        sig_obs = [noise[s.team].sigma_obs for s in states]
 
     # unpack state into parallel lists for the loop
     wins = [s.wins for s in states]
     losses = [s.losses for s in states]
     dev = [s.batting_deviation for s in states]
-    era = [s.era_state.mean for s in states]
-    sig_proc = [noise[s.team].sigma_process for s in states]
-    sig_obs = [noise[s.team].sigma_obs for s in states]
+    era = [s.era for s in states]
 
     matrix = _draw_matrix(draws)
     draw_rows = [tuple(row) for row in matrix.tolist()]
@@ -306,7 +328,7 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     else:
         row_idx = None
     eps = game_rng.normal(0.0, opts.walk.step_std, (n_games, 2)).tolist()
-    if opts.era_mode == "path":
+    if path:
         era_steps = game_rng.standard_normal((n_games, 2)).tolist()
         era_obs = game_rng.standard_normal((n_games, 2)).tolist()
     two_stage = opts.probability_mode == "two-stage"
@@ -331,7 +353,7 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         avg_a = lm + dev[a]
         avg_a = lo if avg_a < lo else hi if avg_a > hi else avg_a
         era_h, era_a = era[h], era[a]
-        if opts.era_mode == "path":
+        if path:
             era_h += sig_obs[h] * era_obs[g][0]
             era_a += sig_obs[a] * era_obs[g][1]
         if era_h < era_floor:
@@ -355,7 +377,7 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
             losses[h] += 1
         dev[h] += eps[g][0]
         dev[a] += eps[g][1]
-        if opts.era_mode == "path":
+        if path:
             nh = era[h] + sig_proc[h] * era_steps[g][0]
             na = era[a] + sig_proc[a] * era_steps[g][1]
             era[h] = nh if nh > era_floor else era_floor
@@ -376,20 +398,20 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
 
 def _replication_batch(payload):
     (rep_ids, initial, schedule, draws, league, base_seed, opts,
-     noise_pools, terciles) = payload
+     noise_pools) = payload
     out = []
     for rep in rep_ids:
         ss = np.random.SeedSequence((base_seed, rep))
         out.append(run_replication(initial, schedule, draws, league, ss,
                                    replication_id=rep, opts=opts,
-                                   noise_pools=noise_pools, terciles=terciles))
+                                   noise_pools=noise_pools))
     return out
 
 
 def run_replications(n: int, initial, schedule: Schedule, draws,
                      league: LeagueStructure, base_seed: int, *,
                      opts: SimOptions | None = None, noise_pools=None,
-                     terciles=None, n_jobs: int = 1) -> list[SeasonResult]:
+                     n_jobs: int = 1) -> list[SeasonResult]:
     """n independent replications; replication k's stream comes from
     (base_seed, k), so the result list is identical no matter how the work is
     split across processes."""
@@ -400,12 +422,12 @@ def run_replications(n: int, initial, schedule: Schedule, draws,
     draws = _draw_matrix(draws)
     if n_jobs == 1 or n == 1:
         batches = [_replication_batch((range(n), initial, schedule, draws,
-                                       league, base_seed, opts, noise_pools,
-                                       terciles))]
+                                       league, base_seed, opts,
+                                       noise_pools))]
     else:
         chunks = np.array_split(np.arange(n), min(n_jobs, n))
         payloads = [(chunk.tolist(), initial, schedule, draws, league,
-                     base_seed, opts, noise_pools, terciles)
+                     base_seed, opts, noise_pools)
                     for chunk in chunks if chunk.size]
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             batches = list(pool.map(_replication_batch, payloads))

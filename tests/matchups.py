@@ -1,9 +1,12 @@
-"""One-off matchups run through the season engine.
+"""Matchups between copies of two team states, run through the season engine.
 
-n copies of one game are scheduled between n distinct home teams and n
-distinct away teams that carry the given states. Each team plays exactly
-once, so one replication is n independent draws of the same game, produced
-by the code that simulates real schedules.
+K pairs of teams, home copies H0..H(K-1) against away copies A0..A(K-1), each
+pair meeting n times on n consecutive dates. With n = 1 every team plays
+exactly once, so one replication is K independent draws of the same game;
+with n > 1 each pair's states evolve over its n games (record, batting walk,
+ERA path) exactly as on a real schedule, and the K pairs are independent
+samples of that trajectory. All of it is produced by the code that simulates
+real schedules.
 """
 
 import dataclasses
@@ -13,23 +16,26 @@ from pennantsim.season import (LeagueStructure, Schedule, ScheduledGame,
                                SimOptions, TeamSimState, run_replications)
 
 
-class OneOffMatchups:
-    """League and schedule for n one-off games, built once and reused.
+class Matchups:
+    """League and schedule for K pairs meeting n times, built once and
+    reused.
 
     Building 10^5 team states, the league and the schedule costs about as
     much as simulating them, so a grid of cells shares one instance; the
     team states are rebuilt only when a side's state changes.
     """
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self, pairs, games=1):
+        self.pairs = pairs
         self.league = LeagueStructure.from_rows(
-            [("L", "H", f"H{k}") for k in range(n)]
-            + [("L", "A", f"A{k}") for k in range(n)])
-        day = datetime.date(2024, 8, 1)
+            [("L", "H", f"H{k}") for k in range(pairs)]
+            + [("L", "A", f"A{k}") for k in range(pairs)])
+        first = datetime.date(2024, 8, 1)
         self.schedule = Schedule(games=tuple(
-            ScheduledGame(day, f"H{k}", f"A{k}") for k in range(n)))
-        self._copies = {}    # prefix -> (state, its n renamed copies)
+            ScheduledGame(first + datetime.timedelta(days=j), f"H{k}",
+                          f"A{k}")
+            for j in range(games) for k in range(pairs)))
+        self._copies = {}    # prefix -> (state, its renamed copies)
 
     def _copies_of(self, state, prefix):
         built = self._copies.get(prefix)
@@ -37,14 +43,14 @@ class OneOffMatchups:
             fields = {f.name: getattr(state, f.name)
                       for f in dataclasses.fields(state)}
             built = (state, [TeamSimState(**{**fields, "team": f"{prefix}{k}"})
-                             for k in range(self.n)])
+                             for k in range(self.pairs)])
             self._copies[prefix] = built
         return built[1]
 
     def home_wins(self, home, away, draws, seed, opts=None):
-        """Home-win flags of the n copies of the home-vs-away game."""
+        """Home wins of each pair over its games (0 or 1 when n = 1)."""
         homes = self._copies_of(home, "H")
         (result,) = run_replications(1, homes + self._copies_of(away, "A"),
                                      self.schedule, draws, self.league, seed,
                                      opts=opts or SimOptions())
-        return [result.wins[h.team] > h.wins for h in homes]
+        return [result.wins[h.team] - h.wins for h in homes]

@@ -3,7 +3,10 @@
 Nothing in here calls into the package's own numerics: the point is a second
 route to the same answers (batch linear-Gaussian conditioning instead of the
 sequential filter; lattice integration instead of MCMC; per-game Bernoulli
-probabilities from the raw record fields instead of the log-ratio design).
+probabilities from the raw record fields instead of the log-ratio design;
+Gauss-Hermite quadrature over the trajectory laws instead of the season
+engine's simulated paths). It also holds the synthetic ERA generator the
+noise tests draw their windows from.
 """
 
 import math
@@ -122,3 +125,72 @@ def grid_posterior_means(log_ratios, home_won, r_max, n_cells=40,
     w = np.exp(loglik - loglik.max())
     w /= w.sum()
     return points.T @ w                               # (3,)
+
+
+def simulate_era_path(init_mean, noise, n_steps, rng, *,
+                      return_latent=False):
+    """Simulate an observed ERA series from the local-level model.
+
+    Each step advances the latent level by one process-noise increment and
+    emits that level plus observation noise. Emitted values are floored at
+    ERA_FLOOR (an ERA cannot be negative). With return_latent the un-floored
+    latent path comes back too. noise needs sigma_obs and sigma_process.
+    """
+    if init_mean < 0:
+        raise ValueError(f"init_mean must be nonnegative, got {init_mean}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    latent = init_mean + np.cumsum(rng.normal(0.0, noise.sigma_process, n_steps))
+    observed = np.maximum(latent + rng.normal(0.0, noise.sigma_obs, n_steps),
+                          ERA_FLOOR)
+    if return_latent:
+        return observed, latent
+    return observed
+
+
+def _expected_home_wins(n_games, exponent, home, away, sd_at, low, high,
+                        nodes):
+    """Sum over games j of E[logistic(exponent * log(X_home / X_away))],
+    where X = clip(mean + sd_at(j) * Z, low, high) with independent standard
+    normal Z per side, by 2-D Gauss-Hermite quadrature."""
+    z, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / w.sum()
+    total = 0.0
+    for j in range(n_games):
+        sd = sd_at(j)
+        x_home = np.clip(home + sd * z, low, high)
+        x_away = np.clip(away + sd * z, low, high)
+        log_ratio = np.log(x_home)[:, None] - np.log(x_away)[None, :]
+        total += w @ (1.0 / (1.0 + np.exp(-exponent * log_ratio))) @ w
+    return float(total)
+
+
+def walk_home_wins(n_games, exponent, home_avg, away_avg, step_std,
+                   clamp=(0.15, 0.40), nodes=60):
+    """Expected home wins of one pair that meets n_games times while both
+    batting averages random-walk and nothing else differs.
+
+    Game j (0-based) sees each side after j Normal(0, step_std^2) steps, so
+    its average is avg + step_std * sqrt(j) * Z, clamped; the home side's
+    strength is the batting ratio raised to the exponent.
+    """
+    return _expected_home_wins(n_games, exponent, home_avg, away_avg,
+                               lambda j: step_std * math.sqrt(j),
+                               clamp[0], clamp[1], nodes)
+
+
+def path_home_wins(n_games, exponent, home_era, away_era, sigma_obs,
+                   sigma_process, nodes=60):
+    """Expected home wins of one pair that meets n_games times while both
+    latent ERAs random-walk and each game sees a noisy observation of them.
+
+    Game j (0-based) sees each side's ERA as
+    Normal(era, j * sigma_process^2 + sigma_obs^2), floored at ERA_FLOOR;
+    the home side's strength is the away/home ERA ratio raised to the
+    exponent.
+    """
+    # the ERA ratio is away/home: a negated exponent on home/away
+    return _expected_home_wins(
+        n_games, -exponent, home_era, away_era,
+        lambda j: math.sqrt(j * sigma_process ** 2 + sigma_obs ** 2),
+        ERA_FLOOR, math.inf, nodes)

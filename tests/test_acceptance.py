@@ -2,9 +2,10 @@
 
 Every test here pins a user-visible property of the engine at the tolerance
 we are prepared to stand behind — conservation and speed of the season
-simulator, the analytic marginal of the two-stage outcome model, agreement
-of the filter and the sampler with independent oracles, the random-walk
-variance law, output schemas, and end-to-end reproducibility. Heavier
+simulator, the analytic marginal of the two-stage outcome model, the batting
+walk and path-mode ERA laws as the engine plays them, agreement of the
+filter and the sampler with independent oracles, output schemas, and
+end-to-end reproducibility. Heavier
 shared artifacts (the exponent-recovery fit, the CLI pipeline runs) come
 from session fixtures so the whole gate stays cheap to run on every change.
 """
@@ -19,16 +20,15 @@ import pytest
 from scipy import stats
 
 from cli_fixtures import league_teams, write_game_log_file, write_league_file
-from matchups import OneOffMatchups
-from oracles import batch_filtered_moments, batch_window_loglik
-from pennantsim.batting import WalkConfig, simulate_walk
+from matchups import Matchups
+from oracles import (batch_filtered_moments, batch_window_loglik,
+                     path_home_wins, simulate_era_path, walk_home_wins)
 from pennantsim.cli import main
 from pennantsim.kalman import (
     GaussianState,
     NoiseParams,
     estimate_noise,
     filter_series,
-    simulate_era_path,
 )
 from pennantsim.mcmc import (
     ChainConfig,
@@ -42,6 +42,7 @@ from pennantsim.season import (
     LeagueStructure,
     SimOptions,
     TeamSimState,
+    WalkConfig,
     generate_schedule,
     run_replications,
 )
@@ -81,7 +82,7 @@ def test_season_totals_conserved_and_fast():
         states.append(TeamSimState(
             team=team, wins=wins, losses=20 - wins,
             batting_deviation=0.004 * ((i % 5) - 2),
-            era_state=GaussianState(mean=3.4 + 0.08 * (i % 13), var=0.05),
+            era=3.4 + 0.08 * (i % 13),
             noise=NoiseParams(sigma_obs=0.4, sigma_process=0.02)))
     assert sum(s.wins for s in states) == 300
     schedule = generate_schedule(league, {t: 20 for t in league.teams}, seed=7)
@@ -112,13 +113,12 @@ def test_two_stage_rate_matches_marginal_formula():
     # the ERA ratio alone: away ERA 1, 4 or 12 against a home ERA of 4.
     draws = np.array([[0.0, 0.0, 1.0]])
     n = 100_000
-    matchups = OneOffMatchups(n)
+    matchups = Matchups(n)
     home = TeamSimState(team="H", wins=10, losses=10, batting_deviation=0.0,
-                        era_state=GaussianState(mean=4.0, var=0.0),
+                        era=4.0,
                         noise=NoiseParams(sigma_obs=0.0, sigma_process=0.0))
     for i, strength in enumerate((0.25, 1.0, 3.0)):
-        away = replace(home, era_state=GaussianState(mean=4.0 * strength,
-                                                     var=0.0))
+        away = replace(home, era=4.0 * strength)
         for j, concentration in enumerate((0.5, 1.0, 10.0)):
             opts = SimOptions(probability_mode="two-stage",
                               concentration=concentration)
@@ -136,8 +136,8 @@ def test_two_stage_rate_matches_marginal_formula():
 
 def test_filter_matches_batch_gaussian_conditioning():
     # 50 random short instances; the sequential filter and brute-force
-    # multivariate-normal conditioning compute the same posterior, so they
-    # must agree to near machine precision
+    # multivariate-normal conditioning compute the same posterior, so the
+    # final state of every prefix must agree to near machine precision
     rng = np.random.default_rng(20260822)
     for _ in range(50):
         n = int(rng.integers(1, 11))
@@ -145,13 +145,13 @@ def test_filter_matches_batch_gaussian_conditioning():
         init = GaussianState(mean=float(rng.uniform(1.0, 6.0)),
                              var=float(rng.uniform(0.01, 4.0)))
         obs = rng.normal(init.mean, 1.0, size=n)
-        result = filter_series(init, obs,
-                               NoiseParams(sigma_obs=float(sigma_obs),
-                                           sigma_process=float(sigma_process)))
+        noise = NoiseParams(sigma_obs=float(sigma_obs),
+                            sigma_process=float(sigma_process))
+        finals = [filter_series(init, obs[:t + 1], noise) for t in range(n)]
         means, variances = batch_filtered_moments(
             init.mean, init.var, obs, float(sigma_obs), float(sigma_process))
-        got_means = np.array([s.mean for s in result.filtered])
-        got_vars = np.array([s.var for s in result.filtered])
+        got_means = np.array([s.mean for s in finals])
+        got_vars = np.array([s.var for s in finals])
         assert np.max(np.abs(got_means - means)) <= 1e-9
         assert np.max(np.abs(got_vars - variances)) <= 1e-9
 
@@ -242,22 +242,57 @@ def test_posterior_means_match_grid_quadrature(recovery_fit, grid_oracle):
 
 
 # ---------------------------------------------------------------------------
-# batting walk: variance scales linearly in the number of steps
+# trajectory laws: the engine's batting walk and path-mode ERA against
+# Gauss-Hermite quadrature over the model
+
+
+TRAJECTORY_PAIRS = 5_000
+TRAJECTORY_GAMES = 30
+
+
+def engine_home_wins(home, away, draws, opts, seed):
+    # each of 5,000 pairs meets 30 times on consecutive dates, so its
+    # states evolve over the pair's games exactly as on a real schedule
+    matchups = Matchups(TRAJECTORY_PAIRS, games=TRAJECTORY_GAMES)
+    wins = np.array(matchups.home_wins(home, away, draws, seed=seed,
+                                       opts=opts), dtype=float)
+    return wins.mean(), wins.std(ddof=1) / math.sqrt(wins.size)
 
 
 def test_batting_walk_variance_scaling():
-    # 100 steps of std 0.0015 give Var = 100 * 0.0015^2 = 2.25e-4; the
-    # 10,000-path sample variance must land within 5% and the mean increment
-    # within 4 standard errors of zero
-    cfg = WalkConfig()
-    rng = np.random.default_rng(31)
-    increments = np.array([simulate_walk(0.0, 100, cfg, rng).deviations[-1]
-                           for _ in range(10_000)])
-    target = 100 * cfg.step_std ** 2
-    var = increments.var(ddof=1)
-    assert abs(var - target) <= 0.05 * target, f"var {var:.3e} vs {target:.3e}"
-    se = increments.std(ddof=1) / math.sqrt(increments.size)
-    assert abs(increments.mean()) <= 4.0 * se
+    # batting exponent only: game j sees each side's average after j walk
+    # steps, league mean + deviation + step_std * sqrt(j) * Z, clamped. A
+    # step that is too large or too small, or a walk that does not move,
+    # shifts the mean home wins by many standard errors (the home side's
+    # 0.01 lead erodes as the walks spread)
+    walk = WalkConfig(step_std=0.004)
+    home = TeamSimState(team="H", wins=10, losses=10, batting_deviation=0.01,
+                        era=4.0, noise=NoiseParams(0.0, 0.0))
+    away = replace(home, batting_deviation=0.0)
+    mean, se = engine_home_wins(home, away, np.array([[0.0, 30.0, 0.0]]),
+                                SimOptions(walk=walk), seed=41)
+    expected = walk_home_wins(TRAJECTORY_GAMES, 30.0, walk.league_mean + 0.01,
+                              walk.league_mean, walk.step_std,
+                              clamp=(walk.clamp_low, walk.clamp_high))
+    assert abs(mean - expected) < 4.0 * se, \
+        f"engine {mean:.3f} +/- {se:.3f} vs oracle {expected:.3f}"
+
+
+def test_path_mode_era_law_on_engine():
+    # ERA exponent only, path mode: game j sees each side's ERA as
+    # Normal(era, j * sigma_process^2 + sigma_obs^2), floored. Swapping the
+    # two sigmas, dropping either noise, or doubling sigma_process moves the
+    # mean home wins by many standard errors
+    noise = NoiseParams(sigma_obs=0.5, sigma_process=0.1)
+    home = TeamSimState(team="H", wins=10, losses=10, batting_deviation=0.0,
+                        era=4.0, noise=noise)
+    away = replace(home, era=4.4)
+    mean, se = engine_home_wins(home, away, np.array([[0.0, 0.0, 8.0]]),
+                                SimOptions(era_mode="path"), seed=42)
+    expected = path_home_wins(TRAJECTORY_GAMES, 8.0, 4.0, 4.4,
+                              noise.sigma_obs, noise.sigma_process)
+    assert abs(mean - expected) < 4.0 * se, \
+        f"engine {mean:.3f} +/- {se:.3f} vs oracle {expected:.3f}"
 
 
 # ---------------------------------------------------------------------------

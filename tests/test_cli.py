@@ -5,12 +5,16 @@ small synthetic season; targeted tests rerun individual commands with their
 own inputs where the shared artifacts would get in the way.
 """
 
+import argparse
+import re
 import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pennantsim.cli import main
+from pennantsim.cli import RunConfig, build_parser, main
 
 from cli_fixtures import (write_constant_log_file, write_game_log_file,
                           write_league_file, write_recovery_log_file)
@@ -474,3 +478,60 @@ def test_bad_subcommand_is_usage_error(capsys):
 def test_bad_setting_value_is_usage_error(capsys):
     assert main(["simulate", "--replications", "0"]) == 2
     assert "replications" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# README against the parser
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_section(title):
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def documented_flags(text):
+    """{--flag: [choices] or None} from the backticked spans of text; a
+    choice list is the a|b token right after a flag."""
+    flags = {}
+    for span in re.findall(r"`([^`]*)`", text):
+        tokens = span.split()
+        for i, token in enumerate(tokens):
+            if token.startswith("--"):
+                after = tokens[i + 1] if i + 1 < len(tokens) else ""
+                flags[token] = after.split("|") if "|" in after \
+                    else flags.get(token)
+    return flags
+
+
+def test_readme_subcommand_flags_match_parser():
+    # every flag and a|b choice list documented per subcommand, plus the
+    # common flags, is exactly what that subparser accepts
+    section = readme_section("Subcommands")
+    common_text, *bullets = section.split("\n- **")
+    common = documented_flags(common_text)
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    documented = {}
+    for bullet in bullets:
+        name = bullet.split("**", 1)[0]
+        documented[name] = {**common, **documented_flags(bullet)}
+    assert sorted(documented) == sorted(subparsers.choices)
+    for name, sub in subparsers.choices.items():
+        actions = {opt: a for a in sub._actions for opt in a.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+        assert sorted(documented[name]) == sorted(actions), name
+        for flag, action in actions.items():
+            choices = list(action.choices) if action.choices else None
+            assert documented[name][flag] == choices, f"{name} {flag}"
+
+
+def test_readme_config_keys_match_run_config():
+    section = readme_section("Config files")
+    keys = section.split("Keys mirror the flags:", 1)[1] \
+        .split("Precedence", 1)[0]
+    assert re.findall(r"`([a-z_]+)`", keys) == \
+        [f.name for f in fields(RunConfig)]

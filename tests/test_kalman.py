@@ -1,34 +1,36 @@
-"""Tests for the local-level ERA model: filtering, forecasting, noise
-estimation, terciles, and path simulation."""
+"""Tests for the local-level ERA model: filtering, noise estimation,
+terciles, noise resampling, and the synthetic ERA generator the noise tests
+draw from."""
 
 import math
 
 import numpy as np
 import pytest
 
-from oracles import batch_filtered_moments
+from oracles import batch_filtered_moments, simulate_era_path
 from pennantsim.kalman import (
     GaussianState,
     NoiseEstimate,
     NoiseParams,
     estimate_noise,
     filter_series,
-    filter_step,
-    forecast,
     group_terciles,
     sample_noise,
-    simulate_era_path,
     sliding_noise_estimates,
 )
 
 
 # ---------------------------------------------------------------------------
-# filter_step
+# one filter step: filter_series on a single observation
+
+
+def step(prior, observation, noise):
+    return filter_series(prior, [observation], noise)
 
 
 def test_step_perfect_observation():
     # zero observation noise: gain 1, state collapses onto the observation
-    out = filter_step(GaussianState(4.0, 1.0), 3.2, NoiseParams(0.0, 0.1))
+    out = step(GaussianState(4.0, 1.0), 3.2, NoiseParams(0.0, 0.1))
     assert out.mean == pytest.approx(3.2)
     assert out.var == pytest.approx(0.0, abs=1e-15)
 
@@ -42,7 +44,7 @@ def test_step_matches_joint_gaussian_conditioning():
     var_y = var_x + noise.sigma_obs ** 2
     oracle_mean = prior.mean + (var_x / var_y) * (y - prior.mean)
     oracle_var = var_x - var_x ** 2 / var_y
-    out = filter_step(prior, y, noise)
+    out = step(prior, y, noise)
     assert out.mean == pytest.approx(oracle_mean, abs=1e-12)
     assert out.var == pytest.approx(oracle_var, abs=1e-12)
     # frozen values from the same oracle
@@ -51,7 +53,7 @@ def test_step_matches_joint_gaussian_conditioning():
 
 
 def test_step_uninformative_observation():
-    out = filter_step(GaussianState(4.0, 1.0), 100.0, NoiseParams(1e9, 0.1))
+    out = step(GaussianState(4.0, 1.0), 100.0, NoiseParams(1e9, 0.1))
     assert out.mean == pytest.approx(4.0, abs=1e-6)
 
 
@@ -61,13 +63,13 @@ def test_step_variance_never_exceeds_prediction():
         prior = GaussianState(float(rng.normal(4, 1)), float(rng.uniform(0.01, 2)))
         noise = NoiseParams(float(rng.uniform(0.01, 2)), float(rng.uniform(0.0, 1)))
         predicted_var = prior.var + noise.sigma_process ** 2
-        out = filter_step(prior, float(rng.normal(4, 2)), noise)
+        out = step(prior, float(rng.normal(4, 2)), noise)
         assert out.var <= predicted_var + 1e-15
 
 
 def test_step_zero_gain_denominator_is_error():
-    with pytest.raises(ValueError):
-        filter_step(GaussianState(4.0, 0.0), 3.5, NoiseParams(0.0, 0.0))
+    with pytest.raises(ValueError, match="Kalman gain undefined"):
+        step(GaussianState(4.0, 0.0), 3.5, NoiseParams(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +77,13 @@ def test_step_zero_gain_denominator_is_error():
 
 
 def test_series_single_observation_equals_one_step():
-    init = GaussianState(4.0, 1.0)
-    noise = NoiseParams(0.5, 0.1)
-    result = filter_series(init, [3.5], noise)
-    assert len(result.filtered) == 1
-    single = filter_step(init, 3.5, noise)
-    assert result.filtered[0].mean == pytest.approx(single.mean)
-    assert result.filtered[0].var == pytest.approx(single.var)
-    assert result.predicted[0].var == pytest.approx(init.var + 0.01)
+    # one predict/update cycle by hand: predicted variance 1 + 0.1^2, gain
+    # 1.01 / (1.01 + 0.5^2)
+    result = filter_series(GaussianState(4.0, 1.0), [3.5],
+                           NoiseParams(0.5, 0.1))
+    gain = 1.01 / 1.26
+    assert result.mean == pytest.approx(4.0 + gain * (3.5 - 4.0), abs=1e-15)
+    assert result.var == pytest.approx((1.0 - gain) * 1.01, abs=1e-15)
 
 
 def test_series_matches_batch_conditioning_oracle():
@@ -90,21 +91,23 @@ def test_series_matches_batch_conditioning_oracle():
     init = GaussianState(4.0, 0.8)
     noise = NoiseParams(0.5, 0.08)
     obs = rng.normal(4.0, 0.6, size=10)
-    result = filter_series(init, obs, noise)
+    finals = [filter_series(init, obs[:t + 1], noise) for t in range(10)]
     oracle_means, oracle_vars = batch_filtered_moments(
         init.mean, init.var, obs, noise.sigma_obs, noise.sigma_process)
-    np.testing.assert_allclose(result.means, oracle_means, atol=1e-9)
-    np.testing.assert_allclose(result.variances, oracle_vars, atol=1e-9)
+    np.testing.assert_allclose([s.mean for s in finals], oracle_means,
+                               atol=1e-9)
+    np.testing.assert_allclose([s.var for s in finals], oracle_vars,
+                               atol=1e-9)
 
 
 def test_series_constant_observations_shrink_variance():
     init = GaussianState(5.0, 1.0)
     noise = NoiseParams(0.4, 0.0)
-    result = filter_series(init, [3.0] * 20, noise)
-    means = result.means
+    finals = [filter_series(init, [3.0] * n, noise) for n in range(1, 21)]
+    means = [s.mean for s in finals]
     # monotone approach toward the constant
     assert all(abs(m2 - 3.0) < abs(m1 - 3.0) for m1, m2 in zip(means, means[1:]))
-    variances = result.variances
+    variances = [s.var for s in finals]
     assert all(v2 < v1 for v1, v2 in zip(variances, variances[1:]))
 
 
@@ -115,24 +118,6 @@ def test_series_rejects_empty_and_nonfinite():
         filter_series(init, [], noise)
     with pytest.raises(ValueError):
         filter_series(init, [4.0, math.nan], noise)
-
-
-# ---------------------------------------------------------------------------
-# forecast
-
-
-def test_forecast_zero_horizon_is_empty():
-    assert forecast(GaussianState(3.8, 0.2), 0, NoiseParams(0.5, 0.1)) == []
-
-
-def test_forecast_means_constant_variance_affine():
-    state = GaussianState(3.8, 0.2)
-    noise = NoiseParams(0.5, 0.1)  # process variance 0.01
-    steps = forecast(state, 5, noise)
-    assert [s.mean for s in steps] == [3.8] * 5
-    for h, s in enumerate(steps, start=1):
-        assert s.var == pytest.approx(0.2 + h * 0.01, abs=1e-15)
-    assert steps[-1].var == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +213,7 @@ def test_terciles_reject_too_few_teams():
 
 def test_tercile_labels():
     groups = group_terciles({"A": 3.0, "B": 4.0, "C": 5.0})
-    assert groups.label_of("A") == "low"
     assert groups.labels == {"A": "low", "B": "medium", "C": "high"}
-    with pytest.raises(KeyError):
-        groups.label_of("Z")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +265,8 @@ def test_sample_noise_ignores_unconverged():
 
 
 # ---------------------------------------------------------------------------
-# path simulation
+# synthetic ERA paths (tests/oracles.py): the noise tests' data must follow
+# the local-level model
 
 
 def test_path_zero_noise_is_constant():

@@ -6,15 +6,15 @@ one-off matchups from tests/matchups.py), so none of them re-derive the
 simulator's internal stream layout.
 """
 
+import dataclasses
 import datetime
 import math
 
 import numpy as np
 import pytest
 
-from matchups import OneOffMatchups
-from pennantsim.kalman import (GaussianState, NoiseEstimate, NoiseParams,
-                               TercileGrouping)
+from matchups import Matchups
+from pennantsim.kalman import NoiseEstimate, NoiseParams
 from pennantsim.mcmc import design_log_likelihood, log_ratio_design
 from pennantsim.model import GameRecord
 from pennantsim.season import (
@@ -26,6 +26,7 @@ from pennantsim.season import (
     SimOptions,
     TeamForecast,
     TeamSimState,
+    WalkConfig,
     export_win_histogram,
     generate_schedule,
     playoff_qualifiers,
@@ -38,12 +39,12 @@ from pennantsim.season import (
 
 
 def make_state(team, wins=10, losses=10, deviation=0.0, era=4.0,
-               sigma_obs=0.5, sigma_process=0.05):
+               sigma_obs=0.5, sigma_process=0.05, tercile=""):
     return TeamSimState(team=team, wins=wins, losses=losses,
-                        batting_deviation=deviation,
-                        era_state=GaussianState(mean=era, var=0.05),
+                        batting_deviation=deviation, era=era,
                         noise=NoiseParams(sigma_obs=sigma_obs,
-                                          sigma_process=sigma_process))
+                                          sigma_process=sigma_process),
+                        tercile=tercile)
 
 
 def standard_league(n_per_div=5):
@@ -109,6 +110,15 @@ def test_sim_options_validation():
         SimOptions(concentration=0.0)
 
 
+def test_walk_config_validation():
+    with pytest.raises(ValueError):
+        WalkConfig(step_std=0.0)
+    with pytest.raises(ValueError):
+        WalkConfig(clamp_low=0.3, clamp_high=0.2)
+    with pytest.raises(ValueError):
+        WalkConfig(league_mean=0.5, clamp_high=0.45)
+
+
 def test_team_forecast_probability_bounds():
     with pytest.raises(ValueError, match="playoff probability"):
         TeamForecast(team="A", mean_wins=80.0, ci5=70.0, ci95=90.0,
@@ -135,7 +145,7 @@ def test_state_win_pct_requires_games():
 def test_engine_matches_analytic_probability():
     # equal teams, unit exponents -> strength 1 -> home win prob one half
     n = 40_000
-    wins = sum(OneOffMatchups(n).home_wins(make_state("H"), make_state("A"),
+    wins = sum(Matchups(n).home_wins(make_state("H"), make_state("A"),
                                            np.ones((1, 3)), seed=2))
     se = 0.5 / np.sqrt(n)
     assert abs(wins / n - 0.5) < 4 * se
@@ -151,7 +161,7 @@ def test_engine_tracks_strength_ratio():
     p = s / (1 + s)
     draws = np.array([[1.4, 0.7, 0.5]])
     n = 40_000
-    wins = sum(OneOffMatchups(n).home_wins(home, away, draws, seed=3))
+    wins = sum(Matchups(n).home_wins(home, away, draws, seed=3))
     se = np.sqrt(p * (1 - p) / n)
     assert abs(wins / n - p) < 4 * se
 
@@ -160,7 +170,7 @@ def test_engine_two_stage_same_marginal():
     # Beta(m*s, m) has mean s/(1+s), so the marginal win rate is unchanged
     opts = SimOptions(probability_mode="two-stage", concentration=2.0)
     n = 40_000
-    wins = sum(OneOffMatchups(n).home_wins(make_state("H"), make_state("A"),
+    wins = sum(Matchups(n).home_wins(make_state("H"), make_state("A"),
                                            np.ones((1, 3)), seed=4,
                                            opts=opts))
     se = 0.5 / np.sqrt(n)
@@ -175,7 +185,7 @@ def test_engine_point_mode_uses_posterior_mean():
     opts = SimOptions(draw_mode="point")
     # mean exponents (1, 0, 0) -> s = 19 -> p = 0.95
     n = 20_000
-    wins = sum(OneOffMatchups(n).home_wins(home, away, draws, seed=5,
+    wins = sum(Matchups(n).home_wins(home, away, draws, seed=5,
                                            opts=opts))
     se = np.sqrt(0.95 * 0.05 / n)
     assert abs(wins / n - 0.95) < 4 * se
@@ -197,11 +207,26 @@ def test_engine_strength_matches_fit_design_with_floors_binding():
         away_win_pct=away.wins / away.games_played,
         home_batting_avg=league_mean + home.batting_deviation,
         away_batting_avg=league_mean + away.batting_deviation,
-        home_era=home.era_state.mean, away_era=away.era_state.mean,
+        home_era=home.era, away_era=away.era,
         home_won=True)
     p = math.exp(design_log_likelihood(*log_ratio_design([record]), r))
     n = 40_000
-    wins = sum(OneOffMatchups(n).home_wins(home, away, r[None, :], seed=13))
+    wins = sum(Matchups(n).home_wins(home, away, r[None, :], seed=13))
+    se = math.sqrt(p * (1 - p) / n)
+    assert abs(wins / n - p) < 4 * se
+
+
+def test_walk_averages_clamped():
+    # implied averages 0.55 and 0.05 are clamped to 0.40 and 0.15 before the
+    # batting ratio is formed: s = 0.40 / 0.15 at unit exponent, where the
+    # raw averages would give s = 11
+    home = make_state("H", deviation=0.30)
+    away = make_state("A", deviation=-0.20)
+    s = 0.40 / 0.15
+    p = s / (1 + s)
+    n = 20_000
+    wins = sum(Matchups(n).home_wins(home, away, np.array([[0.0, 1.0, 0.0]]),
+                                     seed=14))
     se = math.sqrt(p * (1 - p) / n)
     assert abs(wins / n - p) < 4 * se
 
@@ -336,38 +361,65 @@ def test_parallel_matches_serial():
         assert a.wins == b.wins and a.qualifiers == b.qualifiers
 
 
-def test_noise_pools_do_not_disturb_game_stream():
-    # forecast-mode outcomes cannot depend on noise, so swapping in pool
-    # sampling must leave every win total unchanged
+def tercile_setup():
+    # 30 teams labelled low/medium/high by tens, and one pool estimate per
+    # tercile, each unlike the teams' stored noise (0.5, 0.05)
     league = standard_league()
-    states = [make_state(t) for t in league.teams]
+    labels = ("low", "medium", "high")
+    states = [make_state(t, tercile=labels[i // 10])
+              for i, t in enumerate(league.teams)]
+    pairs = {label: NoiseParams(0.2 + i * 0.2, 0.03 + i * 0.03)
+             for i, label in enumerate(labels)}
+    pools = {label: [NoiseEstimate(team="src", window_start=0, params=pair,
+                                   converged=True)]
+             for label, pair in pairs.items()}
     sched = generate_schedule(league, {t: 150 for t in league.teams}, seed=4)
     draws = np.random.default_rng(2).uniform(0.5, 2.0, (100, 3))
-    teams = league.teams
-    terc = TercileGrouping(low=teams[:10], medium=teams[10:20],
-                           high=teams[20:])
-    pools = {label: [NoiseEstimate(team="src", window_start=0,
-                                   params=NoiseParams(0.2 + i * 0.2, 0.03),
-                                   converged=True)]
-             for i, label in enumerate(("low", "medium", "high"))}
+    return league, states, pairs, pools, sched, draws
+
+
+def test_noise_pools_do_not_disturb_game_stream():
+    # forecast-mode outcomes cannot depend on noise, so passing the pools
+    # must leave every win total unchanged
+    league, states, _, pools, sched, draws = tercile_setup()
     bare = run_replications(3, states, sched, draws, league, base_seed=12)
     pooled = run_replications(3, states, sched, draws, league, base_seed=12,
-                              noise_pools=pools, terciles=terc)
+                              noise_pools=pools)
     for a, b in zip(bare, pooled):
         assert a.wins == b.wins
 
 
+def test_path_mode_draws_noise_from_each_teams_tercile_pool():
+    # with one estimate per pool, path mode must play exactly as if each
+    # team carried its tercile's pair itself; the stored noise must not
+    # leak in, and the pools must matter
+    league, states, pairs, pools, sched, draws = tercile_setup()
+    opts = SimOptions(era_mode="path")
+    pooled = run_replications(3, states, sched, draws, league, base_seed=12,
+                              opts=opts, noise_pools=pools)
+    carried = [dataclasses.replace(s, noise=pairs[s.tercile]) for s in states]
+    direct = run_replications(3, carried, sched, draws, league, base_seed=12,
+                              opts=opts)
+    stored = run_replications(3, states, sched, draws, league, base_seed=12,
+                              opts=opts)
+    for a, b in zip(pooled, direct):
+        assert a.wins == b.wins and a.qualifiers == b.qualifiers
+    assert any(a.wins != c.wins for a, c in zip(pooled, stored))
+
+
 def test_noise_pools_require_grouping():
+    # pools are keyed by tercile, so a team without one cannot draw noise
     league = tiny_league()
-    states = [make_state(t) for t in league.teams]
+    states = [make_state(t, tercile="low") for t in league.teams]
+    states[2] = make_state("E2")
     sched = Schedule(games=(
         ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
     pools = {"low": [NoiseEstimate(team="s", window_start=0,
                                    params=NoiseParams(0.3, 0.02),
                                    converged=True)]}
-    with pytest.raises(ValueError, match="without tercile grouping"):
+    with pytest.raises(ValueError, match="E2 has no tercile"):
         run_replication(states, sched, np.ones((1, 3)), league, seed=1,
-                        noise_pools=pools)
+                        opts=SimOptions(era_mode="path"), noise_pools=pools)
 
 
 def test_replications_rejects_bad_counts():

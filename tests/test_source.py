@@ -1,0 +1,50 @@
+"""Static checks on the package source.
+
+Every function, class and method in src/pennantsim must be used by the
+package itself. A definition referenced only by tests is a side copy: the
+tests would pin it while the shipped code runs something else.
+"""
+
+import ast
+import collections
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pennantsim"
+
+
+def _referenced_names(node):
+    """Names a subtree mentions, as bare names or attribute accesses."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions(package=PACKAGE):
+    """Qualified names of the non-dunder functions, classes and methods that
+    nothing in the package mentions outside their own definition."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(Path(package).glob("*.py"))]
+    everywhere = sum((_referenced_names(tree) for tree in trees),
+                     collections.Counter())
+    unused = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = child.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and everywhere[name] \
+                        <= _referenced_names(child)[name]:
+                    unused.append(prefix + name)
+                visit(child, f"{prefix}{name}.")
+            else:
+                visit(child, prefix)
+
+    for tree in trees:
+        visit(tree, "")
+    return unused
+
+
+def test_every_definition_is_used_by_the_package():
+    assert unreferenced_definitions() == []
