@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -76,8 +76,7 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise UsageError(f"seed must be nonnegative, got {self.seed}")
+        # resolve_config has the domain configs check the other settings
         if self.chains < 1:
             raise UsageError(f"chains must be >= 1, got {self.chains}")
         if self.replications < 1:
@@ -88,32 +87,26 @@ class RunConfig:
         if self.filter_mode not in ("date-window", "games-played"):
             raise UsageError(f"filter_mode must be date-window or "
                              f"games-played, got {self.filter_mode!r}")
-        if self.mode not in ("marginal", "two-stage"):
-            raise UsageError(f"mode must be marginal or two-stage, "
-                             f"got {self.mode!r}")
-        if self.draws not in ("posterior-predictive", "point"):
-            raise UsageError(f"draws must be posterior-predictive or point, "
-                             f"got {self.draws!r}")
-        if self.era_mode not in ("forecast", "path"):
-            raise UsageError(f"era_mode must be forecast or path, "
-                             f"got {self.era_mode!r}")
-        for name in ("r_max", "concentration", "walk_std"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"{name} must be positive")
-        if self.proposal_std is not None and self.proposal_std <= 0:
-            raise UsageError("proposal_std must be positive when set")
-        for name in ("iterations", "thin", "window_length",
-                     "season_length"):
+        for name in ("window_length", "season_length"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1")
-        for name in ("burn_in", "burn_in_games", "min_games"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"{name} must be >= 0")
+        if self.min_games < 0:
+            raise UsageError("min_games must be >= 0")
 
     def training_filter(self) -> DatasetFilter:
         if self.filter_mode == "games-played":
             return games_played_filter(self.min_games)
         return date_window_filter()
+
+    def prior_config(self) -> PriorConfig:
+        return PriorConfig(r_max=self.r_max)
+
+    def chain_config(self) -> ChainConfig:
+        """Chain settings; an unset proposal_std starts tuning at 0.05."""
+        return ChainConfig(n_iterations=self.iterations, burn_in=self.burn_in,
+                           thin=self.thin, seed=self.seed,
+                           proposal_std=0.05 if self.proposal_std is None
+                           else self.proposal_std)
 
     def walk_config(self) -> WalkConfig:
         return WalkConfig(step_std=self.walk_std)
@@ -179,7 +172,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:
             values[f.name] = flag_value
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    try:   # the domain configs check the settings they take
+        cfg.prior_config()
+        cfg.chain_config()
+        cfg.sim_options()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +314,16 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
     if not training:
         raise PipelineError("no training records left after filtering; "
                             "widen the window or supply more data")
-    prior = PriorConfig(r_max=cfg.r_max)
-    base = ChainConfig(n_iterations=cfg.iterations, burn_in=cfg.burn_in,
-                       thin=cfg.thin,
-                       proposal_std=cfg.proposal_std or 0.05, seed=cfg.seed)
+    prior = cfg.prior_config()
+    base = cfg.chain_config()
     if cfg.proposal_std is None:
         std = tune_proposal_std(training, prior, base)
         std_source = "tuned"
     else:
         std = cfg.proposal_std
         std_source = "config"
-    base = ChainConfig(n_iterations=cfg.iterations, burn_in=cfg.burn_in,
-                       thin=cfg.thin, proposal_std=std, seed=cfg.seed)
-    chains = run_chains(training, prior, base, cfg.chains)
+    chains = run_chains(training, prior, replace(base, proposal_std=std),
+                        cfg.chains)
 
     by_param = [[c.draws[:, j] for c in chains] for j in range(3)]
     rhats = [split_rhat(seqs) for seqs in by_param]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ERA_FLOOR, STAT_FLOOR, GameRecord
+from .model import GameRecord, log_ratios
 from .stats import nearest_rank_quantile
 
 logger = logging.getLogger(__name__)
@@ -103,24 +103,17 @@ def log_ratio_design(games: list[GameRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Design arrays for fast likelihood evaluation.
 
     Returns (L, won): L[i] holds the log strength ratios of game i, won[i]
-    the home-win flag. Stats are floored before dividing, and the ERA ratio
-    is away/home so that every ratio favors home when above 1. With
+    the home-win flag, from `model.log_ratios` on the record columns. With
     u = L @ r, the relative strength is e^u and the marginal log-likelihood
     is won.u - sum log(1 + e^u).
     """
     if not games:
         raise ValueError("no games to fit")
-    L = np.empty((len(games), 3))
-    won = np.empty(len(games))
-    for i, g in enumerate(games):
-        L[i] = (math.log(max(g.home_win_pct, STAT_FLOOR)
-                         / max(g.away_win_pct, STAT_FLOOR)),
-                math.log(max(g.home_batting_avg, STAT_FLOOR)
-                         / max(g.away_batting_avg, STAT_FLOOR)),
-                math.log(max(g.away_era, ERA_FLOOR)
-                         / max(g.home_era, ERA_FLOOR)))
-        won[i] = 1.0 if g.home_won else 0.0
-    return L, won
+    columns = np.array([(g.home_win_pct, g.away_win_pct, g.home_batting_avg,
+                         g.away_batting_avg, g.home_era, g.away_era)
+                        for g in games])
+    won = np.array([g.home_won for g in games], dtype=float)
+    return log_ratios(*columns.T), won
 
 
 def design_log_likelihood(L: np.ndarray, won: np.ndarray, r: np.ndarray) -> float:

@@ -1,16 +1,13 @@
-"""Game-outcome model: the covariate floors and the historical game record.
+"""Game-outcome model: the strength ratios, their floors, and the historical
+game record.
 
 A game is summarized by three home-vs-away strength ratios (win percentage,
 batting average, starting-pitcher ERA), each oriented so bigger favors home:
-win percentage and batting are home/away, ERA is away/home. An
-exponent-weighted product of the ratios gives the home team's relative
-strength s; the win probability follows a two-stage Beta-Bernoulli structure
-whose marginal is s/(1+s), independent of the Beta concentration.
-
-The equation has two shipped copies: `mcmc.log_ratio_design` forms the
-floored log-ratios of historical records for the fit, and the game loop of
-`season.run_replication` forms the strength of simulated games. Both floor
-their inputs with the constants below.
+win percentage and batting are home/away, ERA is away/home. With L their
+floored logs (`log_ratios`, the one copy: the fit and the simulator both
+call it) and r the exponents, the home team's relative strength is
+s = exp(r.L). The win probability follows a two-stage Beta-Bernoulli
+structure whose marginal is s/(1+s), independent of the Beta concentration.
 """
 
 from __future__ import annotations
@@ -19,12 +16,25 @@ import datetime
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Win percentage / batting average floor applied before forming ratios, so a
 # 0.000 stat early in a season cannot divide by zero.
 STAT_FLOOR = 1e-3
 # ERA gets a higher floor (a 0.00 ERA is physical but breaks the ratio scale);
 # simulated and generated ERA paths never go below it either.
 ERA_FLOOR = 0.01
+
+
+def log_ratios(home_win_pct, away_win_pct, home_batting_avg,
+               away_batting_avg, home_era, away_era) -> np.ndarray:
+    """The three floored, oriented log strength ratios of games given as
+    same-shape arrays of covariates, stacked on a new last axis."""
+    floors = np.array([STAT_FLOOR, STAT_FLOOR, ERA_FLOOR])
+    favors_home = np.stack([home_win_pct, home_batting_avg, away_era], axis=-1)
+    favors_away = np.stack([away_win_pct, away_batting_avg, home_era], axis=-1)
+    return np.log(np.maximum(favors_home, floors)
+                  / np.maximum(favors_away, floors))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Walks a remaining-season schedule in date order, simulating each game from
 the fitted posterior while team state (record, batting deviation, latent ERA)
 evolves, then aggregates win totals and playoff qualification over many
-replications. Replication streams derive from (base_seed, replication_id) so
-results never depend on execution order or parallelism.
+replications. Replications run in blocks that share each array operation.
+Replication streams derive from (base_seed, replication_id) so results never
+depend on blocking, execution order or parallelism.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .kalman import NoiseParams, sample_noise
-from .mcmc import PosteriorDraws
-from .model import ERA_FLOOR, STAT_FLOOR
+from .model import ERA_FLOOR, log_ratios
 from .stats import nearest_rank_quantile
 
 PROBABILITY_MODES = ("marginal", "two-stage")
@@ -200,7 +201,7 @@ class SimOptions:
 
     probability_mode: 'marginal' uses the analytic win probability
     s/(1+s); 'two-stage' draws the latent probability from
-    Beta(concentration*s, concentration) first. draw_mode: one posterior
+    Beta(concentration*s, concentration) first, by inverse CDF. draw_mode: one posterior
     draw per game ('posterior-predictive') or the posterior mean ('point').
     era_mode: 'forecast' feeds each game the current ERA forecast mean;
     'path' random-walks the latent ERA and feeds a noisy observation.
@@ -235,18 +236,24 @@ class SimOptions:
                              f"got {self.burn_in_games}")
 
 
-def _draw_matrix(draws) -> np.ndarray:
-    if isinstance(draws, PosteriorDraws):
-        return draws.draws
-    arr = np.asarray(draws, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
-        raise ValueError(f"posterior draws must be a nonempty (n, 3) array, "
-                         f"got shape {arr.shape}")
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # replications
+
+# Memory for the variates a block of replications draws before its games;
+# it sets how many replications share a block.
+BLOCK_BYTES = 2 << 20
+
+
+def _waves(pairs) -> list[slice]:
+    """Maximal runs of consecutive games in which no team appears twice; a
+    run's games all see the state it started from, so they play at once."""
+    starts, busy = [0], set()
+    for g, pair in enumerate(pairs):
+        if busy.intersection(pair):
+            starts.append(g)
+            busy = set()
+        busy.update(pair)
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(pairs)])]
 
 
 def _resolved_noise(initial, noise_pools, noise_rng):
@@ -270,15 +277,17 @@ def _resolved_noise(initial, noise_pools, noise_rng):
 
 
 def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
-                    seed, *, replication_id: int = 0,
-                    opts: SimOptions | None = None,
-                    noise_pools=None) -> SeasonResult:
-    """One full pass over the schedule; deterministic given the seed.
+                    seeds, *, replication_ids, opts: SimOptions | None = None,
+                    noise_pools=None) -> list[SeasonResult]:
+    """Replications played side by side, one per seed (an integer or a
+    SeedSequence) and replication id. Each depends on its own seed alone, so
+    no result depends on how replications are grouped. The name is the unit
+    of the results: a block of one is one replication, and
+    perfbench/tracing.py times the kernel by this name.
 
-    The seed (an integer or a SeedSequence) is split into independent streams
-    for game outcomes, playoff tie-breaks, and per-team noise sampling. State
-    moves through plain scalars in the game loop — dataclass churn per game
-    would dominate the runtime at full-season scale.
+    Each seed splits into streams for game outcomes, playoff tie-breaks and
+    noise sampling. A replication's game variates are drawn up front; the
+    schedule is then played a wave (see _waves) at a time.
     """
     opts = opts or SimOptions()
     states = list(initial)
@@ -298,114 +307,99 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         if s.team in scheduled_teams and s.games_played == 0:
             raise ValueError(f"{s.team} has no games on record; win "
                              f"percentage undefined")
+    matrix = np.asarray(draws, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[1] != 3 or matrix.shape[0] == 0:
+        raise ValueError(f"posterior draws must be a nonempty (n, 3) array, "
+                         f"got shape {matrix.shape}")
 
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    game_ss, tie_ss, noise_ss = ss.spawn(3)
+    predictive = opts.draw_mode == "posterior-predictive"
     path = opts.era_mode == "path"
-    if path:   # forecast mode never reads the noise, so it samples none
-        noise = _resolved_noise(states, noise_pools,
-                                np.random.default_rng(noise_ss))
-        sig_proc = [noise[s.team].sigma_process for s in states]
-        sig_obs = [noise[s.team].sigma_obs for s in states]
-
-    # unpack state into parallel lists for the loop
-    wins = [s.wins for s in states]
-    losses = [s.losses for s in states]
-    dev = [s.batting_deviation for s in states]
-    era = [s.era for s in states]
-
-    matrix = _draw_matrix(draws)
-    draw_rows = [tuple(row) for row in matrix.tolist()]
-    mean_row = tuple(matrix.mean(axis=0))
-
-    n_games = len(schedule.games)
-    pairs = [(index[g.home], index[g.away]) for g in schedule.games]
-    game_rng = np.random.default_rng(game_ss)
-    u_out = game_rng.random(n_games).tolist()
-    if opts.draw_mode == "posterior-predictive":
-        row_idx = game_rng.integers(0, len(draw_rows), n_games).tolist()
-    else:
-        row_idx = None
-    eps = game_rng.normal(0.0, opts.walk.step_std, (n_games, 2)).tolist()
-    if path:
-        era_steps = game_rng.standard_normal((n_games, 2)).tolist()
-        era_obs = game_rng.standard_normal((n_games, 2)).tolist()
     two_stage = opts.probability_mode == "two-stage"
-    m = opts.concentration
+    pairs = [(index[g.home], index[g.away]) for g in schedule.games]
+    n_reps, n_games = len(seeds), len(pairs)
 
-    lm = opts.walk.league_mean
-    lo, hi = opts.walk.clamp_low, opts.walk.clamp_high
-    floor = STAT_FLOOR
-    era_floor = ERA_FLOOR
-    for g in range(n_games):
-        h, a = pairs[g]
-        r1, r2, r3 = draw_rows[row_idx[g]] if row_idx is not None else mean_row
-
-        wp_h = wins[h] / (wins[h] + losses[h])
-        wp_a = wins[a] / (wins[a] + losses[a])
-        if wp_h < floor:
-            wp_h = floor
-        if wp_a < floor:
-            wp_a = floor
-        avg_h = lm + dev[h]
-        avg_h = lo if avg_h < lo else hi if avg_h > hi else avg_h
-        avg_a = lm + dev[a]
-        avg_a = lo if avg_a < lo else hi if avg_a > hi else avg_a
-        era_h, era_a = era[h], era[a]
-        if path:
-            era_h += sig_obs[h] * era_obs[g][0]
-            era_a += sig_obs[a] * era_obs[g][1]
-        if era_h < era_floor:
-            era_h = era_floor
-        if era_a < era_floor:
-            era_a = era_floor
-
-        # the simulation's copy of the strength formula; the fit's copy is
-        # mcmc.log_ratio_design, and a test ties the two together
-        strength = ((wp_h / wp_a) ** r1 * (avg_h / avg_a) ** r2
-                    * (era_a / era_h) ** r3)
+    # variates and team state are (game or team, replication) arrays, so a
+    # wave's rows are contiguous; axis 0 of the (2, ...) arrays is home/away
+    u_out = np.empty((n_games, n_reps))
+    row_idx = np.empty((n_games, n_reps), dtype=np.intp)
+    eps = np.empty((2, n_games, n_reps))
+    if path:   # ERA steps and observation errors, scaled by each team's sigma
+        era_steps = np.empty((2, n_games, n_reps))
+        era_errors = np.empty((2, n_games, n_reps))
+    if two_stage:
+        u_beta = np.empty((n_games, n_reps))
+    sides = np.array(pairs, dtype=np.intp).reshape(n_games, 2).T
+    tie_rngs = []
+    for b, seed in enumerate(seeds):
+        ss = seed if isinstance(seed, np.random.SeedSequence) \
+            else np.random.SeedSequence(seed)
+        game_ss, tie_ss, noise_ss = ss.spawn(3)
+        tie_rngs.append(np.random.default_rng(tie_ss))
+        game_rng = np.random.default_rng(game_ss)
+        u_out[:, b] = game_rng.random(n_games)
+        if predictive:
+            row_idx[:, b] = game_rng.integers(0, len(matrix), n_games)
+        eps[:, :, b] = game_rng.normal(0.0, opts.walk.step_std,
+                                       (n_games, 2)).T
+        if path:   # forecast mode never reads the noise, so it samples none
+            noise = _resolved_noise(states, noise_pools,
+                                    np.random.default_rng(noise_ss))
+            sigmas = np.array([(noise[t].sigma_process, noise[t].sigma_obs)
+                               for t in teams])
+            for scaled, sigma in zip((era_steps, era_errors), sigmas.T):
+                scaled[:, :, b] = (sigma[sides]
+                                   * game_rng.standard_normal((n_games, 2)).T)
         if two_stage:
-            p = float(game_rng.beta(m * strength, m))
+            u_beta[:, b] = game_rng.random(n_games)
+
+    wins, losses, dev, era = (
+        np.repeat(np.array(column)[:, None], n_reps, axis=1) for column in
+        zip(*[(s.wins, s.losses, s.batting_deviation, s.era) for s in states]))
+    walk, m = opts.walk, opts.concentration
+    mean_row = matrix.mean(axis=0)
+    for w in _waves(pairs):
+        ix = sides[:, w]
+        won, lost = wins[ix], losses[ix]
+        win_pct = won / (won + lost)
+        avg = np.clip(walk.league_mean + dev[ix], walk.clamp_low,
+                      walk.clamp_high)
+        era_now = era[ix] + era_errors[:, w] if path else era[ix]
+        ratios = log_ratios(win_pct[0], win_pct[1], avg[0], avg[1],
+                            era_now[0], era_now[1])
+        r = matrix[row_idx[w]] if predictive else mean_row
+        # exp overflows above 709; a strength of e^700 already gives p = 1
+        strength = np.exp(np.minimum((ratios * r).sum(axis=-1), 700.0))
+        if two_stage:   # inverse-CDF draw from Beta(m*s, m)
+            p = betaincinv(m * strength, m, u_beta[w])
         else:
             p = strength / (1.0 + strength)
-        if u_out[g] < p:
-            wins[h] += 1
-            losses[a] += 1
-        else:
-            wins[a] += 1
-            losses[h] += 1
-        dev[h] += eps[g][0]
-        dev[a] += eps[g][1]
+        home_won = u_out[w] < p
+        wins[ix] = won + (home_won, ~home_won)
+        losses[ix] = lost + (~home_won, home_won)
+        dev[ix] += eps[:, w]
         if path:
-            nh = era[h] + sig_proc[h] * era_steps[g][0]
-            na = era[a] + sig_proc[a] * era_steps[g][1]
-            era[h] = nh if nh > era_floor else era_floor
-            era[a] = na if na > era_floor else era_floor
+            era[ix] = np.maximum(era[ix] + era_steps[:, w], ERA_FLOOR)
 
-    final_wins = {t: wins[i] for t, i in index.items()}
     # every simulated game hands out exactly one win and one loss
-    if sum(final_wins.values()) != sum(s.wins for s in states) + n_games:
+    if np.any(wins.sum(axis=0) != sum(s.wins for s in states) + n_games):
         raise RuntimeError("game accounting error: wins do not add up")
-    if sum(losses) != sum(s.losses for s in states) + n_games:
+    if np.any(losses.sum(axis=0) != sum(s.losses for s in states) + n_games):
         raise RuntimeError("game accounting error: losses do not add up")
 
-    qualifiers = playoff_qualifiers(final_wins, league,
-                                    np.random.default_rng(tie_ss))
-    return SeasonResult(replication_id=replication_id, wins=final_wins,
-                        qualifiers=qualifiers)
+    finals = [dict(zip(teams, row)) for row in wins.T.tolist()]
+    return [SeasonResult(replication_id=rep, wins=final,
+                         qualifiers=playoff_qualifiers(final, league, rng))
+            for rep, final, rng in zip(replication_ids, finals, tie_rngs,
+                                       strict=True)]
 
 
-def _replication_batch(payload):
+def _replication_block(payload):
     (rep_ids, initial, schedule, draws, league, base_seed, opts,
      noise_pools) = payload
-    out = []
-    for rep in rep_ids:
-        ss = np.random.SeedSequence((base_seed, rep))
-        out.append(run_replication(initial, schedule, draws, league, ss,
-                                   replication_id=rep, opts=opts,
-                                   noise_pools=noise_pools))
-    return out
+    seeds = [np.random.SeedSequence((base_seed, rep)) for rep in rep_ids]
+    return run_replication(initial, schedule, draws, league, seeds,
+                           replication_ids=rep_ids, opts=opts,
+                           noise_pools=noise_pools)
 
 
 def run_replications(n: int, initial, schedule: Schedule, draws,
@@ -414,26 +408,28 @@ def run_replications(n: int, initial, schedule: Schedule, draws,
                      n_jobs: int = 1) -> list[SeasonResult]:
     """n independent replications; replication k's stream comes from
     (base_seed, k), so the result list is identical no matter how the work is
-    split across processes."""
+    split into blocks and across processes."""
     if n < 1:
         raise ValueError(f"need at least 1 replication, got {n}")
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    draws = _draw_matrix(draws)
-    if n_jobs == 1 or n == 1:
-        batches = [_replication_batch((range(n), initial, schedule, draws,
-                                       league, base_seed, opts,
-                                       noise_pools))]
+    opts = opts or SimOptions()
+    # 8-byte variates per game and replication: an outcome uniform and two
+    # walk increments, plus a draw-row index, four ERA normals and a Beta
+    # uniform in posterior-predictive, path and two-stage mode
+    per_game = (3 + (opts.draw_mode == "posterior-predictive")
+                + 4 * (opts.era_mode == "path")
+                + (opts.probability_mode == "two-stage"))
+    size = max(1, BLOCK_BYTES // (8 * per_game * max(len(schedule), 1)))
+    payloads = [(range(k, min(k + size, n)), initial, schedule, draws, league,
+                 base_seed, opts, noise_pools) for k in range(0, n, size)]
+    if n_jobs == 1 or len(payloads) == 1:
+        blocks = [_replication_block(payload) for payload in payloads]
     else:
-        chunks = np.array_split(np.arange(n), min(n_jobs, n))
-        payloads = [(chunk.tolist(), initial, schedule, draws, league,
-                     base_seed, opts, noise_pools)
-                    for chunk in chunks if chunk.size]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            batches = list(pool.map(_replication_batch, payloads))
-    results = [r for batch in batches for r in batch]
-    results.sort(key=lambda r: r.replication_id)
-    return results
+        with ProcessPoolExecutor(
+                max_workers=min(n_jobs, len(payloads))) as pool:
+            blocks = list(pool.map(_replication_block, payloads))
+    return [r for block in blocks for r in block]
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,25 @@ def test_bad_setting_value_is_usage_error(capsys):
     assert "replications" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["fit", "--iterations", "100", "--burn-in", "200"], "burn_in"),
+    (["fit", "--r-max", "inf"], "r_max"),
+    (["simulate", "--walk-std", "nan"], "step_std"),
+    (["simulate", "--mode", "two-stage", "--concentration", "inf"],
+     "concentration"),
+])
+def test_domain_config_value_is_usage_error(pipeline, tmp_path, capsys, argv,
+                                            named):
+    # settings the chain, prior, walk and simulation configs check are
+    # refused as usage errors, with every input and artifact in place
+    shutil.copytree(pipeline["out"], tmp_path / "out")
+    base = pipeline["base"]
+    assert main([*argv, "--game-log", str(base / "log.csv"),
+                 "--league", str(base / "league.csv"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # README against the parser
 

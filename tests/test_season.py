@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 from matchups import Matchups
+from pennantsim import season
 from pennantsim.kalman import NoiseEstimate, NoiseParams
 from pennantsim.mcmc import design_log_likelihood, log_ratio_design
 from pennantsim.model import GameRecord
 from pennantsim.season import (
+    PROBABILITY_MODES,
     ForecastSummary,
     LeagueStructure,
     Schedule,
@@ -45,6 +47,13 @@ def make_state(team, wins=10, losses=10, deviation=0.0, era=4.0,
                         noise=NoiseParams(sigma_obs=sigma_obs,
                                           sigma_process=sigma_process),
                         tercile=tercile)
+
+
+def one_replication(initial, schedule, draws, league, seed, **kwargs):
+    """The engine on a block of one replication."""
+    [result] = run_replication(initial, schedule, draws, league, [seed],
+                               replication_ids=[0], **kwargs)
+    return result
 
 
 def standard_league(n_per_div=5):
@@ -134,7 +143,7 @@ def test_state_win_pct_requires_games():
     sched = Schedule(games=(
         ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
     with pytest.raises(ValueError, match="win percentage undefined"):
-        run_replication(states, sched, np.ones((1, 3)), league, seed=0,
+        one_replication(states, sched, np.ones((1, 3)), league, seed=0,
                         opts=SimOptions(burn_in_games=0))
 
 
@@ -252,7 +261,7 @@ def test_one_game_schedule_moves_one_win():
     sched = Schedule(games=(
         ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
     opts = SimOptions(burn_in_games=4)
-    res = run_replication(states, sched, np.ones((1, 3)), league, seed=3,
+    res = one_replication(states, sched, np.ones((1, 3)), league, seed=3,
                           opts=opts)
     assert sum(res.wins.values()) == sum(s.wins for s in states) + 1
     gained = {t for t in res.wins if res.wins[t] == 3}
@@ -262,18 +271,22 @@ def test_one_game_schedule_moves_one_win():
 
 
 def test_forced_outcome_strong_team_sweeps():
-    # strength ratio 19^8 makes the favorite's loss probability ~1e-10
+    # strength ratio 19^8 makes the favorite's loss probability ~1e-10;
+    # 19^300 overflows a double and must still mean a sure home win
     league = tiny_league()
     states = [make_state(t, wins=10, losses=10) for t in league.teams]
     states[0] = make_state("E0", wins=19, losses=1)
     states[3] = make_state("W0", wins=1, losses=19)
     games = tuple(ScheduledGame(datetime.date(2024, 8, 1 + d), "E0", "W0")
                   for d in range(6))
-    draws = np.array([[8.0, 0.0, 0.0]])
-    res = run_replication(states, Schedule(games=games), draws, league,
-                          seed=10, opts=SimOptions(burn_in_games=0))
-    assert res.wins["E0"] == 25
-    assert res.wins["W0"] == 1
+    for exponent in (8.0, 300.0):
+        for mode in PROBABILITY_MODES:
+            opts = SimOptions(probability_mode=mode, burn_in_games=0)
+            res = one_replication(states, Schedule(games=games),
+                                  np.array([[exponent, 0.0, 0.0]]), league,
+                                  seed=10, opts=opts)
+            assert res.wins["E0"] == 25
+            assert res.wins["W0"] == 1
 
 
 def test_forced_outcome_era_dominates():
@@ -285,7 +298,7 @@ def test_forced_outcome_era_dominates():
     games = tuple(ScheduledGame(datetime.date(2024, 8, 1 + d), "E0", "W0")
                   for d in range(6))
     draws = np.array([[0.0, 0.0, 8.0]])
-    res = run_replication(states, Schedule(games=games), draws, league,
+    res = one_replication(states, Schedule(games=games), draws, league,
                           seed=11, opts=SimOptions(burn_in_games=0))
     assert res.wins["E0"] == 16
 
@@ -297,14 +310,14 @@ def test_burn_in_enforced_for_scheduled_teams_only():
     sched = Schedule(games=(
         ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
     opts = SimOptions(burn_in_games=4)
-    res = run_replication(states, sched, np.ones((1, 3)), league, seed=3,
+    res = one_replication(states, sched, np.ones((1, 3)), league, seed=3,
                           opts=opts)
     assert res.wins["W2"] == 1
 
     short_sched = Schedule(games=(
         ScheduledGame(datetime.date(2024, 8, 1), "W2", "E0"),))
     with pytest.raises(ValueError, match="below the 4-game burn-in"):
-        run_replication(states, short_sched, np.ones((1, 3)), league, seed=3,
+        one_replication(states, short_sched, np.ones((1, 3)), league, seed=3,
                         opts=opts)
 
 
@@ -314,7 +327,7 @@ def test_unknown_scheduled_team_errors():
     sched = Schedule(games=(
         ScheduledGame(datetime.date(2024, 8, 1), "E0", "XX"),))
     with pytest.raises(ValueError, match="no initial state"):
-        run_replication(states, sched, np.ones((1, 3)), league, seed=3,
+        one_replication(states, sched, np.ones((1, 3)), league, seed=3,
                         opts=SimOptions(burn_in_games=0))
 
 
@@ -324,9 +337,9 @@ def test_replication_deterministic_and_seed_sensitive():
     sched = generate_schedule(league, {t: 4 for t in league.teams}, seed=1)
     draws = np.random.default_rng(0).uniform(0.5, 2.0, (50, 3))
     opts = SimOptions(burn_in_games=4)
-    a = run_replication(states, sched, draws, league, seed=5, opts=opts)
-    b = run_replication(states, sched, draws, league, seed=5, opts=opts)
-    c = run_replication(states, sched, draws, league, seed=6, opts=opts)
+    a = one_replication(states, sched, draws, league, seed=5, opts=opts)
+    b = one_replication(states, sched, draws, league, seed=5, opts=opts)
+    c = one_replication(states, sched, draws, league, seed=6, opts=opts)
     assert a.wins == b.wins and a.qualifiers == b.qualifiers
     assert a.wins != c.wins
 
@@ -346,19 +359,94 @@ def test_wins_conserved_every_replication():
         assert sum(res.wins.values()) / 6 == 5.0
 
 
-def test_parallel_matches_serial():
+BLOCKED_MODES = [SimOptions(),
+                 SimOptions(probability_mode="two-stage", era_mode="path")]
+
+
+def blocked_setup(monkeypatch):
+    # 30 teams with unequal records, ERAs and noise, 15 games left each; a
+    # budget of 40 kB gives blocks of 5 (marginal/forecast) or 2
+    # (two-stage/path) of the 225-game replications
+    monkeypatch.setattr(season, "BLOCK_BYTES", 40_000)
+    league = standard_league()
+    states = [make_state(t, wins=8 + i % 7, losses=12 - i % 7,
+                         deviation=0.002 * (i % 5 - 2), era=3.0 + 0.07 * i,
+                         sigma_obs=0.2 + 0.01 * i,
+                         sigma_process=0.02 + 0.002 * i)
+              for i, t in enumerate(league.teams)]
+    sched = generate_schedule(league, {t: 147 for t in league.teams}, seed=6)
+    draws = np.random.default_rng(3).uniform(0.5, 2.0, (40, 3))
+    return league, states, sched, draws
+
+
+def blocks_played(monkeypatch):
+    """Replication counts of the blocks run_replications plays in-process."""
+    sizes = []
+    engine = season.run_replication
+
+    def counted(*args, **kwargs):
+        sizes.append(len(kwargs["replication_ids"]))
+        return engine(*args, **kwargs)
+    monkeypatch.setattr(season, "run_replication", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("opts", BLOCKED_MODES,
+                         ids=["marginal-forecast", "two-stage-path"])
+def test_blocks_match_single_replications(monkeypatch, opts):
+    league, states, sched, draws = blocked_setup(monkeypatch)
+    games = sched.games
+    # waves end where a team plays consecutive games
+    assert any({g.home, g.away} & {h.home, h.away}
+               for g, h in zip(games, games[1:]))
+    sizes = blocks_played(monkeypatch)
+    blocked = run_replications(7, states, sched, draws, league, base_seed=9,
+                               opts=opts)
+    assert len(sizes) > 1 and max(sizes) > 1 and sum(sizes) == 7
+    for k, result in enumerate(blocked):
+        [single] = run_replication(states, sched, draws, league,
+                                   [np.random.SeedSequence((9, k))],
+                                   replication_ids=[k], opts=opts)
+        assert result == single
+
+
+def test_parallel_matches_serial(monkeypatch):
+    league, states, sched, draws = blocked_setup(monkeypatch)
+    for opts in BLOCKED_MODES:
+        serial = run_replications(7, states, sched, draws, league,
+                                  base_seed=9, opts=opts)
+        parallel = run_replications(7, states, sched, draws, league,
+                                    base_seed=9, opts=opts, n_jobs=2)
+        assert [r.replication_id for r in parallel] == list(range(7))
+        assert serial == parallel
+
+
+def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(season, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(season, "BLOCK_BYTES", 1)   # one replication a block
     league = tiny_league()
     states = balanced_states(league, games=4)
     sched = generate_schedule(league, {t: 4 for t in league.teams}, seed=2)
-    draws = np.random.default_rng(1).uniform(0.5, 2.0, (50, 3))
-    opts = SimOptions(burn_in_games=4)
-    serial = run_replications(6, states, sched, draws, league, base_seed=9,
-                              opts=opts)
-    parallel = run_replications(6, states, sched, draws, league, base_seed=9,
-                                opts=opts, n_jobs=2)
-    assert [r.replication_id for r in parallel] == list(range(6))
-    for a, b in zip(serial, parallel):
-        assert a.wins == b.wins and a.qualifiers == b.qualifiers
+    results = run_replications(3, states, sched, np.ones((1, 3)), league,
+                               base_seed=9, opts=SimOptions(burn_in_games=4),
+                               n_jobs=500)
+    assert started == [3]
+    assert [r.replication_id for r in results] == [0, 1, 2]
 
 
 def tercile_setup():
@@ -418,7 +506,7 @@ def test_noise_pools_require_grouping():
                                    params=NoiseParams(0.3, 0.02),
                                    converged=True)]}
     with pytest.raises(ValueError, match="E2 has no tercile"):
-        run_replication(states, sched, np.ones((1, 3)), league, seed=1,
+        one_replication(states, sched, np.ones((1, 3)), league, seed=1,
                         opts=SimOptions(era_mode="path"), noise_pools=pools)
 
 
