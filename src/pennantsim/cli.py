@@ -443,26 +443,17 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
              for label in ("low", "medium", "high")}
     print(f"fit {n_converged} converged windows across {len(estimates)} "
           f"teams (skipped {len(skipped)})")
-    print(f"pinned_windows={n_pinned} (converged windows with "
-          f"sigma_process at the search-box floor)")
+    print(f"pinned_windows={n_pinned} (converged windows with zero "
+          f"process noise)")
     print(f"terciles: low {sizes['low']}, medium {sizes['medium']}, "
           f"high {sizes['high']}")
     return EXIT_OK
 
 
 def _load_noise_artifacts(cfg: RunConfig):
-    """Pools and tercile labels written by cmd_noise, or (None, None) when
-    --draws point with --era-mode forecast runs without them (raw last ERA,
-    zero noise). Path mode reads the noise on every game, so it never falls
-    back."""
-    pool_path = os.path.join(cfg.out, "noise_estimates.csv")
-    terc_path = os.path.join(cfg.out, "terciles.csv")
-    if not (os.path.exists(pool_path) and os.path.exists(terc_path)):
-        if cfg.draws == "point" and cfg.era_mode == "forecast":
-            return None, None
-        raise PipelineError(f"noise pools missing in {cfg.out}; run the "
-                            f"`noise` command first (only --draws point with "
-                            f"--era-mode forecast runs without them)")
+    """Pools and tercile labels written by cmd_noise."""
+    terc_path = _artifact(cfg, "terciles.csv", "noise")
+    pool_path = _artifact(cfg, "noise_estimates.csv", "noise")
     pools: dict[str, list[NoiseEstimate]] = {}
     labels: dict[str, str] = {}
     with open(terc_path, encoding="utf-8") as fh:
@@ -511,20 +502,16 @@ def _initial_states(rows, league, pools, labels, cfg: RunConfig):
                                 f"cannot build an initial state")
         wins, losses = standings[team]
         series = eras[team]
-        if pools is not None:
-            label = labels.get(team)
-            if label is None:
-                raise PipelineError(f"team {team!r} has no tercile "
-                                    f"assignment; rerun the `noise` command")
-            noise = _median_noise(pools[label])
-            spread = float(np.var(series)) if len(series) > 1 else 0.0
-            init = GaussianState(mean=series[0],
-                                 var=max(10.0 * spread, 1e-6))
-            era = filter_series(init, series, noise).mean
-        else:
-            label = ""
-            noise = NoiseParams(sigma_obs=0.0, sigma_process=0.0)
-            era = series[-1]
+        label = labels.get(team)
+        if label is None:
+            raise PipelineError(f"team {team!r} has no tercile assignment; "
+                                f"rerun the `noise` command")
+        noise = _median_noise(pools[label])
+        # the noise MLE's start: condition on the first game's ERA
+        era = series[0]
+        if len(series) > 1:
+            init = GaussianState(mean=era, var=noise.sigma_obs ** 2)
+            era = filter_series(init, series[1:], noise).mean
         states.append(TeamSimState(
             team=team, wins=wins, losses=losses,
             batting_deviation=battings[team][-1] - walk.league_mean,
@@ -601,8 +588,7 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
             "walk_std": repr(cfg.walk_std),
             "schedule_source": "synthetic" if schedule.synthetic else "file",
             "scheduled_games": len(schedule),
-            "replication_seed_scheme": f"({cfg.seed}, replication_id)",
-            "noise_pools": "none" if pools is None else "terciles"}
+            "replication_seed_scheme": f"({cfg.seed}, replication_id)"}
     outputs["simulate_metadata.txt"] = _metadata_lines(cfg, "simulate", meta)
     _emit_outputs(cfg, outputs)
 

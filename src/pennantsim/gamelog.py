@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import io
+import math
 from dataclasses import dataclass
 
 from .model import GameRecord
@@ -126,15 +127,18 @@ def _fail(source, lineno, column, problem):
 
 def _parse_float(raw, source, lineno, column):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         _fail(source, lineno, column, f"unparseable value {raw!r}")
+    if not math.isfinite(value):
+        _fail(source, lineno, column, f"non-finite value {raw!r}")
+    return value
 
 
 def _parse_record(raw, source, lineno, column):
     parts = raw.split("-")
-    if len(parts) == 2 and parts[0].strip().isdigit() \
-            and parts[1].strip().isdigit():
+    if len(parts) == 2 and parts[0].strip().isdecimal() \
+            and parts[1].strip().isdecimal():
         return int(parts[0]), int(parts[1])
     _fail(source, lineno, column, f"expected WINS-LOSSES, got {raw!r}")
 
@@ -208,7 +212,7 @@ def _parse_stream(fh, name, known_teams) -> list[RawGameRow]:
         if raw_shape:
             runs = {}
             for column in ("home_runs", "away_runs"):
-                if not cell[column].isdigit():
+                if not cell[column].isdecimal():
                     _fail(name, lineno, column,
                           f"expected a nonnegative integer, got {cell[column]!r}")
                 runs[column] = int(cell[column])

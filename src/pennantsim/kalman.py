@@ -5,6 +5,10 @@ variance q; observations are y[t] = x[t] + v[t] with observation noise
 variance r. This module covers filtering, windowed maximum-likelihood noise
 estimation (one filter recursion serves both), tercile grouping of teams by
 early-season ERA, and noise resampling.
+
+The noise likelihood conditions on the first observation: the level starts
+at (y[0], r) and the recursion runs over the rest (the exact diffuse start;
+Durbin & Koopman 2012, ch. 2). The CLI starts its ERA filter the same way.
 """
 
 from __future__ import annotations
@@ -13,17 +17,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 # Noise estimation is unreliable below this many observations.
 MIN_WINDOW = 10
 
-# Bounds of the log-sigma search box used by the noise MLE.
-_SIGMA_MIN = 1e-4
-_SIGMA_MAX = 10.0
-
-# Diffuse initial variance = this multiple of the window's sample variance.
-_DIFFUSE_SCALE = 10.0
+# The noise MLE's search over psi = q / r: zero plus a log grid, then
+# passes of a linear zoom between the best point's two neighbours.
+_PSI_GRID = np.concatenate(([0.0], np.logspace(-8.0, 4.0, 240)))
+_ZOOM_POINTS = 65
+_ZOOM_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,8 @@ class NoiseParams:
 @dataclass(frozen=True)
 class NoiseEstimate:
     """One windowed noise fit: which team/window it came from, the parameters,
-    and whether the optimizer actually converged (degenerate fits are kept but
-    flagged so downstream sampling can exclude them)."""
+    and whether the likelihood maximum was found (degenerate fits are kept
+    but flagged so downstream sampling can exclude them)."""
 
     team: str
     window_start: int
@@ -75,9 +77,9 @@ class NoiseEstimate:
 
     @property
     def pinned(self) -> bool:
-        """sigma_process sits at the lower edge of the search box, where the
-        maximizer stops when the window's MLE is zero process noise."""
-        return self.sigma_process <= _SIGMA_MIN * (1.0 + 1e-9)
+        """The window's MLE has zero process noise, the boundary where about
+        half of all short windows put it (Shephard & Harvey 1990)."""
+        return self.sigma_process == 0.0
 
 
 @dataclass(frozen=True)
@@ -110,29 +112,31 @@ class TercileGrouping:
 # filtering and the prediction-error likelihood
 
 
-def _local_level(obs, r: float, q: float, mean: float,
-                 var: float) -> tuple[float, float, float]:
+def _local_level(obs, r: float, q, mean: float, var: float):
     """Run the local-level filter over obs from the state (mean, var).
 
     Each step adds the process variance q, then blends in the observation
     with gain K = P/(P + r), leaving the posterior variance at (1-K)P <= P.
-    The one-step prediction errors give the Gaussian log-likelihood as a
-    by-product (Durbin & Koopman 2012, ch. 2). Returns (log-likelihood,
-    final filtered mean, final filtered variance).
+    q may be an array of candidate variances; every result then has its
+    shape. Returns (sum of log F, sum of e^2/F, final filtered mean, final
+    filtered variance), where e is each one-step prediction error and F its
+    variance: the Gaussian log-likelihood is -(n log 2 pi + sum log F +
+    sum e^2/F) / 2 (Durbin & Koopman 2012, ch. 2).
     """
-    ll = 0.0
+    sum_log_f = sum_e2_f = 0.0
     for y in obs:
         var_pred = var + q
         f = var_pred + r
-        if f == 0.0:
+        if np.any(f == 0.0):
             raise ValueError("Kalman gain undefined: zero observation noise "
                              "with zero predicted variance")
         e = y - mean
-        ll -= 0.5 * (math.log(2.0 * math.pi * f) + e * e / f)
+        sum_log_f = sum_log_f + np.log(f)
+        sum_e2_f = sum_e2_f + e * e / f
         gain = var_pred / f
-        mean += gain * e
+        mean = mean + gain * e
         var = (1.0 - gain) * var_pred
-    return ll, mean, var
+    return sum_log_f, sum_e2_f, mean, var
 
 
 def filter_series(init: GaussianState, observations,
@@ -147,8 +151,9 @@ def filter_series(init: GaussianState, observations,
         raise ValueError("observations must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(obs)):
         raise ValueError("observations contain non-finite values")
-    _, mean, var = _local_level(obs.tolist(), noise.sigma_obs ** 2,
-                                noise.sigma_process ** 2, init.mean, init.var)
+    _, _, mean, var = _local_level(obs.tolist(), noise.sigma_obs ** 2,
+                                   noise.sigma_process ** 2, init.mean,
+                                   init.var)
     return GaussianState(mean=mean, var=var)
 
 
@@ -159,14 +164,16 @@ def filter_series(init: GaussianState, observations,
 def estimate_noise(window, *, team: str = "", window_start: int = 0) -> NoiseEstimate:
     """Maximum-likelihood (sigma_obs, sigma_process) for one window.
 
-    Maximizes the one-step prediction-error likelihood over log-sigmas with
-    bounded Nelder-Mead from three deterministic data-driven starts, under a
-    diffuse initial state (mean = first observation, variance = 10x the
-    window's sample variance). A window with no variation at all has its MLE
-    pinned at zero noise, outside the search box; that case short-circuits to
-    (0, 0) flagged as not converged. A window whose MLE has zero process
-    noise stops at the box's sigma_process floor and is still flagged
-    converged; NoiseEstimate.pinned marks it.
+    Conditions on the first observation and starts the filter at (y[0], r).
+    Every variance in the recursion then scales with r, so for a fixed
+    psi = q / r the MLE of r is the mean of e^2/F over the other n - 1
+    observations, and the profile likelihood leaves a 1-D search over psi:
+    zero plus a fixed log grid, then two linear zooms around the best point.
+    A zero psi is a legitimate maximum (about half of all 30-game windows
+    have one) and is reported as sigma_process = 0, converged. A maximum at
+    the top of the grid is flagged not converged. A window with no variation
+    at all has its MLE at zero noise with an unbounded likelihood; it
+    short-circuits to (0, 0), flagged not converged.
     """
     obs = np.asarray(window, dtype=float)
     if obs.ndim != 1:
@@ -176,52 +183,31 @@ def estimate_noise(window, *, team: str = "", window_start: int = 0) -> NoiseEst
                          f"{obs.size} < {MIN_WINDOW}")
     if not np.all(np.isfinite(obs)):
         raise ValueError("window contains non-finite values")
-
     if np.all(obs == obs[0]):
-        # Constant window: the likelihood increases without bound as both
-        # sigmas shrink, so report the degenerate limit rather than a box
-        # corner.
         return NoiseEstimate(team, window_start, NoiseParams(0.0, 0.0),
                              converged=False)
-    sample_var = float(np.var(obs, ddof=1))
 
-    init = GaussianState(mean=float(obs[0]), var=_DIFFUSE_SCALE * sample_var)
-    sample_sd = math.sqrt(sample_var)
-    diff_sd = float(np.std(np.diff(obs), ddof=1))
-    # Starts: noise split evenly; observation-dominated; scaled to the
-    # first-difference spread.
-    starts = [
-        (sample_sd / math.sqrt(2.0), sample_sd / math.sqrt(2.0)),
-        (sample_sd, 0.1 * sample_sd),
-        (0.7 * diff_sd, 0.1 * diff_sd),
-    ]
-    lo, hi = math.log(_SIGMA_MIN), math.log(_SIGMA_MAX)
-    values = obs.tolist()
+    rest, n = obs[1:].tolist(), obs.size - 1
 
-    best_x = None
-    best_ll = -math.inf
-    converged = False
-    for s_obs, s_proc in starts:
-        x0 = np.clip([math.log(max(s_obs, _SIGMA_MIN)),
-                      math.log(max(s_proc, _SIGMA_MIN))], lo, hi)
-        res = optimize.minimize(
-            lambda x: -_local_level(values, math.exp(2.0 * x[0]),
-                                    math.exp(2.0 * x[1]), init.mean,
-                                    init.var)[0], x0,
-            method="Nelder-Mead",
-            bounds=[(lo, hi), (lo, hi)],
-            options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 400},
-        )
-        if -res.fun > best_ll:
-            best_ll = -res.fun
-            best_x = res.x
-            converged = bool(res.success)
-    if best_x is None:  # pragma: no cover - starts list is never empty
-        raise RuntimeError("noise estimation failed to evaluate any start")
+    def profile(psi):
+        """(Profile log-likelihood up to a constant, MLE of r) per psi."""
+        sum_log_f, sum_e2_f, _, _ = _local_level(rest, 1.0, psi,
+                                                 float(obs[0]), 1.0)
+        r = sum_e2_f / n
+        return -0.5 * (n * np.log(r) + sum_log_f), r
 
-    params = NoiseParams(sigma_obs=math.exp(best_x[0]),
-                         sigma_process=math.exp(best_x[1]))
-    return NoiseEstimate(team, window_start, params, converged)
+    psi = _PSI_GRID
+    loglik, r = profile(psi)
+    for _ in range(_ZOOM_PASSES):
+        best = int(np.argmax(loglik))
+        psi = np.linspace(psi[max(best - 1, 0)],
+                          psi[min(best + 1, psi.size - 1)], _ZOOM_POINTS)
+        loglik, r = profile(psi)
+    best = int(np.argmax(loglik))
+    params = NoiseParams(sigma_obs=math.sqrt(r[best]),
+                         sigma_process=math.sqrt(psi[best] * r[best]))
+    return NoiseEstimate(team, window_start, params,
+                         converged=bool(psi[best] < _PSI_GRID[-1]))
 
 
 def sliding_noise_estimates(series, window_len: int, *,

@@ -550,35 +550,54 @@ def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
     return Schedule(games=tuple(games), synthetic=True)
 
 
-def read_schedule_csv(path) -> Schedule:
-    games = []
+def _csv_rows(path, columns, what: str):
+    """(line number, field values) for each data row of a CSV file whose
+    header names the given columns. A missing or empty field, or a field
+    past the header's last column, is an error naming the row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        required = {"date", "home", "away"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: schedule header must contain "
-                             f"{sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                day = datetime.date.fromisoformat(row["date"])
-            except ValueError:
-                raise ValueError(f"{path} row {lineno}: bad date "
-                                 f"{row['date']!r}") from None
-            games.append(ScheduledGame(date=day, home=row["home"],
-                                       away=row["away"]))
+        if reader.fieldnames is None \
+                or not set(columns) <= set(reader.fieldnames):
+            raise ValueError(f"{path}: {what} header must contain "
+                             f"{sorted(columns)}")
+        for row in reader:
+            if None in row:
+                raise ValueError(f"{path} row {reader.line_num}: more "
+                                 f"fields than the header's "
+                                 f"{len(reader.fieldnames)}")
+            values = [row[c] for c in columns]
+            for column, value in zip(columns, values):
+                if not value:
+                    raise ValueError(f"{path} row {reader.line_num}: "
+                                     f"missing {column}")
+            yield reader.line_num, values
+
+
+def read_schedule_csv(path) -> Schedule:
+    games = []
+    for lineno, (date, home, away) in _csv_rows(
+            path, ("date", "home", "away"), "schedule"):
+        try:
+            day = datetime.date.fromisoformat(date)
+        except ValueError:
+            raise ValueError(f"{path} row {lineno}: bad date "
+                             f"{date!r}") from None
+        if games and day < games[-1].date:
+            raise ValueError(f"{path} row {lineno}: date {day} is before "
+                             f"the previous row's {games[-1].date}")
+        try:
+            games.append(ScheduledGame(date=day, home=home, away=away))
+        except ValueError as exc:
+            raise ValueError(f"{path} row {lineno}: {exc}") from None
     return Schedule(games=tuple(games), synthetic=False)
 
 
 def read_league_csv(path, season_length: int = 162) -> LeagueStructure:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"league", "division", "team"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: league header must contain "
-                             f"{sorted(required)}")
-        for row in reader:
-            rows.append((row["league"], row["division"], row["team"]))
+    rows = [values for _, values in _csv_rows(
+        path, ("league", "division", "team"), "league")]
     if not rows:
         raise ValueError(f"{path}: no teams in league file")
-    return LeagueStructure.from_rows(rows, season_length=season_length)
+    try:
+        return LeagueStructure.from_rows(rows, season_length=season_length)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

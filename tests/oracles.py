@@ -120,7 +120,10 @@ def grid_posterior_means(log_ratios, home_won, r_max, n_cells=40,
     for start in range(0, points.shape[0], chunk):
         block = points[start:start + chunk]
         u = L @ block.T                               # (n_games, block)
-        loglik[start:start + chunk] = x @ u - np.logaddexp(0.0, u).sum(axis=0)
+        # log(1 + e^u) in the form that neither overflows nor loses the
+        # small-u tail, and is cheaper than np.logaddexp(0, u)
+        softplus = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+        loglik[start:start + chunk] = x @ u - softplus.sum(axis=0)
 
     w = np.exp(loglik - loglik.max())
     w /= w.sum()

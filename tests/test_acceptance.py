@@ -189,16 +189,16 @@ def test_noise_recovery_medians_and_ordering():
     # Harvey 1990), so the maximum itself sits well under 0.05. What the
     # estimator does promise is checked instead: (1) every estimate is its
     # window's likelihood maximum, judged by an independent batch Gaussian
-    # density under the documented diffuse start (mean = first observation,
-    # variance = 10x the sample variance), against a log-grid over the
-    # search box and the truth; (2) the same estimator recovers
+    # density under the documented start (condition on the first
+    # observation: the level starts there with variance sigma_obs^2),
+    # against a log-grid and the truth; (2) the same estimator recovers
     # sigma_process once a window is long enough to carry the information.
     stacked = np.array(windows)
-    init_vars = 10.0 * stacked.var(axis=1, ddof=1)
 
     def loglik(sigma_obs, sigma_process):
-        return batch_window_loglik(stacked, stacked[:, 0], init_vars,
-                                   sigma_obs, sigma_process)
+        return batch_window_loglik(stacked[:, 1:], stacked[:, 0],
+                                   np.square(sigma_obs), sigma_obs,
+                                   sigma_process)
 
     at_estimate = loglik([e.params.sigma_obs for e in estimates],
                          [e.params.sigma_process for e in estimates])

@@ -77,6 +77,31 @@ def test_validate_duplicate_team_in_league(tmp_path, capsys):
     assert "appears in both" in capsys.readouterr().out
 
 
+def test_short_league_row_is_a_row_error(pipeline, tmp_path, capsys):
+    # a row without a team fails validation naming the row, and simulate
+    # stops with a runtime error instead of a traceback
+    league = tmp_path / "league.csv"
+    league.write_text("league,division,team\nE,N\n")
+    assert main(["validate", "--league", str(league)]) == 1
+    assert "row 2: missing team" in capsys.readouterr().out
+    args = [str(league) if a == str(pipeline["base"] / "league.csv") else a
+            for a in pipeline["common"]]
+    assert main(["simulate", *args, "--replications", "2"]) == 3
+    assert "row 2: missing team" in capsys.readouterr().err
+
+
+def test_short_schedule_row_is_a_row_error(pipeline, tmp_path, capsys):
+    sched = tmp_path / "sched.csv"
+    sched.write_text("date,home,away\n2024-09-01,EN0\n")
+    assert main(["validate", *pipeline["common"], "--schedule",
+                 str(sched)]) == 1
+    out = capsys.readouterr().out
+    assert "row 2: missing away" in out and "None" not in out
+    assert main(["simulate", *pipeline["common"], "--replications", "2",
+                 "--schedule", str(sched)]) == 3
+    assert "row 2: missing away" in capsys.readouterr().err
+
+
 def test_validate_missing_file_reported_not_thrown(tmp_path, capsys):
     assert main(["validate", "--game-log", str(tmp_path / "nope.csv")]) == 1
     assert "does not exist" in capsys.readouterr().out
@@ -209,11 +234,10 @@ def test_noise_outputs(pipeline):
 
 
 def test_noise_pinned_windows_counted(pipeline):
-    # pinned_windows counts the pool rows whose sigma_process sits at the
-    # 1e-4 search-box floor; they stay in the pool, flagged converged
+    # pinned_windows counts the pool rows whose MLE has zero process noise;
+    # they stay in the pool, flagged converged
     pool = read_csv_dicts(pipeline["out"] / "noise_estimates.csv")
-    expected = sum(float(row["sigma_process"]) <= 1e-4 * (1 + 1e-9)
-                   for row in pool)
+    expected = sum(float(row["sigma_process"]) == 0.0 for row in pool)
     meta = dict(line.split("=", 1) for line in
                 (pipeline["out"] / "noise_metadata.txt").read_text()
                 .splitlines())
@@ -319,7 +343,6 @@ def test_simulate_metadata_has_seeds(pipeline):
     assert meta["master_seed"] == "11"
     assert meta["replication_seed_scheme"] == "(11, replication_id)"
     assert meta["schedule_source"] == "synthetic"
-    assert meta["noise_pools"] == "terciles"
 
 
 def test_simulate_deterministic_across_jobs(pipeline, tmp_path):
@@ -370,32 +393,18 @@ def test_simulate_missing_noise_names_command(pipeline, tmp_path, capsys):
     assert "`noise`" in capsys.readouterr().err
 
 
-def test_simulate_point_mode_without_noise(pipeline, tmp_path):
+@pytest.mark.parametrize("era_mode", ["forecast", "path"])
+def test_simulate_path_mode_without_noise_names_command(pipeline, tmp_path,
+                                                         capsys, era_mode):
+    # both ERA modes start from the noise pools' filtered level, so point
+    # draws do not let either run without them
     out = tmp_path / "pointonly"
     out.mkdir()
     shutil.copy(pipeline["out"] / "draws.csv", out / "draws.csv")
     args = [a if a != str(pipeline["out"]) else str(out)
             for a in pipeline["common"]]
     assert main(["simulate", *args, "--replications", "2",
-                 "--draws", "point"]) == 0
-    meta = dict(line.split("=", 1)
-                for line in (out / "simulate_metadata.txt").read_text()
-                .splitlines())
-    assert meta["noise_pools"] == "none"
-    assert meta["draws_mode"] == "point"
-
-
-def test_simulate_path_mode_without_noise_names_command(pipeline, tmp_path,
-                                                         capsys):
-    # path mode reads each team's ERA noise on every game, so point draws do
-    # not let it run on the zero-noise fallback
-    out = tmp_path / "pathonly"
-    out.mkdir()
-    shutil.copy(pipeline["out"] / "draws.csv", out / "draws.csv")
-    args = [a if a != str(pipeline["out"]) else str(out)
-            for a in pipeline["common"]]
-    assert main(["simulate", *args, "--replications", "2",
-                 "--draws", "point", "--era-mode", "path"]) == 3
+                 "--draws", "point", "--era-mode", era_mode]) == 3
     assert "`noise`" in capsys.readouterr().err
     assert not (out / "summary.csv").exists()
 

@@ -147,6 +147,25 @@ def test_estimate_white_noise_window():
     assert est.sigma_process ** 2 < 0.05 * v
 
 
+def test_estimate_zero_process_noise_is_exact():
+    # this white-noise window's profile likelihood peaks at psi = 0, which
+    # the grid holds exactly: sigma_process is 0.0, and the fit is kept
+    rng = np.random.default_rng(5)
+    est = estimate_noise(rng.normal(4.0, 0.5, size=30))
+    assert est.sigma_process == 0.0
+    assert est.pinned and est.converged
+    assert 0.3 < est.sigma_obs < 0.6
+
+
+def test_estimate_flags_maximum_past_the_grid():
+    # a straight line is a noiseless random walk: the likelihood keeps
+    # rising as sigma_obs -> 0, past the top of the psi grid, so the fit is
+    # flagged and sample_noise skips it
+    est = estimate_noise(np.linspace(3.0, 4.0, 12))
+    assert est.converged is False
+    assert est.sigma_obs < 1e-2 * est.sigma_process
+
+
 def test_estimate_carries_team_and_window():
     est = estimate_noise(np.linspace(3.0, 4.0, 12), team="NYA", window_start=7)
     assert est.team == "NYA"

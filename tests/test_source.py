@@ -2,11 +2,15 @@
 
 Every function, class and method in src/pennantsim must be used by the
 package itself. A definition referenced only by tests is a side copy: the
-tests would pin it while the shipped code runs something else.
+tests would pin it while the shipped code runs something else. The CLI
+also must not import scipy.optimize, which nothing in the package uses.
 """
 
 import ast
 import collections
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pennantsim"
@@ -48,3 +52,14 @@ def unreferenced_definitions(package=PACKAGE):
 
 def test_every_definition_is_used_by_the_package():
     assert unreferenced_definitions() == []
+
+
+def test_cli_does_not_import_scipy_optimize():
+    # a fresh interpreter, so that no other test's imports count
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    probe = "import sys, pennantsim.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
