@@ -27,9 +27,10 @@ from .kalman import (GaussianState, NoiseEstimate, NoiseParams,
 from .mcmc import (PARAM_NAMES, ChainConfig, PosteriorDraws, PriorConfig,
                    derived_seed, effective_sample_size, export_trace,
                    run_chains, split_rhat, tune_proposal_std, write_trace_csv)
-from .season import (SeasonResult, SimOptions, TeamSimState, WalkConfig,
-                     export_win_histogram, generate_schedule, read_league_csv,
-                     read_schedule_csv, run_replications, summarize)
+from .season import (SeasonResults, SimOptions, TeamSimState, WalkConfig,
+                     csv_rows, export_win_histogram, generate_schedule,
+                     read_league_csv, read_schedule_csv, run_replications,
+                     summarize)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -73,7 +74,7 @@ class RunConfig:
     filter_mode: str = "date-window"
     min_games: int = 50
     season_length: int = 162
-    jobs: int = 1
+    jobs: int = 1    # accepted for compatibility; has no effect
 
     def __post_init__(self):
         # resolve_config has the domain configs check the other settings
@@ -456,26 +457,20 @@ def _load_noise_artifacts(cfg: RunConfig):
     pool_path = _artifact(cfg, "noise_estimates.csv", "noise")
     pools: dict[str, list[NoiseEstimate]] = {}
     labels: dict[str, str] = {}
-    with open(terc_path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "team,tercile,early_era":
-            raise PipelineError(f"{terc_path}: unexpected header {header!r}")
-        for line in fh:
-            team, label, _ = line.strip().split(",")
-            labels[team] = label
-    with open(pool_path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "team,window_start,sigma_obs,sigma_process,converged":
-            raise PipelineError(f"{pool_path}: unexpected header {header!r}")
-        for line in fh:
-            team, start, sobs, sproc, conv = line.strip().split(",")
-            if team not in labels:
-                raise PipelineError(f"{pool_path}: team {team!r} has no "
-                                    f"tercile assignment")
-            est = NoiseEstimate(team=team, window_start=int(start),
-                                params=NoiseParams(float(sobs), float(sproc)),
-                                converged=conv == "1")
-            pools.setdefault(labels[team], []).append(est)
+    for _, (team, label, _) in csv_rows(
+            terc_path, {"team": str, "tercile": str, "early_era": float},
+            "terciles"):
+        labels[team] = label
+    for lineno, (team, start, sobs, sproc, conv) in csv_rows(
+            pool_path, {"team": str, "window_start": int, "sigma_obs": float,
+                        "sigma_process": float, "converged": str},
+            "noise estimates"):
+        if team not in labels:
+            raise PipelineError(f"{pool_path} row {lineno}: team {team!r} "
+                                f"has no tercile assignment")
+        pools.setdefault(labels[team], []).append(NoiseEstimate(
+            team=team, window_start=start, params=NoiseParams(sobs, sproc),
+            converged=conv == "1"))
     for label in set(labels.values()):
         if not pools.get(label):
             raise PipelineError(f"tercile {label!r} has no converged noise "
@@ -521,14 +516,8 @@ def _initial_states(rows, league, pools, labels, cfg: RunConfig):
 
 def _read_draw_matrix(cfg: RunConfig) -> np.ndarray:
     path = _artifact(cfg, "draws.csv", "fit")
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "chain,r1,r2,r3":
-            raise PipelineError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            _, r1, r2, r3 = line.strip().split(",")
-            rows.append((float(r1), float(r2), float(r3)))
+    rows = [values for _, values in csv_rows(
+        path, dict.fromkeys(("r1", "r2", "r3"), float), "draws")]
     if not rows:
         raise PipelineError(f"{path}: no posterior draws; rerun `fit`")
     return np.array(rows)
@@ -567,15 +556,16 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
 
     results = run_replications(cfg.replications, states, schedule, draws,
                                league, cfg.seed, opts=cfg.sim_options(),
-                               noise_pools=pools, n_jobs=cfg.jobs)
+                               noise_pools=pools)
     summary = summarize(results)
 
     outputs = {}
     rep_lines = ["replication,team,wins,qualified"]
-    for res in results:
-        for team in sorted(res.wins):
-            rep_lines.append(f"{res.replication_id},{team},{res.wins[team]},"
-                             f"{1 if team in res.qualifiers else 0}")
+    for rep, wins, made in zip(results.replication_ids.tolist(),
+                               results.wins.tolist(),
+                               results.qualified.astype(int).tolist()):
+        rep_lines += [f"{rep},{team},{w},{q}"
+                      for team, w, q in zip(results.teams, wins, made)]
     outputs["replication_results.csv"] = rep_lines
     outputs["summary.csv"] = _summary_csv_lines(summary)
     for team in hist_teams:
@@ -619,25 +609,39 @@ def _summary_stdout_lines(summary) -> list:
 # report
 
 
+def _read_replication_results(path) -> SeasonResults:
+    """replication_results.csv as cmd_simulate writes it: one row per
+    replication and team."""
+    cells = {}        # (replication, team) -> (wins, qualified)
+    first_row = {}    # replication -> its first row
+    for lineno, (rep, team, wins, qualified) in csv_rows(
+            path, {"replication": int, "team": str, "wins": int,
+                   "qualified": int}, "replication results"):
+        if qualified not in (0, 1):
+            raise PipelineError(f"{path} row {lineno}: qualified must be 0 "
+                                f"or 1, got {qualified}")
+        if (rep, team) in cells:
+            raise PipelineError(f"{path} row {lineno}: a second row for "
+                                f"team {team!r} in replication {rep}")
+        cells[rep, team] = (wins, qualified == 1)
+        first_row.setdefault(rep, lineno)
+    if not cells:
+        raise PipelineError(f"{path}: no replication rows; rerun `simulate`")
+    reps, teams = sorted(first_row), sorted({team for _, team in cells})
+    for rep in reps:
+        for team in teams:
+            if (rep, team) not in cells:
+                raise PipelineError(f"{path} row {first_row[rep]}: "
+                                    f"replication {rep} has no row for team "
+                                    f"{team!r}")
+    table = np.array([[cells[rep, team] for team in teams] for rep in reps])
+    return SeasonResults(teams=tuple(teams), replication_ids=np.array(reps),
+                         wins=table[..., 0], qualified=table[..., 1] == 1)
+
+
 def cmd_report(cfg: RunConfig, extras) -> int:
     path = _artifact(cfg, "replication_results.csv", "simulate")
-    per_rep: dict[int, dict] = {}
-    quals: dict[int, set] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "replication,team,wins,qualified":
-            raise PipelineError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            rep, team, wins, qualified = line.strip().split(",")
-            rep = int(rep)
-            per_rep.setdefault(rep, {})[team] = int(wins)
-            if qualified == "1":
-                quals.setdefault(rep, set()).add(team)
-    if not per_rep:
-        raise PipelineError(f"{path}: no replication rows; rerun `simulate`")
-    results = [SeasonResult(replication_id=rep, wins=per_rep[rep],
-                            qualifiers=frozenset(quals.get(rep, set())))
-               for rep in sorted(per_rep)]
+    results = _read_replication_results(path)
     for line in _summary_stdout_lines(summarize(results)):
         print(line)
     return EXIT_OK
@@ -661,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--league", help="league structure CSV")
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--jobs", type=int, help="worker processes")
+        p.add_argument("--jobs", type=int,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--season-length", dest="season_length", type=int)
 
     p = sub.add_parser("validate", help="check input files for consistency")

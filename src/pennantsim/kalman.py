@@ -127,7 +127,8 @@ def _local_level(obs, r: float, q, mean: float, var: float):
     for y in obs:
         var_pred = var + q
         f = var_pred + r
-        if np.any(f == 0.0):
+        # var and q are nonnegative, so f >= r: only r = 0 can make f zero
+        if r == 0.0 and np.any(f == 0.0):
             raise ValueError("Kalman gain undefined: zero observation noise "
                              "with zero predicted variance")
         e = y - mean

@@ -3,9 +3,10 @@
 Walks a remaining-season schedule in date order, simulating each game from
 the fitted posterior while team state (record, batting deviation, latent ERA)
 evolves, then aggregates win totals and playoff qualification over many
-replications. Replications run in blocks that share each array operation.
+replications. Replications run in blocks that share each array operation,
+and results stay (replication, team) arrays from the kernel to every writer.
 Replication streams derive from (base_seed, replication_id) so results never
-depend on blocking, execution order or parallelism.
+depend on blocking.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +111,15 @@ class Schedule:
         return counts
 
 
+def _listed_twice(team: str, first: tuple[str, str],
+                  second: tuple[str, str]) -> str:
+    """Why a team placed in division first cannot also be in second."""
+    if first == second:
+        return f"team {team!r} appears twice in {'/'.join(first)}"
+    return (f"team {team!r} appears in both {'/'.join(first)} and "
+            f"{'/'.join(second)}")
+
+
 @dataclass(frozen=True)
 class LeagueStructure:
     """Leagues partitioned into equal-size divisions, plus the season length."""
@@ -136,8 +145,8 @@ class LeagueStructure:
                     raise ValueError(f"division {lg}/{div} is empty")
                 for t in teams:
                     if t in by_team:
-                        raise ValueError(f"team {t!r} appears in both "
-                                         f"{by_team[t]} and ({lg}, {div})")
+                        raise ValueError(_listed_twice(t, by_team[t],
+                                                       (lg, div)))
                     by_team[t] = (lg, div)
         object.__setattr__(self, "_by_team", by_team)
 
@@ -163,13 +172,35 @@ class LeagueStructure:
             raise ValueError(f"team {team!r} not in league structure") from None
 
 
-@dataclass(frozen=True)
-class SeasonResult:
-    """Final standings of one replication."""
+_RESULT_ARRAYS = ("replication_ids", "wins", "qualified")
 
-    replication_id: int
-    wins: dict[str, int]
-    qualifiers: frozenset[str]
+
+@dataclass(frozen=True, eq=False)
+class SeasonResults:
+    """Final standings of replications: row i is replication
+    replication_ids[i] and column j is teams[j], with teams sorted."""
+
+    teams: tuple[str, ...]
+    replication_ids: np.ndarray    # (R,) int
+    wins: np.ndarray               # (R, T) int
+    qualified: np.ndarray          # (R, T) bool
+
+    def __len__(self):
+        return len(self.replication_ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, SeasonResults):
+            return NotImplemented
+        return self.teams == other.teams and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _RESULT_ARRAYS)
+
+    @classmethod
+    def concatenate(cls, blocks) -> "SeasonResults":
+        """The blocks' rows in order; every block has the same teams."""
+        return cls(teams=blocks[0].teams, **{
+            name: np.concatenate([getattr(b, name) for b in blocks])
+            for name in _RESULT_ARRAYS})
 
 
 @dataclass(frozen=True)
@@ -240,8 +271,9 @@ class SimOptions:
 # replications
 
 # Memory for the variates a block of replications draws before its games;
-# it sets how many replications share a block.
-BLOCK_BYTES = 2 << 20
+# it sets how many replications share a block. Larger budgets gain little
+# speed and raise the simulate stage's peak memory.
+BLOCK_BYTES = 4 << 20
 
 
 def _waves(pairs) -> list[slice]:
@@ -257,13 +289,13 @@ def _waves(pairs) -> list[slice]:
 
 
 def _resolved_noise(initial, noise_pools, noise_rng):
-    """Per-team noise for one replication: freshly sampled from the pool of
-    each team's tercile when pools are given, otherwise each team's stored
-    parameters."""
+    """Per-team noise for one replication: freshly sampled, in the order of
+    initial, from the pool of each team's tercile when pools are given,
+    otherwise each team's stored parameters."""
     if noise_pools is None:
         return {s.team: s.noise for s in initial}
     resolved = {}
-    for state in sorted(initial, key=lambda s: s.team):
+    for state in initial:
         if not state.tercile:
             raise ValueError(f"noise_pools given but {state.team} has no "
                              f"tercile")
@@ -278,7 +310,7 @@ def _resolved_noise(initial, noise_pools, noise_rng):
 
 def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
                     seeds, *, replication_ids, opts: SimOptions | None = None,
-                    noise_pools=None) -> list[SeasonResult]:
+                    noise_pools=None) -> SeasonResults:
     """Replications played side by side, one per seed (an integer or a
     SeedSequence) and replication id. Each depends on its own seed alone, so
     no result depends on how replications are grouped. The name is the unit
@@ -286,15 +318,19 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     perfbench/tracing.py times the kernel by this name.
 
     Each seed splits into streams for game outcomes, playoff tie-breaks and
-    noise sampling. A replication's game variates are drawn up front; the
-    schedule is then played a wave (see _waves) at a time.
+    noise sampling. A replication's game variates and tie keys are drawn up
+    front; the schedule is then played a wave (see _waves) at a time.
     """
     opts = opts or SimOptions()
-    states = list(initial)
+    states = sorted(initial, key=lambda s: s.team)   # results' column order
     teams = [s.team for s in states]
     if len(set(teams)) != len(teams):
         raise ValueError("duplicate team in initial states")
     index = {t: i for i, t in enumerate(teams)}
+    for t in league.teams:
+        if t not in index:
+            raise ValueError(f"no final record for team {t!r}: it has no "
+                             f"initial state")
     for g in schedule.games:
         if g.home not in index or g.away not in index:
             raise ValueError(f"scheduled team {g.home if g.home not in index else g.away!r} "
@@ -329,12 +365,12 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     if two_stage:
         u_beta = np.empty((n_games, n_reps))
     sides = np.array(pairs, dtype=np.intp).reshape(n_games, 2).T
-    tie_rngs = []
+    tie_keys = np.empty((n_reps, len(teams)))
     for b, seed in enumerate(seeds):
         ss = seed if isinstance(seed, np.random.SeedSequence) \
             else np.random.SeedSequence(seed)
         game_ss, tie_ss, noise_ss = ss.spawn(3)
-        tie_rngs.append(np.random.default_rng(tie_ss))
+        tie_keys[b] = np.random.default_rng(tie_ss).random(len(teams))
         game_rng = np.random.default_rng(game_ss)
         u_out[:, b] = game_rng.random(n_games)
         if predictive:
@@ -386,33 +422,23 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     if np.any(losses.sum(axis=0) != sum(s.losses for s in states) + n_games):
         raise RuntimeError("game accounting error: losses do not add up")
 
-    finals = [dict(zip(teams, row)) for row in wins.T.tolist()]
-    return [SeasonResult(replication_id=rep, wins=final,
-                         qualifiers=playoff_qualifiers(final, league, rng))
-            for rep, final, rng in zip(replication_ids, finals, tie_rngs,
-                                       strict=True)]
-
-
-def _replication_block(payload):
-    (rep_ids, initial, schedule, draws, league, base_seed, opts,
-     noise_pools) = payload
-    seeds = [np.random.SeedSequence((base_seed, rep)) for rep in rep_ids]
-    return run_replication(initial, schedule, draws, league, seeds,
-                           replication_ids=rep_ids, opts=opts,
-                           noise_pools=noise_pools)
+    final = wins.T
+    return SeasonResults(
+        teams=tuple(teams), replication_ids=np.array(replication_ids),
+        wins=final, qualified=playoff_qualifiers(final, tie_keys, league,
+                                                 teams))
 
 
 def run_replications(n: int, initial, schedule: Schedule, draws,
                      league: LeagueStructure, base_seed: int, *,
                      opts: SimOptions | None = None, noise_pools=None,
-                     n_jobs: int = 1) -> list[SeasonResult]:
-    """n independent replications; replication k's stream comes from
-    (base_seed, k), so the result list is identical no matter how the work is
-    split into blocks and across processes."""
+                     n_jobs: int = 1) -> SeasonResults:
+    """n independent replications, played in this process in blocks of
+    replications sized by BLOCK_BYTES. Replication k's stream comes from
+    (base_seed, k), so the results do not depend on the block size. n_jobs
+    is accepted and has no effect."""
     if n < 1:
         raise ValueError(f"need at least 1 replication, got {n}")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     opts = opts or SimOptions()
     # 8-byte variates per game and replication: an outcome uniform and two
     # walk increments, plus a draw-row index, four ERA normals and a Beta
@@ -421,77 +447,71 @@ def run_replications(n: int, initial, schedule: Schedule, draws,
                 + 4 * (opts.era_mode == "path")
                 + (opts.probability_mode == "two-stage"))
     size = max(1, BLOCK_BYTES // (8 * per_game * max(len(schedule), 1)))
-    payloads = [(range(k, min(k + size, n)), initial, schedule, draws, league,
-                 base_seed, opts, noise_pools) for k in range(0, n, size)]
-    if n_jobs == 1 or len(payloads) == 1:
-        blocks = [_replication_block(payload) for payload in payloads]
-    else:
-        with ProcessPoolExecutor(
-                max_workers=min(n_jobs, len(payloads))) as pool:
-            blocks = list(pool.map(_replication_block, payloads))
-    return [r for block in blocks for r in block]
+    blocks = []
+    for k in range(0, n, size):
+        rep_ids = range(k, min(k + size, n))
+        seeds = [np.random.SeedSequence((base_seed, rep)) for rep in rep_ids]
+        blocks.append(run_replication(initial, schedule, draws, league, seeds,
+                                      replication_ids=rep_ids, opts=opts,
+                                      noise_pools=noise_pools))
+    return SeasonResults.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------
 # playoffs and aggregation
 
 
-def playoff_qualifiers(final_wins: dict[str, int], league: LeagueStructure,
-                       rng: np.random.Generator, *,
-                       wild_cards: int = 3) -> frozenset[str]:
-    """Division winners plus the best remaining records per league.
+def playoff_qualifiers(wins, tie_keys, league: LeagueStructure, teams, *,
+                       wild_cards: int = 3) -> np.ndarray:
+    """(R, T) bool: the division winners plus the best remaining records
+    per league, in each of R replications.
 
-    Ties are broken by a seeded uniform key drawn once per team (in sorted
-    team order, so the stream consumption is standings-independent).
+    wins and tie_keys are (R, T) arrays whose columns are the named teams,
+    which must include every team of the league. Equal wins are broken by
+    the higher tie key.
     """
-    for t in league.teams:
-        if t not in final_wins:
-            raise ValueError(f"no final record for team {t!r}")
-    tie_key = {t: float(rng.random()) for t in sorted(final_wins)}
-    qualifiers: set[str] = set()
-    for lg in sorted(league.divisions):
-        winners = []
-        for div in sorted(league.divisions[lg]):
-            members = league.divisions[lg][div]
-            winners.append(max(members,
-                               key=lambda t: (final_wins[t], tie_key[t])))
-        qualifiers.update(winners)
-        rest = [t for div in league.divisions[lg].values() for t in div
-                if t not in winners]
-        rest.sort(key=lambda t: (final_wins[t], tie_key[t]), reverse=True)
-        qualifiers.update(rest[:wild_cards])
-    return frozenset(qualifiers)
+    column = {t: j for j, t in enumerate(teams)}
+    rows = np.arange(len(wins))[:, None]
+    qualified = np.zeros(wins.shape, dtype=bool)
+    for divs in league.divisions.values():
+        cols = np.array([[column[t] for t in members]
+                         for members in divs.values()])   # (divisions, size)
+        # lexsort orders by its last key first, ascending
+        best = np.lexsort((tie_keys[:, cols], wins[:, cols]))[..., -1]
+        qualified[rows, cols[np.arange(len(cols)), best]] = True
+        flat = cols.ravel()
+        order = np.lexsort((tie_keys[:, flat], wins[:, flat],
+                            ~qualified[:, flat]))
+        qualified[rows, flat[order[:, max(len(flat) - wild_cards, 0):]]] = True
+    return qualified
 
 
-def summarize(results: list[SeasonResult]) -> ForecastSummary:
+def summarize(results: SeasonResults) -> ForecastSummary:
     """Mean wins, nearest-rank 5/95 quantiles, and playoff rate per team,
     ordered by descending mean wins (team id breaks exact ties)."""
-    if not results:
+    if not len(results):
         raise ValueError("no replications to summarize")
-    teams = sorted(results[0].wins)
-    forecasts = []
-    for team in teams:
-        wins = np.array([r.wins[team] for r in results], dtype=float)
-        made = sum(team in r.qualifiers for r in results)
-        forecasts.append(TeamForecast(
-            team=team,
-            mean_wins=float(wins.mean()),
-            ci5=nearest_rank_quantile(wins, 0.05),
-            ci95=nearest_rank_quantile(wins, 0.95),
-            playoff_prob=made / len(results),
-        ))
+    wins = results.wins.astype(float)
+    forecasts = [
+        TeamForecast(team=team, mean_wins=float(mean),
+                     ci5=nearest_rank_quantile(column, 0.05),
+                     ci95=nearest_rank_quantile(column, 0.95),
+                     playoff_prob=float(rate))
+        for team, column, mean, rate in zip(
+            results.teams, wins.T, wins.mean(axis=0),
+            results.qualified.mean(axis=0))]
     forecasts.sort(key=lambda f: (-f.mean_wins, f.team))
     return ForecastSummary(teams=tuple(forecasts), n_replications=len(results))
 
 
-def export_win_histogram(results: list[SeasonResult],
+def export_win_histogram(results: SeasonResults,
                          team: str) -> list[tuple[int, int]]:
     """(win_total, count) rows covering the observed min..max range."""
-    if not results:
+    if not len(results):
         raise ValueError("no replications to bin")
-    if team not in results[0].wins:
+    if team not in results.teams:
         raise ValueError(f"unknown team {team!r}")
-    wins = np.array([r.wins[team] for r in results])
+    wins = results.wins[:, results.teams.index(team)]
     low, high = int(wins.min()), int(wins.max())
     counts = np.bincount(wins - low, minlength=high - low + 1)
     return [(low + k, int(c)) for k, c in enumerate(counts)]
@@ -550,10 +570,11 @@ def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
     return Schedule(games=tuple(games), synthetic=True)
 
 
-def _csv_rows(path, columns, what: str):
+def csv_rows(path, columns: dict, what: str):
     """(line number, field values) for each data row of a CSV file whose
-    header names the given columns. A missing or empty field, or a field
-    past the header's last column, is an error naming the row."""
+    header names the given columns; columns maps each name to the type its
+    values are converted by. A missing, empty or unconvertible field, or a
+    field past the header's last column, is an error naming the row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None \
@@ -561,27 +582,27 @@ def _csv_rows(path, columns, what: str):
             raise ValueError(f"{path}: {what} header must contain "
                              f"{sorted(columns)}")
         for row in reader:
+            line = f"{path} row {reader.line_num}"
             if None in row:
-                raise ValueError(f"{path} row {reader.line_num}: more "
-                                 f"fields than the header's "
+                raise ValueError(f"{line}: more fields than the header's "
                                  f"{len(reader.fieldnames)}")
-            values = [row[c] for c in columns]
-            for column, value in zip(columns, values):
-                if not value:
-                    raise ValueError(f"{path} row {reader.line_num}: "
-                                     f"missing {column}")
+            values = []
+            for column, kind in columns.items():
+                if not row[column]:
+                    raise ValueError(f"{line}: missing {column}")
+                try:
+                    values.append(kind(row[column]))
+                except ValueError:
+                    raise ValueError(f"{line}: bad {column} "
+                                     f"{row[column]!r}") from None
             yield reader.line_num, values
 
 
 def read_schedule_csv(path) -> Schedule:
     games = []
-    for lineno, (date, home, away) in _csv_rows(
-            path, ("date", "home", "away"), "schedule"):
-        try:
-            day = datetime.date.fromisoformat(date)
-        except ValueError:
-            raise ValueError(f"{path} row {lineno}: bad date "
-                             f"{date!r}") from None
+    for lineno, (day, home, away) in csv_rows(
+            path, {"date": datetime.date.fromisoformat, "home": str,
+                   "away": str}, "schedule"):
         if games and day < games[-1].date:
             raise ValueError(f"{path} row {lineno}: date {day} is before "
                              f"the previous row's {games[-1].date}")
@@ -593,8 +614,17 @@ def read_schedule_csv(path) -> Schedule:
 
 
 def read_league_csv(path, season_length: int = 162) -> LeagueStructure:
-    rows = [values for _, values in _csv_rows(
-        path, ("league", "division", "team"), "league")]
+    rows, first = [], {}    # team -> (its row, (league, division))
+    for lineno, (lg, div, team) in csv_rows(
+            path, dict.fromkeys(("league", "division", "team"), str),
+            "league"):
+        if team in first:
+            row, place = first[team]
+            raise ValueError(f"{path} row {lineno}: "
+                             f"{_listed_twice(team, place, (lg, div))} "
+                             f"(first listed on row {row})")
+        first[team] = (lineno, (lg, div))
+        rows.append((lg, div, team))
     if not rows:
         raise ValueError(f"{path}: no teams in league file")
     try:

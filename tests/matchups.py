@@ -36,6 +36,9 @@ class Matchups:
                           f"A{k}")
             for j in range(games) for k in range(pairs)))
         self._copies = {}    # prefix -> (state, its renamed copies)
+        # results columns are the sorted team names: H10 precedes H2
+        column = {t: j for j, t in enumerate(self.league.teams)}
+        self._home_columns = [column[f"H{k}"] for k in range(pairs)]
 
     def _copies_of(self, state, prefix):
         built = self._copies.get(prefix)
@@ -50,7 +53,7 @@ class Matchups:
     def home_wins(self, home, away, draws, seed, opts=None):
         """Home wins of each pair over its games (0 or 1 when n = 1)."""
         homes = self._copies_of(home, "H")
-        (result,) = run_replications(1, homes + self._copies_of(away, "A"),
-                                     self.schedule, draws, self.league, seed,
-                                     opts=opts or SimOptions())
-        return [result.wins[h.team] - h.wins for h in homes]
+        result = run_replications(1, homes + self._copies_of(away, "A"),
+                                  self.schedule, draws, self.league, seed,
+                                  opts=opts or SimOptions())
+        return result.wins[0, self._home_columns] - home.wins

@@ -5,8 +5,9 @@ route to the same answers (batch linear-Gaussian conditioning instead of the
 sequential filter; lattice integration instead of MCMC; per-game Bernoulli
 probabilities from the raw record fields instead of the log-ratio design;
 Gauss-Hermite quadrature over the trajectory laws instead of the season
-engine's simulated paths). It also holds the synthetic ERA generator the
-noise tests draw their windows from.
+engine's simulated paths; one replication's playoff field picked team by
+team instead of ranked as arrays). It also holds the synthetic ERA generator
+the noise tests draw their windows from.
 """
 
 import math
@@ -197,3 +198,28 @@ def path_home_wins(n_games, exponent, home_era, away_era, sigma_obs,
         n_games, -exponent, home_era, away_era,
         lambda j: math.sqrt(j * sigma_process ** 2 + sigma_obs ** 2),
         ERA_FLOOR, math.inf, nodes)
+
+
+def playoff_qualifiers(final_wins, league, rng, *, wild_cards=3):
+    """Division winners plus the best remaining records per league.
+
+    Ties are broken by a seeded uniform key drawn once per team (in sorted
+    team order, so the stream consumption is standings-independent).
+    """
+    for t in league.teams:
+        if t not in final_wins:
+            raise ValueError(f"no final record for team {t!r}")
+    tie_key = {t: float(rng.random()) for t in sorted(final_wins)}
+    qualifiers = set()
+    for lg in sorted(league.divisions):
+        winners = []
+        for div in sorted(league.divisions[lg]):
+            members = league.divisions[lg][div]
+            winners.append(max(members,
+                               key=lambda t: (final_wins[t], tie_key[t])))
+        qualifiers.update(winners)
+        rest = [t for div in league.divisions[lg].values() for t in div
+                if t not in winners]
+        rest.sort(key=lambda t: (final_wins[t], tie_key[t]), reverse=True)
+        qualifiers.update(rest[:wild_cards])
+    return frozenset(qualifiers)

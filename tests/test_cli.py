@@ -433,6 +433,93 @@ def test_report_missing_results(tmp_path, capsys):
     assert "`simulate`" in capsys.readouterr().err
 
 
+def edited_artifacts(pipeline, tmp_path, name, edit):
+    """A copy of the pipeline's outputs with edit(lines) applied to one
+    file's lines; returns the file's path and the common arguments."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    path = out / name
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    args = [a if a != str(pipeline["out"]) else str(out)
+            for a in pipeline["common"]]
+    return path, args
+
+
+def test_report_missing_team_names_the_row(pipeline, tmp_path, capsys):
+    # replication 3's rows are file rows 92-121; drop its sixth team
+    def drop(lines):
+        del lines[1 + 3 * 30 + 5]
+    path, args = edited_artifacts(pipeline, tmp_path,
+                                  "replication_results.csv", drop)
+    assert main(["report", *args]) == 3
+    assert f"{path} row 92: replication 3 has no row for team " \
+        in capsys.readouterr().err
+
+
+def test_report_duplicate_row_names_the_row(pipeline, tmp_path, capsys):
+    # a second row for replication 0's first team, at a lower win total
+    def duplicate(lines):
+        rep, team, wins, _ = lines[1].split(",")
+        lines.append(f"{rep},{team},{int(wins) - 10},1")
+    path, args = edited_artifacts(pipeline, tmp_path,
+                                  "replication_results.csv", duplicate)
+    assert main(["report", *args]) == 3
+    assert f"{path} row 242: a second row for team" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, problem", [
+    ("2", "qualified must be 0 or 1, got 2"),
+    ("yes", "bad qualified 'yes'"),
+])
+def test_report_bad_qualified_names_the_row(pipeline, tmp_path, capsys,
+                                            value, problem):
+    def replace(lines):
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + value
+    path, args = edited_artifacts(pipeline, tmp_path,
+                                  "replication_results.csv", replace)
+    assert main(["report", *args]) == 3
+    assert f"{path} row 2: {problem}" in capsys.readouterr().err
+
+
+def run_on_artifacts(command, args):
+    extra = ["--replications", "2"] if command == "simulate" else []
+    return main([command, *args, *extra])
+
+
+@pytest.mark.parametrize("command, name, column", [
+    ("simulate", "draws.csv", "r3"),
+    ("simulate", "noise_estimates.csv", "converged"),
+    ("simulate", "terciles.csv", "early_era"),
+    ("report", "replication_results.csv", "qualified"),
+])
+def test_short_artifact_row_names_the_row(pipeline, tmp_path, capsys,
+                                          command, name, column):
+    def shorten(lines):
+        lines[1] = lines[1].rsplit(",", 1)[0]
+    path, args = edited_artifacts(pipeline, tmp_path, name, shorten)
+    assert run_on_artifacts(command, args) == 3
+    assert f"{path} row 2: missing {column}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, field, column", [
+    ("simulate", "draws.csv", 1, "r1"),
+    ("simulate", "noise_estimates.csv", 2, "sigma_obs"),
+    ("report", "replication_results.csv", 2, "wins"),
+])
+def test_bad_artifact_number_names_the_row(pipeline, tmp_path, capsys,
+                                           command, name, field, column):
+    def garble(lines):
+        values = lines[1].split(",")
+        values[field] = "abc"
+        lines[1] = ",".join(values)
+    path, args = edited_artifacts(pipeline, tmp_path, name, garble)
+    assert run_on_artifacts(command, args) == 3
+    assert f"{path} row 2: bad {column} 'abc'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # configuration and usage
 

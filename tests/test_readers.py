@@ -142,3 +142,12 @@ def test_unequal_divisions_name_the_file(csv_path):
     with pytest.raises(ValueError, match="unequal division sizes") as info:
         read_league_csv(csv_path)
     assert str(info.value).startswith(f"{csv_path}: ")
+
+
+def test_duplicate_league_team_names_the_second_row(csv_path):
+    csv_path.write_text("league,division,team\nE,N,AAA\nE,N,BBB\n"
+                        "E,S,AAA\n")
+    with pytest.raises(ValueError, match=r"row 4: team 'AAA' appears in "
+                                         r"both E/N and E/S \(first listed "
+                                         r"on row 2\)"):
+        read_league_csv(csv_path)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from matchups import Matchups
+from oracles import playoff_qualifiers as scalar_playoff_qualifiers
 from pennantsim import season
 from pennantsim.kalman import NoiseEstimate, NoiseParams
 from pennantsim.mcmc import design_log_likelihood, log_ratio_design
@@ -24,7 +25,7 @@ from pennantsim.season import (
     LeagueStructure,
     Schedule,
     ScheduledGame,
-    SeasonResult,
+    SeasonResults,
     SimOptions,
     TeamForecast,
     TeamSimState,
@@ -51,9 +52,13 @@ def make_state(team, wins=10, losses=10, deviation=0.0, era=4.0,
 
 def one_replication(initial, schedule, draws, league, seed, **kwargs):
     """The engine on a block of one replication."""
-    [result] = run_replication(initial, schedule, draws, league, [seed],
-                               replication_ids=[0], **kwargs)
-    return result
+    return run_replication(initial, schedule, draws, league, [seed],
+                           replication_ids=[0], **kwargs)
+
+
+def final_wins(results, row=0):
+    """{team: wins} of one replication."""
+    return dict(zip(results.teams, results.wins[row].tolist()))
 
 
 def standard_league(n_per_div=5):
@@ -76,6 +81,11 @@ def tiny_league():
 def test_league_rejects_duplicate_team():
     with pytest.raises(ValueError, match="appears in both"):
         LeagueStructure.from_rows([("E", "N", "A"), ("E", "S", "A")])
+    # each division is named once, as league/division
+    with pytest.raises(ValueError, match="'A' appears in both E/N and E/S$"):
+        LeagueStructure.from_rows([("E", "N", "A"), ("E", "S", "A")])
+    with pytest.raises(ValueError, match="'A' appears twice in E/N$"):
+        LeagueStructure.from_rows([("E", "N", "A"), ("E", "N", "A")])
 
 
 def test_league_rejects_unequal_divisions():
@@ -261,13 +271,13 @@ def test_one_game_schedule_moves_one_win():
     sched = Schedule(games=(
         ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
     opts = SimOptions(burn_in_games=4)
-    res = one_replication(states, sched, np.ones((1, 3)), league, seed=3,
-                          opts=opts)
-    assert sum(res.wins.values()) == sum(s.wins for s in states) + 1
-    gained = {t for t in res.wins if res.wins[t] == 3}
+    wins = final_wins(one_replication(states, sched, np.ones((1, 3)), league,
+                                      seed=3, opts=opts))
+    assert sum(wins.values()) == sum(s.wins for s in states) + 1
+    gained = {t for t in wins if wins[t] == 3}
     assert gained in ({"E0"}, {"W0"})
     untouched = [t for t in league.teams if t not in ("E0", "W0")]
-    assert all(res.wins[t] == 2 for t in untouched)
+    assert all(wins[t] == 2 for t in untouched)
 
 
 def test_forced_outcome_strong_team_sweeps():
@@ -282,11 +292,12 @@ def test_forced_outcome_strong_team_sweeps():
     for exponent in (8.0, 300.0):
         for mode in PROBABILITY_MODES:
             opts = SimOptions(probability_mode=mode, burn_in_games=0)
-            res = one_replication(states, Schedule(games=games),
-                                  np.array([[exponent, 0.0, 0.0]]), league,
-                                  seed=10, opts=opts)
-            assert res.wins["E0"] == 25
-            assert res.wins["W0"] == 1
+            wins = final_wins(one_replication(
+                states, Schedule(games=games),
+                np.array([[exponent, 0.0, 0.0]]), league, seed=10,
+                opts=opts))
+            assert wins["E0"] == 25
+            assert wins["W0"] == 1
 
 
 def test_forced_outcome_era_dominates():
@@ -298,9 +309,10 @@ def test_forced_outcome_era_dominates():
     games = tuple(ScheduledGame(datetime.date(2024, 8, 1 + d), "E0", "W0")
                   for d in range(6))
     draws = np.array([[0.0, 0.0, 8.0]])
-    res = one_replication(states, Schedule(games=games), draws, league,
-                          seed=11, opts=SimOptions(burn_in_games=0))
-    assert res.wins["E0"] == 16
+    wins = final_wins(one_replication(states, Schedule(games=games), draws,
+                                      league, seed=11,
+                                      opts=SimOptions(burn_in_games=0)))
+    assert wins["E0"] == 16
 
 
 def test_burn_in_enforced_for_scheduled_teams_only():
@@ -310,9 +322,9 @@ def test_burn_in_enforced_for_scheduled_teams_only():
     sched = Schedule(games=(
         ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
     opts = SimOptions(burn_in_games=4)
-    res = one_replication(states, sched, np.ones((1, 3)), league, seed=3,
-                          opts=opts)
-    assert res.wins["W2"] == 1
+    wins = final_wins(one_replication(states, sched, np.ones((1, 3)), league,
+                                      seed=3, opts=opts))
+    assert wins["W2"] == 1
 
     short_sched = Schedule(games=(
         ScheduledGame(datetime.date(2024, 8, 1), "W2", "E0"),))
@@ -340,8 +352,8 @@ def test_replication_deterministic_and_seed_sensitive():
     a = one_replication(states, sched, draws, league, seed=5, opts=opts)
     b = one_replication(states, sched, draws, league, seed=5, opts=opts)
     c = one_replication(states, sched, draws, league, seed=6, opts=opts)
-    assert a.wins == b.wins and a.qualifiers == b.qualifiers
-    assert a.wins != c.wins
+    assert a == b
+    assert final_wins(a) != final_wins(c)
 
 
 def test_wins_conserved_every_replication():
@@ -353,10 +365,10 @@ def test_wins_conserved_every_replication():
     results = run_replications(40, states, sched, draws, league, base_seed=9,
                                opts=opts)
     initial_total = sum(s.wins for s in states)
-    for res in results:
-        assert sum(res.wins.values()) == initial_total + len(sched)
+    for wins in results.wins:
+        assert sum(wins.tolist()) == initial_total + len(sched)
         # balanced records + complete schedule: exact league mean
-        assert sum(res.wins.values()) / 6 == 5.0
+        assert sum(wins.tolist()) / 6 == 5.0
 
 
 BLOCKED_MODES = [SimOptions(),
@@ -403,50 +415,11 @@ def test_blocks_match_single_replications(monkeypatch, opts):
     blocked = run_replications(7, states, sched, draws, league, base_seed=9,
                                opts=opts)
     assert len(sizes) > 1 and max(sizes) > 1 and sum(sizes) == 7
-    for k, result in enumerate(blocked):
-        [single] = run_replication(states, sched, draws, league,
-                                   [np.random.SeedSequence((9, k))],
-                                   replication_ids=[k], opts=opts)
-        assert result == single
-
-
-def test_parallel_matches_serial(monkeypatch):
-    league, states, sched, draws = blocked_setup(monkeypatch)
-    for opts in BLOCKED_MODES:
-        serial = run_replications(7, states, sched, draws, league,
-                                  base_seed=9, opts=opts)
-        parallel = run_replications(7, states, sched, draws, league,
-                                    base_seed=9, opts=opts, n_jobs=2)
-        assert [r.replication_id for r in parallel] == list(range(7))
-        assert serial == parallel
-
-
-def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
-    started = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
-    monkeypatch.setattr(season, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(season, "BLOCK_BYTES", 1)   # one replication a block
-    league = tiny_league()
-    states = balanced_states(league, games=4)
-    sched = generate_schedule(league, {t: 4 for t in league.teams}, seed=2)
-    results = run_replications(3, states, sched, np.ones((1, 3)), league,
-                               base_seed=9, opts=SimOptions(burn_in_games=4),
-                               n_jobs=500)
-    assert started == [3]
-    assert [r.replication_id for r in results] == [0, 1, 2]
+    singles = [run_replication(states, sched, draws, league,
+                               [np.random.SeedSequence((9, k))],
+                               replication_ids=[k], opts=opts)
+               for k in range(7)]
+    assert blocked == SeasonResults.concatenate(singles)
 
 
 def tercile_setup():
@@ -473,8 +446,7 @@ def test_noise_pools_do_not_disturb_game_stream():
     bare = run_replications(3, states, sched, draws, league, base_seed=12)
     pooled = run_replications(3, states, sched, draws, league, base_seed=12,
                               noise_pools=pools)
-    for a, b in zip(bare, pooled):
-        assert a.wins == b.wins
+    assert np.array_equal(bare.wins, pooled.wins)
 
 
 def test_path_mode_draws_noise_from_each_teams_tercile_pool():
@@ -490,9 +462,8 @@ def test_path_mode_draws_noise_from_each_teams_tercile_pool():
                               opts=opts)
     stored = run_replications(3, states, sched, draws, league, base_seed=12,
                               opts=opts)
-    for a, b in zip(pooled, direct):
-        assert a.wins == b.wins and a.qualifiers == b.qualifiers
-    assert any(a.wins != c.wins for a, c in zip(pooled, stored))
+    assert pooled == direct
+    assert np.any(pooled.wins != stored.wins)
 
 
 def test_noise_pools_require_grouping():
@@ -523,6 +494,16 @@ def test_replications_rejects_bad_counts():
 # playoffs
 
 
+def qualifiers(final_wins, league, rng, **kwargs):
+    """playoff_qualifiers on one replication's {team: wins}, with tie keys
+    drawn from rng in sorted team order, as a set of team names."""
+    teams = sorted(final_wins)
+    wins = np.array([[final_wins[t] for t in teams]])
+    [row] = playoff_qualifiers(wins, rng.random((1, len(teams))), league,
+                               teams, **kwargs)
+    return frozenset(t for t, made in zip(teams, row) if made)
+
+
 def test_playoff_qualifiers_no_ties_exact():
     league = standard_league()
     # wins descend with the team index inside each division: the k=0 team
@@ -532,7 +513,7 @@ def test_playoff_qualifiers_no_ties_exact():
         for div_i, div in enumerate(("N", "C", "S")):
             for k in range(5):
                 wins[f"{lg}{div}{k}"] = 90 - div_i - 4 * k + lg_i
-    got = playoff_qualifiers(wins, league, np.random.default_rng(0))
+    got = qualifiers(wins, league, np.random.default_rng(0))
     expected = {f"{lg}{div}{k}" for lg in "EW" for div in "NCS"
                 for k in (0, 1)}
     assert got == expected
@@ -543,7 +524,7 @@ def test_playoff_qualifiers_six_per_league():
     league = standard_league()
     rng = np.random.default_rng(1)
     wins = {t: int(rng.integers(60, 100)) for t in league.teams}
-    got = playoff_qualifiers(wins, league, np.random.default_rng(2))
+    got = qualifiers(wins, league, np.random.default_rng(2))
     for lg in ("E", "W"):
         assert sum(t.startswith(lg) for t in got) == 6
 
@@ -553,8 +534,8 @@ def test_playoff_tie_break_is_seeded_and_fair():
     # E1 and E2 tie; E0 wins the division, leaving no wild cards (3-team
     # leagues have nothing left after the winner plus two wild cards)
     wins = {"E0": 9, "E1": 7, "E2": 7, "W0": 8, "W1": 6, "W2": 5}
-    first = playoff_qualifiers(wins, league, np.random.default_rng(3))
-    again = playoff_qualifiers(wins, league, np.random.default_rng(3))
+    first = qualifiers(wins, league, np.random.default_rng(3))
+    again = qualifiers(wins, league, np.random.default_rng(3))
     assert first == again  # same seed, same answer
     # all teams qualify here (1 winner + up to 3 wild cards from 2 remaining)
     assert first == frozenset(wins)
@@ -567,18 +548,43 @@ def test_playoff_division_tie_frequency():
             "W0": 9, "W1": 2, "W2": 1, "W3": 0}
     picks = []
     for seed in range(400):
-        got = playoff_qualifiers(wins, league, np.random.default_rng(seed),
-                                 wild_cards=0)
+        got = qualifiers(wins, league, np.random.default_rng(seed),
+                         wild_cards=0)
         assert len(got) == 2 and "W0" in got
         picks.append("E0" in got)
     rate = np.mean(picks)
     assert 0.4 < rate < 0.6  # fair coin across seeds
 
 
+@pytest.mark.parametrize("wild_cards", [3, 0, 13])
+def test_playoff_arrays_match_scalar_oracle_on_tied_standings(wild_cards):
+    # wins from a six-value range tie often, both for division titles and
+    # in the wild-card race; both sides see the same tie-key streams
+    league = standard_league()
+    teams = league.teams
+    n = 1000
+    wins = np.random.default_rng(21).integers(80, 86, (n, len(teams)))
+    seeds = np.random.SeedSequence(22).spawn(n)
+    tie_keys = np.array([np.random.default_rng(seed).random(len(teams))
+                         for seed in seeds])
+    got = playoff_qualifiers(wins, tie_keys, league, teams,
+                             wild_cards=wild_cards)
+    for row, seed, picked in zip(wins.tolist(), seeds, got):
+        expected = scalar_playoff_qualifiers(
+            dict(zip(teams, row)), league, np.random.default_rng(seed),
+            wild_cards=wild_cards)
+        assert {t for t, made in zip(teams, picked) if made} == expected
+
+
 def test_playoff_missing_record_errors():
+    # a league team without an initial state is refused before any game
     league = tiny_league()
+    states = [make_state(t) for t in league.teams if t != "E1"]
+    sched = Schedule(games=(
+        ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
     with pytest.raises(ValueError, match="no final record"):
-        playoff_qualifiers({"E0": 5}, league, np.random.default_rng(0))
+        one_replication(states, sched, np.ones((1, 3)), league, seed=0,
+                        opts=SimOptions(burn_in_games=0))
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +592,12 @@ def test_playoff_missing_record_errors():
 
 
 def hand_results():
-    mk = lambda i, w, q: SeasonResult(replication_id=i, wins=w,
-                                      qualifiers=frozenset(q))
-    return [
-        mk(0, {"A": 90, "B": 80, "C": 70}, {"A"}),
-        mk(1, {"A": 88, "B": 84, "C": 70}, {"A", "B"}),
-        mk(2, {"A": 92, "B": 76, "C": 70}, {"A"}),
-        mk(3, {"A": 90, "B": 80, "C": 70}, {"B"}),
-    ]
+    return SeasonResults(
+        teams=("A", "B", "C"), replication_ids=np.arange(4),
+        wins=np.array([[90, 80, 70], [88, 84, 70], [92, 76, 70],
+                       [90, 80, 70]]),
+        qualified=np.array([[True, False, False], [True, True, False],
+                            [True, False, False], [False, True, False]]))
 
 
 def test_summarize_hand_computed():
@@ -613,15 +617,19 @@ def test_summarize_hand_computed():
 
 
 def test_summarize_tie_falls_back_to_team_id():
-    results = [SeasonResult(replication_id=0, wins={"B": 81, "A": 81},
-                            qualifiers=frozenset())]
+    results = SeasonResults(teams=("A", "B"), replication_ids=np.zeros(1),
+                            wins=np.array([[81, 81]]),
+                            qualified=np.zeros((1, 2), dtype=bool))
     summary = summarize(results)
     assert [f.team for f in summary.teams] == ["A", "B"]
 
 
 def test_summarize_rejects_empty():
+    empty = SeasonResults(teams=("A",), replication_ids=np.zeros(0),
+                          wins=np.zeros((0, 1), dtype=int),
+                          qualified=np.zeros((0, 1), dtype=bool))
     with pytest.raises(ValueError, match="no replications"):
-        summarize([])
+        summarize(empty)
 
 
 def test_histogram_contiguous_and_complete():
