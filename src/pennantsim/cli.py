@@ -26,7 +26,8 @@ from .kalman import (GaussianState, NoiseEstimate, NoiseParams,
                      filter_series, group_terciles, sliding_noise_estimates)
 from .mcmc import (PARAM_NAMES, ChainConfig, PosteriorDraws, PriorConfig,
                    derived_seed, effective_sample_size, export_trace,
-                   run_chains, split_rhat, tune_proposal_std, write_trace_csv)
+                   log_ratio_design, run_chains, split_rhat,
+                   tune_proposal_std, write_trace_csv)
 from .season import (SeasonResults, SimOptions, TeamSimState, WalkConfig,
                      csv_rows, export_win_histogram, generate_schedule,
                      read_league_csv, read_schedule_csv, run_replications,
@@ -208,16 +209,12 @@ def _artifact(cfg: RunConfig, filename: str, producer: str) -> str:
     return path
 
 
-def _write_file(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _emit_outputs(cfg: RunConfig, outputs: dict) -> None:
     """Write every output file at once, after all computation succeeded."""
     os.makedirs(cfg.out, exist_ok=True)
     for filename, lines in outputs.items():
-        _write_file(os.path.join(cfg.out, filename), lines)
+        with open(os.path.join(cfg.out, filename), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def _metadata_lines(cfg: RunConfig, command: str, extra: dict) -> list:
@@ -315,15 +312,16 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
     if not training:
         raise PipelineError("no training records left after filtering; "
                             "widen the window or supply more data")
+    design = log_ratio_design(training)
     prior = cfg.prior_config()
     base = cfg.chain_config()
     if cfg.proposal_std is None:
-        std = tune_proposal_std(training, prior, base)
+        std = tune_proposal_std(design, prior, base)
         std_source = "tuned"
     else:
         std = cfg.proposal_std
         std_source = "config"
-    chains = run_chains(training, prior, replace(base, proposal_std=std),
+    chains = run_chains(design, prior, replace(base, proposal_std=std),
                         cfg.chains)
 
     by_param = [[c.draws[:, j] for c in chains] for j in range(3)]
@@ -468,8 +466,12 @@ def _load_noise_artifacts(cfg: RunConfig):
         if team not in labels:
             raise PipelineError(f"{pool_path} row {lineno}: team {team!r} "
                                 f"has no tercile assignment")
+        try:
+            params = NoiseParams(sobs, sproc)
+        except ValueError as exc:
+            raise PipelineError(f"{pool_path} row {lineno}: {exc}") from None
         pools.setdefault(labels[team], []).append(NoiseEstimate(
-            team=team, window_start=start, params=NoiseParams(sobs, sproc),
+            team=team, window_start=start, params=params,
             converged=conv == "1"))
     for label in set(labels.values()):
         if not pools.get(label):
@@ -516,8 +518,13 @@ def _initial_states(rows, league, pools, labels, cfg: RunConfig):
 
 def _read_draw_matrix(cfg: RunConfig) -> np.ndarray:
     path = _artifact(cfg, "draws.csv", "fit")
-    rows = [values for _, values in csv_rows(
-        path, dict.fromkeys(("r1", "r2", "r3"), float), "draws")]
+    rows = []
+    for lineno, values in csv_rows(path, dict.fromkeys(PARAM_NAMES, float),
+                                   "draws"):
+        if not np.isfinite(values).all():
+            raise PipelineError(f"{path} row {lineno}: posterior draws must "
+                                f"be finite, got {values}")
+        rows.append(values)
     if not rows:
         raise PipelineError(f"{path}: no posterior draws; rerun `fit`")
     return np.array(rows)

@@ -1,10 +1,10 @@
 """Random-walk Metropolis sampling of the three contribution exponents.
 
 The prior is independent Uniform(0, r_max) per exponent; the target is the
-marginalized game-outcome likelihood, evaluated on a design of per-game log
-strength ratios built once from the training records. Chains use joint
-Gaussian proposals, derive per-chain seeds from a base seed, and come with
-split R-hat / effective-sample-size diagnostics and a plain-text trace export.
+marginalized game-outcome likelihood, a stable softplus sum over one design
+of per-game log strength ratios shared by every pilot and chain of a fit.
+Chains use joint Gaussian proposals, derive per-chain seeds from a base seed,
+and come with split R-hat / ESS diagnostics and a plain-text trace export.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 
 # Wire-format column names for the three exponents (win pct, batting, ERA).
 PARAM_NAMES = ("r1", "r2", "r3")
+Design = tuple[np.ndarray, np.ndarray]   # (L, won) from log_ratio_design
 
 
 @dataclass(frozen=True)
@@ -99,13 +100,14 @@ class TraceTable:
 # likelihood plumbing
 
 
-def log_ratio_design(games: list[GameRecord]) -> tuple[np.ndarray, np.ndarray]:
+def log_ratio_design(games: list[GameRecord]) -> Design:
     """Design arrays for fast likelihood evaluation.
 
     Returns (L, won): L[i] holds the log strength ratios of game i, won[i]
     the home-win flag, from `model.log_ratios` on the record columns. With
     u = L @ r, the relative strength is e^u and the marginal log-likelihood
-    is won.u - sum log(1 + e^u).
+    is won.u - sum softplus(u), with softplus(u) = log(1 + e^u) taken in
+    its stable form max(u, 0) + log1p(e^-|u|), finite for any finite u.
     """
     if not games:
         raise ValueError("no games to fit")
@@ -119,7 +121,8 @@ def log_ratio_design(games: list[GameRecord]) -> tuple[np.ndarray, np.ndarray]:
 def design_log_likelihood(L: np.ndarray, won: np.ndarray, r: np.ndarray) -> float:
     """Marginal log-likelihood at exponents r, from precomputed design arrays."""
     u = L @ r
-    return float(won @ u - np.logaddexp(0.0, u).sum())
+    return float(won @ u - (np.maximum(u, 0.0)
+                            + np.log1p(np.exp(-np.abs(u)))).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +138,16 @@ def default_init(prior: PriorConfig) -> np.ndarray:
     return np.clip(np.ones(3), 0.0, prior.r_max)
 
 
-def run_chain(games: list[GameRecord], prior: PriorConfig, cfg: ChainConfig,
+def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
               *, chain_id: int = 0, init=None) -> PosteriorDraws:
     """One random-walk Metropolis chain over the exponents.
 
     Joint Gaussian proposals; a proposal leaving the prior box has zero prior
     density and is rejected outright. Every iteration's post-move state is
     recorded; burn-in is dropped and the remainder thinned. Fully
-    deterministic given cfg.seed.
+    deterministic given cfg.seed. design is `log_ratio_design`'s (L, won).
     """
-    L, won = log_ratio_design(games)
+    L, won = design
     r_max = prior.r_max
     rng = _chain_rng(cfg)
 
@@ -157,7 +160,8 @@ def run_chain(games: list[GameRecord], prior: PriorConfig, cfg: ChainConfig,
         step = rng.normal(0.0, cfg.proposal_std, 3)
         u = rng.random()
         prop = r + step
-        if prop.min() >= 0.0 and prop.max() <= r_max:
+        coords = prop.tolist()   # cheaper than prop.min()/prop.max()
+        if min(coords) >= 0.0 and max(coords) <= r_max:
             ll_prop = design_log_likelihood(L, won, prop)
             if math.log(u) < ll_prop - ll:
                 r = prop
@@ -165,16 +169,12 @@ def run_chain(games: list[GameRecord], prior: PriorConfig, cfg: ChainConfig,
                 n_accept += 1
         out[i] = r
 
-    kept = out[cfg.burn_in::cfg.thin].copy()
-    if kept.shape[0] == 0:
-        raise ValueError("no draws retained after burn-in and thinning")
-    means = kept.mean(axis=0)
-    if np.any(means > 0.98 * r_max):
+    kept = out[cfg.burn_in::cfg.thin].copy()   # ChainConfig: nonempty
+    near_edge = [name for name, mean in zip(PARAM_NAMES, kept.mean(axis=0))
+                 if mean > 0.98 * r_max]
+    if near_edge:
         logger.warning("posterior mean within 2%% of r_max=%g for %s; "
-                       "consider widening the prior box",
-                       r_max,
-                       [PARAM_NAMES[j] for j in range(3)
-                        if means[j] > 0.98 * r_max])
+                       "consider widening the prior box", r_max, near_edge)
     return PosteriorDraws(draws=kept, acceptance_rate=n_accept / cfg.n_iterations,
                           chain_id=chain_id)
 
@@ -184,7 +184,7 @@ def derived_seed(base_seed: int, chain_id: int) -> int:
     return int(np.random.SeedSequence((base_seed, chain_id)).generate_state(1)[0])
 
 
-def run_chains(games: list[GameRecord], prior: PriorConfig, base_cfg: ChainConfig,
+def run_chains(design: Design, prior: PriorConfig, base_cfg: ChainConfig,
                n_chains: int) -> list[PosteriorDraws]:
     """Independent chains with seeds derived from the base seed.
 
@@ -202,13 +202,13 @@ def run_chains(games: list[GameRecord], prior: PriorConfig, base_cfg: ChainConfi
             init_rng = np.random.default_rng(
                 np.random.SeedSequence((base_cfg.seed, k, 0xD15)))
             init = init_rng.uniform(0.0, prior.r_max, 3)
-        results.append(run_chain(games, prior, cfg_k, chain_id=k, init=init))
+        results.append(run_chain(design, prior, cfg_k, chain_id=k, init=init))
     return results
 
 
-def tune_proposal_std(games: list[GameRecord], prior: PriorConfig,
-                      cfg: ChainConfig, *, target: float = 0.3,
-                      n_pilot: int = 400, max_rounds: int = 8) -> float:
+def tune_proposal_std(design: Design, prior: PriorConfig, cfg: ChainConfig,
+                      *, target: float = 0.3, n_pilot: int = 400,
+                      max_rounds: int = 8) -> float:
     """Fixed pre-run tuning sweep for the proposal scale.
 
     Runs short pilot chains, nudging the scale by exp(acceptance - target)
@@ -220,7 +220,7 @@ def tune_proposal_std(games: list[GameRecord], prior: PriorConfig,
         pilot_cfg = replace(cfg, n_iterations=n_pilot, burn_in=0, thin=1,
                             proposal_std=std,
                             seed=derived_seed(cfg.seed, 0x7E57 + round_no))
-        accept = run_chain(games, prior, pilot_cfg).acceptance_rate
+        accept = run_chain(design, prior, pilot_cfg).acceptance_rate
         if 0.2 <= accept <= 0.45:
             break
         std = min(std * math.exp(accept - target), prior.r_max)

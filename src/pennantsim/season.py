@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .kalman import NoiseParams, sample_noise
 from .model import ERA_FLOOR, log_ratios
@@ -362,7 +361,8 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     if path:   # ERA steps and observation errors, scaled by each team's sigma
         era_steps = np.empty((2, n_games, n_reps))
         era_errors = np.empty((2, n_games, n_reps))
-    if two_stage:
+    if two_stage:   # imported here: only Beta draws need scipy (~0.3 s)
+        from scipy.special import betaincinv
         u_beta = np.empty((n_games, n_reps))
     sides = np.array(pairs, dtype=np.intp).reshape(n_games, 2).T
     tie_keys = np.empty((n_reps, len(teams)))

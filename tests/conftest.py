@@ -16,6 +16,7 @@ from oracles import grid_posterior_means
 from pennantsim.mcmc import (
     ChainConfig,
     PriorConfig,
+    log_ratio_design,
     run_chains,
     tune_proposal_std,
 )
@@ -71,8 +72,9 @@ def recovery_fit(recovery_dataset):
     prior = PriorConfig(r_max=5.0)
     base = ChainConfig(n_iterations=20_000, burn_in=2_000, thin=5, seed=2024)
     start = time.perf_counter()
-    tuned_std = tune_proposal_std(games, prior, base)
-    chains = run_chains(games, prior,
+    design = log_ratio_design(games)
+    tuned_std = tune_proposal_std(design, prior, base)
+    chains = run_chains(design, prior,
                         ChainConfig(n_iterations=base.n_iterations,
                                     burn_in=base.burn_in, thin=base.thin,
                                     proposal_std=tuned_std, seed=base.seed),

@@ -34,6 +34,7 @@ from pennantsim.mcmc import (
     ChainConfig,
     PriorConfig,
     effective_sample_size,
+    log_ratio_design,
     run_chain,
     split_rhat,
 )
@@ -304,7 +305,7 @@ def test_flat_likelihood_samples_uniform_box():
     prior = PriorConfig(r_max=5.0)
     cfg = ChainConfig(n_iterations=100_000, burn_in=2_000, thin=5,
                       proposal_std=1.5, seed=7)
-    out = run_chain(games, prior, cfg)
+    out = run_chain(log_ratio_design(games), prior, cfg)
     for j in range(3):
         ks = stats.kstest(out.draws[:, j], "uniform",
                           args=(0.0, prior.r_max)).statistic

@@ -520,6 +520,28 @@ def test_bad_artifact_number_names_the_row(pipeline, tmp_path, capsys,
     assert f"{path} row 2: bad {column} 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, fields, value, problem", [
+    ("draws.csv", (1, 2, 3), "nan",
+     "posterior draws must be finite, got [nan, nan, nan]"),
+    ("draws.csv", (2,), "-inf", "posterior draws must be finite"),
+    ("noise_estimates.csv", (2,), "-0.5",
+     "sigma_obs must be nonnegative, got -0.5"),
+    ("noise_estimates.csv", (3,), "nan",
+     "sigma_process must be nonnegative, got nan"),
+])
+def test_out_of_domain_artifact_value_names_the_row(pipeline, tmp_path, capsys,
+                                                    name, fields, value,
+                                                    problem):
+    def garble(lines):
+        values = lines[1].split(",")
+        for field in fields:
+            values[field] = value
+        lines[1] = ",".join(values)
+    path, args = edited_artifacts(pipeline, tmp_path, name, garble)
+    assert run_on_artifacts("simulate", args) == 3
+    assert f"{path} row 2: {problem}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # configuration and usage
 

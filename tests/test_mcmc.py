@@ -72,7 +72,8 @@ def test_config_rejects_bad_values():
 
 def test_run_chain_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        run_chain([], PriorConfig(), ChainConfig(n_iterations=100, burn_in=10))
+        run_chain(log_ratio_design([]), PriorConfig(),
+                  ChainConfig(n_iterations=100, burn_in=10))
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +91,33 @@ def test_design_likelihood_matches_record_route():
         assert via_design == pytest.approx(direct, abs=1e-8)
 
 
+def logaddexp_log_likelihood(L, won, r):
+    u = L @ r
+    return float(won @ u - np.logaddexp(0.0, u).sum())
+
+
+def test_design_likelihood_matches_logaddexp_reference():
+    # the stable softplus is log(1 + e^u) rewritten, not approximated
+    L, won = log_ratio_design(skewed_games(500, seed=5))
+    rng = np.random.default_rng(6)
+    for r in rng.uniform(0.0, PriorConfig().r_max, (200, 3)):
+        assert design_log_likelihood(L, won, r) == pytest.approx(
+            logaddexp_log_likelihood(L, won, r), rel=1e-12)
+
+
+def test_design_likelihood_stays_finite_at_extreme_strengths():
+    # u = +-800: e^800 overflows, so a bare log1p(exp(u)) gives -inf here
+    L = np.array([[800.0, 0.0, 0.0], [-800.0, 0.0, 0.0], [0.0, 400.0, 400.0],
+                  [0.0, -400.0, -400.0]])
+    won = np.array([1.0, 1.0, 0.0, 0.0])
+    r = np.ones(3)
+    value = design_log_likelihood(L, won, r)
+    assert math.isfinite(value)
+    assert value == pytest.approx(logaddexp_log_likelihood(L, won, r),
+                                  rel=1e-12)
+    assert value == pytest.approx(-1600.0, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # sampling behavior
 
@@ -97,11 +125,11 @@ def test_design_likelihood_matches_record_route():
 def test_constant_likelihood_recovers_prior():
     # ratios all 1 make the likelihood flat, so the posterior is the prior;
     # the draw mean must sit near r_max/2 within Monte Carlo error
-    games = [even_game(i) for i in range(50)]
+    design = log_ratio_design([even_game(i) for i in range(50)])
     prior = PriorConfig(r_max=5.0)
     cfg = ChainConfig(n_iterations=30_000, burn_in=2_000, thin=5,
                       proposal_std=1.5, seed=101)
-    out = run_chain(games, prior, cfg)
+    out = run_chain(design, prior, cfg)
     for j in range(3):
         ess = effective_sample_size([out.draws[:, j]])
         tol = 3.0 * prior.r_max / math.sqrt(12.0 * ess)
@@ -109,47 +137,47 @@ def test_constant_likelihood_recovers_prior():
 
 
 def test_draws_stay_inside_prior_box():
-    games = [even_game(i) for i in range(20)]
+    design = log_ratio_design([even_game(i) for i in range(20)])
     prior = PriorConfig(r_max=2.0)
     cfg = ChainConfig(n_iterations=20_000, burn_in=1_000, thin=2,
                       proposal_std=1.0, seed=3)
-    out = run_chain(games, prior, cfg)
+    out = run_chain(design, prior, cfg)
     assert out.draws.min() >= 0.0
     assert out.draws.max() <= prior.r_max
 
 
 def test_chain_is_deterministic():
-    games = skewed_games(40, seed=8)
+    design = log_ratio_design(skewed_games(40, seed=8))
     cfg = ChainConfig(n_iterations=3_000, burn_in=500, thin=3, seed=55)
-    a = run_chain(games, PriorConfig(), cfg)
-    b = run_chain(games, PriorConfig(), cfg)
+    a = run_chain(design, PriorConfig(), cfg)
+    b = run_chain(design, PriorConfig(), cfg)
     np.testing.assert_array_equal(a.draws, b.draws)
     assert a.acceptance_rate == b.acceptance_rate
 
 
 def test_retained_count_matches_thinning_arithmetic():
-    games = skewed_games(30, seed=9)
+    design = log_ratio_design(skewed_games(30, seed=9))
     cfg = ChainConfig(n_iterations=2_000, burn_in=500, thin=7, seed=1)
-    out = run_chain(games, PriorConfig(), cfg)
+    out = run_chain(design, PriorConfig(), cfg)
     assert len(out) == len(range(500, 2000, 7))
 
 
 def test_run_chains_single_equals_run_chain():
-    games = skewed_games(30, seed=10)
+    design = log_ratio_design(skewed_games(30, seed=10))
     base = ChainConfig(n_iterations=2_000, burn_in=200, thin=5, seed=77)
-    multi = run_chains(games, PriorConfig(), base, n_chains=1)
+    multi = run_chains(design, PriorConfig(), base, n_chains=1)
     assert len(multi) == 1
     solo_cfg = ChainConfig(n_iterations=2_000, burn_in=200, thin=5,
                            seed=derived_seed(77, 0))
-    solo = run_chain(games, PriorConfig(), solo_cfg)
+    solo = run_chain(design, PriorConfig(), solo_cfg)
     np.testing.assert_array_equal(multi[0].draws, solo.draws)
 
 
 def test_run_chains_reproducible_and_distinct():
-    games = skewed_games(30, seed=11)
+    design = log_ratio_design(skewed_games(30, seed=11))
     base = ChainConfig(n_iterations=2_000, burn_in=200, thin=5, seed=13)
-    first = run_chains(games, PriorConfig(), base, n_chains=3)
-    second = run_chains(games, PriorConfig(), base, n_chains=3)
+    first = run_chains(design, PriorConfig(), base, n_chains=3)
+    second = run_chains(design, PriorConfig(), base, n_chains=3)
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a.draws, b.draws)
     # different chains must not share a stream
@@ -167,10 +195,10 @@ def test_recovery_means_match_grid_oracle(recovery_fit, grid_oracle):
 
 
 def test_tuning_is_deterministic():
-    games = skewed_games(100, seed=12)
+    design = log_ratio_design(skewed_games(100, seed=12))
     cfg = ChainConfig(n_iterations=1_000, burn_in=100, seed=21)
-    assert tune_proposal_std(games, PriorConfig(), cfg) == \
-        tune_proposal_std(games, PriorConfig(), cfg)
+    assert tune_proposal_std(design, PriorConfig(), cfg) == \
+        tune_proposal_std(design, PriorConfig(), cfg)
 
 
 # ---------------------------------------------------------------------------

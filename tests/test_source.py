@@ -2,8 +2,9 @@
 
 Every function, class and method in src/pennantsim must be used by the
 package itself. A definition referenced only by tests is a side copy: the
-tests would pin it while the shipped code runs something else. The CLI
-also must not import scipy.optimize, which nothing in the package uses.
+tests would pin it while the shipped code runs something else. Importing
+the CLI also must not import scipy.optimize, which nothing in the package
+uses, or scipy.special, which only two-stage simulation calls.
 """
 
 import ast
@@ -54,12 +55,24 @@ def test_every_definition_is_used_by_the_package():
     assert unreferenced_definitions() == []
 
 
-def test_cli_does_not_import_scipy_optimize():
-    # a fresh interpreter, so that no other test's imports count
+def _imported_by_cli(modules):
+    """Which of the named modules `import pennantsim.cli` loads, in a fresh
+    interpreter, so that no other test's imports count."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    probe = "import sys, pennantsim.cli; print('scipy.optimize' in sys.modules)"
+    probe = ("import sys, pennantsim.cli; "
+             f"print(sorted(set({sorted(modules)!r}) & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_does_not_import_scipy_optimize():
+    assert _imported_by_cli({"scipy.optimize"}) == "[]"
+
+
+def test_cli_does_not_import_scipy_special():
+    # only two-stage simulation draws Beta variates; every other command
+    # would pay scipy's import time for nothing
+    assert _imported_by_cli({"scipy.special"}) == "[]"
