@@ -18,15 +18,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .gamelog import (DatasetFilter, batting_series, current_standings,
-                      date_window_filter, derive_pregame_records, era_series,
-                      filter_training_window, games_played_filter,
-                      parse_game_log)
+from .gamelog import (DatasetFilter, derive_pregame_records,
+                      filter_training_window, latest_season, parse_game_log)
 from .kalman import (GaussianState, NoiseEstimate, NoiseParams,
                      filter_series, group_terciles, sliding_noise_estimates)
-from .mcmc import (PARAM_NAMES, ChainConfig, PosteriorDraws, PriorConfig,
-                   derived_seed, effective_sample_size, export_trace,
-                   log_ratio_design, run_chains, split_rhat,
+from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
+                   effective_sample_size, export_trace, log_ratio_design,
+                   posterior_summaries, run_chains, split_rhat,
                    tune_proposal_std, write_trace_csv)
 from .season import (SeasonResults, SimOptions, TeamSimState, WalkConfig,
                      csv_rows, export_win_histogram, generate_schedule,
@@ -97,8 +95,9 @@ class RunConfig:
 
     def training_filter(self) -> DatasetFilter:
         if self.filter_mode == "games-played":
-            return games_played_filter(self.min_games)
-        return date_window_filter()
+            return DatasetFilter(date_window=False,
+                                 min_games_played=self.min_games)
+        return DatasetFilter()
 
     def prior_config(self) -> PriorConfig:
         return PriorConfig(r_max=self.r_max)
@@ -223,14 +222,6 @@ def _metadata_lines(cfg: RunConfig, command: str, extra: dict) -> list:
     return lines
 
 
-def _load_training_records(cfg: RunConfig, command: str):
-    path = _require(cfg.game_log, command, "a game log", "game_log")
-    rows = parse_game_log(_open_input(path, "game log"))
-    records = derive_pregame_records(rows)
-    kept = filter_training_window(records, cfg.training_filter())
-    return rows, kept
-
-
 def _aligned_table(header, rows) -> list:
     """Left-align the first column, right-align the rest."""
     table = [tuple(str(c) for c in row) for row in [header] + rows]
@@ -256,13 +247,12 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
                                      season_length=cfg.season_length)
         except (ValueError, PipelineError, OSError) as exc:
             issues.append(f"league: {exc}")
-    rows = None
+    log = None
     if cfg.game_log:
         try:
             known = set(league.teams) if league else None
-            rows = parse_game_log(_open_input(cfg.game_log, "game log"),
-                                  known_teams=known)
-            derive_pregame_records(rows)
+            log = parse_game_log(_open_input(cfg.game_log, "game log"),
+                                 known_teams=known)
         except (ValueError, PipelineError, OSError) as exc:
             issues.append(f"game log: {exc}")
     if cfg.schedule:
@@ -277,11 +267,11 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
                             issues.append(
                                 f"schedule: team {team!r} on {game.date} "
                                 f"missing from league structure")
-                if rows is not None:
-                    standings = current_standings(rows)
+                if log is not None:
+                    season = latest_season(log)
                     remaining = schedule.games_per_team()
                     for team in sorted(remaining):
-                        played = sum(standings.get(team, (0, 0)))
+                        played = season[team].games if team in season else 0
                         total = played + remaining[team]
                         if total > cfg.season_length:
                             issues.append(
@@ -308,8 +298,10 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
 
 
 def cmd_fit(cfg: RunConfig, extras) -> int:
-    _, training = _load_training_records(cfg, "fit")
-    if not training:
+    path = _require(cfg.game_log, "fit", "a game log", "game_log")
+    log = derive_pregame_records(parse_game_log(_open_input(path, "game log")))
+    training = filter_training_window(log, cfg.training_filter())
+    if not len(training):
         raise PipelineError("no training records left after filtering; "
                             "widen the window or supply more data")
     design = log_ratio_design(training)
@@ -327,10 +319,7 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
     by_param = [[c.draws[:, j] for c in chains] for j in range(3)]
     rhats = [split_rhat(seqs) for seqs in by_param]
     esss = [effective_sample_size(seqs) for seqs in by_param]
-    pooled = np.vstack([c.draws for c in chains])
-    pooled_summary = export_trace(
-        PosteriorDraws(draws=pooled, acceptance_rate=0.0, chain_id=-1),
-        burn_in=0, thin=1).summaries
+    pooled_summary = posterior_summaries(np.vstack([c.draws for c in chains]))
 
     outputs = {}
     draw_lines = ["chain,r1,r2,r3"]
@@ -391,8 +380,9 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
 
 def cmd_noise(cfg: RunConfig, extras) -> int:
     path = _require(cfg.game_log, "noise", "a game log", "game_log")
-    rows = parse_game_log(_open_input(path, "game log"))
-    series = era_series(rows)
+    log = parse_game_log(_open_input(path, "game log"))
+    series = {team: season.eras
+              for team, season in latest_season(log).items()}
     window = cfg.window_length
 
     estimates = {}
@@ -486,19 +476,16 @@ def _median_noise(pool) -> NoiseParams:
         sigma_process=float(np.median([e.sigma_process for e in pool])))
 
 
-def _initial_states(rows, league, pools, labels, cfg: RunConfig):
-    """Current record, batting deviation, and filtered ERA level per team."""
-    standings = current_standings(rows)
-    eras = era_series(rows)
-    battings = batting_series(rows)
+def _initial_states(season, league, pools, labels, cfg: RunConfig):
+    """Current record, batting deviation, and filtered ERA level per team,
+    from `latest_season`."""
     walk = cfg.walk_config()
     states = []
     for team in league.teams:
-        if team not in standings:
+        if team not in season:
             raise PipelineError(f"team {team!r} has no games in the log; "
                                 f"cannot build an initial state")
-        wins, losses = standings[team]
-        series = eras[team]
+        series = season[team].eras
         label = labels.get(team)
         if label is None:
             raise PipelineError(f"team {team!r} has no tercile assignment; "
@@ -510,8 +497,8 @@ def _initial_states(rows, league, pools, labels, cfg: RunConfig):
             init = GaussianState(mean=era, var=noise.sigma_obs ** 2)
             era = filter_series(init, series[1:], noise).mean
         states.append(TeamSimState(
-            team=team, wins=wins, losses=losses,
-            batting_deviation=battings[team][-1] - walk.league_mean,
+            team=team, wins=season[team].wins, losses=season[team].losses,
+            batting_deviation=season[team].battings[-1] - walk.league_mean,
             era=era, noise=noise, tercile=label))
     return states
 
@@ -536,11 +523,12 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
     league = read_league_csv(_open_input(league_path, "league file"),
                              season_length=cfg.season_length)
     log_path = _require(cfg.game_log, "simulate", "a game log", "game_log")
-    rows = parse_game_log(_open_input(log_path, "game log"),
-                          known_teams=set(league.teams))
+    log = parse_game_log(_open_input(log_path, "game log"),
+                         known_teams=set(league.teams))
     draws = _read_draw_matrix(cfg)
     pools, labels = _load_noise_artifacts(cfg)
-    states = _initial_states(rows, league, pools, labels, cfg)
+    season = latest_season(log)
+    states = _initial_states(season, league, pools, labels, cfg)
 
     hist_teams = list(dict.fromkeys(extras.histogram or []))
     known = set(league.teams)
@@ -557,8 +545,7 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
             raise PipelineError(f"schedule names teams missing from the "
                                 f"league structure: {', '.join(unknown)}")
     else:
-        standings = current_standings(rows)
-        played = {t: sum(standings[t]) for t in league.teams}
+        played = {t: season[t].games for t in league.teams}
         schedule = generate_schedule(league, played, seed=cfg.seed)
 
     results = run_replications(cfg.replications, states, schedule, draws,

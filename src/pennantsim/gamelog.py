@@ -1,10 +1,14 @@
-"""Game-log ingestion: CSV parsing, pregame-record derivation, filtering.
+"""Game-log ingestion: one columnar table from the CSV file to the fit.
 
 Two input shapes are accepted. The precomputed shape carries pregame win
 percentages directly; the raw shape carries final run totals instead, and
 win percentages are reconstructed from each team's prior games in the same
 season. Batting average and starter ERA must be supplied either way —
 rebuilding them would need box scores, which are out of scope.
+
+The parser is the one place a log is checked: every value's format, range
+and finiteness, the team codes and the date order. Everything downstream
+takes the `GameLog` it returns as valid.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ from __future__ import annotations
 import datetime
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
-from .model import GameRecord
+import numpy as np
 
 # column layouts; `*_record_pre` ("W-L") may be appended to either shape
 PRECOMPUTED_COLUMNS = ("date", "home", "away", "home_won",
@@ -25,96 +29,89 @@ RAW_COLUMNS = ("date", "home", "away", "home_runs", "away_runs",
                "home_avg_pre", "away_avg_pre", "home_era_pre", "away_era_pre")
 RECORD_COLUMNS = ("home_record_pre", "away_record_pre")
 
+
+# range checks: (test, what a value failing it is)
+_WIN_PCT = (lambda value: 0.0 <= value <= 1.0, "out of [0, 1]")
+_BATTING = (lambda value: 0.0 < value < 1.0, "out of (0, 1)")
+_ERA = (lambda value: value >= 0.0, "negative")
+# statistic column -> (GameLog field, test, problem)
+STAT_COLUMNS = {
+    "home_winpct_pre": ("home_win_pct", *_WIN_PCT),
+    "away_winpct_pre": ("away_win_pct", *_WIN_PCT),
+    "home_avg_pre": ("home_batting_avg", *_BATTING),
+    "away_avg_pre": ("away_batting_avg", *_BATTING),
+    "home_era_pre": ("home_era", *_ERA),
+    "away_era_pre": ("away_era", *_ERA),
+}
+
 DEFAULT_WIN_PCT = 0.5  # season openers: no prior games to take a rate from
+# The paper's training window in each season, inclusive: May 20 to Aug 20.
+TRAINING_WINDOW = ((5, 20), (8, 20))
 
 
 @dataclass(frozen=True)
-class RawGameRow:
-    """One parsed game-log line; row_number is the 1-based file line."""
+class GameLog:
+    """A game log as equal-length columns, one entry per game, in file order.
 
-    row_number: int
-    date: datetime.date
-    home: str
-    away: str
-    home_won: bool
-    home_avg_pre: float
-    away_avg_pre: float
-    home_era_pre: float
-    away_era_pre: float
-    home_runs: int | None = None
-    away_runs: int | None = None
-    home_winpct_pre: float | None = None
-    away_winpct_pre: float | None = None
-    home_record_pre: tuple[int, int] | None = None
-    away_record_pre: tuple[int, int] | None = None
+    `row` is each game's 1-based file line and `source` names the file. The
+    win percentages are the file's own (precomputed shape) until
+    `derive_pregame_records` fills them; the records are the file's "W-L"
+    entering each game as (wins, losses) pairs, when its header has them;
+    the prior-game counts come from `derive_pregame_records`. A column the
+    log does not have is None.
+    """
 
-    def __post_init__(self):
-        if self.home == self.away:
-            raise ValueError(f"row {self.row_number}: home and away are both "
-                             f"{self.home!r}")
-        for name in ("home_avg_pre", "away_avg_pre", "home_era_pre",
-                     "away_era_pre"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"row {self.row_number}: {name} is negative")
-        for name in ("home_winpct_pre", "away_winpct_pre"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"row {self.row_number}: {name} out of [0, 1]")
-        for name in ("home_runs", "away_runs"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"row {self.row_number}: {name} is negative")
-        for name in ("home_record_pre", "away_record_pre"):
-            value = getattr(self, name)
-            if value is not None and (value[0] < 0 or value[1] < 0):
-                raise ValueError(f"row {self.row_number}: {name} has negative "
-                                 f"counts")
+    source: str
+    row: np.ndarray
+    date: np.ndarray               # datetime64[D], non-decreasing
+    home: np.ndarray
+    away: np.ndarray
+    home_won: np.ndarray
+    home_batting_avg: np.ndarray
+    away_batting_avg: np.ndarray
+    home_era: np.ndarray
+    away_era: np.ndarray
+    home_win_pct: np.ndarray | None = None
+    away_win_pct: np.ndarray | None = None
+    home_record: np.ndarray | None = None
+    away_record: np.ndarray | None = None
+    home_prior_games: np.ndarray | None = None
+    away_prior_games: np.ndarray | None = None
 
-    @property
-    def season(self) -> int:
-        """Season boundary is the calendar year of the game date."""
-        return self.date.year
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def take(self, keep: np.ndarray) -> GameLog:
+        """The games where the boolean mask is set, in order."""
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return replace(self, **{name: column[keep]
+                                for name, column in columns.items()
+                                if isinstance(column, np.ndarray)})
 
 
 @dataclass(frozen=True)
 class DatasetFilter:
-    """Training-window filter applied per season.
+    """Which games train the fit: with date_window, those inside
+    TRAINING_WINDOW of their own season; and those where both teams have
+    played at least min_games_played games before."""
 
-    start_day/end_day are inclusive (month, day) bounds within each season's
-    calendar year; min_games_played requires both teams to have that many
-    prior games.
-    """
-
-    start_day: tuple[int, int] = (5, 20)
-    end_day: tuple[int, int] = (8, 20)
+    date_window: bool = True
     min_games_played: int = 0
 
-    def __post_init__(self):
-        for name in ("start_day", "end_day"):
-            month, day = getattr(self, name)
-            try:
-                datetime.date(2000, month, day)  # leap year: permits Feb 29
-            except ValueError:
-                raise ValueError(f"{name} ({month}, {day}) is not a valid "
-                                 f"month-day") from None
-        if self.start_day > self.end_day:
-            raise ValueError(f"start_day {self.start_day} is after end_day "
-                             f"{self.end_day}")
-        if self.min_games_played < 0:
-            raise ValueError(f"min_games_played must be nonnegative, "
-                             f"got {self.min_games_played}")
 
+@dataclass(frozen=True)
+class TeamSeason:
+    """One team's latest season in a game log: its record and, game by game
+    in date order, its own starter ERA and pregame batting average."""
 
-def date_window_filter() -> DatasetFilter:
-    """Mid-season date window, no games-played requirement."""
-    return DatasetFilter(start_day=(5, 20), end_day=(8, 20),
-                         min_games_played=0)
+    wins: int
+    losses: int
+    eras: list[float]
+    battings: list[float]
 
-
-def games_played_filter(min_games: int = 50) -> DatasetFilter:
-    """Whole-year window keyed on games played instead of dates."""
-    return DatasetFilter(start_day=(1, 1), end_day=(12, 31),
-                         min_games_played=min_games)
+    @property
+    def games(self) -> int:
+        return self.wins + self.losses
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +140,13 @@ def _parse_record(raw, source, lineno, column):
     _fail(source, lineno, column, f"expected WINS-LOSSES, got {raw!r}")
 
 
-def parse_game_log(source, *, known_teams=None) -> list[RawGameRow]:
-    """Parse a game log from a path or a text/byte stream.
+def parse_game_log(source, *, known_teams=None) -> GameLog:
+    """Parse and check a game log from a path or a text/byte stream.
 
     The header picks the shape: outcome columns are either `home_won` plus
-    pregame win percentages, or `home_runs,away_runs`. Every problem is
-    reported with its row number and column name. With known_teams given,
-    team codes outside the set are rejected.
+    pregame win percentages, or `home_runs,away_runs`. The first problem in
+    file order is reported with the file, its row number and column name.
+    With known_teams given, team codes outside the set are rejected.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -162,7 +159,7 @@ def parse_game_log(source, *, known_teams=None) -> list[RawGameRow]:
         return _parse_stream(fh, str(source), known_teams)
 
 
-def _parse_stream(fh, name, known_teams) -> list[RawGameRow]:
+def _parse_stream(fh, name, known_teams) -> GameLog:
     header_line = fh.readline().strip()
     header = tuple(h.strip() for h in header_line.split(","))
     if header[: len(RAW_COLUMNS)] == RAW_COLUMNS:
@@ -175,9 +172,10 @@ def _parse_stream(fh, name, known_teams) -> list[RawGameRow]:
     extra = header[len(base):]
     if extra not in ((), RECORD_COLUMNS):
         raise ValueError(f"{name}: unexpected trailing columns {extra}")
-    has_records = extra == RECORD_COLUMNS
+    stats = {column: [] for column in STAT_COLUMNS if column in header}
+    records = {column: [] for column in extra}
+    rows, dates, homes, aways, home_won = [], [], [], [], []
 
-    rows = []
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
@@ -191,181 +189,138 @@ def _parse_stream(fh, name, known_teams) -> list[RawGameRow]:
             date = datetime.date.fromisoformat(cell["date"])
         except ValueError:
             _fail(name, lineno, "date", f"bad date {cell['date']!r}")
+        if dates and date < dates[-1]:
+            _fail(name, lineno, "date", f"{date} is before the previous "
+                                        f"row's {dates[-1]}; rows must be "
+                                        f"sorted by date")
         home, away = cell["home"], cell["away"]
         for column, team in (("home", home), ("away", away)):
             if not team:
                 _fail(name, lineno, column, "empty team code")
             if known_teams is not None and team not in known_teams:
                 _fail(name, lineno, column, f"unknown team {team!r}")
+        if home == away:
+            _fail(name, lineno, "away", f"home and away are both {home!r}")
 
-        kwargs = dict(
-            row_number=lineno, date=date, home=home, away=away,
-            home_avg_pre=_parse_float(cell["home_avg_pre"], name, lineno,
-                                      "home_avg_pre"),
-            away_avg_pre=_parse_float(cell["away_avg_pre"], name, lineno,
-                                      "away_avg_pre"),
-            home_era_pre=_parse_float(cell["home_era_pre"], name, lineno,
-                                      "home_era_pre"),
-            away_era_pre=_parse_float(cell["away_era_pre"], name, lineno,
-                                      "away_era_pre"),
-        )
         if raw_shape:
-            runs = {}
+            runs = []
             for column in ("home_runs", "away_runs"):
                 if not cell[column].isdecimal():
                     _fail(name, lineno, column,
                           f"expected a nonnegative integer, got {cell[column]!r}")
-                runs[column] = int(cell[column])
-            if runs["home_runs"] == runs["away_runs"]:
+                runs.append(int(cell[column]))
+            if runs[0] == runs[1]:
                 _fail(name, lineno, "home_runs",
-                      f"tied score {runs['home_runs']}-{runs['away_runs']} "
-                      f"has no winner")
-            kwargs.update(runs)
-            kwargs["home_won"] = runs["home_runs"] > runs["away_runs"]
+                      f"tied score {runs[0]}-{runs[1]} has no winner")
+            won = runs[0] > runs[1]
         else:
             flag = cell["home_won"]
             if flag not in ("0", "1"):
                 _fail(name, lineno, "home_won",
                       f"expected 0 or 1, got {flag!r}")
-            kwargs["home_won"] = flag == "1"
-            kwargs["home_winpct_pre"] = _parse_float(
-                cell["home_winpct_pre"], name, lineno, "home_winpct_pre")
-            kwargs["away_winpct_pre"] = _parse_float(
-                cell["away_winpct_pre"], name, lineno, "away_winpct_pre")
-        if has_records:
-            kwargs["home_record_pre"] = _parse_record(
-                cell["home_record_pre"], name, lineno, "home_record_pre")
-            kwargs["away_record_pre"] = _parse_record(
-                cell["away_record_pre"], name, lineno, "away_record_pre")
-        try:
-            rows.append(RawGameRow(**kwargs))
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
-    return rows
+            won = flag == "1"
+        for column, series in stats.items():
+            value = _parse_float(cell[column], name, lineno, column)
+            _, in_range, problem = STAT_COLUMNS[column]
+            if not in_range(value):
+                _fail(name, lineno, column, f"{problem}: {value!r}")
+            series.append(value)
+        for column, series in records.items():
+            series.append(_parse_record(cell[column], name, lineno, column))
+        rows.append(lineno)
+        dates.append(date)
+        homes.append(home)
+        aways.append(away)
+        home_won.append(won)
+
+    return GameLog(
+        source=name, row=np.array(rows, dtype=int),
+        date=np.array(dates, dtype="datetime64[D]"),
+        home=np.array(homes, dtype=object), away=np.array(aways, dtype=object),
+        home_won=np.array(home_won, dtype=bool),
+        **{STAT_COLUMNS[column][0]: np.array(series, dtype=float)
+           for column, series in stats.items()},
+        **{column.removesuffix("_pre"): np.array(series,
+                                                 dtype=int).reshape(-1, 2)
+           for column, series in records.items()})
 
 
 # ---------------------------------------------------------------------------
-# record derivation
+# pregame records, training window, latest season
 
 
-def derive_pregame_records(rows: list[RawGameRow]) -> list[GameRecord]:
-    """Turn parsed rows into model-layer game records.
+def _seasons(dates: np.ndarray) -> np.ndarray:
+    """Season of each date: its calendar year, as datetime64[Y]."""
+    return dates.astype("datetime64[Y]")
 
-    Rows must be date-sorted. Pregame win percentages are taken from the file
-    when present; otherwise each team's prior wins and losses in the same
-    season (calendar year) are accumulated, with 0.5 standing in before a
-    team's first game — those rows are flagged by a prior-game count of zero.
+
+def derive_pregame_records(log: GameLog) -> GameLog:
+    """The log with its pregame win-percentage and prior-game columns filled.
+
+    Win percentages are taken from the file when present; otherwise each
+    team's prior wins and losses in the same season (calendar year) are
+    accumulated, with 0.5 standing in before a team's first game — those
+    games have a prior-game count of zero. W-L record columns, when given,
+    stand in for the accumulated counts.
     """
-    for prev, cur in zip(rows, rows[1:]):
-        if cur.date < prev.date:
-            raise ValueError(f"rows not sorted by date: row {cur.row_number} "
-                             f"({cur.date}) follows {prev.date}")
-    # (season, team) -> [wins, losses]
-    tallies: dict[tuple[int, str], list[int]] = {}
-    records = []
-    for row in rows:
-        season = row.season
-        sides = {}
-        for team, given_pct, given_record in (
-                (row.home, row.home_winpct_pre, row.home_record_pre),
-                (row.away, row.away_winpct_pre, row.away_record_pre)):
+    given = None
+    if log.home_record is not None:
+        given = np.stack([log.home_record, log.away_record], axis=1).tolist()
+    tallies = {}   # (season, team) -> [wins, losses]
+    win_pct, prior_games = [], []
+    for i, (season, home, away, home_won) in enumerate(zip(
+            _seasons(log.date).tolist(), log.home.tolist(), log.away.tolist(),
+            log.home_won.tolist())):
+        for side, team in enumerate((home, away)):
             wins, losses = tallies.setdefault((season, team), [0, 0])
-            if given_record is not None:
-                wins, losses = given_record
+            if given is not None:
+                wins, losses = given[i][side]
             games = wins + losses
-            if given_pct is not None:
-                pct = given_pct
-            elif games == 0:
-                pct = DEFAULT_WIN_PCT
-            else:
-                pct = wins / games
-            sides[team] = (pct, games)
-        records.append(GameRecord(
-            date=row.date, home_team=row.home, away_team=row.away,
-            home_win_pct=sides[row.home][0], away_win_pct=sides[row.away][0],
-            home_batting_avg=row.home_avg_pre,
-            away_batting_avg=row.away_avg_pre,
-            home_era=row.home_era_pre, away_era=row.away_era_pre,
-            home_won=row.home_won,
-            home_prior_games=sides[row.home][1],
-            away_prior_games=sides[row.away][1]))
-        tallies[(season, row.home)][0 if row.home_won else 1] += 1
-        tallies[(season, row.away)][1 if row.home_won else 0] += 1
-    return records
+            win_pct.append(wins / games if games else DEFAULT_WIN_PCT)
+            prior_games.append(games)
+        tallies[(season, home)][0 if home_won else 1] += 1
+        tallies[(season, away)][1 if home_won else 0] += 1
+    win_pct = np.array(win_pct, dtype=float).reshape(-1, 2)
+    prior_games = np.array(prior_games, dtype=int).reshape(-1, 2)
+    if log.home_win_pct is None:
+        log = replace(log, home_win_pct=win_pct[:, 0],
+                      away_win_pct=win_pct[:, 1])
+    return replace(log, home_prior_games=prior_games[:, 0],
+                   away_prior_games=prior_games[:, 1])
 
 
-def filter_training_window(records: list[GameRecord],
-                           flt: DatasetFilter) -> list[GameRecord]:
-    """Keep records inside the filter's month-day window of their own season
-    with both teams at or past the minimum prior-game count. Order-preserving
-    and idempotent."""
-    kept = []
-    for record in records:
-        year = record.date.year
-        start = datetime.date(year, *flt.start_day)
-        end = datetime.date(year, *flt.end_day)
-        if not start <= record.date <= end:
-            continue
-        if flt.min_games_played > 0:
-            if record.home_prior_games is None \
-                    or record.away_prior_games is None:
-                raise ValueError(
-                    f"{record.date} {record.home_team}-{record.away_team}: "
-                    f"prior-game counts unknown; a minimum-games filter needs "
-                    f"records derived with pregame win-loss information")
-            if min(record.home_prior_games,
-                   record.away_prior_games) < flt.min_games_played:
-                continue
-        kept.append(record)
-    return kept
+def filter_training_window(log: GameLog, flt: DatasetFilter) -> GameLog:
+    """The games of a `derive_pregame_records` log that pass the filter.
+    Order-preserving and idempotent."""
+    keep = np.ones(len(log), dtype=bool)
+    if flt.date_window:
+        season = _seasons(log.date)
+        start, end = ((season + np.timedelta64(month - 1, "M")).astype(
+            "datetime64[D]") + (day - 1) for month, day in TRAINING_WINDOW)
+        keep &= (start <= log.date) & (log.date <= end)
+    if flt.min_games_played > 0:
+        keep &= np.minimum(log.home_prior_games, log.away_prior_games) \
+            >= flt.min_games_played
+    return log.take(keep)
 
 
-def current_standings(rows: list[RawGameRow]) -> dict[str, tuple[int, int]]:
-    """(wins, losses) per team in the latest season of the log, counting
-    every outcome in that season."""
-    if not rows:
-        raise ValueError("empty game log")
-    season = max(row.season for row in rows)
-    tally: dict[str, list[int]] = {}
-    for row in rows:
-        if row.season != season:
-            continue
-        home = tally.setdefault(row.home, [0, 0])
-        away = tally.setdefault(row.away, [0, 0])
-        if row.home_won:
-            home[0] += 1
-            away[1] += 1
-        else:
-            home[1] += 1
-            away[0] += 1
-    return {team: (w, l) for team, (w, l) in tally.items()}
-
-
-def era_series(rows: list[RawGameRow]) -> dict[str, list[float]]:
-    """Chronological starter-ERA series per team (home and away games both
-    contribute the team's own starter), from the latest season of the log."""
-    if not rows:
-        raise ValueError("empty game log")
-    season = max(row.season for row in rows)
-    series: dict[str, list[float]] = {}
-    for row in rows:
-        if row.season != season:
-            continue
-        series.setdefault(row.home, []).append(row.home_era_pre)
-        series.setdefault(row.away, []).append(row.away_era_pre)
-    return series
-
-
-def batting_series(rows: list[RawGameRow]) -> dict[str, list[float]]:
-    """Chronological pregame batting-average series per team from the latest
-    season of the log."""
-    if not rows:
-        raise ValueError("empty game log")
-    season = max(row.season for row in rows)
-    series: dict[str, list[float]] = {}
-    for row in rows:
-        if row.season != season:
-            continue
-        series.setdefault(row.home, []).append(row.home_avg_pre)
-        series.setdefault(row.away, []).append(row.away_avg_pre)
-    return series
+def latest_season(log: GameLog) -> dict[str, TeamSeason]:
+    """Each team's `TeamSeason` in the latest season of the log, counting
+    every outcome in that season; a team's home and away games both
+    contribute its own side's statistics."""
+    if not len(log):
+        raise ValueError(f"{log.source}: no games in the game log")
+    season = _seasons(log.date)
+    latest = log.take(season == season.max())
+    teams = {}
+    for team in np.unique(np.concatenate([latest.home, latest.away])):
+        at_home = latest.home == team
+        plays = at_home | (latest.away == team)
+        wins = int(np.count_nonzero(plays & (latest.home_won == at_home)))
+        teams[team] = TeamSeason(
+            wins=wins, losses=int(np.count_nonzero(plays)) - wins,
+            eras=np.where(at_home, latest.home_era,
+                          latest.away_era)[plays].tolist(),
+            battings=np.where(at_home, latest.home_batting_avg,
+                              latest.away_batting_avg)[plays].tolist())
+    return teams

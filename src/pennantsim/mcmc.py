@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import GameRecord, log_ratios
+from .gamelog import GameLog
+from .model import log_ratios
 from .stats import nearest_rank_quantile
 
 logger = logging.getLogger(__name__)
@@ -89,33 +90,31 @@ class ParamSummary:
 
 @dataclass(frozen=True)
 class TraceTable:
-    """Row-per-retained-iteration trace plus per-parameter summaries."""
+    """Row-per-retained-iteration trace."""
 
     iterations: np.ndarray     # original iteration index of each retained draw
     values: np.ndarray         # (n, 3)
-    summaries: tuple[ParamSummary, ...]
 
 
 # ---------------------------------------------------------------------------
 # likelihood plumbing
 
 
-def log_ratio_design(games: list[GameRecord]) -> Design:
+def log_ratio_design(games: GameLog) -> Design:
     """Design arrays for fast likelihood evaluation.
 
     Returns (L, won): L[i] holds the log strength ratios of game i, won[i]
-    the home-win flag, from `model.log_ratios` on the record columns. With
+    the home-win flag, from `model.log_ratios` on the table's columns. With
     u = L @ r, the relative strength is e^u and the marginal log-likelihood
     is won.u - sum softplus(u), with softplus(u) = log(1 + e^u) taken in
     its stable form max(u, 0) + log1p(e^-|u|), finite for any finite u.
     """
-    if not games:
+    if not len(games):
         raise ValueError("no games to fit")
-    columns = np.array([(g.home_win_pct, g.away_win_pct, g.home_batting_avg,
-                         g.away_batting_avg, g.home_era, g.away_era)
-                        for g in games])
-    won = np.array([g.home_won for g in games], dtype=float)
-    return log_ratios(*columns.T), won
+    L = log_ratios(games.home_win_pct, games.away_win_pct,
+                   games.home_batting_avg, games.away_batting_avg,
+                   games.home_era, games.away_era)
+    return L, games.home_won.astype(float)
 
 
 def design_log_likelihood(L: np.ndarray, won: np.ndarray, r: np.ndarray) -> float:
@@ -312,27 +311,31 @@ def effective_sample_size(sequences) -> float:
 # trace export
 
 
+def posterior_summaries(draws: np.ndarray) -> tuple[ParamSummary, ...]:
+    """Mean, sd and nearest-rank 5 % / 95 % quantiles of each exponent in
+    an (n, 3) draws matrix."""
+    n = draws.shape[0]
+    return tuple(
+        ParamSummary(
+            name=PARAM_NAMES[j],
+            mean=float(draws[:, j].mean()),
+            sd=float(draws[:, j].std(ddof=1)) if n > 1 else 0.0,
+            q5=nearest_rank_quantile(draws[:, j], 0.05),
+            q95=nearest_rank_quantile(draws[:, j], 0.95),
+        )
+        for j in range(3)
+    )
+
+
 def export_trace(draws: PosteriorDraws, *, burn_in: int = 0,
                  thin: int = 1) -> TraceTable:
-    """Trace table for plotting plus per-parameter summary statistics.
+    """Trace table for plotting.
 
     The iteration column carries each retained draw's original chain
     iteration (burn_in + k*thin of the producing chain config).
     """
-    n = len(draws)
-    iterations = burn_in + thin * np.arange(n)
-    summaries = tuple(
-        ParamSummary(
-            name=PARAM_NAMES[j],
-            mean=float(draws.draws[:, j].mean()),
-            sd=float(draws.draws[:, j].std(ddof=1)) if n > 1 else 0.0,
-            q5=nearest_rank_quantile(draws.draws[:, j], 0.05),
-            q95=nearest_rank_quantile(draws.draws[:, j], 0.95),
-        )
-        for j in range(3)
-    )
-    return TraceTable(iterations=iterations, values=draws.draws.copy(),
-                      summaries=summaries)
+    iterations = burn_in + thin * np.arange(len(draws))
+    return TraceTable(iterations=iterations, values=draws.draws.copy())
 
 
 def write_trace_csv(trace: TraceTable, path) -> None:

@@ -1,5 +1,4 @@
-"""Game-outcome model: the strength ratios, their floors, and the historical
-game record.
+"""Game-outcome model: the strength ratios and their floors.
 
 A game is summarized by three home-vs-away strength ratios (win percentage,
 batting average, starting-pitcher ERA), each oriented so bigger favors home:
@@ -11,10 +10,6 @@ structure whose marginal is s/(1+s), independent of the Beta concentration.
 """
 
 from __future__ import annotations
-
-import datetime
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,47 +30,3 @@ def log_ratios(home_win_pct, away_win_pct, home_batting_avg,
     favors_away = np.stack([away_win_pct, away_batting_avg, home_era], axis=-1)
     return np.log(np.maximum(favors_home, floors)
                   / np.maximum(favors_away, floors))
-
-
-@dataclass(frozen=True)
-class GameRecord:
-    """One historical game: pregame covariates for both teams plus the outcome.
-
-    The prior-game counts are optional bookkeeping set by the ingest layer;
-    they let training-window filters apply minimum-games rules without
-    rescanning the season.
-    """
-
-    date: datetime.date
-    home_team: str
-    away_team: str
-    home_win_pct: float
-    away_win_pct: float
-    home_batting_avg: float
-    away_batting_avg: float
-    home_era: float
-    away_era: float
-    home_won: bool
-    home_prior_games: int | None = None
-    away_prior_games: int | None = None
-
-    def __post_init__(self):
-        if self.home_team == self.away_team:
-            raise ValueError(f"{self.date}: home and away team are both {self.home_team!r}")
-        for name in ("home_win_pct", "away_win_pct", "home_batting_avg",
-                     "away_batting_avg", "home_era", "away_era"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{self.date} {self.home_team}-{self.away_team}: "
-                                 f"{name} is not finite")
-        for name in ("home_win_pct", "away_win_pct"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} out of [0, 1]: {value}")
-        for name in ("home_batting_avg", "away_batting_avg"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} out of (0, 1): {value}")
-        for name in ("home_era", "away_era"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} is negative")

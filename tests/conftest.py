@@ -6,12 +6,12 @@ the fitted chains ride along with their wall-clock time so the acceptance
 checks can assert on runtime without refitting.
 """
 
-import datetime
 import time
 
 import numpy as np
 import pytest
 
+from games import game_table
 from oracles import grid_posterior_means
 from pennantsim.mcmc import (
     ChainConfig,
@@ -20,23 +20,17 @@ from pennantsim.mcmc import (
     run_chains,
     tune_proposal_std,
 )
-from pennantsim.model import GameRecord
 
 RECOVERY_SEED = 20260822
 TRUE_EXPONENTS = (1.5, 0.8, 0.6)
 N_RECOVERY_GAMES = 5000
 
 
-def _ratio_record(i, alpha, beta, gamma, home_won):
-    """GameRecord whose strength ratios come out exactly (alpha, beta, gamma)."""
-    day = datetime.date(2024, 4, 1) + datetime.timedelta(days=i % 150)
-    return GameRecord(
-        date=day, home_team="HME", away_team="AWY",
-        home_win_pct=0.4 * alpha, away_win_pct=0.4,
-        home_batting_avg=0.25 * beta, away_batting_avg=0.25,
-        home_era=4.0, away_era=4.0 * gamma,
-        home_won=home_won,
-    )
+def _ratio_record(alpha, beta, gamma, home_won):
+    """A game whose strength ratios come out exactly (alpha, beta, gamma)."""
+    return dict(home_win_pct=0.4 * alpha, away_win_pct=0.4,
+                home_batting_avg=0.25 * beta, away_batting_avg=0.25,
+                home_era=4.0, away_era=4.0 * gamma, home_won=home_won)
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +38,7 @@ def recovery_dataset():
     """(games, log_ratios, home_won) simulated at the known exponents.
 
     Ratios are log-uniform in [0.8, 1.25], well inside the flooring region,
-    so the records' derived ratios match the sampled ones exactly.
+    so the game table's derived ratios match the sampled ones exactly.
     """
     rng = np.random.default_rng(RECOVERY_SEED)
     log_ratios = rng.uniform(np.log(0.8), np.log(1.25),
@@ -52,9 +46,9 @@ def recovery_dataset():
     lam = np.exp(log_ratios @ np.asarray(TRUE_EXPONENTS))
     home_won = rng.random(N_RECOVERY_GAMES) < lam / (1.0 + lam)
     ratios = np.exp(log_ratios)
-    games = [_ratio_record(i, ratios[i, 0], ratios[i, 1], ratios[i, 2],
-                           bool(home_won[i]))
-             for i in range(N_RECOVERY_GAMES)]
+    games = game_table([_ratio_record(ratios[i, 0], ratios[i, 1], ratios[i, 2],
+                                      bool(home_won[i]))
+                        for i in range(N_RECOVERY_GAMES)])
     return games, log_ratios, home_won
 
 

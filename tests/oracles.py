@@ -3,7 +3,7 @@
 Nothing in here calls into the package's own numerics: the point is a second
 route to the same answers (batch linear-Gaussian conditioning instead of the
 sequential filter; lattice integration instead of MCMC; per-game Bernoulli
-probabilities from the raw record fields instead of the log-ratio design;
+probabilities from the game table's columns instead of the log-ratio design;
 Gauss-Hermite quadrature over the trajectory laws instead of the season
 engine's simulated paths; one replication's playoff field picked team by
 team instead of ranked as arrays). It also holds the synthetic ERA generator
@@ -20,10 +20,10 @@ STAT_FLOOR = 1e-3
 ERA_FLOOR = 0.01
 
 
-def game_log_likelihood(records, exponents):
+def game_log_likelihood(games, exponents):
     """Log-likelihood of recorded outcomes, one game at a time.
 
-    Each record needs the fields home_win_pct, away_win_pct,
+    games is a game table with the columns home_win_pct, away_win_pct,
     home_batting_avg, away_batting_avg, home_era, away_era and home_won.
     The home side's strength is the product of the floored home/away win
     percentage and batting ratios and the floored away/home ERA ratio, each
@@ -32,13 +32,15 @@ def game_log_likelihood(records, exponents):
     """
     r1, r2, r3 = exponents
     total = 0.0
-    for g in records:
-        s = ((max(g.home_win_pct, STAT_FLOOR)
-              / max(g.away_win_pct, STAT_FLOOR)) ** r1
-             * (max(g.home_batting_avg, STAT_FLOOR)
-                / max(g.away_batting_avg, STAT_FLOOR)) ** r2
-             * (max(g.away_era, ERA_FLOOR) / max(g.home_era, ERA_FLOOR)) ** r3)
-        total += math.log((s if g.home_won else 1.0) / (1.0 + s))
+    for hw, aw, hb, ab, he, ae, won in zip(
+            games.home_win_pct.tolist(), games.away_win_pct.tolist(),
+            games.home_batting_avg.tolist(), games.away_batting_avg.tolist(),
+            games.home_era.tolist(), games.away_era.tolist(),
+            games.home_won.tolist()):
+        s = ((max(hw, STAT_FLOOR) / max(aw, STAT_FLOOR)) ** r1
+             * (max(hb, STAT_FLOOR) / max(ab, STAT_FLOOR)) ** r2
+             * (max(ae, ERA_FLOOR) / max(he, ERA_FLOOR)) ** r3)
+        total += math.log((s if won else 1.0) / (1.0 + s))
     return total
 
 

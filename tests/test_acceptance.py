@@ -10,7 +10,6 @@ shared artifacts (the exponent-recovery fit, the CLI pipeline runs) come
 from session fixtures so the whole gate stays cheap to run on every change.
 """
 
-import datetime
 import math
 import time
 from dataclasses import replace
@@ -20,6 +19,7 @@ import pytest
 from scipy import stats
 
 from cli_fixtures import league_teams, write_game_log_file, write_league_file
+from games import game_table
 from matchups import Matchups
 from oracles import (batch_filtered_moments, batch_window_loglik,
                      path_home_wins, simulate_era_path, walk_home_wins)
@@ -38,7 +38,6 @@ from pennantsim.mcmc import (
     run_chain,
     split_rhat,
 )
-from pennantsim.model import GameRecord
 from pennantsim.season import (
     LeagueStructure,
     SimOptions,
@@ -57,13 +56,7 @@ def read_csv_dicts(path):
 
 def constant_game(i):
     """A game whose strength ratios are all exactly 1 (flat likelihood)."""
-    return GameRecord(
-        date=datetime.date(2024, 5, 1) + datetime.timedelta(days=i),
-        home_team="HME", away_team="AWY",
-        home_win_pct=0.5, away_win_pct=0.5,
-        home_batting_avg=0.25, away_batting_avg=0.25,
-        home_era=4.0, away_era=4.0,
-        home_won=i % 2 == 0)
+    return {"home_won": i % 2 == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +294,7 @@ def test_path_mode_era_law_on_engine():
 
 
 def test_flat_likelihood_samples_uniform_box():
-    games = [constant_game(i) for i in range(50)]
+    games = game_table([constant_game(i) for i in range(50)])
     prior = PriorConfig(r_max=5.0)
     cfg = ChainConfig(n_iterations=100_000, burn_in=2_000, thin=5,
                       proposal_std=1.5, seed=7)

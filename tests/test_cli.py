@@ -543,6 +543,75 @@ def test_out_of_domain_artifact_value_names_the_row(pipeline, tmp_path, capsys,
 
 
 # ---------------------------------------------------------------------------
+# faulty game logs: the parser refuses them for every command
+
+
+def faulty_log(pipeline, tmp_path, edit):
+    """A copy of the pipeline's outputs, and of its game log with edit(rows)
+    applied to the data rows; returns the log's path and the common
+    arguments pointing at both copies."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    log = tmp_path / "log.csv"
+    header, *rows = (pipeline["base"] / "log.csv").read_text().splitlines()
+    edit(rows)
+    log.write_text("\n".join([header, *rows]) + "\n")
+    swap = {str(pipeline["out"]): str(out),
+            str(pipeline["base"] / "log.csv"): str(log)}
+    return log, [swap.get(a, a) for a in pipeline["common"]]
+
+
+def set_home_avg(value):
+    def edit(rows):   # file row 10
+        fields = rows[8].split(",")
+        fields[5] = value
+        rows[8] = ",".join(fields)
+    return edit
+
+
+def move_rounds_to_top(rows):
+    # rounds 13-17 (15 games a round) first: file row 77, the first game
+    # of round 0, is the first out of date order
+    rows[:] = rows[195:270] + rows[:195] + rows[270:]
+
+
+COMMAND_FLAGS = {"validate": [], "fit": FIT_FLAGS, "noise": [],
+                 "simulate": ["--replications", "2"]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+@pytest.mark.parametrize("edit, row, column, problem", [
+    pytest.param(set_home_avg("0.000"), 10, "home_avg_pre",
+                 "out of (0, 1): 0.0", id="zero-batting"),
+    pytest.param(set_home_avg("1.5"), 10, "home_avg_pre",
+                 "out of (0, 1): 1.5", id="batting-above-one"),
+    pytest.param(move_rounds_to_top, 77, "date",
+                 "2024-04-20 is before the previous row's 2024-05-07",
+                 id="unsorted"),
+])
+def test_faulty_game_log_names_file_row_and_column(
+        pipeline, tmp_path, capsys, command, edit, row, column, problem):
+    log, args = faulty_log(pipeline, tmp_path, edit)
+    code = main([command, *args, *COMMAND_FLAGS[command]])
+    captured = capsys.readouterr()
+    message = f"{log} row {row}, column {column!r}: {problem}"
+    if command == "validate":
+        assert code == 1
+        assert f"issue: game log: {message}" in captured.out
+    else:
+        assert code == 3
+        assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["noise", "simulate"])
+def test_header_only_game_log_names_the_file(pipeline, tmp_path, capsys,
+                                             command):
+    log, args = faulty_log(pipeline, tmp_path, list.clear)
+    assert main([command, *args, *COMMAND_FLAGS[command]]) == 3
+    assert f"error: {log}: no games in the game log" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # configuration and usage
 
 
@@ -596,6 +665,8 @@ def test_bad_subcommand_is_usage_error(capsys):
 def test_bad_setting_value_is_usage_error(capsys):
     assert main(["simulate", "--replications", "0"]) == 2
     assert "replications" in capsys.readouterr().err
+    assert main(["fit", "--min-games", "-1"]) == 2
+    assert "min_games" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -1,12 +1,13 @@
 """Ingestion tests.
 
 The derivation check builds one synthetic season twice — once with explicit
-pregame win percentages, once with raw run totals — and requires the records
+pregame win percentages, once with raw run totals — and requires the table
 derived from the raw file to reproduce the explicit columns exactly.
 """
 
 import datetime
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,17 +15,11 @@ import pytest
 from pennantsim.gamelog import (
     DEFAULT_WIN_PCT,
     DatasetFilter,
-    RawGameRow,
-    batting_series,
-    current_standings,
-    date_window_filter,
     derive_pregame_records,
-    era_series,
     filter_training_window,
-    games_played_filter,
+    latest_season,
     parse_game_log,
 )
-from pennantsim.model import GameRecord
 
 PRECOMPUTED_HEADER = ("date,home,away,home_won,home_winpct_pre,"
                       "away_winpct_pre,home_avg_pre,away_avg_pre,"
@@ -33,13 +28,33 @@ RAW_HEADER = ("date,home,away,home_runs,away_runs,home_avg_pre,away_avg_pre,"
               "home_era_pre,away_era_pre")
 
 
-def make_row(lineno=2, date=datetime.date(2024, 6, 1), home="AAA", away="BBB",
-             home_won=True, **kwargs):
-    defaults = dict(home_avg_pre=0.25, away_avg_pre=0.26, home_era_pre=3.8,
-                    away_era_pre=4.1)
-    defaults.update(kwargs)
-    return RawGameRow(row_number=lineno, date=date, home=home, away=away,
-                      home_won=home_won, **defaults)
+def make_log(*games, records=None):
+    """Parsed raw-shape log of (date, home, away, home_won) games, each with
+    the given statistics (home_avg_pre, away_avg_pre, home_era_pre,
+    away_era_pre, defaulting to 0.25, 0.26, 3.8, 4.1) after the first four;
+    records, when given, holds each game's (home, away) W-L entering it."""
+    header = RAW_HEADER + (",home_record_pre,away_record_pre"
+                           if records else "")
+    lines = [header]
+    for i, (date, home, away, home_won, *stats) in enumerate(games):
+        stats = stats or [0.25, 0.26, 3.8, 4.1]
+        line = (f"{date},{home},{away},{'1,0' if home_won else '0,1'},"
+                + ",".join(map(repr, stats)))
+        if records:
+            (hw, hl), (aw, al) = records[i]
+            line += f",{hw}-{hl},{aw}-{al}"
+        lines.append(line)
+    return parse_game_log(io.StringIO("\n".join(lines) + "\n"))
+
+
+def columns(log):
+    """Every column of a game table as plain lists (None where absent)."""
+    out = {}
+    for f in fields(log):
+        value = getattr(log, f.name)
+        out[f.name] = value.tolist() if isinstance(value, np.ndarray) \
+            else value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -50,39 +65,38 @@ def test_parse_precomputed_shape():
     text = (PRECOMPUTED_HEADER + "\n"
             "2024-06-01,NYA,BOS,1,0.6,0.55,0.251,0.249,3.5,4.2\n"
             "2024-06-02,BOS,NYA,0,0.55,0.62,0.249,0.251,4.0,3.1\n")
-    rows = parse_game_log(io.StringIO(text))
-    assert len(rows) == 2
-    first = rows[0]
-    assert first.row_number == 2
-    assert first.date == datetime.date(2024, 6, 1)
-    assert (first.home, first.away) == ("NYA", "BOS")
-    assert first.home_won is True
-    assert first.home_winpct_pre == 0.6
-    assert first.away_era_pre == 4.2
-    assert first.home_runs is None
-    assert rows[1].home_won is False
+    log = parse_game_log(io.StringIO(text))
+    assert len(log) == 2
+    assert log.row[0] == 2
+    assert log.date.tolist()[0] == datetime.date(2024, 6, 1)
+    assert (log.home[0], log.away[0]) == ("NYA", "BOS")
+    assert log.home_won.tolist()[0] is True
+    assert log.home_win_pct[0] == 0.6
+    assert log.away_era[0] == 4.2
+    assert log.home_record is None
+    assert log.home_won.tolist()[1] is False
 
 
 def test_parse_raw_shape_derives_outcome():
     text = (RAW_HEADER + "\n"
             "2024-06-01,NYA,BOS,5,3,0.251,0.249,3.5,4.2\n"
             "2024-06-02,BOS,NYA,2,7,0.249,0.251,4.0,3.1\n")
-    rows = parse_game_log(io.StringIO(text))
-    assert rows[0].home_won is True
-    assert rows[1].home_won is False
-    assert rows[0].home_runs == 5 and rows[0].away_runs == 3
+    log = parse_game_log(io.StringIO(text))
+    assert log.home_won.tolist() == [True, False]
+    # the win percentages are derived later, from the outcomes
+    assert log.home_win_pct is None and log.away_win_pct is None
 
 
 def test_parse_record_columns():
     text = (RAW_HEADER + ",home_record_pre,away_record_pre\n"
             "2024-06-01,NYA,BOS,5,3,0.251,0.249,3.5,4.2,25-15,18-22\n")
-    rows = parse_game_log(io.StringIO(text))
-    assert rows[0].home_record_pre == (25, 15)
-    assert rows[0].away_record_pre == (18, 22)
+    log = parse_game_log(io.StringIO(text))
+    assert log.home_record.tolist() == [[25, 15]]
+    assert log.away_record.tolist() == [[18, 22]]
 
 
 def test_parse_empty_file_with_header():
-    assert parse_game_log(io.StringIO(PRECOMPUTED_HEADER + "\n")) == []
+    assert len(parse_game_log(io.StringIO(PRECOMPUTED_HEADER + "\n"))) == 0
 
 
 def test_parse_row_count_matches_lines(tmp_path):
@@ -142,17 +156,16 @@ def test_round_trip_precomputed():
     text = (PRECOMPUTED_HEADER + "\n"
             "2024-06-01,NYA,BOS,1,0.6,0.55,0.251,0.249,3.5,4.2\n"
             "2024-06-02,BOS,NYA,0,0.55,0.62,0.249,0.251,4.0,3.1\n")
-    rows = parse_game_log(io.StringIO(text))
-    assert rows == [
-        RawGameRow(row_number=2, date=datetime.date(2024, 6, 1), home="NYA",
-                   away="BOS", home_won=True, home_avg_pre=0.251,
-                   away_avg_pre=0.249, home_era_pre=3.5, away_era_pre=4.2,
-                   home_winpct_pre=0.6, away_winpct_pre=0.55),
-        RawGameRow(row_number=3, date=datetime.date(2024, 6, 2), home="BOS",
-                   away="NYA", home_won=False, home_avg_pre=0.249,
-                   away_avg_pre=0.251, home_era_pre=4.0, away_era_pre=3.1,
-                   home_winpct_pre=0.55, away_winpct_pre=0.62),
-    ]
+    log = parse_game_log(io.StringIO(text))
+    assert columns(log) == dict(
+        source="<stream>", row=[2, 3],
+        date=[datetime.date(2024, 6, 1), datetime.date(2024, 6, 2)],
+        home=["NYA", "BOS"], away=["BOS", "NYA"], home_won=[True, False],
+        home_batting_avg=[0.251, 0.249], away_batting_avg=[0.249, 0.251],
+        home_era=[3.5, 4.0], away_era=[4.2, 3.1],
+        home_win_pct=[0.6, 0.55], away_win_pct=[0.55, 0.62],
+        home_record=None, away_record=None,
+        home_prior_games=None, away_prior_games=None)
 
 
 def test_round_trip_raw_with_records():
@@ -161,19 +174,16 @@ def test_round_trip_raw_with_records():
     text = (RAW_HEADER + ",home_record_pre,away_record_pre\n"
             "2024-06-01,NYA,BOS,5,3,0.251,0.249,3.5,4.2,25-15,18-22\n"
             "2024-06-03,BOS,NYA,9,1,0.249,0.251,4.0,3.1,18-23,26-15\n")
-    rows = parse_game_log(io.StringIO(text))
-    assert rows == [
-        RawGameRow(row_number=2, date=datetime.date(2024, 6, 1), home="NYA",
-                   away="BOS", home_won=True, home_avg_pre=0.251,
-                   away_avg_pre=0.249, home_era_pre=3.5, away_era_pre=4.2,
-                   home_runs=5, away_runs=3, home_record_pre=(25, 15),
-                   away_record_pre=(18, 22)),
-        RawGameRow(row_number=3, date=datetime.date(2024, 6, 3), home="BOS",
-                   away="NYA", home_won=True, home_avg_pre=0.249,
-                   away_avg_pre=0.251, home_era_pre=4.0, away_era_pre=3.1,
-                   home_runs=9, away_runs=1, home_record_pre=(18, 23),
-                   away_record_pre=(26, 15)),
-    ]
+    log = parse_game_log(io.StringIO(text))
+    assert columns(log) == dict(
+        source="<stream>", row=[2, 3],
+        date=[datetime.date(2024, 6, 1), datetime.date(2024, 6, 3)],
+        home=["NYA", "BOS"], away=["BOS", "NYA"], home_won=[True, True],
+        home_batting_avg=[0.251, 0.249], away_batting_avg=[0.249, 0.251],
+        home_era=[3.5, 4.0], away_era=[4.2, 3.1],
+        home_win_pct=None, away_win_pct=None,
+        home_record=[[25, 15], [18, 23]], away_record=[[18, 22], [26, 15]],
+        home_prior_games=None, away_prior_games=None)
 
 
 # ---------------------------------------------------------------------------
@@ -181,49 +191,39 @@ def test_round_trip_raw_with_records():
 
 
 def test_derive_cumulative_win_pct():
-    rows = [
-        make_row(2, datetime.date(2024, 4, 1), "A", "B", home_won=True),
-        make_row(3, datetime.date(2024, 4, 2), "A", "B", home_won=True),
-        make_row(4, datetime.date(2024, 4, 3), "B", "A", home_won=True),
-        make_row(5, datetime.date(2024, 4, 4), "A", "B", home_won=False),
-    ]
-    records = derive_pregame_records(rows)
+    log = derive_pregame_records(make_log(
+        (datetime.date(2024, 4, 1), "A", "B", True),
+        (datetime.date(2024, 4, 2), "A", "B", True),
+        (datetime.date(2024, 4, 3), "B", "A", True),
+        (datetime.date(2024, 4, 4), "A", "B", False)))
     # openers: defaulted and flagged by a zero prior-game count
-    assert records[0].home_win_pct == DEFAULT_WIN_PCT
-    assert records[0].home_prior_games == 0
+    assert log.home_win_pct[0] == DEFAULT_WIN_PCT
+    assert log.home_prior_games[0] == 0
     # A is 2-0 and B 0-2 entering game 3
-    assert records[2].away_win_pct == 1.0
-    assert records[2].home_win_pct == 0.0
+    assert log.away_win_pct[2] == 1.0
+    assert log.home_win_pct[2] == 0.0
     # entering game 4: A 2-1, B 1-2
-    assert records[3].home_win_pct == pytest.approx(2 / 3)
-    assert records[3].away_win_pct == pytest.approx(1 / 3)
-    assert records[3].home_prior_games == 3
+    assert log.home_win_pct[3] == pytest.approx(2 / 3)
+    assert log.away_win_pct[3] == pytest.approx(1 / 3)
+    assert log.home_prior_games[3] == 3
 
 
 def test_derive_explicit_record_columns():
     # 25-15 entering the game: win pct 0.625 from the stored record
-    row = make_row(2, home_record_pre=(25, 15), away_record_pre=(15, 25))
-    record = derive_pregame_records([row])[0]
-    assert record.home_win_pct == 0.625
-    assert record.away_win_pct == 0.375
-    assert record.home_prior_games == 40
+    log = derive_pregame_records(make_log(
+        (datetime.date(2024, 6, 1), "AAA", "BBB", True),
+        records=[((25, 15), (15, 25))]))
+    assert log.home_win_pct[0] == 0.625
+    assert log.away_win_pct[0] == 0.375
+    assert log.home_prior_games[0] == 40
 
 
 def test_derive_season_boundary_resets_counts():
-    rows = [
-        make_row(2, datetime.date(2023, 9, 30), "A", "B", home_won=True),
-        make_row(3, datetime.date(2024, 4, 1), "A", "B", home_won=True),
-    ]
-    records = derive_pregame_records(rows)
-    assert records[1].home_win_pct == DEFAULT_WIN_PCT
-    assert records[1].home_prior_games == 0
-
-
-def test_derive_rejects_unsorted():
-    rows = [make_row(2, datetime.date(2024, 6, 2)),
-            make_row(3, datetime.date(2024, 6, 1))]
-    with pytest.raises(ValueError, match="not sorted by date"):
-        derive_pregame_records(rows)
+    log = derive_pregame_records(make_log(
+        (datetime.date(2023, 9, 30), "A", "B", True),
+        (datetime.date(2024, 4, 1), "A", "B", True)))
+    assert log.home_win_pct[1] == DEFAULT_WIN_PCT
+    assert log.home_prior_games[1] == 0
 
 
 def simulate_season_rows(seed=0, n_teams=6, n_games=120):
@@ -264,119 +264,96 @@ def test_derived_records_match_explicit_fixture():
     explicit = derive_pregame_records(
         parse_game_log(io.StringIO(explicit_text)))
     assert len(derived) == len(explicit) == 120
-    for d, e in zip(derived, explicit):
-        assert d.home_win_pct == e.home_win_pct
-        assert d.away_win_pct == e.away_win_pct
-        assert d.home_won == e.home_won
-        assert (d.date, d.home_team, d.away_team) == \
-            (e.date, e.home_team, e.away_team)
+    for name in ("home_win_pct", "away_win_pct", "home_won", "date", "home",
+                 "away"):
+        assert getattr(derived, name).tolist() == \
+            getattr(explicit, name).tolist(), name
 
 
 # ---------------------------------------------------------------------------
 # filtering
 
 
-def record_on(date, home_games=10, away_games=10):
-    return GameRecord(date=date, home_team="A", away_team="B",
-                      home_win_pct=0.5, away_win_pct=0.5,
-                      home_batting_avg=0.25, away_batting_avg=0.25,
-                      home_era=4.0, away_era=4.0, home_won=True,
-                      home_prior_games=home_games, away_prior_games=away_games)
+def games_on(*dates, prior_games=None):
+    """A derived log of A-B games on the given dates; prior_games holds
+    each game's (home, away) count of games played before it."""
+    prior_games = prior_games or [(10, 10)] * len(dates)
+    return derive_pregame_records(make_log(
+        *[(date, "A", "B", True) for date in dates],
+        records=[((home, 0), (away, 0)) for home, away in prior_games]))
+
+
+GAMES_PLAYED_50 = DatasetFilter(date_window=False, min_games_played=50)
 
 
 def test_filter_window_is_inclusive():
-    records = [record_on(datetime.date(2024, 5, 19)),
-               record_on(datetime.date(2024, 5, 20)),
-               record_on(datetime.date(2024, 8, 20)),
-               record_on(datetime.date(2024, 8, 21))]
-    kept = filter_training_window(records, date_window_filter())
-    assert [r.date.day for r in kept] == [20, 20]
-    assert [r.date.month for r in kept] == [5, 8]
+    log = games_on(datetime.date(2024, 5, 19), datetime.date(2024, 5, 20),
+                   datetime.date(2024, 8, 20), datetime.date(2024, 8, 21))
+    kept = filter_training_window(log, DatasetFilter()).date.tolist()
+    assert [d.day for d in kept] == [20, 20]
+    assert [d.month for d in kept] == [5, 8]
 
 
 def test_filter_applies_per_season_year():
-    records = [record_on(datetime.date(2023, 6, 1)),
-               record_on(datetime.date(2024, 6, 1)),
-               record_on(datetime.date(2024, 11, 1))]
-    kept = filter_training_window(records, date_window_filter())
-    assert [r.date.year for r in kept] == [2023, 2024]
+    log = games_on(datetime.date(2023, 6, 1), datetime.date(2024, 6, 1),
+                   datetime.date(2024, 11, 1))
+    kept = filter_training_window(log, DatasetFilter()).date.tolist()
+    assert [d.year for d in kept] == [2023, 2024]
 
 
 def test_filter_min_games_drops_early_rows():
-    records = [record_on(datetime.date(2024, 6, 1), home_games=49,
-                         away_games=55),
-               record_on(datetime.date(2024, 6, 2), home_games=50,
-                         away_games=55),
-               record_on(datetime.date(2024, 6, 3), home_games=58,
-                         away_games=12)]
-    kept = filter_training_window(records, games_played_filter(50))
-    assert [r.date.day for r in kept] == [2]
-
-
-def test_filter_min_games_needs_counts():
-    record = GameRecord(date=datetime.date(2024, 6, 1), home_team="A",
-                        away_team="B", home_win_pct=0.5, away_win_pct=0.5,
-                        home_batting_avg=0.25, away_batting_avg=0.25,
-                        home_era=4.0, away_era=4.0, home_won=True)
-    with pytest.raises(ValueError, match="prior-game counts unknown"):
-        filter_training_window([record], games_played_filter(50))
+    log = games_on(datetime.date(2024, 6, 1), datetime.date(2024, 6, 2),
+                   datetime.date(2024, 6, 3),
+                   prior_games=[(49, 55), (50, 55), (58, 12)])
+    kept = filter_training_window(log, GAMES_PLAYED_50).date.tolist()
+    assert [d.day for d in kept] == [2]
 
 
 def test_filter_idempotent_and_order_preserving():
-    records = [record_on(datetime.date(2024, 6, d)) for d in (3, 1, 9)]
-    # (dates inside the window in a scrambled order: order must be kept)
-    once = filter_training_window(records, date_window_filter())
-    twice = filter_training_window(once, date_window_filter())
-    assert once == records
-    assert twice == once
+    log = games_on(*[datetime.date(2024, 6, d) for d in (1, 3, 9)])
+    # (every game inside the window: all are kept, in file order)
+    once = filter_training_window(log, DatasetFilter())
+    twice = filter_training_window(once, DatasetFilter())
+    assert columns(once) == columns(log)
+    assert columns(twice) == columns(once)
 
 
 def test_filter_empty_input():
-    assert filter_training_window([], date_window_filter()) == []
-
-
-def test_filter_validation():
-    with pytest.raises(ValueError, match="not a valid month-day"):
-        DatasetFilter(start_day=(2, 30))
-    with pytest.raises(ValueError, match="after end_day"):
-        DatasetFilter(start_day=(9, 1), end_day=(5, 1))
-    with pytest.raises(ValueError, match="min_games_played"):
-        DatasetFilter(min_games_played=-1)
+    empty = derive_pregame_records(make_log())
+    for flt in (DatasetFilter(), GAMES_PLAYED_50):
+        assert len(filter_training_window(empty, flt)) == 0
 
 
 # ---------------------------------------------------------------------------
-# series extraction
+# latest season
 
 
 def test_current_standings_latest_season_only():
-    rows = [
-        make_row(2, datetime.date(2023, 6, 1), "A", "B", home_won=True),
-        make_row(3, datetime.date(2024, 6, 1), "A", "B", home_won=True),
-        make_row(4, datetime.date(2024, 6, 2), "B", "A", home_won=True),
-        make_row(5, datetime.date(2024, 6, 3), "A", "B", home_won=True),
-    ]
-    assert current_standings(rows) == {"A": (2, 1), "B": (1, 2)}
+    season = latest_season(make_log(
+        (datetime.date(2023, 6, 1), "A", "B", True),
+        (datetime.date(2024, 6, 1), "A", "B", True),
+        (datetime.date(2024, 6, 2), "B", "A", True),
+        (datetime.date(2024, 6, 3), "A", "B", True)))
+    assert {team: (s.wins, s.losses) for team, s in season.items()} == \
+        {"A": (2, 1), "B": (1, 2)}
 
 
 def test_era_series_collects_both_sides():
-    rows = [
-        make_row(2, datetime.date(2024, 6, 1), "A", "B",
-                 home_era_pre=3.0, away_era_pre=4.0),
-        make_row(3, datetime.date(2024, 6, 2), "B", "A",
-                 home_era_pre=4.5, away_era_pre=3.5),
-    ]
-    series = era_series(rows)
-    assert series["A"] == [3.0, 3.5]
-    assert series["B"] == [4.0, 4.5]
+    season = latest_season(make_log(
+        (datetime.date(2024, 6, 1), "A", "B", True, 0.25, 0.26, 3.0, 4.0),
+        (datetime.date(2024, 6, 2), "B", "A", True, 0.25, 0.26, 4.5, 3.5)))
+    assert season["A"].eras == [3.0, 3.5]
+    assert season["B"].eras == [4.0, 4.5]
 
 
 def test_batting_series_collects_both_sides():
-    rows = [
-        make_row(2, datetime.date(2024, 6, 1), "A", "B",
-                 home_avg_pre=0.25, away_avg_pre=0.24),
-        make_row(3, datetime.date(2024, 6, 2), "B", "A",
-                 home_avg_pre=0.26, away_avg_pre=0.27),
-    ]
-    series = batting_series(rows)
-    assert series["A"] == [0.25, 0.27]
-    assert series["B"] == [0.24, 0.26]
+    season = latest_season(make_log(
+        (datetime.date(2024, 6, 1), "A", "B", True, 0.25, 0.24, 3.8, 4.1),
+        (datetime.date(2024, 6, 2), "B", "A", True, 0.26, 0.27, 3.8, 4.1)))
+    assert season["A"].battings == [0.25, 0.27]
+    assert season["B"].battings == [0.24, 0.26]
+
+
+def test_latest_season_of_empty_log_names_the_file():
+    with pytest.raises(ValueError, match=r"^<stream>: no games"):
+        latest_season(make_log())

@@ -1,11 +1,11 @@
 """Tests for the Metropolis sampler, diagnostics, and trace export."""
 
-import datetime
 import math
 
 import numpy as np
 import pytest
 
+from games import game_table
 from oracles import game_log_likelihood
 from pennantsim.mcmc import (
     ChainConfig,
@@ -16,33 +16,25 @@ from pennantsim.mcmc import (
     effective_sample_size,
     export_trace,
     log_ratio_design,
+    posterior_summaries,
     run_chain,
     run_chains,
     split_rhat,
     tune_proposal_std,
     write_trace_csv,
 )
-from pennantsim.model import GameRecord
 
 
-def even_game(i, home_won=None):
-    """A game with all strength ratios exactly 1 (constant likelihood)."""
-    return GameRecord(
-        date=datetime.date(2024, 5, 1) + datetime.timedelta(days=i),
-        home_team="HME", away_team="AWY",
-        home_win_pct=0.5, away_win_pct=0.5,
-        home_batting_avg=0.25, away_batting_avg=0.25,
-        home_era=4.0, away_era=4.0,
-        home_won=(i % 2 == 0) if home_won is None else home_won)
+def even_games(n):
+    """Games with all strength ratios exactly 1 (constant likelihood)."""
+    return game_table([{"home_won": i % 2 == 0} for i in range(n)])
 
 
 def skewed_games(n, seed):
     rng = np.random.default_rng(seed)
     games = []
-    for i in range(n):
-        games.append(GameRecord(
-            date=datetime.date(2024, 5, 1) + datetime.timedelta(days=i % 100),
-            home_team="HME", away_team="AWY",
+    for _ in range(n):
+        games.append(dict(
             home_win_pct=float(rng.uniform(0.35, 0.65)),
             away_win_pct=float(rng.uniform(0.35, 0.65)),
             home_batting_avg=float(rng.uniform(0.23, 0.27)),
@@ -50,7 +42,7 @@ def skewed_games(n, seed):
             home_era=float(rng.uniform(3.2, 4.8)),
             away_era=float(rng.uniform(3.2, 4.8)),
             home_won=bool(rng.random() < 0.5)))
-    return games
+    return game_table(games)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +64,7 @@ def test_config_rejects_bad_values():
 
 def test_run_chain_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        run_chain(log_ratio_design([]), PriorConfig(),
+        run_chain(log_ratio_design(game_table([])), PriorConfig(),
                   ChainConfig(n_iterations=100, burn_in=10))
 
 
@@ -125,7 +117,7 @@ def test_design_likelihood_stays_finite_at_extreme_strengths():
 def test_constant_likelihood_recovers_prior():
     # ratios all 1 make the likelihood flat, so the posterior is the prior;
     # the draw mean must sit near r_max/2 within Monte Carlo error
-    design = log_ratio_design([even_game(i) for i in range(50)])
+    design = log_ratio_design(even_games(50))
     prior = PriorConfig(r_max=5.0)
     cfg = ChainConfig(n_iterations=30_000, burn_in=2_000, thin=5,
                       proposal_std=1.5, seed=101)
@@ -137,7 +129,7 @@ def test_constant_likelihood_recovers_prior():
 
 
 def test_draws_stay_inside_prior_box():
-    design = log_ratio_design([even_game(i) for i in range(20)])
+    design = log_ratio_design(even_games(20))
     prior = PriorConfig(r_max=2.0)
     cfg = ChainConfig(n_iterations=20_000, burn_in=1_000, thin=2,
                       proposal_std=1.0, seed=3)
@@ -260,7 +252,7 @@ def test_trace_shape_and_summary():
     assert trace.values.shape == (100, 3)
     assert trace.iterations[0] == 2_000
     assert trace.iterations[-1] == 2_000 + 5 * 99
-    for j, summary in enumerate(trace.summaries):
+    for j, summary in enumerate(posterior_summaries(draws.draws)):
         col = draws.draws[:, j]
         assert summary.mean == pytest.approx(col.mean(), abs=1e-12)
         # independent sort-based quantile oracle

@@ -4,38 +4,35 @@ likelihood, all through `mcmc.log_ratio_design` and
 `mcmc.design_log_likelihood`. The simulator's copy of the strength formula
 is tied to this one in tests/test_season.py."""
 
-import datetime
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from games import game_table
 from oracles import game_log_likelihood
 from pennantsim.mcmc import PriorConfig, design_log_likelihood, log_ratio_design
-from pennantsim.model import GameRecord
 from pennantsim.season import SimOptions
 
 
 def make_record(home_win_pct=0.5, away_win_pct=0.5, home_avg=0.25,
                 away_avg=0.25, home_era=4.0, away_era=4.0, home_won=True):
-    return GameRecord(
-        date=datetime.date(2024, 6, 1), home_team="AAA", away_team="BBB",
-        home_win_pct=home_win_pct, away_win_pct=away_win_pct,
-        home_batting_avg=home_avg, away_batting_avg=away_avg,
-        home_era=home_era, away_era=away_era, home_won=home_won,
-    )
+    """One game's covariates and outcome, for `games.game_table`."""
+    return dict(home="AAA", away="BBB",
+                home_win_pct=home_win_pct, away_win_pct=away_win_pct,
+                home_batting_avg=home_avg, away_batting_avg=away_avg,
+                home_era=home_era, away_era=away_era, home_won=home_won)
 
 
 def design_row(record):
     """The record's (win pct, batting, ERA) log-ratios."""
-    L, _ = log_ratio_design([record])
+    L, _ = log_ratio_design(game_table([record]))
     return L[0]
 
 
 def p_home(record, exponents):
     """The model's home-win probability: exp of a home win's likelihood."""
-    L, won = log_ratio_design([replace(record, home_won=True)])
+    L, won = log_ratio_design(game_table([{**record, "home_won": True}]))
     return math.exp(design_log_likelihood(L, won, np.asarray(exponents, float)))
 
 
@@ -74,13 +71,16 @@ def test_strength_monotone_in_each_ratio():
 
 
 def test_ratio_validation_rejects_nonpositive():
-    # no ratio can come out nonpositive or infinite: records with
-    # non-finite, negative or zero-batting stats are refused, and zero win
-    # percentages and ERAs are floored
-    for bad in (dict(home_win_pct=math.nan), dict(away_era=math.inf),
-                dict(home_avg=0.0), dict(away_era=-2.0)):
-        with pytest.raises(ValueError):
-            make_record(**bad)
+    # no ratio can come out nonpositive or infinite: the parser refuses
+    # non-finite, negative or zero-batting stats, naming the row and the
+    # column, and zero win percentages and ERAs are floored
+    for bad, column in ((dict(home_win_pct=math.nan), "home_winpct_pre"),
+                        (dict(away_era=math.inf), "away_era_pre"),
+                        (dict(home_avg=0.0), "home_avg_pre"),
+                        (dict(away_era=-2.0), "away_era_pre")):
+        with pytest.raises(ValueError, match=rf"<stream> row 2, "
+                                             rf"column '{column}': "):
+            game_table([make_record(**bad)])
     row = design_row(make_record(home_win_pct=0.0, away_win_pct=0.0,
                                  home_era=0.0, away_era=0.0))
     assert row.tolist() == [0.0, 0.0, 0.0]
@@ -103,7 +103,7 @@ def test_params_validation():
 def test_marginal_prob_even_matchup():
     # strength 1: a home win and a home loss are equally likely
     for won in (True, False):
-        L, w = log_ratio_design([make_record(home_won=won)])
+        L, w = log_ratio_design(game_table([make_record(home_won=won)]))
         assert design_log_likelihood(L, w, np.ones(3)) == pytest.approx(
             math.log(0.5), abs=1e-15)
 
@@ -172,18 +172,18 @@ def test_symmetry_swap_inverts_ratios():
 
 
 def test_game_record_rejects_same_team():
-    with pytest.raises(ValueError):
-        GameRecord(date=datetime.date(2024, 6, 1), home_team="AAA",
-                   away_team="AAA", home_win_pct=0.5, away_win_pct=0.5,
-                   home_batting_avg=0.25, away_batting_avg=0.25,
-                   home_era=4.0, away_era=4.0, home_won=True)
+    with pytest.raises(ValueError, match=r"row 2, column 'away': home and "
+                                         r"away are both 'AAA'"):
+        game_table([{**make_record(), "away": "AAA"}])
 
 
 def test_game_record_rejects_out_of_range_stats():
-    with pytest.raises(ValueError):
-        make_record(home_win_pct=1.5)
-    with pytest.raises(ValueError):
-        make_record(home_era=-1.0)
+    with pytest.raises(ValueError, match=r"row 2, column 'home_winpct_pre': "
+                                         r"out of \[0, 1\]: 1.5"):
+        game_table([make_record(home_win_pct=1.5)])
+    with pytest.raises(ValueError, match=r"row 2, column 'home_era_pre': "
+                                         r"negative: -1.0"):
+        game_table([make_record(home_era=-1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +191,15 @@ def test_game_record_rejects_out_of_range_stats():
 
 
 def test_loglik_single_even_game():
-    L, won = log_ratio_design([make_record(home_won=True)])
+    L, won = log_ratio_design(game_table([make_record(home_won=True)]))
     assert design_log_likelihood(L, won, np.ones(3)) == pytest.approx(
         math.log(0.5), abs=1e-12)
 
 
 def test_loglik_two_favored_wins():
     # lam=3 via the win-pct ratio alone; oracle: 2*ln(0.75)
-    games = [make_record(home_win_pct=0.75, away_win_pct=0.25, home_won=True)
-             for _ in range(2)]
+    games = game_table([make_record(home_win_pct=0.75, away_win_pct=0.25,
+                                    home_won=True) for _ in range(2)])
     L, won = log_ratio_design(games)
     assert design_log_likelihood(L, won, np.array([1.0, 0.0, 0.0])) == \
         pytest.approx(-0.5753641449035618, abs=1e-12)
@@ -212,14 +212,14 @@ def test_loglik_empty_is_zero():
 
 def test_loglik_additive_over_disjoint_sets():
     rng = np.random.default_rng(3)
-    games = [make_record(home_win_pct=float(rng.uniform(0.3, 0.7)),
-                         away_win_pct=float(rng.uniform(0.3, 0.7)),
-                         home_avg=float(rng.uniform(0.22, 0.28)),
-                         away_avg=float(rng.uniform(0.22, 0.28)),
-                         home_era=float(rng.uniform(3.0, 5.0)),
-                         away_era=float(rng.uniform(3.0, 5.0)),
-                         home_won=bool(rng.random() < 0.5))
-             for _ in range(20)]
+    games = game_table([make_record(home_win_pct=float(rng.uniform(0.3, 0.7)),
+                                    away_win_pct=float(rng.uniform(0.3, 0.7)),
+                                    home_avg=float(rng.uniform(0.22, 0.28)),
+                                    away_avg=float(rng.uniform(0.22, 0.28)),
+                                    home_era=float(rng.uniform(3.0, 5.0)),
+                                    away_era=float(rng.uniform(3.0, 5.0)),
+                                    home_won=bool(rng.random() < 0.5))
+                        for _ in range(20)])
     r = np.array([1.4, 0.6, 0.8])
     L, won = log_ratio_design(games)
     whole = design_log_likelihood(L, won, r)

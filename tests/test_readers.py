@@ -1,7 +1,10 @@
 """Property tests for the input readers: any rows under a valid header either
 parse or fail with a ValueError that names the file (and the row, when one
-row is at fault), never with another exception type. The minimal failing
-inputs the properties found are pinned as explicit tests below.
+row is at fault), never with another exception type. A game log that parses
+also goes through the fit's ingest, `derive_pregame_records` and
+`filter_training_window` in both filter modes, under the same rule. The
+minimal failing inputs the properties found are pinned as explicit tests
+below.
 """
 
 import io
@@ -11,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pennantsim.cli import RunConfig
 from pennantsim.gamelog import (PRECOMPUTED_COLUMNS, RAW_COLUMNS,
-                                RECORD_COLUMNS, parse_game_log)
+                                RECORD_COLUMNS, derive_pregame_records,
+                                filter_training_window, parse_game_log)
 from pennantsim.season import read_league_csv, read_schedule_csv
 
 LEAGUE_COLUMNS = ("league", "division", "team")
@@ -86,8 +91,15 @@ def test_schedule_reader_parses_or_names_the_row(csv_path, rows):
 @given(data=st.data(), header=st.sampled_from(GAME_LOG_HEADERS))
 def test_game_log_parser_parses_or_names_the_row(data, header):
     rows = data.draw(rows_under(header))
-    read_or_error(parse_game_log, io.StringIO(join(header, rows)),
-                  "<stream>")
+    log = read_or_error(parse_game_log, io.StringIO(join(header, rows)),
+                        "<stream>")
+    if isinstance(log, ValueError):
+        return
+    derived = read_or_error(derive_pregame_records, log, "<stream>")
+    for mode in ("date-window", "games-played"):
+        flt = RunConfig(filter_mode=mode).training_filter()
+        read_or_error(lambda table: filter_training_window(table, flt),
+                      derived, "<stream>")
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +138,24 @@ def test_superscript_record_names_the_row():
                 [["2024-08-01", "AAA", "BBB", "1", "0.5", "0.5", "0.25",
                   "0.25", "4.1", "3.9", "²-1", "5-10"]])
     with pytest.raises(ValueError, match=r"row 2, column 'home_record_pre'"):
+        parse_game_log(io.StringIO(text))
+
+
+def test_zero_batting_average_names_the_row():
+    # a zero average is not a usable batting ratio; the parser refuses it
+    text = join(RAW_COLUMNS, [["2024-08-01", "AAA", "BBB", "3", "1", "0",
+                               "0.25", "4.1", "3.9"]])
+    with pytest.raises(ValueError, match=r"^<stream> row 2, column "
+                                         r"'home_avg_pre': out of \(0, 1\)"):
+        parse_game_log(io.StringIO(text))
+
+
+def test_unsorted_date_names_the_row():
+    text = join(RAW_COLUMNS, [
+        ["2024-08-01", "AAA", "BBB", "3", "1", "0.25", "0.25", "4.1", "3.9"],
+        ["2024-07-31", "AAA", "BBB", "3", "1", "0.25", "0.25", "4.1", "3.9"]])
+    with pytest.raises(ValueError, match=r"^<stream> row 3, column 'date': "
+                                         r".*sorted by date"):
         parse_game_log(io.StringIO(text))
 
 

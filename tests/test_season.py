@@ -13,12 +13,12 @@ import math
 import numpy as np
 import pytest
 
+from games import game_table
 from matchups import Matchups
 from oracles import playoff_qualifiers as scalar_playoff_qualifiers
 from pennantsim import season
 from pennantsim.kalman import NoiseEstimate, NoiseParams
 from pennantsim.mcmc import design_log_likelihood, log_ratio_design
-from pennantsim.model import GameRecord
 from pennantsim.season import (
     PROBABILITY_MODES,
     ForecastSummary,
@@ -220,15 +220,15 @@ def test_engine_strength_matches_fit_design_with_floors_binding():
     away = make_state("A", wins=3, losses=17, deviation=-0.015, era=4.0)
     r = np.array([0.3, 1.1, 0.2])
     league_mean = SimOptions().walk.league_mean
-    record = GameRecord(
-        date=datetime.date(2024, 8, 1), home_team="H", away_team="A",
+    game = game_table([dict(
+        home="H", away="A",
         home_win_pct=home.wins / home.games_played,
         away_win_pct=away.wins / away.games_played,
         home_batting_avg=league_mean + home.batting_deviation,
         away_batting_avg=league_mean + away.batting_deviation,
         home_era=home.era, away_era=away.era,
-        home_won=True)
-    p = math.exp(design_log_likelihood(*log_ratio_design([record]), r))
+        home_won=True)])
+    p = math.exp(design_log_likelihood(*log_ratio_design(game), r))
     n = 40_000
     wins = sum(Matchups(n).home_wins(home, away, r[None, :], seed=13))
     se = math.sqrt(p * (1 - p) / n)

@@ -4,7 +4,8 @@ Every function, class and method in src/pennantsim must be used by the
 package itself. A definition referenced only by tests is a side copy: the
 tests would pin it while the shipped code runs something else. Importing
 the CLI also must not import scipy.optimize, which nothing in the package
-uses, or scipy.special, which only two-stage simulation calls.
+uses, or scipy.special, which only two-stage simulation calls. And every
+function the benchmark's tracer wraps by name must exist where it looks.
 """
 
 import ast
@@ -14,7 +15,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pennantsim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pennantsim"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _referenced_names(node):
@@ -76,3 +79,24 @@ def test_cli_does_not_import_scipy_special():
     # only two-stage simulation draws Beta variates; every other command
     # would pay scipy's import time for nothing
     assert _imported_by_cli({"scipy.special"}) == "[]"
+
+
+def test_traced_functions_are_module_level_definitions():
+    # perfbench/tracing.py wraps these by name; a rename would break
+    # `perfbench/run.py --trace 1` without failing any other test. Read
+    # without importing it, so the benchmark's code does not run here.
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    [layer_functions] = [ast.literal_eval(node.value) for node in tree.body
+                         if isinstance(node, ast.Assign)
+                         and [t.id for t in node.targets
+                              if isinstance(t, ast.Name)]
+                         == ["LAYER_FUNCTIONS"]]
+    missing = []
+    for layer, names in layer_functions.items():
+        module = ast.parse((PACKAGE / f"{layer}.py").read_text(
+            encoding="utf-8"))
+        defined = {node.name for node in module.body
+                   if isinstance(node, ast.FunctionDef)}
+        missing += [f"{layer}.{name}" for name in names
+                    if name not in defined]
+    assert missing == []
