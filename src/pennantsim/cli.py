@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .gamelog import (DatasetFilter, derive_pregame_records,
-                      filter_training_window, latest_season, parse_game_log)
+                      filter_training_window, latest_season, parse_game_log,
+                      require_games)
 from .kalman import (GaussianState, NoiseEstimate, NoiseParams,
                      filter_series, group_terciles, sliding_noise_estimates)
 from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
@@ -73,7 +74,8 @@ class RunConfig:
     filter_mode: str = "date-window"
     min_games: int = 50
     season_length: int = 162
-    jobs: int = 1    # accepted for compatibility; has no effect
+    # fit's chain worker processes; simulate ignores it
+    jobs: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
 
     def __post_init__(self):
         # resolve_config has the domain configs check the other settings
@@ -251,8 +253,8 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
     if cfg.game_log:
         try:
             known = set(league.teams) if league else None
-            log = parse_game_log(_open_input(cfg.game_log, "game log"),
-                                 known_teams=known)
+            log = require_games(parse_game_log(
+                _open_input(cfg.game_log, "game log"), known_teams=known))
         except (ValueError, PipelineError, OSError) as exc:
             issues.append(f"game log: {exc}")
     if cfg.schedule:
@@ -299,11 +301,13 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
 
 def cmd_fit(cfg: RunConfig, extras) -> int:
     path = _require(cfg.game_log, "fit", "a game log", "game_log")
-    log = derive_pregame_records(parse_game_log(_open_input(path, "game log")))
+    log = derive_pregame_records(require_games(
+        parse_game_log(_open_input(path, "game log"))))
     training = filter_training_window(log, cfg.training_filter())
     if not len(training):
-        raise PipelineError("no training records left after filtering; "
-                            "widen the window or supply more data")
+        raise PipelineError(f"{path}: no training records left after "
+                            f"filtering; widen the window or supply more "
+                            f"data")
     design = log_ratio_design(training)
     prior = cfg.prior_config()
     base = cfg.chain_config()
@@ -314,7 +318,7 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
         std = cfg.proposal_std
         std_source = "config"
     chains = run_chains(design, prior, replace(base, proposal_std=std),
-                        cfg.chains)
+                        cfg.chains, n_jobs=cfg.jobs)
 
     by_param = [[c.draws[:, j] for c in chains] for j in range(3)]
     rhats = [split_rhat(seqs) for seqs in by_param]
@@ -660,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--jobs", type=int,
-                       help="accepted for compatibility; has no effect")
+                       help="fit: chain worker processes (default: the "
+                            "cores available); no effect elsewhere")
         p.add_argument("--season-length", dest="season_length", type=int)
 
     p = sub.add_parser("validate", help="check input files for consistency")

@@ -304,13 +304,19 @@ def filter_training_window(log: GameLog, flt: DatasetFilter) -> GameLog:
     return log.take(keep)
 
 
+def require_games(log: GameLog) -> GameLog:
+    """The log itself; a log with a header and no games is refused, with
+    its file named."""
+    if not len(log):
+        raise ValueError(f"{log.source}: no games in the game log")
+    return log
+
+
 def latest_season(log: GameLog) -> dict[str, TeamSeason]:
     """Each team's `TeamSeason` in the latest season of the log, counting
     every outcome in that season; a team's home and away games both
     contribute its own side's statistics."""
-    if not len(log):
-        raise ValueError(f"{log.source}: no games in the game log")
-    season = _seasons(log.date)
+    season = _seasons(require_games(log).date)
     latest = log.take(season == season.max())
     teams = {}
     for team in np.unique(np.concatenate([latest.home, latest.away])):

@@ -4,7 +4,8 @@ The prior is independent Uniform(0, r_max) per exponent; the target is the
 marginalized game-outcome likelihood, a stable softplus sum over one design
 of per-game log strength ratios shared by every pilot and chain of a fit.
 Chains use joint Gaussian proposals, derive per-chain seeds from a base seed,
-and come with split R-hat / ESS diagnostics and a plain-text trace export.
+run in a fork pool when asked for more than one worker, and come with split
+R-hat / ESS diagnostics and a plain-text trace export.
 """
 
 from __future__ import annotations
@@ -169,11 +170,6 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
         out[i] = r
 
     kept = out[cfg.burn_in::cfg.thin].copy()   # ChainConfig: nonempty
-    near_edge = [name for name, mean in zip(PARAM_NAMES, kept.mean(axis=0))
-                 if mean > 0.98 * r_max]
-    if near_edge:
-        logger.warning("posterior mean within 2%% of r_max=%g for %s; "
-                       "consider widening the prior box", r_max, near_edge)
     return PosteriorDraws(draws=kept, acceptance_rate=n_accept / cfg.n_iterations,
                           chain_id=chain_id)
 
@@ -184,16 +180,22 @@ def derived_seed(base_seed: int, chain_id: int) -> int:
 
 
 def run_chains(design: Design, prior: PriorConfig, base_cfg: ChainConfig,
-               n_chains: int) -> list[PosteriorDraws]:
+               n_chains: int, *, n_jobs: int = 1) -> list[PosteriorDraws]:
     """Independent chains with seeds derived from the base seed.
 
     Chain 0 starts at the neutral init; the rest start overdispersed (uniform
     over the prior box, drawn from each chain's own stream) so R-hat has
-    something to detect.
+    something to detect. With n_jobs > 1 the chains run in a pool of
+    min(n_chains, n_jobs) forked worker processes; a chain's draws depend
+    only on its own seed and init, so the result does not depend on n_jobs.
+    The chains come back in chain order, and each whose posterior mean of
+    an exponent lies within 2 % of r_max logs a warning, in that order.
     """
     if n_chains < 1:
         raise ValueError(f"n_chains must be >= 1, got {n_chains}")
-    results = []
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    tasks = []   # (cfg_k, chain_id, init)
     for k in range(n_chains):
         cfg_k = replace(base_cfg, seed=derived_seed(base_cfg.seed, k))
         init = None
@@ -201,7 +203,33 @@ def run_chains(design: Design, prior: PriorConfig, base_cfg: ChainConfig,
             init_rng = np.random.default_rng(
                 np.random.SeedSequence((base_cfg.seed, k, 0xD15)))
             init = init_rng.uniform(0.0, prior.r_max, 3)
-        results.append(run_chain(design, prior, cfg_k, chain_id=k, init=init))
+        tasks.append((cfg_k, k, init))
+    workers = min(n_chains, n_jobs)
+    if workers == 1:
+        results = [run_chain(design, prior, cfg_k, chain_id=k, init=init)
+                   for cfg_k, k, init in tasks]
+    else:
+        # imported here: ~20 ms that validate, noise and simulate never use
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, named because Python 3.14 makes forkserver the Linux
+        # default: the workers inherit the imported package instead of
+        # importing it again (~0.3 s each), as spawn and forkserver would
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(run_chain, design, prior, cfg_k,
+                                   chain_id=k, init=init)
+                       for cfg_k, k, init in tasks]
+            results = [future.result() for future in futures]
+    for chain in results:
+        near_edge = [name for name, mean
+                     in zip(PARAM_NAMES, chain.draws.mean(axis=0))
+                     if mean > 0.98 * prior.r_max]
+        if near_edge:
+            logger.warning("posterior mean within 2%% of r_max=%g for %s; "
+                           "consider widening the prior box", prior.r_max,
+                           near_edge)
     return results
 
 

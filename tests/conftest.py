@@ -6,6 +6,7 @@ the fitted chains ride along with their wall-clock time so the acceptance
 checks can assert on runtime without refitting.
 """
 
+import os
 import time
 
 import numpy as np
@@ -61,7 +62,10 @@ def grid_oracle(recovery_dataset):
 
 @pytest.fixture(scope="session")
 def recovery_fit(recovery_dataset):
-    """Four tuned chains on the recovery dataset, with wall-clock timing."""
+    """Four tuned chains on the recovery dataset, with wall-clock timing.
+    The chains run on as many workers as there are cores, up to four; the
+    pool's draws equal the in-process ones
+    (test_mcmc.py::test_run_chains_pool_matches_in_process)."""
     games, _, _ = recovery_dataset
     prior = PriorConfig(r_max=5.0)
     base = ChainConfig(n_iterations=20_000, burn_in=2_000, thin=5, seed=2024)
@@ -72,7 +76,7 @@ def recovery_fit(recovery_dataset):
                         ChainConfig(n_iterations=base.n_iterations,
                                     burn_in=base.burn_in, thin=base.thin,
                                     proposal_std=tuned_std, seed=base.seed),
-                        n_chains=4)
+                        n_chains=4, n_jobs=len(os.sched_getaffinity(0)))
     elapsed = time.perf_counter() - start
     return {"chains": chains, "elapsed": elapsed, "tuned_std": tuned_std,
             "prior": prior}

@@ -313,7 +313,8 @@ def test_flat_likelihood_samples_uniform_box():
 @pytest.fixture(scope="session")
 def cli_pipeline(tmp_path_factory):
     """fit + noise + simulate run three times under the same seed, the
-    third with --jobs 2, which is accepted and has no effect."""
+    first two with --jobs 1 (fit in process), the third with --jobs 2 (fit
+    in a two-worker pool; simulate ignores it)."""
     base = tmp_path_factory.mktemp("acceptance")
     league = base / "league.csv"
     log = base / "log.csv"
@@ -324,7 +325,8 @@ def cli_pipeline(tmp_path_factory):
         common = ["--game-log", str(log), "--league", str(league),
                   "--out", str(out), "--seed", "11"]
         assert main(["fit", *common, "--iterations", "3000",
-                     "--burn-in", "500", "--thin", "5", "--chains", "2"]) == 0
+                     "--burn-in", "500", "--thin", "5", "--chains", "2",
+                     "--jobs", str(jobs)]) == 0
         assert main(["noise", *common, "--window-length", "30"]) == 0
         assert main(["simulate", *common, "--replications", "8",
                      "--jobs", str(jobs), "--histogram", "EN0"]) == 0

@@ -6,6 +6,7 @@ own inputs where the shared artifacts would get in the way.
 """
 
 import argparse
+import datetime
 import re
 import shutil
 from dataclasses import fields
@@ -145,15 +146,34 @@ def test_fit_output_schema(pipeline):
     assert "chain_seed_0" in meta and "chain_seed_1" in meta
 
 
-def test_fit_byte_deterministic(pipeline, tmp_path):
-    out2 = tmp_path / "out2"
-    args = [a if a != str(pipeline["out"]) else str(out2)
-            for a in pipeline["common"]]
-    assert main(["fit", *args, *FIT_FLAGS]) == 0
-    for name in ("draws.csv", "diagnostics.csv", "trace_chain0.csv",
-                 "fit_metadata.txt"):
-        assert (out2 / name).read_bytes() == \
-            (pipeline["out"] / name).read_bytes()
+def test_fit_byte_deterministic(pipeline, tmp_path, capsys):
+    # reruns with no --jobs (the cores available, as the pipeline ran), one
+    # job in process, and a pool of two workers for the two chains: the
+    # pipeline's files, and the same stdout and stderr each time
+    printed = []
+    for k, jobs in enumerate(([], ["--jobs", "1"], ["--jobs", "2"])):
+        out2 = tmp_path / f"out{k}"
+        args = [a if a != str(pipeline["out"]) else str(out2)
+                for a in pipeline["common"]]
+        assert main(["fit", *args, *FIT_FLAGS, *jobs]) == 0
+        printed.append(capsys.readouterr())
+        for name in ("draws.csv", "diagnostics.csv", "trace_chain0.csv",
+                     "trace_chain1.csv", "fit_metadata.txt"):
+            assert (out2 / name).read_bytes() == \
+                (pipeline["out"] / name).read_bytes(), (name, jobs)
+        assert "jobs" not in (out2 / "fit_metadata.txt").read_text()
+    assert printed[1] == printed[0] and printed[2] == printed[0]
+
+
+def test_fit_with_no_training_games_names_the_file(tmp_path, capsys):
+    # every game falls in April, before the May 20 - Aug 20 window
+    log = tmp_path / "april.csv"
+    write_game_log_file(log, ["A", "B"], n_rounds=5,
+                        start=datetime.date(2024, 4, 1))
+    assert main(["fit", "--game-log", str(log),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert f"error: {log}: no training records left after filtering" \
+        in capsys.readouterr().err
 
 
 def test_fit_flat_likelihood_returns_prior(tmp_path):
@@ -603,12 +623,22 @@ def test_faulty_game_log_names_file_row_and_column(
         assert f"error: {message}" in captured.err
 
 
-@pytest.mark.parametrize("command", ["noise", "simulate"])
+@pytest.mark.parametrize("command", ["fit", "noise", "simulate"])
 def test_header_only_game_log_names_the_file(pipeline, tmp_path, capsys,
                                              command):
     log, args = faulty_log(pipeline, tmp_path, list.clear)
     assert main([command, *args, *COMMAND_FLAGS[command]]) == 3
     assert f"error: {log}: no games in the game log" in capsys.readouterr().err
+
+
+def test_validate_header_only_game_log_is_an_issue(pipeline, tmp_path,
+                                                   capsys):
+    log, args = faulty_log(pipeline, tmp_path, list.clear)
+    assert main(["validate", *args]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        f"issue: game log: {log}: no games in the game log",
+        "1 issue(s) found"]
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +697,8 @@ def test_bad_setting_value_is_usage_error(capsys):
     assert "replications" in capsys.readouterr().err
     assert main(["fit", "--min-games", "-1"]) == 2
     assert "min_games" in capsys.readouterr().err
+    assert main(["fit", "--jobs", "0"]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, named", [

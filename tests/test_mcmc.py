@@ -1,6 +1,8 @@
 """Tests for the Metropolis sampler, diagnostics, and trace export."""
 
+import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -174,6 +176,57 @@ def test_run_chains_reproducible_and_distinct():
         np.testing.assert_array_equal(a.draws, b.draws)
     # different chains must not share a stream
     assert not np.array_equal(first[0].draws, first[1].draws)
+
+
+def test_run_chains_pool_matches_in_process():
+    # three chains on two workers: one worker plays two chains, the other one
+    design = log_ratio_design(skewed_games(30, seed=14))
+    base = ChainConfig(n_iterations=2_000, burn_in=200, thin=5, seed=31)
+    solo = run_chains(design, PriorConfig(), base, n_chains=3, n_jobs=1)
+    pooled = run_chains(design, PriorConfig(), base, n_chains=3, n_jobs=2)
+    assert [c.chain_id for c in pooled] == [c.chain_id for c in solo] \
+        == [0, 1, 2]
+    for a, b in zip(solo, pooled):
+        np.testing.assert_array_equal(a.draws, b.draws)
+        assert a.acceptance_rate == b.acceptance_rate
+
+
+def test_run_chains_rejects_zero_jobs():
+    design = log_ratio_design(skewed_games(10, seed=15))
+    with pytest.raises(ValueError, match="n_jobs"):
+        run_chains(design, PriorConfig(), ChainConfig(n_iterations=10,
+                                                      burn_in=0),
+                   n_chains=2, n_jobs=0)
+
+
+def test_near_edge_warnings_come_from_the_parent_in_chain_order(caplog):
+    # a proposal scale of 1e3 leaves the unit box on every step, so each
+    # chain stays at its start: chain 0 at the neutral (1, 1, 1), clipped
+    # to r_max = 1; with base seed 831, chain 1 starts with r3 > 0.98 and
+    # chain 2 with r1 > 0.98, so the three warnings differ and their order
+    # shows
+    design = log_ratio_design(even_games(10))
+    prior = PriorConfig(r_max=1.0)
+    base = ChainConfig(n_iterations=50, burn_in=0, proposal_std=1e3,
+                       seed=831)
+    with caplog.at_level(logging.WARNING, logger="pennantsim.mcmc"):
+        chains = run_chains(design, prior, base, n_chains=3, n_jobs=2)
+    assert [c.acceptance_rate for c in chains] == [0.0, 0.0, 0.0]
+    assert [r.process for r in caplog.records] == [os.getpid()] * 3
+    assert [r.getMessage() for r in caplog.records] == [
+        f"posterior mean within 2% of r_max=1 for {names}; consider "
+        f"widening the prior box"
+        for names in (["r1", "r2", "r3"], ["r3"], ["r1"])]
+
+
+def test_tuning_pilots_do_not_warn(caplog):
+    # the first pilot starts at (1, 1, 1) = r_max and its huge proposals
+    # never move it; the posterior check runs on real chains only
+    design = log_ratio_design(even_games(10))
+    cfg = ChainConfig(n_iterations=100, burn_in=0, proposal_std=1e3)
+    with caplog.at_level(logging.WARNING, logger="pennantsim.mcmc"):
+        tune_proposal_std(design, PriorConfig(r_max=1.0), cfg, max_rounds=1)
+    assert caplog.records == []
 
 
 def test_recovery_means_match_grid_oracle(recovery_fit, grid_oracle):

@@ -4,7 +4,8 @@ Every function, class and method in src/pennantsim must be used by the
 package itself. A definition referenced only by tests is a side copy: the
 tests would pin it while the shipped code runs something else. Importing
 the CLI also must not import scipy.optimize, which nothing in the package
-uses, or scipy.special, which only two-stage simulation calls. And every
+uses, scipy.special, which only two-stage simulation calls, or the process
+pool, which only a fit with more than one worker starts. And every
 function the benchmark's tracer wraps by name must exist where it looks.
 """
 
@@ -79,6 +80,13 @@ def test_cli_does_not_import_scipy_special():
     # only two-stage simulation draws Beta variates; every other command
     # would pay scipy's import time for nothing
     assert _imported_by_cli({"scipy.special"}) == "[]"
+
+
+def test_cli_does_not_import_the_process_pool():
+    # only a fit with more than one worker starts the chain pool; every
+    # other command would pay multiprocessing's import time for nothing
+    assert _imported_by_cli({"multiprocessing",
+                             "concurrent.futures.process"}) == "[]"
 
 
 def test_traced_functions_are_module_level_definitions():
