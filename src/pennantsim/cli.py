@@ -455,8 +455,11 @@ def _load_noise_artifacts(cfg: RunConfig):
         labels[team] = label
     for lineno, (team, start, sobs, sproc, conv) in csv_rows(
             pool_path, {"team": str, "window_start": int, "sigma_obs": float,
-                        "sigma_process": float, "converged": str},
+                        "sigma_process": float, "converged": int},
             "noise estimates"):
+        if conv != 1:
+            raise PipelineError(f"{pool_path} row {lineno}: converged must "
+                                f"be 1 (converged windows only), got {conv}")
         if team not in labels:
             raise PipelineError(f"{pool_path} row {lineno}: team {team!r} "
                                 f"has no tercile assignment")
@@ -465,8 +468,7 @@ def _load_noise_artifacts(cfg: RunConfig):
         except ValueError as exc:
             raise PipelineError(f"{pool_path} row {lineno}: {exc}") from None
         pools.setdefault(labels[team], []).append(NoiseEstimate(
-            team=team, window_start=start, params=params,
-            converged=conv == "1"))
+            team=team, window_start=start, params=params, converged=True))
     for label in set(labels.values()):
         if not pools.get(label):
             raise PipelineError(f"tercile {label!r} has no converged noise "

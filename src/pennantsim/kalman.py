@@ -118,10 +118,11 @@ def _local_level(obs, r: float, q, mean: float, var: float):
     Each step adds the process variance q, then blends in the observation
     with gain K = P/(P + r), leaving the posterior variance at (1-K)P <= P.
     q may be an array of candidate variances; every result then has its
-    shape. Returns (sum of log F, sum of e^2/F, final filtered mean, final
-    filtered variance), where e is each one-step prediction error and F its
-    variance: the Gaussian log-likelihood is -(n log 2 pi + sum log F +
-    sum e^2/F) / 2 (Durbin & Koopman 2012, ch. 2).
+    shape. For k series at once, each y and the mean are (k, 1) columns and
+    q is (k, m). Returns (sum of log F, sum of e^2/F, final filtered mean,
+    final filtered variance), where e is each one-step prediction error and
+    F its variance: the Gaussian log-likelihood is -(n log 2 pi + sum log F
+    + sum e^2/F) / 2 (Durbin & Koopman 2012, ch. 2).
     """
     sum_log_f = sum_e2_f = 0.0
     for y in obs:
@@ -140,6 +141,17 @@ def _local_level(obs, r: float, q, mean: float, var: float):
     return sum_log_f, sum_e2_f, mean, var
 
 
+def _finite_1d(values, what: str, min_size: int) -> np.ndarray:
+    """values as a 1-d float array of at least min_size finite values."""
+    obs = np.asarray(values, dtype=float)
+    if obs.ndim != 1 or obs.size < min_size:
+        raise ValueError(f"{what} must be 1-d with at least {min_size} "
+                         f"values, got shape {obs.shape}")
+    if not np.all(np.isfinite(obs)):
+        raise ValueError(f"{what} contains non-finite values")
+    return obs
+
+
 def filter_series(init: GaussianState, observations,
                   noise: NoiseParams) -> GaussianState:
     """Filter a whole series; returns the posterior after its last observation.
@@ -147,11 +159,7 @@ def filter_series(init: GaussianState, observations,
     The first observation is treated like any other: one process step from
     the initial state, then the measurement update.
     """
-    obs = np.asarray(observations, dtype=float)
-    if obs.ndim != 1 or obs.size == 0:
-        raise ValueError("observations must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("observations contain non-finite values")
+    obs = _finite_1d(observations, "observations", 1)
     _, _, mean, var = _local_level(obs.tolist(), noise.sigma_obs ** 2,
                                    noise.sigma_process ** 2, init.mean,
                                    init.var)
@@ -176,39 +184,40 @@ def estimate_noise(window, *, team: str = "", window_start: int = 0) -> NoiseEst
     at all has its MLE at zero noise with an unbounded likelihood; it
     short-circuits to (0, 0), flagged not converged.
     """
-    obs = np.asarray(window, dtype=float)
-    if obs.ndim != 1:
-        raise ValueError("window must be 1-d")
-    if obs.size < MIN_WINDOW:
-        raise ValueError(f"window too short for noise estimation: "
-                         f"{obs.size} < {MIN_WINDOW}")
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("window contains non-finite values")
+    obs = _finite_1d(window, "window", MIN_WINDOW)
     if np.all(obs == obs[0]):
         return NoiseEstimate(team, window_start, NoiseParams(0.0, 0.0),
                              converged=False)
+    return _fit_windows(obs[None, :], team, [window_start])[0]
 
-    rest, n = obs[1:].tolist(), obs.size - 1
 
-    def profile(psi):
-        """(Profile log-likelihood up to a constant, MLE of r) per psi."""
+def _fit_windows(windows, team: str, starts) -> list[NoiseEstimate]:
+    """estimate_noise's psi search for every row of a (k, n) array of
+    windows, each with variation, at once: row i is window starts[i]."""
+    n = windows.shape[1] - 1
+    rest = windows[:, 1:].T[:, :, None]      # step t: a (k, 1) column
+    rows = np.arange(len(windows))
+
+    def profile(psi):   # (profile log-likelihood + constant, MLE of r)
         sum_log_f, sum_e2_f, _, _ = _local_level(rest, 1.0, psi,
-                                                 float(obs[0]), 1.0)
+                                                 windows[:, :1], 1.0)
         r = sum_e2_f / n
         return -0.5 * (n * np.log(r) + sum_log_f), r
 
-    psi = _PSI_GRID
+    psi = np.broadcast_to(_PSI_GRID, (len(windows), _PSI_GRID.size))
     loglik, r = profile(psi)
     for _ in range(_ZOOM_PASSES):
-        best = int(np.argmax(loglik))
-        psi = np.linspace(psi[max(best - 1, 0)],
-                          psi[min(best + 1, psi.size - 1)], _ZOOM_POINTS)
+        best = np.argmax(loglik, axis=1)
+        psi = np.linspace(psi[rows, np.maximum(best - 1, 0)],
+                          psi[rows, np.minimum(best + 1, psi.shape[1] - 1)],
+                          _ZOOM_POINTS, axis=1)
         loglik, r = profile(psi)
-    best = int(np.argmax(loglik))
-    params = NoiseParams(sigma_obs=math.sqrt(r[best]),
-                         sigma_process=math.sqrt(psi[best] * r[best]))
-    return NoiseEstimate(team, window_start, params,
-                         converged=bool(psi[best] < _PSI_GRID[-1]))
+    best = np.argmax(loglik, axis=1)
+    r, psi = r[rows, best], psi[rows, best]
+    return [NoiseEstimate(team, start, NoiseParams(math.sqrt(r_k),
+                                                   math.sqrt(psi_k * r_k)),
+                          converged=bool(psi_k < _PSI_GRID[-1]))
+            for start, r_k, psi_k in zip(starts, r, psi)]
 
 
 def sliding_noise_estimates(series, window_len: int, *,
@@ -216,18 +225,18 @@ def sliding_noise_estimates(series, window_len: int, *,
     """Noise estimates for every stride-1 window of consecutive observations.
 
     Window k covers series[k : k+window_len]; a series of length n yields
-    n - window_len + 1 estimates.
+    n - window_len + 1 estimates, each equal bit for bit to estimate_noise's
+    on its window. The windows with variation share one array recursion.
     """
     if window_len < MIN_WINDOW:
         raise ValueError(f"window_len must be >= {MIN_WINDOW}, got {window_len}")
-    obs = np.asarray(series, dtype=float)
-    if obs.ndim != 1:
-        raise ValueError("series must be 1-d")
-    if obs.size < window_len:
-        raise ValueError(f"series of length {obs.size} shorter than "
-                         f"window {window_len}")
-    return [estimate_noise(obs[k:k + window_len], team=team, window_start=k)
-            for k in range(obs.size - window_len + 1)]
+    obs = _finite_1d(series, "series", window_len)
+    windows = np.lib.stride_tricks.sliding_window_view(obs, window_len)
+    flat = np.all(windows == windows[:, :1], axis=1)
+    fits = iter(_fit_windows(windows[~flat], team,
+                             np.flatnonzero(~flat).tolist()))
+    return [estimate_noise(windows[k], team=team, window_start=k)
+            if flat[k] else next(fits) for k in range(len(windows))]
 
 
 # ---------------------------------------------------------------------------

@@ -548,6 +548,10 @@ def test_bad_artifact_number_names_the_row(pipeline, tmp_path, capsys,
      "sigma_obs must be nonnegative, got -0.5"),
     ("noise_estimates.csv", (3,), "nan",
      "sigma_process must be nonnegative, got nan"),
+    # the pool holds converged windows only
+    ("noise_estimates.csv", (4,), "0",
+     "converged must be 1 (converged windows only), got 0"),
+    ("noise_estimates.csv", (4,), "yes", "bad converged 'yes'"),
 ])
 def test_out_of_domain_artifact_value_names_the_row(pipeline, tmp_path, capsys,
                                                     name, fields, value,

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import batch_filtered_moments, simulate_era_path
 from pennantsim.kalman import (
@@ -185,6 +187,54 @@ def test_sliding_window_counts():
 def test_sliding_rejects_short_series():
     with pytest.raises(ValueError):
         sliding_noise_estimates(np.zeros(20), 30)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sliding_rejects_nonfinite_series(bad):
+    series = np.random.default_rng(3).normal(4.0, 0.5, size=40)
+    series[35] = bad      # in the last window only
+    with pytest.raises(ValueError, match="non-finite"):
+        sliding_noise_estimates(series, 30)
+
+
+def test_sliding_rejects_2d_series():
+    with pytest.raises(ValueError, match="1-d"):
+        sliding_noise_estimates(np.full((2, 40), 4.0), 30)
+
+
+@st.composite
+def series_and_window(draw):
+    """An ERA series in hundredths and a window length of 10 to 40. A
+    plateau as long as the window puts constant windows next to windows
+    with variation in the same call; a ramp puts every window's maximum
+    past the top of the psi grid."""
+    window = draw(st.integers(10, 40))
+    length = window + draw(st.integers(0, 15))
+    kind = draw(st.sampled_from(["values", "plateau", "ramp"]))
+    if kind == "ramp":
+        return np.linspace(3.0, 4.0, length), window
+    values = draw(st.lists(st.integers(0, 1000), min_size=length,
+                           max_size=length))
+    if kind == "plateau":
+        start = draw(st.integers(0, length - window))
+        values[start:start + window] = [values[start]] * window
+    return np.array(values) / 100.0, window
+
+
+@settings(deadline=None)
+@given(case=series_and_window())
+@example(case=(np.linspace(3.0, 4.0, 25), 12))
+@example(case=(np.r_[np.full(15, 4.2), np.linspace(4.0, 5.0, 10)], 10))
+def test_sliding_equals_window_by_window_fits(case):
+    # the windows are fit together, one array recursion for all; each
+    # estimate must equal the lone-window fit exactly, field by field
+    series, window = case
+    together = sliding_noise_estimates(series, window, team="AAA")
+    alone = [estimate_noise(series[k:k + window], team="AAA", window_start=k)
+             for k in range(len(series) - window + 1)]
+    assert together == alone
+    assert all(type(e.converged) is bool and type(e.window_start) is int
+               for e in together)
 
 
 def test_sliding_mostly_converges_on_smooth_data():
