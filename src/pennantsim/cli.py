@@ -58,7 +58,6 @@ class RunConfig:
     out: str = "out"
     seed: int = 0
     r_max: float = 5.0
-    concentration: float = 1.0
     proposal_std: float | None = None
     iterations: int = 20_000
     burn_in: int = 2_000
@@ -66,7 +65,7 @@ class RunConfig:
     chains: int = 4
     replications: int = 1000
     burn_in_games: int = 20
-    mode: str = "marginal"
+    mode: str = "marginal"   # simulate plays one outcome law in either mode
     draws: str = "posterior-predictive"
     era_mode: str = "forecast"
     walk_std: float = 0.0015
@@ -86,6 +85,9 @@ class RunConfig:
                              f"got {self.replications}")
         if self.jobs < 1:
             raise UsageError(f"jobs must be >= 1, got {self.jobs}")
+        if self.mode not in ("marginal", "two-stage"):
+            raise UsageError(f"mode must be marginal or two-stage, "
+                             f"got {self.mode!r}")
         if self.filter_mode not in ("date-window", "games-played"):
             raise UsageError(f"filter_mode must be date-window or "
                              f"games-played, got {self.filter_mode!r}")
@@ -115,9 +117,7 @@ class RunConfig:
         return WalkConfig(step_std=self.walk_std)
 
     def sim_options(self) -> SimOptions:
-        return SimOptions(probability_mode=self.mode, draw_mode=self.draws,
-                          era_mode=self.era_mode,
-                          concentration=self.concentration,
+        return SimOptions(draw_mode=self.draws, era_mode=self.era_mode,
                           walk=self.walk_config(),
                           burn_in_games=self.burn_in_games)
 
@@ -127,7 +127,7 @@ _STRING_KEYS = ("game_log", "schedule", "league", "out", "mode", "draws",
 _INT_KEYS = ("seed", "iterations", "burn_in", "thin", "chains",
              "replications", "burn_in_games", "window_length", "min_games",
              "season_length", "jobs")
-_FLOAT_KEYS = ("r_max", "concentration", "proposal_std", "walk_std")
+_FLOAT_KEYS = ("r_max", "proposal_std", "walk_std")
 
 
 def parse_config_file(path) -> dict:
@@ -341,9 +341,8 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
         diag.append(f"acceptance_chain_{chain.chain_id},"
                     f"{chain.acceptance_rate:.6f},,,,,")
     outputs["diagnostics.csv"] = diag
-    meta = {"r_max": repr(cfg.r_max), "concentration": repr(cfg.concentration),
-            "iterations": cfg.iterations, "burn_in": cfg.burn_in,
-            "thin": cfg.thin, "chains": cfg.chains,
+    meta = {"r_max": repr(cfg.r_max), "iterations": cfg.iterations,
+            "burn_in": cfg.burn_in, "thin": cfg.thin, "chains": cfg.chains,
             "proposal_std": repr(float(std)),
             "proposal_std_source": std_source,
             "filter_mode": cfg.filter_mode,
@@ -692,13 +691,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run season replications")
     add_common(p)
     p.add_argument("--replications", type=int)
-    p.add_argument("--mode", choices=("marginal", "two-stage"))
+    p.add_argument("--mode", choices=("marginal", "two-stage"),
+                   help="accepted; no effect")
     p.add_argument("--draws", choices=("posterior-predictive", "point"))
     p.add_argument("--era-mode", dest="era_mode",
                    choices=("forecast", "path"))
     p.add_argument("--burn-in-games", dest="burn_in_games", type=int)
     p.add_argument("--walk-std", dest="walk_std", type=float)
-    p.add_argument("--concentration", type=float)
     p.add_argument("--histogram", action="append", metavar="TEAM",
                    help="also write histogram_TEAM.csv (repeatable)")
 

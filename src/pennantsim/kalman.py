@@ -263,16 +263,23 @@ def group_terciles(team_early_eras: dict[str, float]) -> TercileGrouping:
     return TercileGrouping(low=low, medium=medium, high=high)
 
 
-def sample_noise(group: str, pool: list[NoiseEstimate],
-                 rng: np.random.Generator) -> NoiseParams:
-    """Uniform draw of one (sigma_obs, sigma_process) pair from a tercile's pool.
-
-    The pair is kept intact (never mixed across windows) so the dependence
-    between the two noise scales survives resampling. Non-converged fits are
-    ignored.
-    """
+def converged_pool(group: str,
+                   pool: list[NoiseEstimate]) -> list[NoiseEstimate]:
+    """A tercile's pool without its non-converged fits, which are never
+    sampled."""
     usable = [e for e in pool if e.converged]
     if not usable:
         raise ValueError(f"no converged noise estimates in pool for tercile "
                          f"{group!r}")
+    return usable
+
+
+def sample_noise(usable: list[NoiseEstimate],
+                 rng: np.random.Generator) -> NoiseParams:
+    """Uniform draw of one (sigma_obs, sigma_process) pair from a tercile's
+    converged pool (see converged_pool).
+
+    The pair is kept intact (never mixed across windows) so the dependence
+    between the two noise scales survives resampling.
+    """
     return usable[int(rng.integers(len(usable)))].params

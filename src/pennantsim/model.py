@@ -5,8 +5,10 @@ batting average, starting-pitcher ERA), each oriented so bigger favors home:
 win percentage and batting are home/away, ERA is away/home. With L their
 floored logs (`log_ratios`, the one copy: the fit and the simulator both
 call it) and r the exponents, the home team's relative strength is
-s = exp(r.L). The win probability follows a two-stage Beta-Bernoulli
-structure whose marginal is s/(1+s), independent of the Beta concentration.
+s = exp(r.L), and the home team wins with probability s/(1+s). A latent
+per-game p ~ Beta(m*s, m) with a Bernoulli(p) outcome has this marginal
+for every m, and nothing else reads p, so the fit and the simulator both
+use s/(1+s) directly.
 """
 
 from __future__ import annotations

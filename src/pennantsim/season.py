@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kalman import NoiseParams, sample_noise
+from .kalman import NoiseParams, converged_pool, sample_noise
 from .model import ERA_FLOOR, log_ratios
 from .stats import nearest_rank_quantile
 
-PROBABILITY_MODES = ("marginal", "two-stage")
 DRAW_MODES = ("posterior-predictive", "point")
 ERA_MODES = ("forecast", "path")
 
@@ -227,40 +226,27 @@ class ForecastSummary:
 
 @dataclass(frozen=True)
 class SimOptions:
-    """How outcomes are generated.
+    """How outcomes are generated. The home team wins a game with
+    probability s/(1+s), s its strength ratio.
 
-    probability_mode: 'marginal' uses the analytic win probability
-    s/(1+s); 'two-stage' draws the latent probability from
-    Beta(concentration*s, concentration) first, by inverse CDF. draw_mode: one posterior
-    draw per game ('posterior-predictive') or the posterior mean ('point').
-    era_mode: 'forecast' feeds each game the current ERA forecast mean;
-    'path' random-walks the latent ERA and feeds a noisy observation.
-
-    The concentration is a configuration constant (default 1.0), never
-    estimated: the marginal win probability does not depend on it, so single
-    game outcomes carry no information about it.
+    draw_mode: one posterior draw per game ('posterior-predictive') or the
+    posterior mean ('point'). era_mode: 'forecast' feeds each game the
+    current ERA forecast mean; 'path' random-walks the latent ERA and feeds
+    a noisy observation.
     """
 
-    probability_mode: str = "marginal"
     draw_mode: str = "posterior-predictive"
     era_mode: str = "forecast"
-    concentration: float = 1.0
     walk: WalkConfig = field(default_factory=WalkConfig)
     burn_in_games: int = 20
 
     def __post_init__(self):
-        if self.probability_mode not in PROBABILITY_MODES:
-            raise ValueError(f"probability_mode must be one of "
-                             f"{PROBABILITY_MODES}, got {self.probability_mode!r}")
         if self.draw_mode not in DRAW_MODES:
             raise ValueError(f"draw_mode must be one of {DRAW_MODES}, "
                              f"got {self.draw_mode!r}")
         if self.era_mode not in ERA_MODES:
             raise ValueError(f"era_mode must be one of {ERA_MODES}, "
                              f"got {self.era_mode!r}")
-        if not (math.isfinite(self.concentration) and self.concentration > 0):
-            raise ValueError(f"concentration must be positive, "
-                             f"got {self.concentration}")
         if self.burn_in_games < 0:
             raise ValueError(f"burn_in_games must be nonnegative, "
                              f"got {self.burn_in_games}")
@@ -287,24 +273,26 @@ def _waves(pairs) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(pairs)])]
 
 
-def _resolved_noise(initial, noise_pools, noise_rng):
-    """Per-team noise for one replication: freshly sampled, in the order of
-    initial, from the pool of each team's tercile when pools are given,
-    otherwise each team's stored parameters."""
+def _team_pools(states, noise_pools):
+    """Each team's converged noise estimates, in the order of states, from
+    the pool of its tercile; None when no pools are given, and each team
+    then keeps its stored noise. Each pool is filtered once."""
     if noise_pools is None:
-        return {s.team: s.noise for s in initial}
-    resolved = {}
-    for state in initial:
+        return None
+    usable, pools = {}, []
+    for state in states:
         if not state.tercile:
             raise ValueError(f"noise_pools given but {state.team} has no "
                              f"tercile")
-        try:
-            pool = noise_pools[state.tercile]
-        except KeyError:
-            raise ValueError(f"no noise pool for tercile "
-                             f"{state.tercile!r}") from None
-        resolved[state.team] = sample_noise(state.tercile, pool, noise_rng)
-    return resolved
+        if state.tercile not in usable:
+            try:
+                pool = noise_pools[state.tercile]
+            except KeyError:
+                raise ValueError(f"no noise pool for tercile "
+                                 f"{state.tercile!r}") from None
+            usable[state.tercile] = converged_pool(state.tercile, pool)
+        pools.append(usable[state.tercile])
+    return pools
 
 
 def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
@@ -349,7 +337,6 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
 
     predictive = opts.draw_mode == "posterior-predictive"
     path = opts.era_mode == "path"
-    two_stage = opts.probability_mode == "two-stage"
     pairs = [(index[g.home], index[g.away]) for g in schedule.games]
     n_reps, n_games = len(seeds), len(pairs)
 
@@ -361,9 +348,7 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     if path:   # ERA steps and observation errors, scaled by each team's sigma
         era_steps = np.empty((2, n_games, n_reps))
         era_errors = np.empty((2, n_games, n_reps))
-    if two_stage:   # imported here: only Beta draws need scipy (~0.3 s)
-        from scipy.special import betaincinv
-        u_beta = np.empty((n_games, n_reps))
+        pools = _team_pools(states, noise_pools)
     sides = np.array(pairs, dtype=np.intp).reshape(n_games, 2).T
     tie_keys = np.empty((n_reps, len(teams)))
     for b, seed in enumerate(seeds):
@@ -378,20 +363,18 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         eps[:, :, b] = game_rng.normal(0.0, opts.walk.step_std,
                                        (n_games, 2)).T
         if path:   # forecast mode never reads the noise, so it samples none
-            noise = _resolved_noise(states, noise_pools,
-                                    np.random.default_rng(noise_ss))
-            sigmas = np.array([(noise[t].sigma_process, noise[t].sigma_obs)
-                               for t in teams])
+            noise_rng = np.random.default_rng(noise_ss)
+            noise = ([s.noise for s in states] if pools is None else
+                     [sample_noise(pool, noise_rng) for pool in pools])
+            sigmas = np.array([(n.sigma_process, n.sigma_obs) for n in noise])
             for scaled, sigma in zip((era_steps, era_errors), sigmas.T):
                 scaled[:, :, b] = (sigma[sides]
                                    * game_rng.standard_normal((n_games, 2)).T)
-        if two_stage:
-            u_beta[:, b] = game_rng.random(n_games)
 
     wins, losses, dev, era = (
         np.repeat(np.array(column)[:, None], n_reps, axis=1) for column in
         zip(*[(s.wins, s.losses, s.batting_deviation, s.era) for s in states]))
-    walk, m = opts.walk, opts.concentration
+    walk = opts.walk
     mean_row = matrix.mean(axis=0)
     for w in _waves(pairs):
         ix = sides[:, w]
@@ -405,11 +388,7 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         r = matrix[row_idx[w]] if predictive else mean_row
         # exp overflows above 709; a strength of e^700 already gives p = 1
         strength = np.exp(np.minimum((ratios * r).sum(axis=-1), 700.0))
-        if two_stage:   # inverse-CDF draw from Beta(m*s, m)
-            p = betaincinv(m * strength, m, u_beta[w])
-        else:
-            p = strength / (1.0 + strength)
-        home_won = u_out[w] < p
+        home_won = u_out[w] < strength / (1.0 + strength)
         wins[ix] = won + (home_won, ~home_won)
         losses[ix] = lost + (~home_won, home_won)
         dev[ix] += eps[:, w]
@@ -441,11 +420,10 @@ def run_replications(n: int, initial, schedule: Schedule, draws,
         raise ValueError(f"need at least 1 replication, got {n}")
     opts = opts or SimOptions()
     # 8-byte variates per game and replication: an outcome uniform and two
-    # walk increments, plus a draw-row index, four ERA normals and a Beta
-    # uniform in posterior-predictive, path and two-stage mode
+    # walk increments, plus a draw-row index and four ERA normals in
+    # posterior-predictive and path mode
     per_game = (3 + (opts.draw_mode == "posterior-predictive")
-                + 4 * (opts.era_mode == "path")
-                + (opts.probability_mode == "two-stage"))
+                + 4 * (opts.era_mode == "path"))
     size = max(1, BLOCK_BYTES // (8 * per_game * max(len(schedule), 1)))
     blocks = []
     for k in range(0, n, size):

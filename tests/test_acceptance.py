@@ -2,12 +2,13 @@
 
 Every test here pins a user-visible property of the engine at the tolerance
 we are prepared to stand behind — conservation and speed of the season
-simulator, the analytic marginal of the two-stage outcome model, the batting
-walk and path-mode ERA laws as the engine plays them, agreement of the
-filter and the sampler with independent oracles, output schemas, and
-end-to-end reproducibility. Heavier
-shared artifacts (the exponent-recovery fit, the CLI pipeline runs) come
-from session fixtures so the whole gate stays cheap to run on every change.
+simulator, the batting walk and path-mode ERA laws as the engine plays
+them, agreement of the filter and the sampler with independent oracles,
+output schemas, and end-to-end reproducibility. The engine's one outcome
+law, home win with probability s/(1+s), is held in tests/test_season.py.
+Heavier shared artifacts (the exponent-recovery fit, the CLI pipeline runs)
+come from session fixtures so the whole gate stays cheap to run on every
+change.
 """
 
 import math
@@ -94,34 +95,6 @@ def test_season_totals_conserved_and_fast():
         assert total == 2430
         assert total / len(wins) == 81.0
     assert elapsed < 60.0, f"1000 replications took {elapsed:.1f}s"
-
-
-# ---------------------------------------------------------------------------
-# two-stage outcome model: the latent Beta stage must not shift the marginal
-
-
-def test_two_stage_rate_matches_marginal_formula():
-    # the engine in two-stage mode draws p ~ Beta(m*s, m) and then the
-    # outcome ~ Bernoulli(p); over 100,000 one-off games per cell the win
-    # rate must be s/(1+s) for any concentration m. The strength comes from
-    # the ERA ratio alone: away ERA 1, 4 or 12 against a home ERA of 4.
-    draws = np.array([[0.0, 0.0, 1.0]])
-    n = 100_000
-    matchups = Matchups(n)
-    home = TeamSimState(team="H", wins=10, losses=10, batting_deviation=0.0,
-                        era=4.0,
-                        noise=NoiseParams(sigma_obs=0.0, sigma_process=0.0))
-    for i, strength in enumerate((0.25, 1.0, 3.0)):
-        away = replace(home, era=4.0 * strength)
-        for j, concentration in enumerate((0.5, 1.0, 10.0)):
-            opts = SimOptions(probability_mode="two-stage",
-                              concentration=concentration)
-            wins = sum(matchups.home_wins(home, away, draws,
-                                          seed=99 + 3 * i + j, opts=opts))
-            expected = strength / (1.0 + strength)
-            se = math.sqrt(expected * (1.0 - expected) / n)
-            assert abs(wins / n - expected) < 3.0 * se, \
-                f"s={strength}, m={concentration}: rate {wins / n:.5f}"
 
 
 # ---------------------------------------------------------------------------

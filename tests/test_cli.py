@@ -375,6 +375,36 @@ def test_simulate_deterministic_across_jobs(pipeline, tmp_path):
     assert (out / "replication_results.csv").read_bytes() == reps
 
 
+def test_simulate_mode_has_no_effect(pipeline, tmp_path, capsys):
+    # one outcome law: both modes play the same games on the same stream,
+    # and the Beta concentration is refused like any unknown flag or key;
+    # a mode outside the two is still a usage error
+    written = {}
+    for mode in ("two-stage", "marginal"):
+        out = tmp_path / mode
+        shutil.copytree(pipeline["out"], out)
+        args = [a if a != str(pipeline["out"]) else str(out)
+                for a in pipeline["common"]]
+        assert main(["simulate", *args, "--replications", "4",
+                     "--era-mode", "path", "--mode", mode]) == 0
+        written[mode] = [(out / name).read_bytes() for name in
+                         ("replication_results.csv", "summary.csv")]
+    assert written["two-stage"] == written["marginal"]
+    capsys.readouterr()
+    assert main(["simulate", *pipeline["common"],
+                 "--concentration", "2"]) == 2
+    assert "--concentration" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("concentration = 1\n")
+    assert main(["simulate", "--config", str(cfg),
+                 *pipeline["common"]]) == 2
+    assert "unknown key 'concentration'" in capsys.readouterr().err
+    cfg.write_text("mode = exact\n")
+    assert main(["simulate", "--config", str(cfg),
+                 *pipeline["common"]]) == 2
+    assert "mode must be marginal or two-stage" in capsys.readouterr().err
+
+
 def test_simulate_schedule_file(pipeline, tmp_path, capsys):
     sched = tmp_path / "sched.csv"
     teams = pipeline["teams"]
@@ -709,8 +739,6 @@ def test_bad_setting_value_is_usage_error(capsys):
     (["fit", "--iterations", "100", "--burn-in", "200"], "burn_in"),
     (["fit", "--r-max", "inf"], "r_max"),
     (["simulate", "--walk-std", "nan"], "step_std"),
-    (["simulate", "--mode", "two-stage", "--concentration", "inf"],
-     "concentration"),
 ])
 def test_domain_config_value_is_usage_error(pipeline, tmp_path, capsys, argv,
                                             named):

@@ -14,6 +14,7 @@ from pennantsim.kalman import (
     GaussianState,
     NoiseEstimate,
     NoiseParams,
+    converged_pool,
     estimate_noise,
     filter_series,
     group_terciles,
@@ -162,7 +163,7 @@ def test_estimate_zero_process_noise_is_exact():
 def test_estimate_flags_maximum_past_the_grid():
     # a straight line is a noiseless random walk: the likelihood keeps
     # rising as sigma_obs -> 0, past the top of the psi grid, so the fit is
-    # flagged and sample_noise skips it
+    # flagged and converged_pool drops it
     est = estimate_noise(np.linspace(3.0, 4.0, 12))
     assert est.converged is False
     assert est.sigma_obs < 1e-2 * est.sigma_process
@@ -298,7 +299,7 @@ def test_sample_noise_singleton_pool():
     pool = pool_of([(0.5, 0.05)])
     rng = np.random.default_rng(0)
     for _ in range(10):
-        assert sample_noise("low", pool, rng) == NoiseParams(0.5, 0.05)
+        assert sample_noise(pool, rng) == NoiseParams(0.5, 0.05)
 
 
 def test_sample_noise_uniform_over_pool():
@@ -308,7 +309,7 @@ def test_sample_noise_uniform_over_pool():
     n = 10**5
     counts = {p: 0 for p in pairs}
     for _ in range(n):
-        drawn = sample_noise("medium", pool, rng)
+        drawn = sample_noise(pool, rng)
         counts[(drawn.sigma_obs, drawn.sigma_process)] += 1
     se = math.sqrt(0.25 * 0.75 / n)
     for p in pairs:
@@ -320,17 +321,19 @@ def test_sample_noise_keeps_pairs_intact():
     pool = pool_of(pairs)
     rng = np.random.default_rng(5)
     for _ in range(50):
-        drawn = sample_noise("high", pool, rng)
+        drawn = sample_noise(pool, rng)
         assert (drawn.sigma_obs, drawn.sigma_process) in pairs
 
 
 def test_sample_noise_ignores_unconverged():
-    pool = pool_of([(0.4, 0.04)], converged=False) + pool_of([(0.6, 0.06)])
+    # the filter runs once per pool; sample_noise draws from what it keeps
+    pool = converged_pool(
+        "low", pool_of([(0.4, 0.04)], converged=False) + pool_of([(0.6, 0.06)]))
     rng = np.random.default_rng(9)
     for _ in range(20):
-        assert sample_noise("low", pool, rng) == NoiseParams(0.6, 0.06)
-    with pytest.raises(ValueError):
-        sample_noise("low", pool_of([(0.4, 0.04)], converged=False), rng)
+        assert sample_noise(pool, rng) == NoiseParams(0.6, 0.06)
+    with pytest.raises(ValueError, match="tercile 'low'"):
+        converged_pool("low", pool_of([(0.4, 0.04)], converged=False))
 
 
 # ---------------------------------------------------------------------------

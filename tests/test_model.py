@@ -12,7 +12,6 @@ import pytest
 from games import game_table
 from oracles import game_log_likelihood
 from pennantsim.mcmc import PriorConfig, design_log_likelihood, log_ratio_design
-from pennantsim.season import SimOptions
 
 
 def make_record(home_win_pct=0.5, away_win_pct=0.5, home_avg=0.25,
@@ -87,13 +86,11 @@ def test_ratio_validation_rejects_nonpositive():
 
 
 def test_params_validation():
-    # the exponents live in the prior box, the concentration in the
-    # simulation options; both refuse values the model cannot use
+    # the exponents live in the prior box, which refuses a bound the model
+    # cannot use
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             PriorConfig(r_max=bad)
-        with pytest.raises(ValueError):
-            SimOptions(concentration=bad)
 
 
 # ---------------------------------------------------------------------------

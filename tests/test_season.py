@@ -20,7 +20,6 @@ from pennantsim import season
 from pennantsim.kalman import NoiseEstimate, NoiseParams
 from pennantsim.mcmc import design_log_likelihood, log_ratio_design
 from pennantsim.season import (
-    PROBABILITY_MODES,
     ForecastSummary,
     LeagueStructure,
     Schedule,
@@ -121,12 +120,8 @@ def test_scheduled_game_rejects_self_play():
 
 
 def test_sim_options_validation():
-    with pytest.raises(ValueError, match="probability_mode"):
-        SimOptions(probability_mode="exact")
     with pytest.raises(ValueError, match="draw_mode"):
         SimOptions(draw_mode="map")
-    with pytest.raises(ValueError, match="concentration"):
-        SimOptions(concentration=0.0)
 
 
 def test_walk_config_validation():
@@ -183,17 +178,6 @@ def test_engine_tracks_strength_ratio():
     wins = sum(Matchups(n).home_wins(home, away, draws, seed=3))
     se = np.sqrt(p * (1 - p) / n)
     assert abs(wins / n - p) < 4 * se
-
-
-def test_engine_two_stage_same_marginal():
-    # Beta(m*s, m) has mean s/(1+s), so the marginal win rate is unchanged
-    opts = SimOptions(probability_mode="two-stage", concentration=2.0)
-    n = 40_000
-    wins = sum(Matchups(n).home_wins(make_state("H"), make_state("A"),
-                                           np.ones((1, 3)), seed=4,
-                                           opts=opts))
-    se = 0.5 / np.sqrt(n)
-    assert abs(wins / n - 0.5) < 4 * se
 
 
 def test_engine_point_mode_uses_posterior_mean():
@@ -290,14 +274,11 @@ def test_forced_outcome_strong_team_sweeps():
     games = tuple(ScheduledGame(datetime.date(2024, 8, 1 + d), "E0", "W0")
                   for d in range(6))
     for exponent in (8.0, 300.0):
-        for mode in PROBABILITY_MODES:
-            opts = SimOptions(probability_mode=mode, burn_in_games=0)
-            wins = final_wins(one_replication(
-                states, Schedule(games=games),
-                np.array([[exponent, 0.0, 0.0]]), league, seed=10,
-                opts=opts))
-            assert wins["E0"] == 25
-            assert wins["W0"] == 1
+        wins = final_wins(one_replication(
+            states, Schedule(games=games), np.array([[exponent, 0.0, 0.0]]),
+            league, seed=10, opts=SimOptions(burn_in_games=0)))
+        assert wins["E0"] == 25
+        assert wins["W0"] == 1
 
 
 def test_forced_outcome_era_dominates():
@@ -371,14 +352,13 @@ def test_wins_conserved_every_replication():
         assert sum(wins.tolist()) / 6 == 5.0
 
 
-BLOCKED_MODES = [SimOptions(),
-                 SimOptions(probability_mode="two-stage", era_mode="path")]
+BLOCKED_MODES = [SimOptions(), SimOptions(era_mode="path")]
 
 
 def blocked_setup(monkeypatch):
     # 30 teams with unequal records, ERAs and noise, 15 games left each; a
     # budget of 40 kB gives blocks of 5 (marginal/forecast) or 2
-    # (two-stage/path) of the 225-game replications
+    # (marginal/path) of the 225-game replications
     monkeypatch.setattr(season, "BLOCK_BYTES", 40_000)
     league = standard_league()
     states = [make_state(t, wins=8 + i % 7, losses=12 - i % 7,
@@ -404,7 +384,7 @@ def blocks_played(monkeypatch):
 
 
 @pytest.mark.parametrize("opts", BLOCKED_MODES,
-                         ids=["marginal-forecast", "two-stage-path"])
+                         ids=["marginal-forecast", "marginal-path"])
 def test_blocks_match_single_replications(monkeypatch, opts):
     league, states, sched, draws = blocked_setup(monkeypatch)
     games = sched.games

@@ -2,9 +2,9 @@
 
 Every function, class and method in src/pennantsim must be used by the
 package itself. A definition referenced only by tests is a side copy: the
-tests would pin it while the shipped code runs something else. Importing
-the CLI also must not import scipy.optimize, which nothing in the package
-uses, scipy.special, which only two-stage simulation calls, or the process
+tests would pin it while the shipped code runs something else. No module
+of the package imports scipy, at the top or inside a function: numpy is
+the one runtime dependency. Importing the CLI must not import the process
 pool, which only a fit with more than one worker starts. And every
 function the benchmark's tracer wraps by name must exist where it looks.
 """
@@ -72,14 +72,22 @@ def _imported_by_cli(modules):
     return result.stdout.strip()
 
 
-def test_cli_does_not_import_scipy_optimize():
-    assert _imported_by_cli({"scipy.optimize"}) == "[]"
-
-
-def test_cli_does_not_import_scipy_special():
-    # only two-stage simulation draws Beta variates; every other command
-    # would pay scipy's import time for nothing
-    assert _imported_by_cli({"scipy.special"}) == "[]"
+def test_package_never_imports_scipy():
+    # every import statement, however deeply nested, so a lazy import inside
+    # a function counts as much as one at the top of a module
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {module}"
+                      for module in modules
+                      if module.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_cli_does_not_import_the_process_pool():
