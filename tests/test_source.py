@@ -4,9 +4,11 @@ Every function, class and method in src/pennantsim must be used by the
 package itself. A definition referenced only by tests is a side copy: the
 tests would pin it while the shipped code runs something else. No module
 of the package imports scipy, at the top or inside a function: numpy is
-the one runtime dependency. Importing the CLI must not import the process
-pool, which only a fit with more than one worker starts. And every
-function the benchmark's tracer wraps by name must exist where it looks.
+the one runtime dependency, so importing the CLI loads neither
+scipy.optimize nor scipy.special. Importing the CLI must not import the
+process pool either, which only a fit with more than one worker starts.
+And every function the benchmark's tracer wraps by name must exist where
+it looks.
 """
 
 import ast
@@ -88,6 +90,16 @@ def test_package_never_imports_scipy():
                       for module in modules
                       if module.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_cli_does_not_import_scipy_optimize():
+    assert _imported_by_cli({"scipy.optimize"}) == "[]"
+
+
+def test_cli_does_not_import_scipy_special():
+    # outcomes are drawn with numpy alone; loading scipy would cost every
+    # command its import time for nothing
+    assert _imported_by_cli({"scipy.special"}) == "[]"
 
 
 def test_cli_does_not_import_the_process_pool():
