@@ -21,12 +21,12 @@ import numpy as np
 from .gamelog import (DatasetFilter, derive_pregame_records,
                       filter_training_window, latest_season, parse_game_log,
                       require_games)
-from .kalman import (GaussianState, NoiseEstimate, NoiseParams,
-                     filter_series, group_terciles, sliding_noise_estimates)
+from .kalman import (MIN_WINDOW, GaussianState, NoiseParams, filter_series,
+                     group_terciles, sliding_noise_estimates)
 from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
-                   effective_sample_size, export_trace, log_ratio_design,
+                   effective_sample_size, log_ratio_design,
                    posterior_summaries, run_chains, split_rhat,
-                   tune_proposal_std, write_trace_csv)
+                   tune_proposal_std)
 from .season import (SeasonResults, SimOptions, TeamSimState, WalkConfig,
                      csv_rows, export_win_histogram, generate_schedule,
                      read_league_csv, read_schedule_csv, run_replications,
@@ -91,9 +91,10 @@ class RunConfig:
         if self.filter_mode not in ("date-window", "games-played"):
             raise UsageError(f"filter_mode must be date-window or "
                              f"games-played, got {self.filter_mode!r}")
-        for name in ("window_length", "season_length"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name} must be >= 1")
+        if self.window_length < MIN_WINDOW:
+            raise UsageError(f"window_length must be >= {MIN_WINDOW}")
+        if self.season_length < 1:
+            raise UsageError("season_length must be >= 1")
         if self.min_games < 0:
             raise UsageError("min_games must be >= 0")
 
@@ -328,9 +329,13 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
     outputs = {}
     draw_lines = ["chain,r1,r2,r3"]
     for chain in chains:
-        for row in chain.draws:
-            draw_lines.append(f"{chain.chain_id},{float(row[0])!r},"
-                              f"{float(row[1])!r},{float(row[2])!r}")
+        values = [",".join(map(repr, row)) for row in chain.draws.tolist()]
+        draw_lines += [f"{chain.chain_id},{row}" for row in values]
+        # a trace row carries its draw's iteration in the chain
+        outputs[f"trace_chain{chain.chain_id}.csv"] = (
+            ["iteration,r1,r2,r3"]
+            + [f"{cfg.burn_in + cfg.thin * k},{row}"
+               for k, row in enumerate(values)])
     outputs["draws.csv"] = draw_lines
     diag = ["parameter,mean,sd,q5,q95,rhat,ess"]
     for j, name in enumerate(PARAM_NAMES):
@@ -353,10 +358,6 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
     outputs["fit_metadata.txt"] = _metadata_lines(cfg, "fit", meta)
 
     _emit_outputs(cfg, outputs)
-    for chain in chains:  # trace files reuse the mcmc writer
-        trace = export_trace(chain, burn_in=cfg.burn_in, thin=cfg.thin)
-        write_trace_csv(trace, os.path.join(
-            cfg.out, f"trace_chain{chain.chain_id}.csv"))
 
     rows = [(name, f"{pooled_summary[j].mean:.4f}",
              f"{pooled_summary[j].sd:.4f}", f"{pooled_summary[j].q5:.4f}",
@@ -405,8 +406,7 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
 
     early = {team: float(np.mean(series[team][:window]))
              for team in estimates}
-    terciles = group_terciles(early)
-    labels = terciles.labels
+    labels = group_terciles(early)
 
     pool_lines = ["team,window_start,sigma_obs,sigma_process,converged"]
     n_converged = n_pinned = 0
@@ -443,16 +443,20 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
 
 
 def _load_noise_artifacts(cfg: RunConfig):
-    """Pools and tercile labels written by cmd_noise."""
+    """Noise pools and tercile labels written by cmd_noise. Each pool is a
+    (k, 2) array of (sigma_obs, sigma_process) rows in file order."""
     terc_path = _artifact(cfg, "terciles.csv", "noise")
     pool_path = _artifact(cfg, "noise_estimates.csv", "noise")
-    pools: dict[str, list[NoiseEstimate]] = {}
+    rows: dict[str, list[tuple[float, float]]] = {}
     labels: dict[str, str] = {}
-    for _, (team, label, _) in csv_rows(
+    for lineno, (team, label, _) in csv_rows(
             terc_path, {"team": str, "tercile": str, "early_era": float},
             "terciles"):
+        if team in labels:
+            raise PipelineError(f"{terc_path} row {lineno}: a second row "
+                                f"for team {team!r}")
         labels[team] = label
-    for lineno, (team, start, sobs, sproc, conv) in csv_rows(
+    for lineno, (team, _, sobs, sproc, conv) in csv_rows(
             pool_path, {"team": str, "window_start": int, "sigma_obs": float,
                         "sigma_process": float, "converged": int},
             "noise estimates"):
@@ -463,22 +467,20 @@ def _load_noise_artifacts(cfg: RunConfig):
             raise PipelineError(f"{pool_path} row {lineno}: team {team!r} "
                                 f"has no tercile assignment")
         try:
-            params = NoiseParams(sobs, sproc)
+            NoiseParams(sobs, sproc)   # each sigma finite and >= 0
         except ValueError as exc:
             raise PipelineError(f"{pool_path} row {lineno}: {exc}") from None
-        pools.setdefault(labels[team], []).append(NoiseEstimate(
-            team=team, window_start=start, params=params, converged=True))
+        rows.setdefault(labels[team], []).append((sobs, sproc))
     for label in set(labels.values()):
-        if not pools.get(label):
+        if label not in rows:
             raise PipelineError(f"tercile {label!r} has no converged noise "
                                 f"estimates; rerun the `noise` command")
-    return pools, labels
+    return {label: np.array(pool) for label, pool in rows.items()}, labels
 
 
 def _median_noise(pool) -> NoiseParams:
-    return NoiseParams(
-        sigma_obs=float(np.median([e.sigma_obs for e in pool])),
-        sigma_process=float(np.median([e.sigma_process for e in pool])))
+    sigma_obs, sigma_process = np.median(pool, axis=0).tolist()
+    return NoiseParams(sigma_obs, sigma_process)
 
 
 def _initial_states(season, league, pools, labels, cfg: RunConfig):
@@ -504,7 +506,7 @@ def _initial_states(season, league, pools, labels, cfg: RunConfig):
         states.append(TeamSimState(
             team=team, wins=season[team].wins, losses=season[team].losses,
             batting_deviation=season[team].battings[-1] - walk.league_mean,
-            era=era, noise=noise, tercile=label))
+            era=era, tercile=label))
     return states
 
 

@@ -4,7 +4,8 @@ The latent ERA follows a random walk x[t+1] = x[t] + w[t] with process noise
 variance q; observations are y[t] = x[t] + v[t] with observation noise
 variance r. This module covers filtering, windowed maximum-likelihood noise
 estimation (one filter recursion serves both), tercile grouping of teams by
-early-season ERA, and noise resampling.
+early-season ERA, and noise resampling. A tercile's noise pool is a (k, 2)
+array of (sigma_obs, sigma_process) rows, one per converged window fit.
 
 The noise likelihood conditions on the first observation: the level starts
 at (y[0], r) and the recursion runs over the rest (the exact diffuse start;
@@ -60,7 +61,7 @@ class NoiseParams:
 class NoiseEstimate:
     """One windowed noise fit: which team/window it came from, the parameters,
     and whether the likelihood maximum was found (degenerate fits are kept
-    but flagged so downstream sampling can exclude them)."""
+    but flagged; the noise pools hold converged fits only)."""
 
     team: str
     window_start: int
@@ -80,32 +81,6 @@ class NoiseEstimate:
         """The window's MLE has zero process noise, the boundary where about
         half of all short windows put it (Shephard & Harvey 1990)."""
         return self.sigma_process == 0.0
-
-
-@dataclass(frozen=True)
-class TercileGrouping:
-    """Teams split into thirds by early-season ERA, ascending."""
-
-    low: tuple[str, ...]
-    medium: tuple[str, ...]
-    high: tuple[str, ...]
-
-    def __post_init__(self):
-        groups = (self.low, self.medium, self.high)
-        all_teams = [t for g in groups for t in g]
-        if len(set(all_teams)) != len(all_teams):
-            raise ValueError("tercile groups overlap")
-        sizes = sorted(len(g) for g in groups)
-        if sizes[-1] - sizes[0] > 1:
-            raise ValueError(f"tercile sizes differ by more than 1: "
-                             f"{[len(g) for g in groups]}")
-
-    @property
-    def labels(self) -> dict[str, str]:
-        return {t: label
-                for label, group in (("low", self.low), ("medium", self.medium),
-                                     ("high", self.high))
-                for t in group}
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +218,9 @@ def sliding_noise_estimates(series, window_len: int, *,
 # tercile grouping and noise resampling
 
 
-def group_terciles(team_early_eras: dict[str, float]) -> TercileGrouping:
-    """Split teams into low/medium/high thirds by early-season mean ERA.
+def group_terciles(team_early_eras: dict[str, float]) -> dict[str, str]:
+    """{team: 'low' | 'medium' | 'high'}: teams split into thirds by
+    early-season mean ERA.
 
     Sorted ascending by ERA with ties broken by team identifier; when the
     count is not divisible by 3, the extra teams go to the lower terciles
@@ -254,32 +230,17 @@ def group_terciles(team_early_eras: dict[str, float]) -> TercileGrouping:
         raise ValueError(f"need at least 3 teams to form terciles, "
                          f"got {len(team_early_eras)}")
     ordered = sorted(team_early_eras, key=lambda t: (team_early_eras[t], t))
-    n = len(ordered)
-    base, rem = divmod(n, 3)
-    sizes = [base + (1 if i < rem else 0) for i in range(3)]
-    low = tuple(ordered[:sizes[0]])
-    medium = tuple(ordered[sizes[0]:sizes[0] + sizes[1]])
-    high = tuple(ordered[sizes[0] + sizes[1]:])
-    return TercileGrouping(low=low, medium=medium, high=high)
+    base, rem = divmod(len(ordered), 3)
+    low, medium = base + (rem > 0), base + (rem > 1)
+    return {t: "low" if k < low else "medium" if k < low + medium else "high"
+            for k, t in enumerate(ordered)}
 
 
-def converged_pool(group: str,
-                   pool: list[NoiseEstimate]) -> list[NoiseEstimate]:
-    """A tercile's pool without its non-converged fits, which are never
-    sampled."""
-    usable = [e for e in pool if e.converged]
-    if not usable:
-        raise ValueError(f"no converged noise estimates in pool for tercile "
-                         f"{group!r}")
-    return usable
-
-
-def sample_noise(usable: list[NoiseEstimate],
-                 rng: np.random.Generator) -> NoiseParams:
-    """Uniform draw of one (sigma_obs, sigma_process) pair from a tercile's
-    converged pool (see converged_pool).
+def sample_noise(pool: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw of one (sigma_obs, sigma_process) row from a tercile's
+    (k, 2) pool of converged window fits.
 
     The pair is kept intact (never mixed across windows) so the dependence
     between the two noise scales survives resampling.
     """
-    return usable[int(rng.integers(len(usable)))].params
+    return pool[int(rng.integers(len(pool)))]

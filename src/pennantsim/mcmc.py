@@ -5,7 +5,7 @@ marginalized game-outcome likelihood, a stable softplus sum over one design
 of per-game log strength ratios shared by every pilot and chain of a fit.
 Chains use joint Gaussian proposals, derive per-chain seeds from a base seed,
 run in a fork pool when asked for more than one worker, and come with split
-R-hat / ESS diagnostics and a plain-text trace export.
+R-hat / ESS diagnostics and posterior summaries.
 """
 
 from __future__ import annotations
@@ -87,14 +87,6 @@ class ParamSummary:
     sd: float
     q5: float
     q95: float
-
-
-@dataclass(frozen=True)
-class TraceTable:
-    """Row-per-retained-iteration trace."""
-
-    iterations: np.ndarray     # original iteration index of each retained draw
-    values: np.ndarray         # (n, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +328,7 @@ def effective_sample_size(sequences) -> float:
 
 
 # ---------------------------------------------------------------------------
-# trace export
+# summaries
 
 
 def posterior_summaries(draws: np.ndarray) -> tuple[ParamSummary, ...]:
@@ -354,22 +346,3 @@ def posterior_summaries(draws: np.ndarray) -> tuple[ParamSummary, ...]:
         for j in range(3)
     )
 
-
-def export_trace(draws: PosteriorDraws, *, burn_in: int = 0,
-                 thin: int = 1) -> TraceTable:
-    """Trace table for plotting.
-
-    The iteration column carries each retained draw's original chain
-    iteration (burn_in + k*thin of the producing chain config).
-    """
-    iterations = burn_in + thin * np.arange(len(draws))
-    return TraceTable(iterations=iterations, values=draws.draws.copy())
-
-
-def write_trace_csv(trace: TraceTable, path) -> None:
-    """Comma-separated trace: header iteration,r1,r2,r3; full float precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration," + ",".join(PARAM_NAMES) + "\n")
-        for it, row in zip(trace.iterations, trace.values):
-            fh.write(f"{int(it)},{float(row[0])!r},{float(row[1])!r},"
-                     f"{float(row[2])!r}\n")

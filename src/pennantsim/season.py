@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kalman import NoiseParams, converged_pool, sample_noise
+from .kalman import sample_noise
 from .model import ERA_FLOOR, log_ratios
 from .stats import nearest_rank_quantile
 
@@ -50,14 +50,14 @@ class WalkConfig:
 @dataclass(frozen=True)
 class TeamSimState:
     """Evolving per-team state during a simulated season. era is the latent
-    ERA level the season starts from (the filtered mean)."""
+    ERA level the season starts from (the filtered mean); tercile names the
+    noise pool path mode draws the team's ERA noise from."""
 
     team: str
     wins: int
     losses: int
     batting_deviation: float
     era: float
-    noise: NoiseParams
     tercile: str = ""
 
     def __post_init__(self):
@@ -274,24 +274,19 @@ def _waves(pairs) -> list[slice]:
 
 
 def _team_pools(states, noise_pools):
-    """Each team's converged noise estimates, in the order of states, from
-    the pool of its tercile; None when no pools are given, and each team
-    then keeps its stored noise. Each pool is filtered once."""
+    """Each team's noise pool, in the order of states: its tercile's (k, 2)
+    array of (sigma_obs, sigma_process) rows."""
     if noise_pools is None:
-        return None
-    usable, pools = {}, []
+        raise ValueError("path mode needs noise pools")
+    pools = []
     for state in states:
         if not state.tercile:
-            raise ValueError(f"noise_pools given but {state.team} has no "
-                             f"tercile")
-        if state.tercile not in usable:
-            try:
-                pool = noise_pools[state.tercile]
-            except KeyError:
-                raise ValueError(f"no noise pool for tercile "
-                                 f"{state.tercile!r}") from None
-            usable[state.tercile] = converged_pool(state.tercile, pool)
-        pools.append(usable[state.tercile])
+            raise ValueError(f"{state.team} has no tercile")
+        try:
+            pools.append(noise_pools[state.tercile])
+        except KeyError:
+            raise ValueError(f"no noise pool for tercile "
+                             f"{state.tercile!r}") from None
     return pools
 
 
@@ -306,7 +301,10 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
 
     Each seed splits into streams for game outcomes, playoff tie-breaks and
     noise sampling. A replication's game variates and tie keys are drawn up
-    front; the schedule is then played a wave (see _waves) at a time.
+    front; the schedule is then played a wave (see _waves) at a time. Path
+    mode draws each team's noise pair from noise_pools, {tercile: (k, 2)
+    array of (sigma_obs, sigma_process)}, once per replication; forecast
+    mode reads no noise.
     """
     opts = opts or SimOptions()
     states = sorted(initial, key=lambda s: s.team)   # results' column order
@@ -364,10 +362,10 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
                                        (n_games, 2)).T
         if path:   # forecast mode never reads the noise, so it samples none
             noise_rng = np.random.default_rng(noise_ss)
-            noise = ([s.noise for s in states] if pools is None else
-                     [sample_noise(pool, noise_rng) for pool in pools])
-            sigmas = np.array([(n.sigma_process, n.sigma_obs) for n in noise])
-            for scaled, sigma in zip((era_steps, era_errors), sigmas.T):
+            sigma_obs, sigma_process = np.array(
+                [sample_noise(pool, noise_rng) for pool in pools]).T
+            for scaled, sigma in ((era_steps, sigma_process),
+                                  (era_errors, sigma_obs)):
                 scaled[:, :, b] = (sigma[sides]
                                    * game_rng.standard_normal((n_games, 2)).T)
 

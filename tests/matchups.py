@@ -50,10 +50,12 @@ class Matchups:
             self._copies[prefix] = built
         return built[1]
 
-    def home_wins(self, home, away, draws, seed, opts=None):
+    def home_wins(self, home, away, draws, seed, opts=None,
+                  noise_pools=None):
         """Home wins of each pair over its games (0 or 1 when n = 1)."""
         homes = self._copies_of(home, "H")
         result = run_replications(1, homes + self._copies_of(away, "A"),
                                   self.schedule, draws, self.league, seed,
-                                  opts=opts or SimOptions())
+                                  opts=opts or SimOptions(),
+                                  noise_pools=noise_pools)
         return result.wins[0, self._home_columns] - home.wins

@@ -77,8 +77,7 @@ def test_season_totals_conserved_and_fast():
         states.append(TeamSimState(
             team=team, wins=wins, losses=20 - wins,
             batting_deviation=0.004 * ((i % 5) - 2),
-            era=3.4 + 0.08 * (i % 13),
-            noise=NoiseParams(sigma_obs=0.4, sigma_process=0.02)))
+            era=3.4 + 0.08 * (i % 13)))
     assert sum(s.wins for s in states) == 300
     schedule = generate_schedule(league, {t: 20 for t in league.teams}, seed=7)
     draws = np.array([[1.8, 0.5, 0.4], [1.2, 0.9, 0.7],
@@ -217,12 +216,13 @@ TRAJECTORY_PAIRS = 5_000
 TRAJECTORY_GAMES = 30
 
 
-def engine_home_wins(home, away, draws, opts, seed):
+def engine_home_wins(home, away, draws, opts, seed, noise_pools=None):
     # each of 5,000 pairs meets 30 times on consecutive dates, so its
     # states evolve over the pair's games exactly as on a real schedule
     matchups = Matchups(TRAJECTORY_PAIRS, games=TRAJECTORY_GAMES)
     wins = np.array(matchups.home_wins(home, away, draws, seed=seed,
-                                       opts=opts), dtype=float)
+                                       opts=opts, noise_pools=noise_pools),
+                    dtype=float)
     return wins.mean(), wins.std(ddof=1) / math.sqrt(wins.size)
 
 
@@ -234,7 +234,7 @@ def test_batting_walk_variance_scaling():
     # 0.01 lead erodes as the walks spread)
     walk = WalkConfig(step_std=0.004)
     home = TeamSimState(team="H", wins=10, losses=10, batting_deviation=0.01,
-                        era=4.0, noise=NoiseParams(0.0, 0.0))
+                        era=4.0)
     away = replace(home, batting_deviation=0.0)
     mean, se = engine_home_wins(home, away, np.array([[0.0, 30.0, 0.0]]),
                                 SimOptions(walk=walk), seed=41)
@@ -249,13 +249,16 @@ def test_path_mode_era_law_on_engine():
     # ERA exponent only, path mode: game j sees each side's ERA as
     # Normal(era, j * sigma_process^2 + sigma_obs^2), floored. Swapping the
     # two sigmas, dropping either noise, or doubling sigma_process moves the
-    # mean home wins by many standard errors
+    # mean home wins by many standard errors. Both sides draw their noise
+    # from one one-row pool
     noise = NoiseParams(sigma_obs=0.5, sigma_process=0.1)
     home = TeamSimState(team="H", wins=10, losses=10, batting_deviation=0.0,
-                        era=4.0, noise=noise)
+                        era=4.0, tercile="one")
     away = replace(home, era=4.4)
+    pools = {"one": np.array([(noise.sigma_obs, noise.sigma_process)])}
     mean, se = engine_home_wins(home, away, np.array([[0.0, 0.0, 8.0]]),
-                                SimOptions(era_mode="path"), seed=42)
+                                SimOptions(era_mode="path"), seed=42,
+                                noise_pools=pools)
     expected = path_home_wins(TRAJECTORY_GAMES, 8.0, 4.0, 4.4,
                               noise.sigma_obs, noise.sigma_process)
     assert abs(mean - expected) < 4.0 * se, \

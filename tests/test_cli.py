@@ -146,6 +146,20 @@ def test_fit_output_schema(pipeline):
     assert "chain_seed_0" in meta and "chain_seed_1" in meta
 
 
+def test_trace_csv_round_trip(pipeline):
+    # trace k holds chain k's rows of draws.csv, bit for bit, each at its
+    # chain iteration burn_in + thin * row
+    out = pipeline["out"]
+    draws = np.loadtxt(out / "draws.csv", delimiter=",", skiprows=1)
+    for k in (0, 1):
+        trace = np.loadtxt(out / f"trace_chain{k}.csv", delimiter=",",
+                           skiprows=1)
+        chain = draws[draws[:, 0] == k, 1:]
+        assert trace.shape == (500, 4)
+        np.testing.assert_array_equal(trace[:, 0], 500 + 5 * np.arange(500))
+        assert trace[:, 1:].tobytes() == chain.tobytes()
+
+
 def test_fit_byte_deterministic(pipeline, tmp_path, capsys):
     # reruns with no --jobs (the cores available, as the pipeline ran), one
     # job in process, and a pool of two workers for the two chains: the
@@ -534,6 +548,19 @@ def test_report_bad_qualified_names_the_row(pipeline, tmp_path, capsys,
     assert f"{path} row 2: {problem}" in capsys.readouterr().err
 
 
+def test_duplicate_tercile_row_names_the_row(pipeline, tmp_path, capsys):
+    # a second terciles.csv row for the first team, under another label,
+    # must not silently win
+    def duplicate(lines):
+        team, label, era = lines[1].split(",")
+        lines.append(f"{team},{'high' if label != 'high' else 'low'},{era}")
+    path, args = edited_artifacts(pipeline, tmp_path, "terciles.csv",
+                                  duplicate)
+    assert run_on_artifacts("simulate", args) == 3
+    assert f"{path} row 32: a second row for team" \
+        in capsys.readouterr().err
+
+
 def run_on_artifacts(command, args):
     extra = ["--replications", "2"] if command == "simulate" else []
     return main([command, *args, *extra])
@@ -733,6 +760,20 @@ def test_bad_setting_value_is_usage_error(capsys):
     assert "min_games" in capsys.readouterr().err
     assert main(["fit", "--jobs", "0"]) == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "5", "9"])
+def test_window_below_noise_minimum_is_usage_error(tmp_path, capsys, value):
+    # the noise MLE needs at least 10 observations a window: a shorter
+    # window is refused before any work, from a flag or a config file
+    out = tmp_path / "out"
+    assert main(["noise", "--window-length", value, "--out", str(out)]) == 2
+    assert "window_length must be >= 10" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"window_length = {value}\n")
+    assert main(["noise", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "window_length must be >= 10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from oracles import batch_filtered_moments, simulate_era_path
 from pennantsim.kalman import (
     GaussianState,
-    NoiseEstimate,
     NoiseParams,
-    converged_pool,
     estimate_noise,
     filter_series,
     group_terciles,
@@ -163,7 +161,7 @@ def test_estimate_zero_process_noise_is_exact():
 def test_estimate_flags_maximum_past_the_grid():
     # a straight line is a noiseless random walk: the likelihood keeps
     # rising as sigma_obs -> 0, past the top of the psi grid, so the fit is
-    # flagged and converged_pool drops it
+    # flagged, and the noise pools leave it out
     est = estimate_noise(np.linspace(3.0, 4.0, 12))
     assert est.converged is False
     assert est.sigma_obs < 1e-2 * est.sigma_process
@@ -250,30 +248,42 @@ def test_sliding_mostly_converges_on_smooth_data():
 # terciles
 
 
+def groups_of(labels):
+    """{label: sorted teams} of a group_terciles result."""
+    groups = {"low": [], "medium": [], "high": []}
+    for team, label in labels.items():
+        groups[label].append(team)
+    return {label: sorted(teams) for label, teams in groups.items()}
+
+
+def group_sizes(labels):
+    return tuple(len(teams) for teams in groups_of(labels).values())
+
+
 def test_terciles_even_split():
     eras = {f"T{i:02d}": 3.0 + 0.05 * i for i in range(30)}
-    groups = group_terciles(eras)
-    assert (len(groups.low), len(groups.medium), len(groups.high)) == (10, 10, 10)
+    labels = group_terciles(eras)
+    assert group_sizes(labels) == (10, 10, 10)
+    groups = groups_of(labels)
     # ordering consistent with ERA sort
-    assert max(eras[t] for t in groups.low) <= min(eras[t] for t in groups.medium)
-    assert max(eras[t] for t in groups.medium) <= min(eras[t] for t in groups.high)
+    assert max(eras[t] for t in groups["low"]) \
+        <= min(eras[t] for t in groups["medium"])
+    assert max(eras[t] for t in groups["medium"]) \
+        <= min(eras[t] for t in groups["high"])
 
 
 def test_terciles_remainder_to_lower():
     eras = {f"T{i:02d}": 3.0 + 0.05 * i for i in range(31)}
-    groups = group_terciles(eras)
-    assert (len(groups.low), len(groups.medium), len(groups.high)) == (11, 10, 10)
+    assert group_sizes(group_terciles(eras)) == (11, 10, 10)
     eras32 = {f"T{i:02d}": 3.0 + 0.05 * i for i in range(32)}
-    groups32 = group_terciles(eras32)
-    assert (len(groups32.low), len(groups32.medium), len(groups32.high)) == (11, 11, 10)
+    assert group_sizes(group_terciles(eras32)) == (11, 11, 10)
 
 
 def test_terciles_tie_broken_by_identifier():
     # B and C tie at the low/medium boundary; smaller identifier goes low
-    groups = group_terciles({"D": 5.0, "C": 4.0, "B": 4.0, "A": 3.0})
-    assert groups.low == ("A", "B")
-    assert groups.medium == ("C",)
-    assert groups.high == ("D",)
+    groups = groups_of(group_terciles({"D": 5.0, "C": 4.0, "B": 4.0,
+                                       "A": 3.0}))
+    assert groups == {"low": ["A", "B"], "medium": ["C"], "high": ["D"]}
 
 
 def test_terciles_reject_too_few_teams():
@@ -282,35 +292,47 @@ def test_terciles_reject_too_few_teams():
 
 
 def test_tercile_labels():
-    groups = group_terciles({"A": 3.0, "B": 4.0, "C": 5.0})
-    assert groups.labels == {"A": "low", "B": "medium", "C": "high"}
+    assert group_terciles({"A": 3.0, "B": 4.0, "C": 5.0}) == \
+        {"A": "low", "B": "medium", "C": "high"}
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.text("ABCDEFGH", min_size=1, max_size=3),
+                       st.integers(200, 600).map(lambda x: x / 100.0),
+                       min_size=3, max_size=40))
+def test_terciles_partition_teams_into_near_equal_ascending_groups(eras):
+    # every team lands in exactly one group, the group sizes differ by at
+    # most one, and ERA never decreases from low to medium to high
+    labels = group_terciles(eras)
+    assert sorted(labels) == sorted(eras)
+    assert set(labels.values()) <= {"low", "medium", "high"}
+    sizes = group_sizes(labels)
+    assert max(sizes) - min(sizes) <= 1
+    groups = groups_of(labels)
+    for lower, upper in (("low", "medium"), ("medium", "high")):
+        assert max(eras[t] for t in groups[lower]) \
+            <= min(eras[t] for t in groups[upper])
 
 
 # ---------------------------------------------------------------------------
 # noise resampling
 
 
-def pool_of(pairs, converged=True):
-    return [NoiseEstimate("T", i, NoiseParams(*p), converged)
-            for i, p in enumerate(pairs)]
-
-
 def test_sample_noise_singleton_pool():
-    pool = pool_of([(0.5, 0.05)])
+    pool = np.array([(0.5, 0.05)])
     rng = np.random.default_rng(0)
     for _ in range(10):
-        assert sample_noise(pool, rng) == NoiseParams(0.5, 0.05)
+        assert tuple(sample_noise(pool, rng)) == (0.5, 0.05)
 
 
 def test_sample_noise_uniform_over_pool():
     pairs = [(0.4, 0.04), (0.5, 0.05), (0.6, 0.06), (0.7, 0.07)]
-    pool = pool_of(pairs)
+    pool = np.array(pairs)
     rng = np.random.default_rng(123)
     n = 10**5
     counts = {p: 0 for p in pairs}
     for _ in range(n):
-        drawn = sample_noise(pool, rng)
-        counts[(drawn.sigma_obs, drawn.sigma_process)] += 1
+        counts[tuple(sample_noise(pool, rng).tolist())] += 1
     se = math.sqrt(0.25 * 0.75 / n)
     for p in pairs:
         assert abs(counts[p] / n - 0.25) < 3 * se
@@ -318,22 +340,10 @@ def test_sample_noise_uniform_over_pool():
 
 def test_sample_noise_keeps_pairs_intact():
     pairs = [(0.4, 0.07), (0.9, 0.01)]
-    pool = pool_of(pairs)
+    pool = np.array(pairs)
     rng = np.random.default_rng(5)
     for _ in range(50):
-        drawn = sample_noise(pool, rng)
-        assert (drawn.sigma_obs, drawn.sigma_process) in pairs
-
-
-def test_sample_noise_ignores_unconverged():
-    # the filter runs once per pool; sample_noise draws from what it keeps
-    pool = converged_pool(
-        "low", pool_of([(0.4, 0.04)], converged=False) + pool_of([(0.6, 0.06)]))
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        assert sample_noise(pool, rng) == NoiseParams(0.6, 0.06)
-    with pytest.raises(ValueError, match="tercile 'low'"):
-        converged_pool("low", pool_of([(0.4, 0.04)], converged=False))
+        assert tuple(sample_noise(pool, rng).tolist()) in pairs
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the Metropolis sampler, diagnostics, and trace export."""
+"""Tests for the Metropolis sampler, diagnostics, and posterior summaries."""
 
 import logging
 import math
@@ -11,19 +11,16 @@ from games import game_table
 from oracles import game_log_likelihood
 from pennantsim.mcmc import (
     ChainConfig,
-    PosteriorDraws,
     PriorConfig,
     design_log_likelihood,
     derived_seed,
     effective_sample_size,
-    export_trace,
     log_ratio_design,
     posterior_summaries,
     run_chain,
     run_chains,
     split_rhat,
     tune_proposal_std,
-    write_trace_csv,
 )
 
 
@@ -294,36 +291,18 @@ def test_ess_correlated_sequence_is_small():
 
 
 # ---------------------------------------------------------------------------
-# trace export
+# posterior summaries (the CLI's trace files are tested in test_cli.py)
 
 
 def test_trace_shape_and_summary():
     rng = np.random.default_rng(18)
-    draws = PosteriorDraws(draws=rng.uniform(0, 5, size=(100, 3)),
-                           acceptance_rate=0.4, chain_id=2)
-    trace = export_trace(draws, burn_in=2_000, thin=5)
-    assert trace.values.shape == (100, 3)
-    assert trace.iterations[0] == 2_000
-    assert trace.iterations[-1] == 2_000 + 5 * 99
-    for j, summary in enumerate(posterior_summaries(draws.draws)):
-        col = draws.draws[:, j]
+    draws = rng.uniform(0, 5, size=(100, 3))
+    summaries = posterior_summaries(draws)
+    assert [s.name for s in summaries] == ["r1", "r2", "r3"]
+    for j, summary in enumerate(summaries):
+        col = draws[:, j]
         assert summary.mean == pytest.approx(col.mean(), abs=1e-12)
         # independent sort-based quantile oracle
         ordered = np.sort(col)
         assert summary.q5 == ordered[max(1, math.ceil(0.05 * 100)) - 1]
         assert summary.q95 == ordered[math.ceil(0.95 * 100) - 1]
-
-
-def test_trace_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(19)
-    draws = PosteriorDraws(draws=rng.uniform(0, 5, size=(25, 3)),
-                           acceptance_rate=0.3)
-    trace = export_trace(draws)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,r1,r2,r3"
-    assert len(lines) == 26
-    parsed = np.array([[float(tok) for tok in line.split(",")[1:]]
-                       for line in lines[1:]])
-    np.testing.assert_array_equal(parsed, draws.draws)

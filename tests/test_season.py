@@ -17,7 +17,6 @@ from games import game_table
 from matchups import Matchups
 from oracles import playoff_qualifiers as scalar_playoff_qualifiers
 from pennantsim import season
-from pennantsim.kalman import NoiseEstimate, NoiseParams
 from pennantsim.mcmc import design_log_likelihood, log_ratio_design
 from pennantsim.season import (
     ForecastSummary,
@@ -41,11 +40,9 @@ from pennantsim.season import (
 
 
 def make_state(team, wins=10, losses=10, deviation=0.0, era=4.0,
-               sigma_obs=0.5, sigma_process=0.05, tercile=""):
+               tercile=""):
     return TeamSimState(team=team, wins=wins, losses=losses,
                         batting_deviation=deviation, era=era,
-                        noise=NoiseParams(sigma_obs=sigma_obs,
-                                          sigma_process=sigma_process),
                         tercile=tercile)
 
 
@@ -356,19 +353,21 @@ BLOCKED_MODES = [SimOptions(), SimOptions(era_mode="path")]
 
 
 def blocked_setup(monkeypatch):
-    # 30 teams with unequal records, ERAs and noise, 15 games left each; a
-    # budget of 40 kB gives blocks of 5 (marginal/forecast) or 2
-    # (marginal/path) of the 225-game replications
+    # 30 teams with unequal records, ERAs and noise (a one-row pool under
+    # each team's own label), 15 games left each; a budget of 40 kB gives
+    # blocks of 5 (marginal/forecast) or 2 (marginal/path) of the 225-game
+    # replications
     monkeypatch.setattr(season, "BLOCK_BYTES", 40_000)
     league = standard_league()
     states = [make_state(t, wins=8 + i % 7, losses=12 - i % 7,
                          deviation=0.002 * (i % 5 - 2), era=3.0 + 0.07 * i,
-                         sigma_obs=0.2 + 0.01 * i,
-                         sigma_process=0.02 + 0.002 * i)
+                         tercile=t)
               for i, t in enumerate(league.teams)]
+    pools = {t: np.array([(0.2 + 0.01 * i, 0.02 + 0.002 * i)])
+             for i, t in enumerate(league.teams)}
     sched = generate_schedule(league, {t: 147 for t in league.teams}, seed=6)
     draws = np.random.default_rng(3).uniform(0.5, 2.0, (40, 3))
-    return league, states, sched, draws
+    return league, states, pools, sched, draws
 
 
 def blocks_played(monkeypatch):
@@ -386,43 +385,41 @@ def blocks_played(monkeypatch):
 @pytest.mark.parametrize("opts", BLOCKED_MODES,
                          ids=["marginal-forecast", "marginal-path"])
 def test_blocks_match_single_replications(monkeypatch, opts):
-    league, states, sched, draws = blocked_setup(monkeypatch)
+    league, states, pools, sched, draws = blocked_setup(monkeypatch)
     games = sched.games
     # waves end where a team plays consecutive games
     assert any({g.home, g.away} & {h.home, h.away}
                for g, h in zip(games, games[1:]))
     sizes = blocks_played(monkeypatch)
     blocked = run_replications(7, states, sched, draws, league, base_seed=9,
-                               opts=opts)
+                               opts=opts, noise_pools=pools)
     assert len(sizes) > 1 and max(sizes) > 1 and sum(sizes) == 7
     singles = [run_replication(states, sched, draws, league,
                                [np.random.SeedSequence((9, k))],
-                               replication_ids=[k], opts=opts)
+                               replication_ids=[k], opts=opts,
+                               noise_pools=pools)
                for k in range(7)]
     assert blocked == SeasonResults.concatenate(singles)
 
 
 def tercile_setup():
-    # 30 teams labelled low/medium/high by tens, and one pool estimate per
-    # tercile, each unlike the teams' stored noise (0.5, 0.05)
+    # 30 teams labelled low/medium/high by tens, and a one-row pool per
+    # tercile, each pair unlike the others
     league = standard_league()
     labels = ("low", "medium", "high")
     states = [make_state(t, tercile=labels[i // 10])
               for i, t in enumerate(league.teams)]
-    pairs = {label: NoiseParams(0.2 + i * 0.2, 0.03 + i * 0.03)
+    pools = {label: np.array([(0.2 + i * 0.2, 0.03 + i * 0.03)])
              for i, label in enumerate(labels)}
-    pools = {label: [NoiseEstimate(team="src", window_start=0, params=pair,
-                                   converged=True)]
-             for label, pair in pairs.items()}
     sched = generate_schedule(league, {t: 150 for t in league.teams}, seed=4)
     draws = np.random.default_rng(2).uniform(0.5, 2.0, (100, 3))
-    return league, states, pairs, pools, sched, draws
+    return league, states, pools, sched, draws
 
 
 def test_noise_pools_do_not_disturb_game_stream():
     # forecast-mode outcomes cannot depend on noise, so passing the pools
     # must leave every win total unchanged
-    league, states, _, pools, sched, draws = tercile_setup()
+    league, states, pools, sched, draws = tercile_setup()
     bare = run_replications(3, states, sched, draws, league, base_seed=12)
     pooled = run_replications(3, states, sched, draws, league, base_seed=12,
                               noise_pools=pools)
@@ -430,35 +427,46 @@ def test_noise_pools_do_not_disturb_game_stream():
 
 
 def test_path_mode_draws_noise_from_each_teams_tercile_pool():
-    # with one estimate per pool, path mode must play exactly as if each
-    # team carried its tercile's pair itself; the stored noise must not
-    # leak in, and the pools must matter
-    league, states, pairs, pools, sched, draws = tercile_setup()
+    # with one row per pool, path mode must play exactly as if each team
+    # had its own one-row pool holding its tercile's pair; and the pools
+    # must matter: rotating them across the terciles changes the play
+    league, states, pools, sched, draws = tercile_setup()
     opts = SimOptions(era_mode="path")
     pooled = run_replications(3, states, sched, draws, league, base_seed=12,
                               opts=opts, noise_pools=pools)
-    carried = [dataclasses.replace(s, noise=pairs[s.tercile]) for s in states]
-    direct = run_replications(3, carried, sched, draws, league, base_seed=12,
-                              opts=opts)
-    stored = run_replications(3, states, sched, draws, league, base_seed=12,
-                              opts=opts)
+    own = [dataclasses.replace(s, tercile=s.team) for s in states]
+    per_team = {s.team: pools[s.tercile] for s in states}
+    direct = run_replications(3, own, sched, draws, league, base_seed=12,
+                              opts=opts, noise_pools=per_team)
+    rotated = dict(zip(pools, np.roll(list(pools.values()), 1, axis=0)))
+    moved = run_replications(3, states, sched, draws, league, base_seed=12,
+                             opts=opts, noise_pools=rotated)
     assert pooled == direct
-    assert np.any(pooled.wins != stored.wins)
+    assert np.any(pooled.wins != moved.wins)
 
 
 def test_noise_pools_require_grouping():
-    # pools are keyed by tercile, so a team without one cannot draw noise
+    # pools are keyed by tercile, so path mode cannot draw noise without
+    # them, for a team without a tercile, or for a tercile without a pool
     league = tiny_league()
     states = [make_state(t, tercile="low") for t in league.teams]
-    states[2] = make_state("E2")
     sched = Schedule(games=(
         ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
-    pools = {"low": [NoiseEstimate(team="s", window_start=0,
-                                   params=NoiseParams(0.3, 0.02),
-                                   converged=True)]}
+    pools = {"low": np.array([(0.3, 0.02)])}
+    path = SimOptions(era_mode="path")
+
+    def play(states, noise_pools):
+        return one_replication(states, sched, np.ones((1, 3)), league,
+                               seed=1, opts=path, noise_pools=noise_pools)
+
+    play(states, pools)
+    with pytest.raises(ValueError, match="path mode needs noise pools"):
+        play(states, None)
+    with pytest.raises(ValueError, match="no noise pool for tercile 'low'"):
+        play(states, {"high": pools["low"]})
+    states[2] = make_state("E2")
     with pytest.raises(ValueError, match="E2 has no tercile"):
-        one_replication(states, sched, np.ones((1, 3)), league, seed=1,
-                        opts=SimOptions(era_mode="path"), noise_pools=pools)
+        play(states, pools)
 
 
 def test_replications_rejects_bad_counts():
