@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -21,16 +22,16 @@ import numpy as np
 from .gamelog import (DatasetFilter, derive_pregame_records,
                       filter_training_window, latest_season, parse_game_log,
                       require_games)
-from .kalman import (MIN_WINDOW, GaussianState, NoiseParams, filter_series,
-                     group_terciles, sliding_noise_estimates)
+from .kalman import (MIN_WINDOW, TERCILES, GaussianState, NoiseParams,
+                     filter_series, group_terciles, sliding_noise_estimates)
 from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
                    effective_sample_size, log_ratio_design,
                    posterior_summaries, run_chains, split_rhat,
                    tune_proposal_std)
-from .season import (SeasonResults, SimOptions, TeamSimState, WalkConfig,
-                     csv_rows, export_win_histogram, generate_schedule,
-                     read_league_csv, read_schedule_csv, run_replications,
-                     summarize)
+from .season import (DRAW_MODES, ERA_MODES, LEAGUE_BATTING_MEAN,
+                     SeasonResults, SimOptions, TeamSimState, csv_rows,
+                     export_win_histogram, generate_schedule, read_league_csv,
+                     read_schedule_csv, run_replications, summarize)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -48,9 +49,24 @@ class PipelineError(Exception):
     """Runtime failure: missing prerequisite artifact, bad data."""
 
 
+# the choice settings; simulate plays one outcome law in either mode
+CHOICES = {"mode": ("marginal", "two-stage"), "draws": DRAW_MODES,
+           "era_mode": ERA_MODES,
+           "filter_mode": ("date-window", "games-played")}
+
+
+def _cores() -> int:
+    """Cores this process may run on; all of them without an affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings for one command invocation."""
+    """Resolved settings for one command invocation. Each field is a
+    setting: config key NAME and flag --NAME (- for _) of the subcommands
+    SUBCOMMANDS gives it, both typed by its annotation."""
 
     game_log: str | None = None
     schedule: str | None = None
@@ -65,7 +81,7 @@ class RunConfig:
     chains: int = 4
     replications: int = 1000
     burn_in_games: int = 20
-    mode: str = "marginal"   # simulate plays one outcome law in either mode
+    mode: str = "marginal"
     draws: str = "posterior-predictive"
     era_mode: str = "forecast"
     walk_std: float = 0.0015
@@ -73,8 +89,7 @@ class RunConfig:
     filter_mode: str = "date-window"
     min_games: int = 50
     season_length: int = 162
-    # fit's chain worker processes; simulate ignores it
-    jobs: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
+    jobs: int = field(default_factory=_cores)
 
     def __post_init__(self):
         # resolve_config has the domain configs check the other settings
@@ -85,12 +100,11 @@ class RunConfig:
                              f"got {self.replications}")
         if self.jobs < 1:
             raise UsageError(f"jobs must be >= 1, got {self.jobs}")
-        if self.mode not in ("marginal", "two-stage"):
-            raise UsageError(f"mode must be marginal or two-stage, "
-                             f"got {self.mode!r}")
-        if self.filter_mode not in ("date-window", "games-played"):
-            raise UsageError(f"filter_mode must be date-window or "
-                             f"games-played, got {self.filter_mode!r}")
+        for name in ("mode", "filter_mode"):   # SimOptions checks the rest
+            value = getattr(self, name)
+            if value not in CHOICES[name]:
+                raise UsageError(f"{name} must be {' or '.join(CHOICES[name])}"
+                                 f", got {value!r}")
         if self.window_length < MIN_WINDOW:
             raise UsageError(f"window_length must be >= {MIN_WINDOW}")
         if self.season_length < 1:
@@ -114,21 +128,18 @@ class RunConfig:
                            proposal_std=0.05 if self.proposal_std is None
                            else self.proposal_std)
 
-    def walk_config(self) -> WalkConfig:
-        return WalkConfig(step_std=self.walk_std)
-
     def sim_options(self) -> SimOptions:
         return SimOptions(draw_mode=self.draws, era_mode=self.era_mode,
-                          walk=self.walk_config(),
+                          step_std=self.walk_std,
                           burn_in_games=self.burn_in_games)
 
 
-_STRING_KEYS = ("game_log", "schedule", "league", "out", "mode", "draws",
-                "era_mode", "filter_mode")
-_INT_KEYS = ("seed", "iterations", "burn_in", "thin", "chains",
-             "replications", "burn_in_games", "window_length", "min_games",
-             "season_length", "jobs")
-_FLOAT_KEYS = ("r_max", "proposal_std", "walk_std")
+# {setting: the type its values convert by}, X for an X | None annotation
+SETTING_TYPES = {
+    name: next(t for t in typing.get_args(hint) or (hint,)
+               if t is not type(None))
+    for name, hint in typing.get_type_hints(RunConfig).items()}
+_TYPE_NOUNS = {int: "an integer", float: "a number"}
 
 
 def parse_config_file(path) -> dict:
@@ -148,22 +159,14 @@ def parse_config_file(path) -> dict:
                              f"got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in _STRING_KEYS:
-            values[key] = raw
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                raise UsageError(f"{path} line {lineno}: {key} needs an "
-                                 f"integer, got {raw!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(raw)
-            except ValueError:
-                raise UsageError(f"{path} line {lineno}: {key} needs a "
-                                 f"number, got {raw!r}") from None
-        else:
+        kind = SETTING_TYPES.get(key)
+        if kind is None:
             raise UsageError(f"{path} line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = kind(raw)
+        except ValueError:
+            raise UsageError(f"{path} line {lineno}: {key} needs "
+                             f"{_TYPE_NOUNS[kind]}, got {raw!r}") from None
     return values
 
 
@@ -190,9 +193,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # shared plumbing
 
 
+def _flag(setting: str) -> str:
+    return "--" + setting.replace("_", "-")
+
+
 def _require(value, command: str, what: str, key: str):
     if not value:
-        raise UsageError(f"{command} requires {what} (--{key.replace('_', '-')} "
+        raise UsageError(f"{command} requires {what} ({_flag(key)} "
                          f"or config {key})")
     return value
 
@@ -263,24 +270,9 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
             schedule = read_schedule_csv(
                 _open_input(cfg.schedule, "schedule file"))
             if league is not None:
-                known = set(league.teams)
-                for game in schedule.games:
-                    for team in (game.home, game.away):
-                        if team not in known:
-                            issues.append(
-                                f"schedule: team {team!r} on {game.date} "
-                                f"missing from league structure")
-                if log is not None:
-                    season = latest_season(log)
-                    remaining = schedule.games_per_team()
-                    for team in sorted(remaining):
-                        played = season[team].games if team in season else 0
-                        total = played + remaining[team]
-                        if total > cfg.season_length:
-                            issues.append(
-                                f"schedule: {team} has {played} played + "
-                                f"{remaining[team]} scheduled = {total} games, "
-                                f"over the {cfg.season_length}-game season")
+                season = latest_season(log) if log is not None else None
+                issues += [f"schedule: {issue}" for issue
+                           in _schedule_issues(schedule, league, season)]
         except (ValueError, PipelineError, OSError) as exc:
             issues.append(f"schedule: {exc}")
     if not (cfg.league or cfg.game_log or cfg.schedule):
@@ -294,6 +286,25 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
         return EXIT_INVALID
     print("no issues found")
     return EXIT_OK
+
+
+def _schedule_issues(schedule, league, season) -> list:
+    """Each game's team missing from the league, then each team the
+    schedule takes past the league's season length given the games it has
+    played in season (`latest_season`'s table), unless season is None."""
+    known = set(league.teams)
+    issues = [f"team {team!r} on {game.date} missing from league structure"
+              for game in schedule.games for team in (game.home, game.away)
+              if team not in known]
+    remaining = schedule.games_per_team() if season is not None else {}
+    for team in sorted(remaining):
+        played = season[team].games if team in season else 0
+        total = played + remaining[team]
+        if total > league.season_length:
+            issues.append(f"{team} has {played} played + {remaining[team]} "
+                          f"scheduled = {total} games, over the "
+                          f"{league.season_length}-game season")
+    return issues
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +442,13 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
                "noise_metadata.txt": _metadata_lines(cfg, "noise", meta)}
     _emit_outputs(cfg, outputs)
 
-    sizes = {label: sum(1 for v in labels.values() if v == label)
-             for label in ("low", "medium", "high")}
+    sizes = ", ".join(f"{label} {list(labels.values()).count(label)}"
+                      for label in TERCILES)
     print(f"fit {n_converged} converged windows across {len(estimates)} "
           f"teams (skipped {len(skipped)})")
     print(f"pinned_windows={n_pinned} (converged windows with zero "
           f"process noise)")
-    print(f"terciles: low {sizes['low']}, medium {sizes['medium']}, "
-          f"high {sizes['high']}")
+    print(f"terciles: {sizes}")
     return EXIT_OK
 
 
@@ -455,8 +465,12 @@ def _load_noise_artifacts(cfg: RunConfig):
         if team in labels:
             raise PipelineError(f"{terc_path} row {lineno}: a second row "
                                 f"for team {team!r}")
+        if label not in TERCILES:
+            raise PipelineError(f"{terc_path} row {lineno}: tercile must be "
+                                f"one of {', '.join(TERCILES)}, got {label!r}")
         labels[team] = label
-    for lineno, (team, _, sobs, sproc, conv) in csv_rows(
+    windows = set()   # (team, window_start)
+    for lineno, (team, start, sobs, sproc, conv) in csv_rows(
             pool_path, {"team": str, "window_start": int, "sigma_obs": float,
                         "sigma_process": float, "converged": int},
             "noise estimates"):
@@ -466,6 +480,10 @@ def _load_noise_artifacts(cfg: RunConfig):
         if team not in labels:
             raise PipelineError(f"{pool_path} row {lineno}: team {team!r} "
                                 f"has no tercile assignment")
+        if (team, start) in windows:
+            raise PipelineError(f"{pool_path} row {lineno}: a second row "
+                                f"for team {team!r} window_start {start}")
+        windows.add((team, start))
         try:
             NoiseParams(sobs, sproc)   # each sigma finite and >= 0
         except ValueError as exc:
@@ -483,10 +501,9 @@ def _median_noise(pool) -> NoiseParams:
     return NoiseParams(sigma_obs, sigma_process)
 
 
-def _initial_states(season, league, pools, labels, cfg: RunConfig):
+def _initial_states(season, league, pools, labels):
     """Current record, batting deviation, and filtered ERA level per team,
     from `latest_season`."""
-    walk = cfg.walk_config()
     states = []
     for team in league.teams:
         if team not in season:
@@ -505,7 +522,7 @@ def _initial_states(season, league, pools, labels, cfg: RunConfig):
             era = filter_series(init, series[1:], noise).mean
         states.append(TeamSimState(
             team=team, wins=season[team].wins, losses=season[team].losses,
-            batting_deviation=season[team].battings[-1] - walk.league_mean,
+            batting_deviation=season[team].battings[-1] - LEAGUE_BATTING_MEAN,
             era=era, tercile=label))
     return states
 
@@ -535,7 +552,7 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
     draws = _read_draw_matrix(cfg)
     pools, labels = _load_noise_artifacts(cfg)
     season = latest_season(log)
-    states = _initial_states(season, league, pools, labels, cfg)
+    states = _initial_states(season, league, pools, labels)
 
     hist_teams = list(dict.fromkeys(extras.histogram or []))
     known = set(league.teams)
@@ -547,10 +564,9 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
     if cfg.schedule:
         schedule = read_schedule_csv(
             _open_input(cfg.schedule, "schedule file"))
-        unknown = sorted(schedule.teams - known)
-        if unknown:
-            raise PipelineError(f"schedule names teams missing from the "
-                                f"league structure: {', '.join(unknown)}")
+        issues = _schedule_issues(schedule, league, season)
+        if issues:
+            raise PipelineError(f"{cfg.schedule}: {issues[0]}")
     else:
         played = {t: season[t].games for t in league.teams}
         schedule = generate_schedule(league, played, seed=cfg.seed)
@@ -652,59 +668,48 @@ def cmd_report(cfg: RunConfig, extras) -> int:
 # entry point
 
 
+# settings every subcommand takes, in flag order
+COMMON_SETTINGS = ("game_log", "schedule", "league", "out", "seed", "jobs",
+                   "season_length")
+# subcommand: (help, the settings it takes beyond COMMON_SETTINGS)
+SUBCOMMANDS = {
+    "validate": ("check input files for consistency", ()),
+    "fit": ("sample the exponent posterior",
+            ("r_max", "proposal_std", "iterations", "burn_in", "thin",
+             "chains", "filter_mode", "min_games")),
+    "noise": ("estimate ERA noise pools by tercile", ("window_length",)),
+    "simulate": ("run season replications",
+                 ("replications", "mode", "draws", "era_mode",
+                  "burn_in_games", "walk_std")),
+    "report": ("re-summarize simulation results", ()),
+}
+SETTING_HELP = {
+    "game_log": "game log CSV", "schedule": "remaining-schedule CSV",
+    "league": "league structure CSV", "out": "output directory (default: out)",
+    "seed": "master seed",
+    "jobs": "fit: chain worker processes (default: the cores available); "
+            "no effect elsewhere",
+    "mode": "accepted; no effect",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pennantsim",
         description="Season forecasting: Bayesian game model, noise "
                     "estimation, and Monte Carlo season simulation.")
+    parser.set_defaults(histogram=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (help_text, settings) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key=value settings file")
-        p.add_argument("--game-log", dest="game_log", help="game log CSV")
-        p.add_argument("--schedule", help="remaining-schedule CSV")
-        p.add_argument("--league", help="league structure CSV")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--jobs", type=int,
-                       help="fit: chain worker processes (default: the "
-                            "cores available); no effect elsewhere")
-        p.add_argument("--season-length", dest="season_length", type=int)
-
-    p = sub.add_parser("validate", help="check input files for consistency")
-    add_common(p)
-
-    p = sub.add_parser("fit", help="sample the exponent posterior")
-    add_common(p)
-    p.add_argument("--r-max", dest="r_max", type=float)
-    p.add_argument("--proposal-std", dest="proposal_std", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--thin", type=int)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--filter-mode", dest="filter_mode",
-                   choices=("date-window", "games-played"))
-    p.add_argument("--min-games", dest="min_games", type=int)
-
-    p = sub.add_parser("noise", help="estimate ERA noise pools by tercile")
-    add_common(p)
-    p.add_argument("--window-length", dest="window_length", type=int)
-
-    p = sub.add_parser("simulate", help="run season replications")
-    add_common(p)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--mode", choices=("marginal", "two-stage"),
-                   help="accepted; no effect")
-    p.add_argument("--draws", choices=("posterior-predictive", "point"))
-    p.add_argument("--era-mode", dest="era_mode",
-                   choices=("forecast", "path"))
-    p.add_argument("--burn-in-games", dest="burn_in_games", type=int)
-    p.add_argument("--walk-std", dest="walk_std", type=float)
-    p.add_argument("--histogram", action="append", metavar="TEAM",
-                   help="also write histogram_TEAM.csv (repeatable)")
-
-    p = sub.add_parser("report", help="re-summarize simulation results")
-    add_common(p)
+        for name in COMMON_SETTINGS + settings:
+            p.add_argument(_flag(name), type=SETTING_TYPES[name],
+                           choices=CHOICES.get(name),
+                           help=SETTING_HELP.get(name))
+        if command == "simulate":
+            p.add_argument("--histogram", action="append", metavar="TEAM",
+                           help="also write histogram_TEAM.csv (repeatable)")
     return parser
 
 
@@ -723,8 +728,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if not hasattr(args, "histogram"):
-        args.histogram = None
     try:
         cfg = resolve_config(args)
         return COMMANDS[args.command](cfg, args)

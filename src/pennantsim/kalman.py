@@ -22,6 +22,9 @@ import numpy as np
 # Noise estimation is unreliable below this many observations.
 MIN_WINDOW = 10
 
+# Tercile labels, lowest early-season ERA first.
+TERCILES = ("low", "medium", "high")
+
 # The noise MLE's search over psi = q / r: zero plus a log grid, then
 # passes of a linear zoom between the best point's two neighbours.
 _PSI_GRID = np.concatenate(([0.0], np.logspace(-8.0, 4.0, 240)))
@@ -232,7 +235,7 @@ def group_terciles(team_early_eras: dict[str, float]) -> dict[str, str]:
     ordered = sorted(team_early_eras, key=lambda t: (team_early_eras[t], t))
     base, rem = divmod(len(ordered), 3)
     low, medium = base + (rem > 0), base + (rem > 1)
-    return {t: "low" if k < low else "medium" if k < low + medium else "high"
+    return {t: TERCILES[(k >= low) + (k >= low + medium)]
             for k, t in enumerate(ordered)}
 
 

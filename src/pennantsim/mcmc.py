@@ -225,24 +225,28 @@ def run_chains(design: Design, prior: PriorConfig, base_cfg: ChainConfig,
     return results
 
 
-def tune_proposal_std(design: Design, prior: PriorConfig, cfg: ChainConfig,
-                      *, target: float = 0.3, n_pilot: int = 400,
-                      max_rounds: int = 8) -> float:
+# tune_proposal_std's target acceptance, pilot chain length and round cap
+TUNE_TARGET, TUNE_PILOT, TUNE_ROUNDS = 0.3, 400, 8
+
+
+def tune_proposal_std(design: Design, prior: PriorConfig,
+                      cfg: ChainConfig) -> float:
     """Fixed pre-run tuning sweep for the proposal scale.
 
-    Runs short pilot chains, nudging the scale by exp(acceptance - target)
-    until the pilot acceptance lands in a workable band. Deterministic given
-    cfg.seed; the tuned value is then used for the real run.
+    Runs short pilot chains, nudging the scale by
+    exp(acceptance - TUNE_TARGET) until the pilot acceptance lands in a
+    workable band. Deterministic given cfg.seed; the tuned value is then
+    used for the real run.
     """
     std = cfg.proposal_std
-    for round_no in range(max_rounds):
-        pilot_cfg = replace(cfg, n_iterations=n_pilot, burn_in=0, thin=1,
+    for round_no in range(TUNE_ROUNDS):
+        pilot_cfg = replace(cfg, n_iterations=TUNE_PILOT, burn_in=0, thin=1,
                             proposal_std=std,
                             seed=derived_seed(cfg.seed, 0x7E57 + round_no))
         accept = run_chain(design, prior, pilot_cfg).acceptance_rate
         if 0.2 <= accept <= 0.45:
             break
-        std = min(std * math.exp(accept - target), prior.r_max)
+        std = min(std * math.exp(accept - TUNE_TARGET), prior.r_max)
     return std
 
 

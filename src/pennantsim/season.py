@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,25 +26,12 @@ DRAW_MODES = ("posterior-predictive", "point")
 ERA_MODES = ("forecast", "path")
 
 
-@dataclass(frozen=True)
-class WalkConfig:
-    """Batting random walk: team averages are deviations from a league mean,
-    and each game a team plays adds one Normal(0, step_std^2) increment to
-    its deviation. The implied average (mean + deviation) is clamped to
-    [clamp_low, clamp_high]; the raw deviation is not."""
-
-    step_std: float = 0.0015
-    league_mean: float = 0.250
-    clamp_low: float = 0.150
-    clamp_high: float = 0.400
-
-    def __post_init__(self):
-        if not (math.isfinite(self.step_std) and self.step_std > 0):
-            raise ValueError(f"step_std must be positive, got {self.step_std}")
-        if not 0.0 < self.clamp_low < self.league_mean < self.clamp_high < 1.0:
-            raise ValueError(
-                f"need 0 < clamp_low < league_mean < clamp_high < 1, got "
-                f"({self.clamp_low}, {self.league_mean}, {self.clamp_high})")
+# Batting random walk: team averages are deviations from the league mean,
+# and each game a team plays adds one Normal(0, step_std^2) increment to its
+# deviation. The implied average (mean + deviation) is clamped to
+# [BATTING_LOW, BATTING_HIGH]; the raw deviation is not.
+LEAGUE_BATTING_MEAN = 0.250
+BATTING_LOW, BATTING_HIGH = 0.150, 0.400
 
 
 @dataclass(frozen=True)
@@ -232,15 +219,17 @@ class SimOptions:
     draw_mode: one posterior draw per game ('posterior-predictive') or the
     posterior mean ('point'). era_mode: 'forecast' feeds each game the
     current ERA forecast mean; 'path' random-walks the latent ERA and feeds
-    a noisy observation.
+    a noisy observation. step_std: the batting walk's per-game step.
     """
 
     draw_mode: str = "posterior-predictive"
     era_mode: str = "forecast"
-    walk: WalkConfig = field(default_factory=WalkConfig)
+    step_std: float = 0.0015
     burn_in_games: int = 20
 
     def __post_init__(self):
+        if not (math.isfinite(self.step_std) and self.step_std > 0):
+            raise ValueError(f"step_std must be positive, got {self.step_std}")
         if self.draw_mode not in DRAW_MODES:
             raise ValueError(f"draw_mode must be one of {DRAW_MODES}, "
                              f"got {self.draw_mode!r}")
@@ -358,8 +347,7 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         u_out[:, b] = game_rng.random(n_games)
         if predictive:
             row_idx[:, b] = game_rng.integers(0, len(matrix), n_games)
-        eps[:, :, b] = game_rng.normal(0.0, opts.walk.step_std,
-                                       (n_games, 2)).T
+        eps[:, :, b] = game_rng.normal(0.0, opts.step_std, (n_games, 2)).T
         if path:   # forecast mode never reads the noise, so it samples none
             noise_rng = np.random.default_rng(noise_ss)
             sigma_obs, sigma_process = np.array(
@@ -372,14 +360,13 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     wins, losses, dev, era = (
         np.repeat(np.array(column)[:, None], n_reps, axis=1) for column in
         zip(*[(s.wins, s.losses, s.batting_deviation, s.era) for s in states]))
-    walk = opts.walk
     mean_row = matrix.mean(axis=0)
     for w in _waves(pairs):
         ix = sides[:, w]
         won, lost = wins[ix], losses[ix]
         win_pct = won / (won + lost)
-        avg = np.clip(walk.league_mean + dev[ix], walk.clamp_low,
-                      walk.clamp_high)
+        avg = np.clip(LEAGUE_BATTING_MEAN + dev[ix], BATTING_LOW,
+                      BATTING_HIGH)
         era_now = era[ix] + era_errors[:, w] if path else era[ix]
         ratios = log_ratios(win_pct[0], win_pct[1], avg[0], avg[1],
                             era_now[0], era_now[1])
@@ -496,19 +483,19 @@ def export_win_histogram(results: SeasonResults,
 # ---------------------------------------------------------------------------
 # schedules and league files
 
+SCHEDULE_START = datetime.date(2024, 8, 1)   # a synthetic schedule's first day
+DIVISION_WEIGHT = 0.6
+
 
 def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
-                      seed: int, *, start_date: datetime.date | None = None,
-                      division_weight: float = 0.6) -> Schedule:
+                      seed: int) -> Schedule:
     """Synthetic remaining-season schedule when no real one is available.
 
     Repeatedly matches the team with the most games left against an opponent
-    that still needs games — same-division with the configured probability —
-    until every team reaches the season length. Marked synthetic so reports
-    can flag it.
+    that still needs games — same-division with probability DIVISION_WEIGHT
+    — until every team reaches the season length. Marked synthetic so
+    reports can flag it.
     """
-    if start_date is None:
-        start_date = datetime.date(2024, 8, 1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5CED)))
     need = {}
     for team in league.teams:
@@ -535,11 +522,11 @@ def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
         lg, div = league.membership(team)
         same = [t for t in others if league.membership(t) == (lg, div)]
         other = [t for t in others if league.membership(t) != (lg, div)]
-        pool = same if same and (not other or rng.random() < division_weight) \
+        pool = same if same and (not other or rng.random() < DIVISION_WEIGHT) \
             else other
         opponent = pool[int(rng.integers(len(pool)))]
         home, away = (team, opponent) if rng.random() < 0.5 else (opponent, team)
-        day = start_date + datetime.timedelta(days=len(games) // per_day)
+        day = SCHEDULE_START + datetime.timedelta(days=len(games) // per_day)
         games.append(ScheduledGame(date=day, home=home, away=away))
         need[team] -= 1
         need[opponent] -= 1

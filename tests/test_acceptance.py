@@ -40,10 +40,12 @@ from pennantsim.mcmc import (
     split_rhat,
 )
 from pennantsim.season import (
+    BATTING_HIGH,
+    BATTING_LOW,
+    LEAGUE_BATTING_MEAN,
     LeagueStructure,
     SimOptions,
     TeamSimState,
-    WalkConfig,
     generate_schedule,
     run_replications,
 )
@@ -232,15 +234,16 @@ def test_batting_walk_variance_scaling():
     # step that is too large or too small, or a walk that does not move,
     # shifts the mean home wins by many standard errors (the home side's
     # 0.01 lead erodes as the walks spread)
-    walk = WalkConfig(step_std=0.004)
+    opts = SimOptions(step_std=0.004)
     home = TeamSimState(team="H", wins=10, losses=10, batting_deviation=0.01,
                         era=4.0)
     away = replace(home, batting_deviation=0.0)
     mean, se = engine_home_wins(home, away, np.array([[0.0, 30.0, 0.0]]),
-                                SimOptions(walk=walk), seed=41)
-    expected = walk_home_wins(TRAJECTORY_GAMES, 30.0, walk.league_mean + 0.01,
-                              walk.league_mean, walk.step_std,
-                              clamp=(walk.clamp_low, walk.clamp_high))
+                                opts, seed=41)
+    expected = walk_home_wins(TRAJECTORY_GAMES, 30.0,
+                              LEAGUE_BATTING_MEAN + 0.01,
+                              LEAGUE_BATTING_MEAN, opts.step_std,
+                              clamp=(BATTING_LOW, BATTING_HIGH))
     assert abs(mean - expected) < 4.0 * se, \
         f"engine {mean:.3f} +/- {se:.3f} vs oracle {expected:.3f}"
 

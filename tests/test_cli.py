@@ -7,15 +7,17 @@ own inputs where the shared artifacts would get in the way.
 
 import argparse
 import datetime
+import os
 import re
 import shutil
+import typing
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pennantsim.cli import RunConfig, build_parser, main
+from pennantsim.cli import RunConfig, build_parser, main, resolve_config
 
 from cli_fixtures import (write_constant_log_file, write_game_log_file,
                           write_league_file, write_recovery_log_file)
@@ -101,6 +103,26 @@ def test_short_schedule_row_is_a_row_error(pipeline, tmp_path, capsys):
     assert main(["simulate", *pipeline["common"], "--replications", "2",
                  "--schedule", str(sched)]) == 3
     assert "row 2: missing away" in capsys.readouterr().err
+
+
+def test_over_season_schedule_refused_by_validate_and_simulate(
+        pipeline, tmp_path, capsys):
+    # every team has played 32 games, so three more EN0-EN1 games overrun a
+    # 34-game season: validate lists both teams, simulate stops at the first
+    sched = tmp_path / "sched.csv"
+    sched.write_text("date,home,away\n" + "".join(
+        f"2024-09-0{day},EN0,EN1\n" for day in (1, 2, 3)))
+    shutil.copytree(pipeline["out"], tmp_path / "out")
+    args = [a if a != str(pipeline["out"]) else str(tmp_path / "out")
+            for a in pipeline["common"]]
+    args += ["--schedule", str(sched), "--season-length", "34"]
+    over = [f"{team} has 32 played + 3 scheduled = 35 games, over the "
+            f"34-game season" for team in ("EN0", "EN1")]
+    assert main(["validate", *args]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"issue: schedule: {issue}" for issue in over), "2 issue(s) found"]
+    assert main(["simulate", *args, "--replications", "2"]) == 3
+    assert capsys.readouterr().err == f"error: {sched}: {over[0]}\n"
 
 
 def test_validate_missing_file_reported_not_thrown(tmp_path, capsys):
@@ -561,6 +583,17 @@ def test_duplicate_tercile_row_names_the_row(pipeline, tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_duplicate_noise_window_names_the_row(pipeline, tmp_path, capsys):
+    # a repeated window would be drawn twice as often as the others
+    path, args = edited_artifacts(pipeline, tmp_path, "noise_estimates.csv",
+                                  lambda lines: lines.append(lines[1]))
+    lines = path.read_text().splitlines()
+    team, start = lines[1].split(",")[:2]
+    assert run_on_artifacts("simulate", args) == 3
+    assert f"{path} row {len(lines)}: a second row for team {team!r} " \
+        f"window_start {start}" in capsys.readouterr().err
+
+
 def run_on_artifacts(command, args):
     extra = ["--replications", "2"] if command == "simulate" else []
     return main([command, *args, *extra])
@@ -609,6 +642,9 @@ def test_bad_artifact_number_names_the_row(pipeline, tmp_path, capsys,
     ("noise_estimates.csv", (4,), "0",
      "converged must be 1 (converged windows only), got 0"),
     ("noise_estimates.csv", (4,), "yes", "bad converged 'yes'"),
+    # any other label would make a pool of its own
+    ("terciles.csv", (1,), "lwo",
+     "tercile must be one of low, medium, high, got 'lwo'"),
 ])
 def test_out_of_domain_artifact_value_names_the_row(pipeline, tmp_path, capsys,
                                                     name, fields, value,
@@ -760,6 +796,45 @@ def test_bad_setting_value_is_usage_error(capsys):
     assert "min_games" in capsys.readouterr().err
     assert main(["fit", "--jobs", "0"]) == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_jobs_default_without_affinity_call(monkeypatch):
+    # macOS and Windows have no sched_getaffinity: every core counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert RunConfig().jobs == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("setting", fields(RunConfig), ids=lambda f: f.name)
+def test_each_setting_is_a_flag_and_a_config_key(setting, tmp_path):
+    # every RunConfig field is a flag of some subcommand, and that flag and
+    # the config key resolve to the same value of the field's type
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    flag = "--" + setting.name.replace("_", "-")
+    command = next((name for name, sub in subparsers.items()
+                    if flag in sub._option_string_actions), None)
+    assert command, f"no subcommand takes {flag}"
+    hint = typing.get_type_hints(RunConfig)[setting.name]
+    kinds = typing.get_args(hint) or (hint,)
+    default = getattr(RunConfig(), setting.name)
+    choices = subparsers[command]._option_string_actions[flag].choices
+    if choices:
+        text = next(c for c in choices if c != default)
+    elif int in kinds:
+        text = str(default + 1)
+    elif float in kinds:
+        text = repr((default or 0.0) + 0.5)
+    else:
+        text = "elsewhere"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{setting.name} = {text}\n")
+    from_flag, from_key = (
+        getattr(resolve_config(parser.parse_args([command, *argv])),
+                setting.name)
+        for argv in ([flag, text], ["--config", str(config)]))
+    assert from_flag == from_key != default
+    assert type(from_flag) is type(from_key) and type(from_flag) in kinds
 
 
 @pytest.mark.parametrize("value", ["0", "5", "9"])

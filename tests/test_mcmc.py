@@ -222,7 +222,7 @@ def test_tuning_pilots_do_not_warn(caplog):
     design = log_ratio_design(even_games(10))
     cfg = ChainConfig(n_iterations=100, burn_in=0, proposal_std=1e3)
     with caplog.at_level(logging.WARNING, logger="pennantsim.mcmc"):
-        tune_proposal_std(design, PriorConfig(r_max=1.0), cfg, max_rounds=1)
+        tune_proposal_std(design, PriorConfig(r_max=1.0), cfg)
     assert caplog.records == []
 
 

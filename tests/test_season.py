@@ -19,6 +19,7 @@ from oracles import playoff_qualifiers as scalar_playoff_qualifiers
 from pennantsim import season
 from pennantsim.mcmc import design_log_likelihood, log_ratio_design
 from pennantsim.season import (
+    LEAGUE_BATTING_MEAN,
     ForecastSummary,
     LeagueStructure,
     Schedule,
@@ -27,7 +28,6 @@ from pennantsim.season import (
     SimOptions,
     TeamForecast,
     TeamSimState,
-    WalkConfig,
     export_win_histogram,
     generate_schedule,
     playoff_qualifiers,
@@ -122,12 +122,12 @@ def test_sim_options_validation():
 
 
 def test_walk_config_validation():
-    with pytest.raises(ValueError):
-        WalkConfig(step_std=0.0)
-    with pytest.raises(ValueError):
-        WalkConfig(clamp_low=0.3, clamp_high=0.2)
-    with pytest.raises(ValueError):
-        WalkConfig(league_mean=0.5, clamp_high=0.45)
+    # The batting walk's step lives on SimOptions; its clamp band is fixed
+    # and must contain the league mean the deviations are measured from.
+    for bad in (0.0, -0.001, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step_std"):
+            SimOptions(step_std=bad)
+    assert season.BATTING_LOW < LEAGUE_BATTING_MEAN < season.BATTING_HIGH
 
 
 def test_team_forecast_probability_bounds():
@@ -200,13 +200,12 @@ def test_engine_strength_matches_fit_design_with_floors_binding():
     home = make_state("H", wins=0, losses=20, deviation=0.02, era=0.0)
     away = make_state("A", wins=3, losses=17, deviation=-0.015, era=4.0)
     r = np.array([0.3, 1.1, 0.2])
-    league_mean = SimOptions().walk.league_mean
     game = game_table([dict(
         home="H", away="A",
         home_win_pct=home.wins / home.games_played,
         away_win_pct=away.wins / away.games_played,
-        home_batting_avg=league_mean + home.batting_deviation,
-        away_batting_avg=league_mean + away.batting_deviation,
+        home_batting_avg=LEAGUE_BATTING_MEAN + home.batting_deviation,
+        away_batting_avg=LEAGUE_BATTING_MEAN + away.batting_deviation,
         home_era=home.era, away_era=away.era,
         home_won=True)])
     p = math.exp(design_log_likelihood(*log_ratio_design(game), r))
