@@ -143,8 +143,9 @@ _TYPE_NOUNS = {int: "an integer", float: "a number"}
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value settings file; # starts a comment, blanks ignored."""
-    values = {}
+    """Flat key=value settings file; # starts a comment, blanks ignored,
+    and a key set twice is an error."""
+    values, first = {}, {}   # first: key -> the line that set it
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -162,6 +163,10 @@ def parse_config_file(path) -> dict:
         kind = SETTING_TYPES.get(key)
         if kind is None:
             raise UsageError(f"{path} line {lineno}: unknown key {key!r}")
+        if key in first:
+            raise UsageError(f"{path} line {lineno}: {key} is already set "
+                             f"on line {first[key]}")
+        first[key] = lineno
         try:
             values[key] = kind(raw)
         except ValueError:

@@ -21,14 +21,15 @@ STAT_FLOOR = 1e-3
 # ERA gets a higher floor (a 0.00 ERA is physical but breaks the ratio scale);
 # simulated and generated ERA paths never go below it either.
 ERA_FLOOR = 0.01
+# the floors of the ratios log_ratios stacks, in its order
+_FLOORS = np.array([STAT_FLOOR, STAT_FLOOR, ERA_FLOOR])
 
 
 def log_ratios(home_win_pct, away_win_pct, home_batting_avg,
                away_batting_avg, home_era, away_era) -> np.ndarray:
     """The three floored, oriented log strength ratios of games given as
     same-shape arrays of covariates, stacked on a new last axis."""
-    floors = np.array([STAT_FLOOR, STAT_FLOOR, ERA_FLOOR])
     favors_home = np.stack([home_win_pct, home_batting_avg, away_era], axis=-1)
     favors_away = np.stack([away_win_pct, away_batting_avg, home_era], axis=-1)
-    return np.log(np.maximum(favors_home, floors)
-                  / np.maximum(favors_away, floors))
+    return np.log(np.maximum(favors_home, _FLOORS)
+                  / np.maximum(favors_away, _FLOORS))

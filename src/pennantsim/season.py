@@ -1,12 +1,12 @@
 """Replicated full-season Monte Carlo simulation.
 
-Walks a remaining-season schedule in date order, simulating each game from
-the fitted posterior while team state (record, batting deviation, latent ERA)
-evolves, then aggregates win totals and playoff qualification over many
-replications. Replications run in blocks that share each array operation,
-and results stay (replication, team) arrays from the kernel to every writer.
-Replication streams derive from (base_seed, replication_id) so results never
-depend on blocking.
+Plays a remaining-season schedule from the fitted posterior while team
+state (record, batting deviation, latent ERA) evolves, then aggregates win
+totals and playoff qualification over many replications. Each game plays
+in the wave of its level, one past its two teams' previous games. Blocks of
+replications share each array operation, and results stay (replication,
+team) arrays from the kernel to every writer. Replication streams derive
+from (base_seed, replication_id) so results never depend on blocking.
 """
 
 from __future__ import annotations
@@ -250,16 +250,16 @@ class SimOptions:
 BLOCK_BYTES = 4 << 20
 
 
-def _waves(pairs) -> list[slice]:
-    """Maximal runs of consecutive games in which no team appears twice; a
-    run's games all see the state it started from, so they play at once."""
-    starts, busy = [0], set()
-    for g, pair in enumerate(pairs):
-        if busy.intersection(pair):
-            starts.append(g)
-            busy = set()
-        busy.update(pair)
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(pairs)])]
+def _waves(pairs):
+    """The games in stable level order and one slice of it per level, a
+    game's level being one past the larger of its two teams' previous levels.
+    A level's games share no team, and no valid grouping has fewer waves."""
+    level, last = np.empty(len(pairs), dtype=np.intp), {}
+    for g, (home, away) in enumerate(pairs):
+        level[g] = last[home] = last[away] = 1 + max(last.get(home, -1),
+                                                     last.get(away, -1))
+    ends = [0, *np.cumsum(np.bincount(level)).tolist()]
+    return np.argsort(level, kind="stable"), list(map(slice, ends, ends[1:]))
 
 
 def _team_pools(states, noise_pools):
@@ -290,10 +290,10 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
 
     Each seed splits into streams for game outcomes, playoff tie-breaks and
     noise sampling. A replication's game variates and tie keys are drawn up
-    front; the schedule is then played a wave (see _waves) at a time. Path
-    mode draws each team's noise pair from noise_pools, {tercile: (k, 2)
-    array of (sigma_obs, sigma_process)}, once per replication; forecast
-    mode reads no noise.
+    front and placed in level order; each level (see _waves) plays at once.
+    Path mode draws each team's noise pair from noise_pools, {tercile:
+    (k, 2) array of (sigma_obs, sigma_process)}, once per replication;
+    forecast mode reads no noise.
     """
     opts = opts or SimOptions()
     states = sorted(initial, key=lambda s: s.team)   # results' column order
@@ -336,7 +336,8 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         era_steps = np.empty((2, n_games, n_reps))
         era_errors = np.empty((2, n_games, n_reps))
         pools = _team_pools(states, noise_pools)
-    sides = np.array(pairs, dtype=np.intp).reshape(n_games, 2).T
+    order, waves = _waves(pairs)
+    sides = np.array(pairs, dtype=np.intp).reshape(n_games, 2)[order].T
     tie_keys = np.empty((n_reps, len(teams)))
     for b, seed in enumerate(seeds):
         ss = seed if isinstance(seed, np.random.SeedSequence) \
@@ -344,24 +345,25 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         game_ss, tie_ss, noise_ss = ss.spawn(3)
         tie_keys[b] = np.random.default_rng(tie_ss).random(len(teams))
         game_rng = np.random.default_rng(game_ss)
-        u_out[:, b] = game_rng.random(n_games)
+        u_out[:, b] = game_rng.random(n_games)[order]
         if predictive:
-            row_idx[:, b] = game_rng.integers(0, len(matrix), n_games)
-        eps[:, :, b] = game_rng.normal(0.0, opts.step_std, (n_games, 2)).T
+            row_idx[:, b] = game_rng.integers(0, len(matrix), n_games)[order]
+        eps[:, :, b] = game_rng.normal(0.0, opts.step_std,
+                                       (n_games, 2))[order].T
         if path:   # forecast mode never reads the noise, so it samples none
             noise_rng = np.random.default_rng(noise_ss)
             sigma_obs, sigma_process = np.array(
                 [sample_noise(pool, noise_rng) for pool in pools]).T
             for scaled, sigma in ((era_steps, sigma_process),
                                   (era_errors, sigma_obs)):
-                scaled[:, :, b] = (sigma[sides]
-                                   * game_rng.standard_normal((n_games, 2)).T)
+                scaled[:, :, b] = (sigma[sides] * game_rng.standard_normal(
+                    (n_games, 2))[order].T)
 
     wins, losses, dev, era = (
         np.repeat(np.array(column)[:, None], n_reps, axis=1) for column in
         zip(*[(s.wins, s.losses, s.batting_deviation, s.era) for s in states]))
     mean_row = matrix.mean(axis=0)
-    for w in _waves(pairs):
+    for w in waves:
         ix = sides[:, w]
         won, lost = wins[ix], losses[ix]
         win_pct = won / (won + lost)
@@ -509,19 +511,16 @@ def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
         raise ValueError("total remaining games is odd; cannot pair teams")
 
     per_day = max(len(league.teams) // 2, 1)
+    division = {t: league.membership(t) for t in need}
     games = []
-    while True:
-        pending = sorted(t for t in need if need[t] > 0)
-        if not pending:
-            break
+    while pending := [t for t in need if need[t] > 0]:   # in team order
         team = max(pending, key=lambda t: (need[t], t))
         others = [t for t in pending if t != team]
         if not others:
             raise ValueError(f"{team} still needs {need[team]} games but no "
                              f"opponent has games left")
-        lg, div = league.membership(team)
-        same = [t for t in others if league.membership(t) == (lg, div)]
-        other = [t for t in others if league.membership(t) != (lg, div)]
+        same = [t for t in others if division[t] == division[team]]
+        other = [t for t in others if division[t] != division[team]]
         pool = same if same and (not other or rng.random() < DIVISION_WEIGHT) \
             else other
         opponent = pool[int(rng.integers(len(pool)))]

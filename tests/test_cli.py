@@ -785,6 +785,14 @@ def test_config_bad_value_type(tmp_path, capsys):
     assert "needs an integer" in capsys.readouterr().err
 
 
+def test_config_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n# a comment\n\nseed = 2\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert f"{cfg} line 4: seed is already set on line 1" \
+        in capsys.readouterr().err
+
+
 def test_bad_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

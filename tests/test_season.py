@@ -8,10 +8,13 @@ simulator's internal stream layout.
 
 import dataclasses
 import datetime
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from games import game_table
 from matchups import Matchups
@@ -386,7 +389,7 @@ def blocks_played(monkeypatch):
 def test_blocks_match_single_replications(monkeypatch, opts):
     league, states, pools, sched, draws = blocked_setup(monkeypatch)
     games = sched.games
-    # waves end where a team plays consecutive games
+    # some consecutive games share a team, so they play at different levels
     assert any({g.home, g.away} & {h.home, h.away}
                for g, h in zip(games, games[1:]))
     sizes = blocks_played(monkeypatch)
@@ -399,6 +402,52 @@ def test_blocks_match_single_replications(monkeypatch, opts):
                                noise_pools=pools)
                for k in range(7)]
     assert blocked == SeasonResults.concatenate(singles)
+
+
+@pytest.mark.parametrize("opts", BLOCKED_MODES,
+                         ids=["marginal-forecast", "marginal-path"])
+def test_level_waves_match_one_game_at_a_time(monkeypatch, opts):
+    # a game reads only its own teams' state, so playing each level at once
+    # must give exactly the results of playing the schedule game by game
+    league, states, pools, sched, draws = blocked_setup(monkeypatch)
+    index = {t: i for i, t in enumerate(league.teams)}
+    order, _ = season._waves([(index[g.home], index[g.away])
+                              for g in sched.games])
+    assert np.any(order != np.arange(len(sched)))   # levels reorder games
+
+    def play():
+        return run_replications(7, states, sched, draws, league, base_seed=9,
+                                opts=opts, noise_pools=pools)
+    levels = play()
+    monkeypatch.setattr(season, "_waves", lambda pairs: (
+        np.arange(len(pairs)), [slice(g, g + 1) for g in range(len(pairs))]))
+    assert levels == play()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))
+                .filter(lambda pair: pair[0] != pair[1]), max_size=40))
+def test_waves_are_the_schedules_level_sets(pairs):
+    order, waves = season._waves(pairs)
+    # the slices cover the ordered games once each, in order
+    assert sorted(order.tolist()) == list(range(len(pairs)))
+    bounds = [0] + [w.stop for w in waves]
+    assert [w.start for w in waves] == bounds[:-1]
+    assert bounds[-1] == len(pairs) and all(w.stop > w.start for w in waves)
+    wave_of = {}
+    for k, w in enumerate(waves):
+        teams = [t for g in order[w] for t in pairs[g]]
+        assert len(teams) == len(set(teams))   # no team twice in a wave
+        wave_of.update(dict.fromkeys(order[w].tolist(), k))
+    for team in {t for pair in pairs for t in pair}:
+        mine = [g for g, pair in enumerate(pairs) if team in pair]
+        assert all(wave_of[a] < wave_of[b] for a, b in zip(mine, mine[1:]))
+    # longest chain of games each sharing a team with the one before it
+    chain = []
+    for g, pair in enumerate(pairs):
+        chain.append(1 + max((chain[h] for h in range(g)
+                              if set(pair) & set(pairs[h])), default=0))
+    assert len(waves) == max(chain, default=0)
 
 
 def tercile_setup():
@@ -653,6 +702,20 @@ def test_generate_schedule_deterministic():
     assert a.games == b.games
     c = generate_schedule(league, played, seed=9)
     assert a.games != c.games
+
+
+def test_generate_schedule_is_pinned():
+    # digests of the schedules the generator makes for these inputs; a
+    # changed schedule would change every simulate result downstream
+    league = standard_league()
+    played = {t: 20 + 2 * (i % 3) for i, t in enumerate(league.teams)}
+    digests = {
+        3: "0194d1e325033be0be498236682ec6e4bd3bef214a17e39d6879997a2a0b1302",
+        11: "9e20874b251d9300a8cae6424b99de53848528be2e3e39e97679f4bd4469c996"}
+    for seed, digest in digests.items():
+        games = generate_schedule(league, played, seed=seed).games
+        text = "\n".join(f"{g.date},{g.home},{g.away}" for g in games)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generate_schedule_division_weighting():
