@@ -28,7 +28,7 @@ from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
                    effective_sample_size, log_ratio_design,
                    posterior_summaries, run_chains, split_rhat,
                    tune_proposal_std)
-from .season import (DRAW_MODES, ERA_MODES, LEAGUE_BATTING_MEAN,
+from .season import (DRAW_MODES, ERA_MODES, LEAGUE_BATTING_MEAN, STREAMS,
                      SeasonResults, SimOptions, TeamSimState, csv_rows,
                      export_win_histogram, generate_schedule, read_league_csv,
                      read_schedule_csv, run_replications, summarize)
@@ -600,7 +600,9 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
             "walk_std": repr(cfg.walk_std),
             "schedule_source": "synthetic" if schedule.synthetic else "file",
             "scheduled_games": len(schedule),
-            "replication_seed_scheme": f"({cfg.seed}, replication_id)"}
+            "replication_seed_scheme":
+                f"SeedSequence({cfg.seed}) streams {'/'.join(STREAMS)}, "
+                f"shared by all {cfg.replications} replications"}
     outputs["simulate_metadata.txt"] = _metadata_lines(cfg, "simulate", meta)
     _emit_outputs(cfg, outputs)
 

@@ -239,11 +239,13 @@ def group_terciles(team_early_eras: dict[str, float]) -> dict[str, str]:
             for k, t in enumerate(ordered)}
 
 
-def sample_noise(pool: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw of one (sigma_obs, sigma_process) row from a tercile's
-    (k, 2) pool of converged window fits.
+def sample_noise(pool: np.ndarray, rng: np.random.Generator,
+                 n: int) -> np.ndarray:
+    """(n, 2) array of uniform draws, with replacement, of (sigma_obs,
+    sigma_process) rows from a tercile's (k, 2) pool of converged window
+    fits.
 
-    The pair is kept intact (never mixed across windows) so the dependence
+    Each pair is kept intact (never mixed across windows) so the dependence
     between the two noise scales survives resampling.
     """
-    return pool[int(rng.integers(len(pool)))]
+    return pool[rng.integers(0, len(pool), n)]

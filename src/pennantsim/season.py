@@ -3,10 +3,11 @@
 Plays a remaining-season schedule from the fitted posterior while team
 state (record, batting deviation, latent ERA) evolves, then aggregates win
 totals and playoff qualification over many replications. Each game plays
-in the wave of its level, one past its two teams' previous games. Blocks of
-replications share each array operation, and results stay (replication,
-team) arrays from the kernel to every writer. Replication streams derive
-from (base_seed, replication_id) so results never depend on blocking.
+in the wave of its level, one past its two teams' previous games, on every
+replication at once; each wave's variates are drawn just before it plays,
+so memory is the (team, replication) state plus one wave of variates.
+Results stay (replication, team) arrays from the kernel to every writer,
+and depend on (seed, replications) alone.
 """
 
 from __future__ import annotations
@@ -180,13 +181,6 @@ class SeasonResults:
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in _RESULT_ARRAYS)
 
-    @classmethod
-    def concatenate(cls, blocks) -> "SeasonResults":
-        """The blocks' rows in order; every block has the same teams."""
-        return cls(teams=blocks[0].teams, **{
-            name: np.concatenate([getattr(b, name) for b in blocks])
-            for name in _RESULT_ARRAYS})
-
 
 @dataclass(frozen=True)
 class TeamForecast:
@@ -244,10 +238,11 @@ class SimOptions:
 # ---------------------------------------------------------------------------
 # replications
 
-# Memory for the variates a block of replications draws before its games;
-# it sets how many replications share a block. Larger budgets gain little
-# speed and raise the simulate stage's peak memory.
-BLOCK_BYTES = 4 << 20
+# The kinds of variate the kernel draws, each from its own stream; the
+# streams are SeedSequence(seed).spawn(len(STREAMS)) in this order, in every
+# mode, so no kind's numbers depend on which others a mode reads.
+STREAMS = ("outcomes", "draw_rows", "walk", "era_steps", "era_errors",
+           "tie_keys", "noise_rows")
 
 
 def _waves(pairs):
@@ -280,20 +275,21 @@ def _team_pools(states, noise_pools):
 
 
 def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
-                    seeds, *, replication_ids, opts: SimOptions | None = None,
+                    seed: int, replications: int, *,
+                    opts: SimOptions | None = None,
                     noise_pools=None) -> SeasonResults:
-    """Replications played side by side, one per seed (an integer or a
-    SeedSequence) and replication id. Each depends on its own seed alone, so
-    no result depends on how replications are grouped. The name is the unit
-    of the results: a block of one is one replication, and
-    perfbench/tracing.py times the kernel by this name.
+    """The season kernel: every replication played side by side, one wave
+    of games at a time. perfbench/tracing.py times the kernel by this name.
 
-    Each seed splits into streams for game outcomes, playoff tie-breaks and
-    noise sampling. A replication's game variates and tie keys are drawn up
-    front and placed in level order; each level (see _waves) plays at once.
-    Path mode draws each team's noise pair from noise_pools, {tercile:
-    (k, 2) array of (sigma_obs, sigma_process)}, once per replication;
-    forecast mode reads no noise.
+    The seed spawns one stream per kind of variate (see STREAMS): outcome
+    uniforms, draw rows, walk normals, ERA steps, ERA errors, tie keys and
+    noise rows. Each level (see _waves) plays at once, and each kind is
+    drawn for it just before it plays, game-major in level order: (games,
+    R), or (games, 2, R) for the home and away sides. So splitting a wave
+    gives every game the same numbers, and results depend on (seed,
+    replications) alone. Path mode draws each team's R noise pairs from
+    noise_pools, {tercile: (k, 2) array of (sigma_obs, sigma_process)},
+    before the first game; forecast mode reads no noise.
     """
     opts = opts or SimOptions()
     states = sorted(initial, key=lambda s: s.team)   # results' column order
@@ -325,62 +321,52 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     predictive = opts.draw_mode == "posterior-predictive"
     path = opts.era_mode == "path"
     pairs = [(index[g.home], index[g.away]) for g in schedule.games]
-    n_reps, n_games = len(seeds), len(pairs)
-
-    # variates and team state are (game or team, replication) arrays, so a
-    # wave's rows are contiguous; axis 0 of the (2, ...) arrays is home/away
-    u_out = np.empty((n_games, n_reps))
-    row_idx = np.empty((n_games, n_reps), dtype=np.intp)
-    eps = np.empty((2, n_games, n_reps))
-    if path:   # ERA steps and observation errors, scaled by each team's sigma
-        era_steps = np.empty((2, n_games, n_reps))
-        era_errors = np.empty((2, n_games, n_reps))
-        pools = _team_pools(states, noise_pools)
+    n_games = len(pairs)
     order, waves = _waves(pairs)
+    # (2, games) home and away team rows, in level order
     sides = np.array(pairs, dtype=np.intp).reshape(n_games, 2)[order].T
-    tie_keys = np.empty((n_reps, len(teams)))
-    for b, seed in enumerate(seeds):
-        ss = seed if isinstance(seed, np.random.SeedSequence) \
-            else np.random.SeedSequence(seed)
-        game_ss, tie_ss, noise_ss = ss.spawn(3)
-        tie_keys[b] = np.random.default_rng(tie_ss).random(len(teams))
-        game_rng = np.random.default_rng(game_ss)
-        u_out[:, b] = game_rng.random(n_games)[order]
-        if predictive:
-            row_idx[:, b] = game_rng.integers(0, len(matrix), n_games)[order]
-        eps[:, :, b] = game_rng.normal(0.0, opts.step_std,
-                                       (n_games, 2))[order].T
-        if path:   # forecast mode never reads the noise, so it samples none
-            noise_rng = np.random.default_rng(noise_ss)
-            sigma_obs, sigma_process = np.array(
-                [sample_noise(pool, noise_rng) for pool in pools]).T
-            for scaled, sigma in ((era_steps, sigma_process),
-                                  (era_errors, sigma_obs)):
-                scaled[:, :, b] = (sigma[sides] * game_rng.standard_normal(
-                    (n_games, 2))[order].T)
+    (outcome_rng, row_rng, walk_rng, step_rng, error_rng, tie_rng,
+     noise_rng) = map(np.random.default_rng,
+                      np.random.SeedSequence(seed).spawn(len(STREAMS)))
 
+    def normals(rng, k, scale):   # (2, k, R), drawn as (k, 2, R)
+        return scale * rng.standard_normal((k, 2, replications)).swapaxes(0, 1)
+
+    # team state is a (team, replication) array, so a wave's rows are
+    # gathered by one index; axis 0 of ix and of the normals is home/away
     wins, losses, dev, era = (
-        np.repeat(np.array(column)[:, None], n_reps, axis=1) for column in
-        zip(*[(s.wins, s.losses, s.batting_deviation, s.era) for s in states]))
+        np.repeat(np.array(column)[:, None], replications, axis=1)
+        for column in zip(*[(s.wins, s.losses, s.batting_deviation, s.era)
+                            for s in states]))
+    tie_keys = tie_rng.random((replications, len(teams)))
+    if path:   # (team, replication) sigmas, one intact pool row each
+        sigma_obs, sigma_process = np.array(
+            [sample_noise(pool, noise_rng, replications)
+             for pool in _team_pools(states, noise_pools)]).transpose(2, 0, 1)
     mean_row = matrix.mean(axis=0)
     for w in waves:
         ix = sides[:, w]
+        k = ix.shape[1]
         won, lost = wins[ix], losses[ix]
         win_pct = won / (won + lost)
         avg = np.clip(LEAGUE_BATTING_MEAN + dev[ix], BATTING_LOW,
                       BATTING_HIGH)
-        era_now = era[ix] + era_errors[:, w] if path else era[ix]
+        era_now = era[ix] + normals(error_rng, k, sigma_obs[ix]) if path \
+            else era[ix]
         ratios = log_ratios(win_pct[0], win_pct[1], avg[0], avg[1],
                             era_now[0], era_now[1])
-        r = matrix[row_idx[w]] if predictive else mean_row
+        r = matrix[row_rng.integers(0, len(matrix), (k, replications))] \
+            if predictive else mean_row
         # exp overflows above 709; a strength of e^700 already gives p = 1
         strength = np.exp(np.minimum((ratios * r).sum(axis=-1), 700.0))
-        home_won = u_out[w] < strength / (1.0 + strength)
+        home_won = outcome_rng.random((k, replications)) \
+            < strength / (1.0 + strength)
         wins[ix] = won + (home_won, ~home_won)
         losses[ix] = lost + (~home_won, home_won)
-        dev[ix] += eps[:, w]
+        dev[ix] += normals(walk_rng, k, opts.step_std)
         if path:
-            era[ix] = np.maximum(era[ix] + era_steps[:, w], ERA_FLOOR)
+            era[ix] = np.maximum(
+                era[ix] + normals(step_rng, k, sigma_process[ix]), ERA_FLOOR)
 
     # every simulated game hands out exactly one win and one loss
     if np.any(wins.sum(axis=0) != sum(s.wins for s in states) + n_games):
@@ -390,7 +376,7 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
 
     final = wins.T
     return SeasonResults(
-        teams=tuple(teams), replication_ids=np.array(replication_ids),
+        teams=tuple(teams), replication_ids=np.arange(replications),
         wins=final, qualified=playoff_qualifiers(final, tie_keys, league,
                                                  teams))
 
@@ -399,27 +385,13 @@ def run_replications(n: int, initial, schedule: Schedule, draws,
                      league: LeagueStructure, base_seed: int, *,
                      opts: SimOptions | None = None, noise_pools=None,
                      n_jobs: int = 1) -> SeasonResults:
-    """n independent replications, played in this process in blocks of
-    replications sized by BLOCK_BYTES. Replication k's stream comes from
-    (base_seed, k), so the results do not depend on the block size. n_jobs
-    is accepted and has no effect."""
+    """n replications from base_seed, all played in this process by one
+    run_replication call. The results depend on (base_seed, n): a run of n
+    is not a prefix of a longer run. n_jobs is accepted and has no effect."""
     if n < 1:
         raise ValueError(f"need at least 1 replication, got {n}")
-    opts = opts or SimOptions()
-    # 8-byte variates per game and replication: an outcome uniform and two
-    # walk increments, plus a draw-row index and four ERA normals in
-    # posterior-predictive and path mode
-    per_game = (3 + (opts.draw_mode == "posterior-predictive")
-                + 4 * (opts.era_mode == "path"))
-    size = max(1, BLOCK_BYTES // (8 * per_game * max(len(schedule), 1)))
-    blocks = []
-    for k in range(0, n, size):
-        rep_ids = range(k, min(k + size, n))
-        seeds = [np.random.SeedSequence((base_seed, rep)) for rep in rep_ids]
-        blocks.append(run_replication(initial, schedule, draws, league, seeds,
-                                      replication_ids=rep_ids, opts=opts,
-                                      noise_pools=noise_pools))
-    return SeasonResults.concatenate(blocks)
+    return run_replication(initial, schedule, draws, league, base_seed, n,
+                           opts=opts, noise_pools=noise_pools)
 
 
 # ---------------------------------------------------------------------------

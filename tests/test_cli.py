@@ -397,7 +397,10 @@ def test_simulate_metadata_has_seeds(pipeline):
                 (pipeline["out"] / "simulate_metadata.txt").read_text()
                 .splitlines())
     assert meta["master_seed"] == "11"
-    assert meta["replication_seed_scheme"] == "(11, replication_id)"
+    # every replication draws from the run's seven streams
+    assert meta["replication_seed_scheme"] == (
+        "SeedSequence(11) streams outcomes/draw_rows/walk/era_steps/"
+        "era_errors/tie_keys/noise_rows, shared by all 8 replications")
     assert meta["schedule_source"] == "synthetic"
 
 

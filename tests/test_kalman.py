@@ -321,29 +321,25 @@ def test_terciles_partition_teams_into_near_equal_ascending_groups(eras):
 def test_sample_noise_singleton_pool():
     pool = np.array([(0.5, 0.05)])
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        assert tuple(sample_noise(pool, rng)) == (0.5, 0.05)
+    assert sample_noise(pool, rng, 10).tolist() == [[0.5, 0.05]] * 10
 
 
 def test_sample_noise_uniform_over_pool():
     pairs = [(0.4, 0.04), (0.5, 0.05), (0.6, 0.06), (0.7, 0.07)]
     pool = np.array(pairs)
-    rng = np.random.default_rng(123)
     n = 10**5
-    counts = {p: 0 for p in pairs}
-    for _ in range(n):
-        counts[tuple(sample_noise(pool, rng).tolist())] += 1
+    rows = sample_noise(pool, np.random.default_rng(123), n)
+    assert rows.shape == (n, 2)
     se = math.sqrt(0.25 * 0.75 / n)
     for p in pairs:
-        assert abs(counts[p] / n - 0.25) < 3 * se
+        assert abs(np.all(rows == p, axis=1).mean() - 0.25) < 3 * se
 
 
 def test_sample_noise_keeps_pairs_intact():
     pairs = [(0.4, 0.07), (0.9, 0.01)]
     pool = np.array(pairs)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        assert tuple(sample_noise(pool, rng).tolist()) in pairs
+    rows = sample_noise(pool, np.random.default_rng(5), 50)
+    assert {tuple(row) for row in rows.tolist()} == set(pairs)
 
 
 # ---------------------------------------------------------------------------

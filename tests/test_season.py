@@ -10,6 +10,7 @@ import dataclasses
 import datetime
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,9 +51,9 @@ def make_state(team, wins=10, losses=10, deviation=0.0, era=4.0,
 
 
 def one_replication(initial, schedule, draws, league, seed, **kwargs):
-    """The engine on a block of one replication."""
-    return run_replication(initial, schedule, draws, league, [seed],
-                           replication_ids=[0], **kwargs)
+    """The engine on one replication."""
+    return run_replication(initial, schedule, draws, league, seed, 1,
+                           **kwargs)
 
 
 def final_wins(results, row=0):
@@ -351,15 +352,12 @@ def test_wins_conserved_every_replication():
         assert sum(wins.tolist()) / 6 == 5.0
 
 
-BLOCKED_MODES = [SimOptions(), SimOptions(era_mode="path")]
+ERA_MODE_OPTIONS = [SimOptions(), SimOptions(era_mode="path")]
 
 
-def blocked_setup(monkeypatch):
+def unequal_setup():
     # 30 teams with unequal records, ERAs and noise (a one-row pool under
-    # each team's own label), 15 games left each; a budget of 40 kB gives
-    # blocks of 5 (marginal/forecast) or 2 (marginal/path) of the 225-game
-    # replications
-    monkeypatch.setattr(season, "BLOCK_BYTES", 40_000)
+    # each team's own label), 15 games left each: 225 games
     league = standard_league()
     states = [make_state(t, wins=8 + i % 7, losses=12 - i % 7,
                          deviation=0.002 * (i % 5 - 2), era=3.0 + 0.07 * i,
@@ -372,44 +370,33 @@ def blocked_setup(monkeypatch):
     return league, states, pools, sched, draws
 
 
-def blocks_played(monkeypatch):
-    """Replication counts of the blocks run_replications plays in-process."""
-    sizes = []
-    engine = season.run_replication
-
-    def counted(*args, **kwargs):
-        sizes.append(len(kwargs["replication_ids"]))
-        return engine(*args, **kwargs)
-    monkeypatch.setattr(season, "run_replication", counted)
-    return sizes
-
-
-@pytest.mark.parametrize("opts", BLOCKED_MODES,
+@pytest.mark.parametrize("opts", ERA_MODE_OPTIONS,
                          ids=["marginal-forecast", "marginal-path"])
-def test_blocks_match_single_replications(monkeypatch, opts):
-    league, states, pools, sched, draws = blocked_setup(monkeypatch)
+def test_replications_repeat_and_follow_the_seed(opts):
+    # results are a function of (base_seed, n): a repeat gives the same
+    # bytes, and another seed other results
+    league, states, pools, sched, draws = unequal_setup()
+
+    def play(base_seed):
+        return run_replications(7, states, sched, draws, league, base_seed,
+                                opts=opts, noise_pools=pools)
+    first = play(9)
+    assert first == play(9)
+    assert first.replication_ids.tolist() == list(range(7))
+    assert np.any(first.wins != play(10).wins)
+
+
+@pytest.mark.parametrize("opts", ERA_MODE_OPTIONS,
+                         ids=["marginal-forecast", "marginal-path"])
+def test_level_waves_match_one_game_at_a_time(monkeypatch, opts):
+    # a game reads only its own teams' state, and each kind of variate is
+    # drawn game-major in level order, so playing each level at once must
+    # give exactly the results of playing the levels' games one at a time
+    league, states, pools, sched, draws = unequal_setup()
     games = sched.games
     # some consecutive games share a team, so they play at different levels
     assert any({g.home, g.away} & {h.home, h.away}
                for g, h in zip(games, games[1:]))
-    sizes = blocks_played(monkeypatch)
-    blocked = run_replications(7, states, sched, draws, league, base_seed=9,
-                               opts=opts, noise_pools=pools)
-    assert len(sizes) > 1 and max(sizes) > 1 and sum(sizes) == 7
-    singles = [run_replication(states, sched, draws, league,
-                               [np.random.SeedSequence((9, k))],
-                               replication_ids=[k], opts=opts,
-                               noise_pools=pools)
-               for k in range(7)]
-    assert blocked == SeasonResults.concatenate(singles)
-
-
-@pytest.mark.parametrize("opts", BLOCKED_MODES,
-                         ids=["marginal-forecast", "marginal-path"])
-def test_level_waves_match_one_game_at_a_time(monkeypatch, opts):
-    # a game reads only its own teams' state, so playing each level at once
-    # must give exactly the results of playing the schedule game by game
-    league, states, pools, sched, draws = blocked_setup(monkeypatch)
     index = {t: i for i, t in enumerate(league.teams)}
     order, _ = season._waves([(index[g.home], index[g.away])
                               for g in sched.games])
@@ -419,9 +406,54 @@ def test_level_waves_match_one_game_at_a_time(monkeypatch, opts):
         return run_replications(7, states, sched, draws, league, base_seed=9,
                                 opts=opts, noise_pools=pools)
     levels = play()
+    waves = season._waves
     monkeypatch.setattr(season, "_waves", lambda pairs: (
-        np.arange(len(pairs)), [slice(g, g + 1) for g in range(len(pairs))]))
+        waves(pairs)[0], [slice(g, g + 1) for g in range(len(pairs))]))
     assert levels == play()
+
+
+def season_setup():
+    # 30 teams with 36 games played, a two-row pool, and the 1,890 games
+    # left of a 162-game season: the early-marginal benchmark's size
+    league = standard_league()
+    states = [make_state(t, tercile="low") for t in league.teams]
+    pools = {"low": np.array([(0.3, 0.02), (0.5, 0.04)])}
+    sched = generate_schedule(league, {t: 36 for t in league.teams}, seed=5)
+    assert len(sched) == 1890
+    draws = np.random.default_rng(4).uniform(0.5, 2.0, (8000, 3))
+    return league, states, pools, sched, draws
+
+
+def test_schedule_work_is_done_once_per_run(monkeypatch):
+    # the levels, like the checks, are worked out once however many
+    # replications the run plays
+    league, states, pools, sched, draws = season_setup()
+    calls = []
+    waves = season._waves
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return waves(pairs)
+    monkeypatch.setattr(season, "_waves", counted)
+    run_replications(500, states, sched, draws, league, base_seed=9)
+    assert calls == [len(sched)]
+
+
+@pytest.mark.parametrize("opts", ERA_MODE_OPTIONS,
+                         ids=["marginal-forecast", "marginal-path"])
+def test_memory_is_team_state_plus_one_wave(opts):
+    # drawing every variate of 500 replications before the first game
+    # would take 500 * 1,890 * 8 bytes (7.6 MB) per kind; the kernel holds
+    # the (team, replication) state and one wave's variates
+    league, states, pools, sched, draws = season_setup()
+    tracemalloc.start()
+    try:
+        run_replications(500, states, sched, draws, league, base_seed=3,
+                         opts=opts, noise_pools=pools)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 @settings(max_examples=200, deadline=None)
