@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import typing
@@ -22,8 +23,8 @@ import numpy as np
 from .gamelog import (DatasetFilter, derive_pregame_records,
                       filter_training_window, latest_season, parse_game_log,
                       require_games)
-from .kalman import (MIN_WINDOW, TERCILES, GaussianState, NoiseParams,
-                     filter_series, group_terciles, sliding_noise_estimates)
+from .kalman import (MIN_WINDOW, TERCILES, NoiseParams, filter_series,
+                     group_terciles, sliding_noise_estimates)
 from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
                    effective_sample_size, log_ratio_design,
                    posterior_summaries, run_chains, split_rhat,
@@ -412,8 +413,7 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
             skipped.append(f"{team}: series length {len(series[team])} "
                            f"is below the {window}-game window")
             continue
-        estimates[team] = sliding_noise_estimates(series[team], window,
-                                                  team=team)
+        estimates[team] = sliding_noise_estimates(series[team], window)
     if not estimates:
         raise PipelineError("no team has an ERA series long enough for the "
                             f"{window}-game window")
@@ -427,12 +427,12 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
     pool_lines = ["team,window_start,sigma_obs,sigma_process,converged"]
     n_converged = n_pinned = 0
     for team in sorted(estimates):
-        for est in estimates[team]:
+        for start, est in enumerate(estimates[team]):
             if not est.converged:
                 continue
             n_converged += 1
             n_pinned += est.pinned
-            pool_lines.append(f"{team},{est.window_start},"
+            pool_lines.append(f"{team},{start},"
                               f"{float(est.sigma_obs)!r},"
                               f"{float(est.sigma_process)!r},1")
     tercile_lines = ["team,tercile,early_era"]
@@ -457,9 +457,10 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
     return EXIT_OK
 
 
-def _load_noise_artifacts(cfg: RunConfig):
-    """Noise pools and tercile labels written by cmd_noise. Each pool is a
-    (k, 2) array of (sigma_obs, sigma_process) rows in file order."""
+def _load_noise_artifacts(cfg: RunConfig) -> dict[str, np.ndarray]:
+    """{team: its tercile's noise pool} from the files cmd_noise writes.
+    Each pool is a (k, 2) array of (sigma_obs, sigma_process) rows in file
+    order."""
     terc_path = _artifact(cfg, "terciles.csv", "noise")
     pool_path = _artifact(cfg, "noise_estimates.csv", "noise")
     rows: dict[str, list[tuple[float, float]]] = {}
@@ -498,7 +499,8 @@ def _load_noise_artifacts(cfg: RunConfig):
         if label not in rows:
             raise PipelineError(f"tercile {label!r} has no converged noise "
                                 f"estimates; rerun the `noise` command")
-    return {label: np.array(pool) for label, pool in rows.items()}, labels
+    pools = {label: np.array(pool) for label, pool in rows.items()}
+    return {team: pools[label] for team, label in labels.items()}
 
 
 def _median_noise(pool) -> NoiseParams:
@@ -506,29 +508,21 @@ def _median_noise(pool) -> NoiseParams:
     return NoiseParams(sigma_obs, sigma_process)
 
 
-def _initial_states(season, league, pools, labels):
+def _initial_states(season, league, pools):
     """Current record, batting deviation, and filtered ERA level per team,
-    from `latest_season`."""
+    from `latest_season`; pools is {team: noise pool}."""
     states = []
     for team in league.teams:
         if team not in season:
             raise PipelineError(f"team {team!r} has no games in the log; "
                                 f"cannot build an initial state")
-        series = season[team].eras
-        label = labels.get(team)
-        if label is None:
+        if team not in pools:
             raise PipelineError(f"team {team!r} has no tercile assignment; "
                                 f"rerun the `noise` command")
-        noise = _median_noise(pools[label])
-        # the noise MLE's start: condition on the first game's ERA
-        era = series[0]
-        if len(series) > 1:
-            init = GaussianState(mean=era, var=noise.sigma_obs ** 2)
-            era = filter_series(init, series[1:], noise).mean
         states.append(TeamSimState(
             team=team, wins=season[team].wins, losses=season[team].losses,
-            batting_deviation=season[team].battings[-1] - LEAGUE_BATTING_MEAN,
-            era=era, tercile=label))
+            batting_deviation=season[team].batting - LEAGUE_BATTING_MEAN,
+            era=filter_series(season[team].eras, _median_noise(pools[team]))))
     return states
 
 
@@ -537,7 +531,7 @@ def _read_draw_matrix(cfg: RunConfig) -> np.ndarray:
     rows = []
     for lineno, values in csv_rows(path, dict.fromkeys(PARAM_NAMES, float),
                                    "draws"):
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, values)):
             raise PipelineError(f"{path} row {lineno}: posterior draws must "
                                 f"be finite, got {values}")
         rows.append(values)
@@ -555,9 +549,9 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
     log = parse_game_log(_open_input(log_path, "game log"),
                          known_teams=set(league.teams))
     draws = _read_draw_matrix(cfg)
-    pools, labels = _load_noise_artifacts(cfg)
+    pools = _load_noise_artifacts(cfg)
     season = latest_season(log)
-    states = _initial_states(season, league, pools, labels)
+    states = _initial_states(season, league, pools)
 
     hist_teams = list(dict.fromkeys(extras.histogram or []))
     known = set(league.teams)
@@ -583,9 +577,8 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
 
     outputs = {}
     rep_lines = ["replication,team,wins,qualified"]
-    for rep, wins, made in zip(results.replication_ids.tolist(),
-                               results.wins.tolist(),
-                               results.qualified.astype(int).tolist()):
+    for rep, (wins, made) in enumerate(zip(
+            results.wins.tolist(), results.qualified.astype(int).tolist())):
         rep_lines += [f"{rep},{team},{w},{q}"
                       for team, w, q in zip(results.teams, wins, made)]
     outputs["replication_results.csv"] = rep_lines
@@ -659,8 +652,8 @@ def _read_replication_results(path) -> SeasonResults:
                                     f"replication {rep} has no row for team "
                                     f"{team!r}")
     table = np.array([[cells[rep, team] for team in teams] for rep in reps])
-    return SeasonResults(teams=tuple(teams), replication_ids=np.array(reps),
-                         wins=table[..., 0], qualified=table[..., 1] == 1)
+    return SeasonResults(teams=tuple(teams), wins=table[..., 0],
+                         qualified=table[..., 1] == 1)
 
 
 def cmd_report(cfg: RunConfig, extras) -> int:

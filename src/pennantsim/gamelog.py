@@ -101,13 +101,13 @@ class DatasetFilter:
 
 @dataclass(frozen=True)
 class TeamSeason:
-    """One team's latest season in a game log: its record and, game by game
-    in date order, its own starter ERA and pregame batting average."""
+    """One team's latest season in a game log: its record, its own starter
+    ERA game by game in date order, and its latest pregame batting average."""
 
     wins: int
     losses: int
     eras: list[float]
-    battings: list[float]
+    batting: float
 
     @property
     def games(self) -> int:
@@ -327,6 +327,6 @@ def latest_season(log: GameLog) -> dict[str, TeamSeason]:
             wins=wins, losses=int(np.count_nonzero(plays)) - wins,
             eras=np.where(at_home, latest.home_era,
                           latest.away_era)[plays].tolist(),
-            battings=np.where(at_home, latest.home_batting_avg,
-                              latest.away_batting_avg)[plays].tolist())
+            batting=np.where(at_home, latest.home_batting_avg,
+                             latest.away_batting_avg)[plays][-1].item())
     return teams

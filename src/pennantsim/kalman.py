@@ -9,7 +9,8 @@ array of (sigma_obs, sigma_process) rows, one per converged window fit.
 
 The noise likelihood conditions on the first observation: the level starts
 at (y[0], r) and the recursion runs over the rest (the exact diffuse start;
-Durbin & Koopman 2012, ch. 2). The CLI starts its ERA filter the same way.
+Durbin & Koopman 2012, ch. 2). filter_series, the CLI's ERA filter, starts
+the same way.
 """
 
 from __future__ import annotations
@@ -33,20 +34,6 @@ _ZOOM_PASSES = 2
 
 
 @dataclass(frozen=True)
-class GaussianState:
-    """Latent-level belief: mean and variance of a Gaussian."""
-
-    mean: float
-    var: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.mean):
-            raise ValueError(f"state mean is not finite: {self.mean}")
-        if not (math.isfinite(self.var) and self.var >= 0):
-            raise ValueError(f"state variance must be nonnegative, got {self.var}")
-
-
-@dataclass(frozen=True)
 class NoiseParams:
     """Observation / process noise standard deviations of the local-level model."""
 
@@ -61,23 +48,12 @@ class NoiseParams:
 
 
 @dataclass(frozen=True)
-class NoiseEstimate:
-    """One windowed noise fit: which team/window it came from, the parameters,
-    and whether the likelihood maximum was found (degenerate fits are kept
-    but flagged; the noise pools hold converged fits only)."""
+class NoiseEstimate(NoiseParams):
+    """One window's noise fit, and whether the likelihood maximum was found
+    (degenerate fits are kept but flagged; the noise pools hold converged
+    fits only)."""
 
-    team: str
-    window_start: int
-    params: NoiseParams
     converged: bool
-
-    @property
-    def sigma_obs(self) -> float:
-        return self.params.sigma_obs
-
-    @property
-    def sigma_process(self) -> float:
-        return self.params.sigma_process
 
     @property
     def pinned(self) -> bool:
@@ -130,25 +106,24 @@ def _finite_1d(values, what: str, min_size: int) -> np.ndarray:
     return obs
 
 
-def filter_series(init: GaussianState, observations,
-                  noise: NoiseParams) -> GaussianState:
-    """Filter a whole series; returns the posterior after its last observation.
+def filter_series(observations, noise: NoiseParams) -> float:
+    """The filtered level after the last observation of a series.
 
-    The first observation is treated like any other: one process step from
-    the initial state, then the measurement update.
+    Conditions on the first observation, as the noise likelihood does: the
+    level starts at (y[0], sigma_obs^2) and the recursion runs over the rest.
     """
-    obs = _finite_1d(observations, "observations", 1)
-    _, _, mean, var = _local_level(obs.tolist(), noise.sigma_obs ** 2,
-                                   noise.sigma_process ** 2, init.mean,
-                                   init.var)
-    return GaussianState(mean=mean, var=var)
+    obs = _finite_1d(observations, "observations", 1).tolist()
+    r = noise.sigma_obs ** 2
+    _, _, mean, _ = _local_level(obs[1:], r, noise.sigma_process ** 2,
+                                 obs[0], r)
+    return mean
 
 
 # ---------------------------------------------------------------------------
 # noise estimation
 
 
-def estimate_noise(window, *, team: str = "", window_start: int = 0) -> NoiseEstimate:
+def estimate_noise(window) -> NoiseEstimate:
     """Maximum-likelihood (sigma_obs, sigma_process) for one window.
 
     Conditions on the first observation and starts the filter at (y[0], r).
@@ -164,14 +139,13 @@ def estimate_noise(window, *, team: str = "", window_start: int = 0) -> NoiseEst
     """
     obs = _finite_1d(window, "window", MIN_WINDOW)
     if np.all(obs == obs[0]):
-        return NoiseEstimate(team, window_start, NoiseParams(0.0, 0.0),
-                             converged=False)
-    return _fit_windows(obs[None, :], team, [window_start])[0]
+        return NoiseEstimate(0.0, 0.0, converged=False)
+    return _fit_windows(obs[None, :])[0]
 
 
-def _fit_windows(windows, team: str, starts) -> list[NoiseEstimate]:
+def _fit_windows(windows) -> list[NoiseEstimate]:
     """estimate_noise's psi search for every row of a (k, n) array of
-    windows, each with variation, at once: row i is window starts[i]."""
+    windows, each with variation, at once."""
     n = windows.shape[1] - 1
     rest = windows[:, 1:].T[:, :, None]      # step t: a (k, 1) column
     rows = np.arange(len(windows))
@@ -192,14 +166,12 @@ def _fit_windows(windows, team: str, starts) -> list[NoiseEstimate]:
         loglik, r = profile(psi)
     best = np.argmax(loglik, axis=1)
     r, psi = r[rows, best], psi[rows, best]
-    return [NoiseEstimate(team, start, NoiseParams(math.sqrt(r_k),
-                                                   math.sqrt(psi_k * r_k)),
+    return [NoiseEstimate(math.sqrt(r_k), math.sqrt(psi_k * r_k),
                           converged=bool(psi_k < _PSI_GRID[-1]))
-            for start, r_k, psi_k in zip(starts, r, psi)]
+            for r_k, psi_k in zip(r, psi)]
 
 
-def sliding_noise_estimates(series, window_len: int, *,
-                            team: str = "") -> list[NoiseEstimate]:
+def sliding_noise_estimates(series, window_len: int) -> list[NoiseEstimate]:
     """Noise estimates for every stride-1 window of consecutive observations.
 
     Window k covers series[k : k+window_len]; a series of length n yields
@@ -211,10 +183,9 @@ def sliding_noise_estimates(series, window_len: int, *,
     obs = _finite_1d(series, "series", window_len)
     windows = np.lib.stride_tricks.sliding_window_view(obs, window_len)
     flat = np.all(windows == windows[:, :1], axis=1)
-    fits = iter(_fit_windows(windows[~flat], team,
-                             np.flatnonzero(~flat).tolist()))
-    return [estimate_noise(windows[k], team=team, window_start=k)
-            if flat[k] else next(fits) for k in range(len(windows))]
+    fits = iter(_fit_windows(windows[~flat]))
+    return [estimate_noise(window) if is_flat else next(fits)
+            for window, is_flat in zip(windows, flat)]
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,6 @@ class PosteriorDraws:
 
 @dataclass(frozen=True)
 class ParamSummary:
-    name: str
     mean: float
     sd: float
     q5: float
@@ -341,7 +340,6 @@ def posterior_summaries(draws: np.ndarray) -> tuple[ParamSummary, ...]:
     n = draws.shape[0]
     return tuple(
         ParamSummary(
-            name=PARAM_NAMES[j],
             mean=float(draws[:, j].mean()),
             sd=float(draws[:, j].std(ddof=1)) if n > 1 else 0.0,
             q5=nearest_rank_quantile(draws[:, j], 0.05),

@@ -38,15 +38,13 @@ BATTING_LOW, BATTING_HIGH = 0.150, 0.400
 @dataclass(frozen=True)
 class TeamSimState:
     """Evolving per-team state during a simulated season. era is the latent
-    ERA level the season starts from (the filtered mean); tercile names the
-    noise pool path mode draws the team's ERA noise from."""
+    ERA level the season starts from (the filtered mean)."""
 
     team: str
     wins: int
     losses: int
     batting_deviation: float
     era: float
-    tercile: str = ""
 
     def __post_init__(self):
         if self.wins < 0 or self.losses < 0:
@@ -158,28 +156,24 @@ class LeagueStructure:
             raise ValueError(f"team {team!r} not in league structure") from None
 
 
-_RESULT_ARRAYS = ("replication_ids", "wins", "qualified")
-
-
 @dataclass(frozen=True, eq=False)
 class SeasonResults:
-    """Final standings of replications: row i is replication
-    replication_ids[i] and column j is teams[j], with teams sorted."""
+    """Final standings of replications: row i is replication i and column j
+    is teams[j], with teams sorted."""
 
     teams: tuple[str, ...]
-    replication_ids: np.ndarray    # (R,) int
     wins: np.ndarray               # (R, T) int
     qualified: np.ndarray          # (R, T) bool
 
     def __len__(self):
-        return len(self.replication_ids)
+        return len(self.wins)
 
     def __eq__(self, other):
         if not isinstance(other, SeasonResults):
             return NotImplemented
-        return self.teams == other.teams and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in _RESULT_ARRAYS)
+        return self.teams == other.teams \
+            and np.array_equal(self.wins, other.wins) \
+            and np.array_equal(self.qualified, other.qualified)
 
 
 @dataclass(frozen=True)
@@ -257,21 +251,15 @@ def _waves(pairs):
     return np.argsort(level, kind="stable"), list(map(slice, ends, ends[1:]))
 
 
-def _team_pools(states, noise_pools):
-    """Each team's noise pool, in the order of states: its tercile's (k, 2)
-    array of (sigma_obs, sigma_process) rows."""
+def _team_pools(teams, noise_pools):
+    """Each team's noise pool, in the order of teams: a (k, 2) array of
+    (sigma_obs, sigma_process) rows."""
     if noise_pools is None:
         raise ValueError("path mode needs noise pools")
-    pools = []
-    for state in states:
-        if not state.tercile:
-            raise ValueError(f"{state.team} has no tercile")
-        try:
-            pools.append(noise_pools[state.tercile])
-        except KeyError:
-            raise ValueError(f"no noise pool for tercile "
-                             f"{state.tercile!r}") from None
-    return pools
+    for team in teams:
+        if team not in noise_pools:
+            raise ValueError(f"no noise pool for team {team!r}")
+    return [noise_pools[team] for team in teams]
 
 
 def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
@@ -287,9 +275,9 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     drawn for it just before it plays, game-major in level order: (games,
     R), or (games, 2, R) for the home and away sides. So splitting a wave
     gives every game the same numbers, and results depend on (seed,
-    replications) alone. Path mode draws each team's R noise pairs from
-    noise_pools, {tercile: (k, 2) array of (sigma_obs, sigma_process)},
-    before the first game; forecast mode reads no noise.
+    replications) alone. Path mode draws each team's R noise pairs from its
+    pool in noise_pools, {team: (k, 2) array of (sigma_obs, sigma_process)
+    rows}, before the first game; forecast mode reads no noise.
     """
     opts = opts or SimOptions()
     states = sorted(initial, key=lambda s: s.team)   # results' column order
@@ -342,7 +330,7 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     if path:   # (team, replication) sigmas, one intact pool row each
         sigma_obs, sigma_process = np.array(
             [sample_noise(pool, noise_rng, replications)
-             for pool in _team_pools(states, noise_pools)]).transpose(2, 0, 1)
+             for pool in _team_pools(teams, noise_pools)]).transpose(2, 0, 1)
     mean_row = matrix.mean(axis=0)
     for w in waves:
         ix = sides[:, w]
@@ -376,9 +364,8 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
 
     final = wins.T
     return SeasonResults(
-        teams=tuple(teams), replication_ids=np.arange(replications),
-        wins=final, qualified=playoff_qualifiers(final, tie_keys, league,
-                                                 teams))
+        teams=tuple(teams), wins=final,
+        qualified=playoff_qualifiers(final, tie_keys, league, teams))
 
 
 def run_replications(n: int, initial, schedule: Schedule, draws,
@@ -397,11 +384,13 @@ def run_replications(n: int, initial, schedule: Schedule, draws,
 # ---------------------------------------------------------------------------
 # playoffs and aggregation
 
+WILD_CARDS = 3   # qualifiers per league beyond the division winners
 
-def playoff_qualifiers(wins, tie_keys, league: LeagueStructure, teams, *,
-                       wild_cards: int = 3) -> np.ndarray:
-    """(R, T) bool: the division winners plus the best remaining records
-    per league, in each of R replications.
+
+def playoff_qualifiers(wins, tie_keys, league: LeagueStructure,
+                       teams) -> np.ndarray:
+    """(R, T) bool: the division winners plus the WILD_CARDS best remaining
+    records per league, in each of R replications.
 
     wins and tie_keys are (R, T) arrays whose columns are the named teams,
     which must include every team of the league. Equal wins are broken by
@@ -419,7 +408,7 @@ def playoff_qualifiers(wins, tie_keys, league: LeagueStructure, teams, *,
         flat = cols.ravel()
         order = np.lexsort((tie_keys[:, flat], wins[:, flat],
                             ~qualified[:, flat]))
-        qualified[rows, flat[order[:, max(len(flat) - wild_cards, 0):]]] = True
+        qualified[rows, flat[order[:, max(len(flat) - WILD_CARDS, 0):]]] = True
     return qualified
 
 

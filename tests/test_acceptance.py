@@ -26,8 +26,8 @@ from oracles import (batch_filtered_moments, batch_window_loglik,
                      path_home_wins, simulate_era_path, walk_home_wins)
 from pennantsim.cli import main
 from pennantsim.kalman import (
-    GaussianState,
     NoiseParams,
+    _local_level,
     estimate_noise,
     filter_series,
 )
@@ -105,23 +105,36 @@ def test_season_totals_conserved_and_fast():
 def test_filter_matches_batch_gaussian_conditioning():
     # 50 random short instances; the sequential filter and brute-force
     # multivariate-normal conditioning compute the same posterior, so the
-    # final state of every prefix must agree to near machine precision
+    # final state of every prefix must agree to near machine precision:
+    # from a random start, and for the shipped filter, which conditions on
+    # the first observation (the level starts there with variance
+    # sigma_obs^2)
     rng = np.random.default_rng(20260822)
     for _ in range(50):
         n = int(rng.integers(1, 11))
         sigma_obs, sigma_process = rng.uniform(0.01, 2.0, size=2)
-        init = GaussianState(mean=float(rng.uniform(1.0, 6.0)),
-                             var=float(rng.uniform(0.01, 4.0)))
-        obs = rng.normal(init.mean, 1.0, size=n)
+        init_mean = float(rng.uniform(1.0, 6.0))
+        init_var = float(rng.uniform(0.01, 4.0))
+        obs = rng.normal(init_mean, 1.0, size=n)
         noise = NoiseParams(sigma_obs=float(sigma_obs),
                             sigma_process=float(sigma_process))
-        finals = [filter_series(init, obs[:t + 1], noise) for t in range(n)]
+        r, q = noise.sigma_obs ** 2, noise.sigma_process ** 2
+        finals = [_local_level(obs[:t + 1].tolist(), r, q, init_mean,
+                               init_var)[2:] for t in range(n)]
         means, variances = batch_filtered_moments(
-            init.mean, init.var, obs, float(sigma_obs), float(sigma_process))
-        got_means = np.array([s.mean for s in finals])
-        got_vars = np.array([s.var for s in finals])
+            init_mean, init_var, obs, float(sigma_obs), float(sigma_process))
+        got_means = np.array([m for m, _ in finals])
+        got_vars = np.array([v for _, v in finals])
         assert np.max(np.abs(got_means - means)) <= 1e-9
         assert np.max(np.abs(got_vars - variances)) <= 1e-9
+
+        shipped = [filter_series(obs[:t + 1], noise) for t in range(n)]
+        assert shipped[0] == obs[0]
+        if n > 1:
+            means, _ = batch_filtered_moments(obs[0], r, obs[1:],
+                                              float(sigma_obs),
+                                              float(sigma_process))
+            assert np.max(np.abs(np.array(shipped[1:]) - means)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +150,15 @@ def test_noise_recovery_medians_and_ordering():
     rng = np.random.default_rng(99)
     windows = []
     estimates = []
-    for i in range(210):
+    for _ in range(210):
         window = simulate_era_path(4.0, truth, 30, rng)
         windows.append(window)
-        estimates.append(estimate_noise(window, team="SIM", window_start=i))
+        estimates.append(estimate_noise(window))
     converged = [e for e in estimates if e.converged]
     assert len(converged) >= 200
 
-    med_obs = float(np.median([e.params.sigma_obs for e in converged]))
-    ordering = float(np.mean([e.params.sigma_obs > e.params.sigma_process
+    med_obs = float(np.median([e.sigma_obs for e in converged]))
+    ordering = float(np.mean([e.sigma_obs > e.sigma_process
                               for e in converged]))
     assert ordering >= 0.90, f"ordering held in {ordering:.1%} of windows"
     assert abs(med_obs - truth.sigma_obs) <= 0.25 * truth.sigma_obs, \
@@ -168,8 +181,8 @@ def test_noise_recovery_medians_and_ordering():
                                    np.square(sigma_obs), sigma_obs,
                                    sigma_process)
 
-    at_estimate = loglik([e.params.sigma_obs for e in estimates],
-                         [e.params.sigma_process for e in estimates])
+    at_estimate = loglik([e.sigma_obs for e in estimates],
+                         [e.sigma_process for e in estimates])
     grid = np.geomspace(1e-4, 10.0, 9)
     candidates = [(s_obs, s_proc) for s_obs in grid for s_proc in grid]
     candidates.append((truth.sigma_obs, truth.sigma_process))
@@ -256,9 +269,11 @@ def test_path_mode_era_law_on_engine():
     # from one one-row pool
     noise = NoiseParams(sigma_obs=0.5, sigma_process=0.1)
     home = TeamSimState(team="H", wins=10, losses=10, batting_deviation=0.0,
-                        era=4.0, tercile="one")
+                        era=4.0)
     away = replace(home, era=4.4)
-    pools = {"one": np.array([(noise.sigma_obs, noise.sigma_process)])}
+    pool = np.array([(noise.sigma_obs, noise.sigma_process)])
+    pools = {f"{side}{k}": pool for side in "HA"
+             for k in range(TRAJECTORY_PAIRS)}
     mean, se = engine_home_wins(home, away, np.array([[0.0, 0.0, 8.0]]),
                                 SimOptions(era_mode="path"), seed=42,
                                 noise_pools=pools)

@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from pennantsim.cli import RunConfig, build_parser, main, resolve_config
+from pennantsim.gamelog import latest_season, parse_game_log
+from pennantsim.kalman import sliding_noise_estimates
 
 from cli_fixtures import (write_constant_log_file, write_game_log_file,
                           write_league_file, write_recovery_log_file)
@@ -287,6 +289,14 @@ def test_noise_outputs(pipeline):
     assert int(meta["converged_windows"]) == len(pool)
     # 32-game series, 30-game window -> 3 window starts per team at most
     assert {row["window_start"] for row in pool} <= {"0", "1", "2"}
+    # a row's window_start is the position of the window it was fit on
+    season = latest_season(parse_game_log(str(pipeline["base"] / "log.csv")))
+    fits = {team: sliding_noise_estimates(season[team].eras, 30)
+            for team in {row["team"] for row in pool}}
+    for row in pool:
+        est = fits[row["team"]][int(row["window_start"])]
+        assert (row["sigma_obs"], row["sigma_process"]) == \
+            (repr(est.sigma_obs), repr(est.sigma_process))
 
 
 def test_noise_pinned_windows_counted(pipeline):

@@ -350,8 +350,9 @@ def test_batting_series_collects_both_sides():
     season = latest_season(make_log(
         (datetime.date(2024, 6, 1), "A", "B", True, 0.25, 0.24, 3.8, 4.1),
         (datetime.date(2024, 6, 2), "B", "A", True, 0.26, 0.27, 3.8, 4.1)))
-    assert season["A"].battings == [0.25, 0.27]
-    assert season["B"].battings == [0.24, 0.26]
+    # each team's latest game is on the other side from its first
+    assert season["A"].batting == 0.27
+    assert season["B"].batting == 0.26
 
 
 def test_latest_season_of_empty_log_names_the_file():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import batch_filtered_moments, simulate_era_path
 from pennantsim.kalman import (
-    GaussianState,
     NoiseParams,
+    _local_level,
     estimate_noise,
     filter_series,
     group_terciles,
@@ -22,103 +22,111 @@ from pennantsim.kalman import (
 
 
 # ---------------------------------------------------------------------------
-# one filter step: filter_series on a single observation
+# the local-level recursion, from a given (mean, var) state
 
 
-def step(prior, observation, noise):
-    return filter_series(prior, [observation], noise)
+def run(mean, var, observations, noise):
+    """(final filtered mean, final filtered variance) of _local_level."""
+    _, _, mean, var = _local_level(observations, noise.sigma_obs ** 2,
+                                   noise.sigma_process ** 2, mean, var)
+    return mean, var
 
 
 def test_step_perfect_observation():
     # zero observation noise: gain 1, state collapses onto the observation
-    out = step(GaussianState(4.0, 1.0), 3.2, NoiseParams(0.0, 0.1))
-    assert out.mean == pytest.approx(3.2)
-    assert out.var == pytest.approx(0.0, abs=1e-15)
+    mean, var = run(4.0, 1.0, [3.2], NoiseParams(0.0, 0.1))
+    assert mean == pytest.approx(3.2)
+    assert var == pytest.approx(0.0, abs=1e-15)
 
 
 def test_step_matches_joint_gaussian_conditioning():
     # oracle: condition the joint normal of (x1, y1) on y1 directly
-    prior = GaussianState(4.0, 1.0)
+    prior_mean, prior_var = 4.0, 1.0
     noise = NoiseParams(sigma_obs=0.5, sigma_process=0.1)
     y = 3.5
-    var_x = prior.var + noise.sigma_process ** 2
+    var_x = prior_var + noise.sigma_process ** 2
     var_y = var_x + noise.sigma_obs ** 2
-    oracle_mean = prior.mean + (var_x / var_y) * (y - prior.mean)
+    oracle_mean = prior_mean + (var_x / var_y) * (y - prior_mean)
     oracle_var = var_x - var_x ** 2 / var_y
-    out = step(prior, y, noise)
-    assert out.mean == pytest.approx(oracle_mean, abs=1e-12)
-    assert out.var == pytest.approx(oracle_var, abs=1e-12)
+    mean, var = run(prior_mean, prior_var, [y], noise)
+    assert mean == pytest.approx(oracle_mean, abs=1e-12)
+    assert var == pytest.approx(oracle_var, abs=1e-12)
     # frozen values from the same oracle
-    assert out.mean == pytest.approx(3.5992063492063493, abs=1e-10)
-    assert out.var == pytest.approx(0.20039682539682538, abs=1e-10)
+    assert mean == pytest.approx(3.5992063492063493, abs=1e-10)
+    assert var == pytest.approx(0.20039682539682538, abs=1e-10)
 
 
 def test_step_uninformative_observation():
-    out = step(GaussianState(4.0, 1.0), 100.0, NoiseParams(1e9, 0.1))
-    assert out.mean == pytest.approx(4.0, abs=1e-6)
+    mean, _ = run(4.0, 1.0, [100.0], NoiseParams(1e9, 0.1))
+    assert mean == pytest.approx(4.0, abs=1e-6)
 
 
 def test_step_variance_never_exceeds_prediction():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        prior = GaussianState(float(rng.normal(4, 1)), float(rng.uniform(0.01, 2)))
+        prior_mean = float(rng.normal(4, 1))
+        prior_var = float(rng.uniform(0.01, 2))
         noise = NoiseParams(float(rng.uniform(0.01, 2)), float(rng.uniform(0.0, 1)))
-        predicted_var = prior.var + noise.sigma_process ** 2
-        out = step(prior, float(rng.normal(4, 2)), noise)
-        assert out.var <= predicted_var + 1e-15
+        predicted_var = prior_var + noise.sigma_process ** 2
+        _, var = run(prior_mean, prior_var, [float(rng.normal(4, 2))], noise)
+        assert var <= predicted_var + 1e-15
 
 
 def test_step_zero_gain_denominator_is_error():
     with pytest.raises(ValueError, match="Kalman gain undefined"):
-        step(GaussianState(4.0, 0.0), 3.5, NoiseParams(0.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# filter_series
+        run(4.0, 0.0, [3.5], NoiseParams(0.0, 0.0))
 
 
 def test_series_single_observation_equals_one_step():
     # one predict/update cycle by hand: predicted variance 1 + 0.1^2, gain
     # 1.01 / (1.01 + 0.5^2)
-    result = filter_series(GaussianState(4.0, 1.0), [3.5],
-                           NoiseParams(0.5, 0.1))
+    mean, var = run(4.0, 1.0, [3.5], NoiseParams(0.5, 0.1))
     gain = 1.01 / 1.26
-    assert result.mean == pytest.approx(4.0 + gain * (3.5 - 4.0), abs=1e-15)
-    assert result.var == pytest.approx((1.0 - gain) * 1.01, abs=1e-15)
+    assert mean == pytest.approx(4.0 + gain * (3.5 - 4.0), abs=1e-15)
+    assert var == pytest.approx((1.0 - gain) * 1.01, abs=1e-15)
 
 
 def test_series_matches_batch_conditioning_oracle():
     rng = np.random.default_rng(21)
-    init = GaussianState(4.0, 0.8)
+    init_mean, init_var = 4.0, 0.8
     noise = NoiseParams(0.5, 0.08)
-    obs = rng.normal(4.0, 0.6, size=10)
-    finals = [filter_series(init, obs[:t + 1], noise) for t in range(10)]
+    obs = rng.normal(4.0, 0.6, size=10).tolist()
+    finals = [run(init_mean, init_var, obs[:t + 1], noise) for t in range(10)]
     oracle_means, oracle_vars = batch_filtered_moments(
-        init.mean, init.var, obs, noise.sigma_obs, noise.sigma_process)
-    np.testing.assert_allclose([s.mean for s in finals], oracle_means,
+        init_mean, init_var, obs, noise.sigma_obs, noise.sigma_process)
+    np.testing.assert_allclose([m for m, _ in finals], oracle_means,
                                atol=1e-9)
-    np.testing.assert_allclose([s.var for s in finals], oracle_vars,
+    np.testing.assert_allclose([v for _, v in finals], oracle_vars,
                                atol=1e-9)
 
 
 def test_series_constant_observations_shrink_variance():
-    init = GaussianState(5.0, 1.0)
     noise = NoiseParams(0.4, 0.0)
-    finals = [filter_series(init, [3.0] * n, noise) for n in range(1, 21)]
-    means = [s.mean for s in finals]
+    finals = [run(5.0, 1.0, [3.0] * n, noise) for n in range(1, 21)]
+    means = [m for m, _ in finals]
     # monotone approach toward the constant
     assert all(abs(m2 - 3.0) < abs(m1 - 3.0) for m1, m2 in zip(means, means[1:]))
-    variances = [s.var for s in finals]
+    variances = [v for _, v in finals]
     assert all(v2 < v1 for v1, v2 in zip(variances, variances[1:]))
 
 
+# ---------------------------------------------------------------------------
+# filter_series: the recursion started on the first observation
+
+
+def test_filter_series_hand_computed():
+    # start at (4, 1); with no process noise the gain is 1 / (1 + 1), so
+    # the level moves halfway to the second observation
+    assert filter_series([4.0, 5.0], NoiseParams(1.0, 0.0)) == 4.5
+    assert filter_series([3.7], NoiseParams(0.5, 0.1)) == 3.7
+
+
 def test_series_rejects_empty_and_nonfinite():
-    init = GaussianState(4.0, 1.0)
     noise = NoiseParams(0.5, 0.1)
     with pytest.raises(ValueError):
-        filter_series(init, [], noise)
+        filter_series([], noise)
     with pytest.raises(ValueError):
-        filter_series(init, [4.0, math.nan], noise)
+        filter_series([4.0, math.nan], noise)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +175,6 @@ def test_estimate_flags_maximum_past_the_grid():
     assert est.sigma_obs < 1e-2 * est.sigma_process
 
 
-def test_estimate_carries_team_and_window():
-    est = estimate_noise(np.linspace(3.0, 4.0, 12), team="NYA", window_start=7)
-    assert est.team == "NYA"
-    assert est.window_start == 7
-
-
 def test_sliding_window_counts():
     rng = np.random.default_rng(30)
     series30 = rng.normal(4.0, 0.5, size=30)
@@ -180,7 +182,6 @@ def test_sliding_window_counts():
     series40 = rng.normal(4.0, 0.5, size=40)
     ests = sliding_noise_estimates(series40, 30)
     assert len(ests) == 11
-    assert [e.window_start for e in ests] == list(range(11))
 
 
 def test_sliding_rejects_short_series():
@@ -228,18 +229,17 @@ def test_sliding_equals_window_by_window_fits(case):
     # the windows are fit together, one array recursion for all; each
     # estimate must equal the lone-window fit exactly, field by field
     series, window = case
-    together = sliding_noise_estimates(series, window, team="AAA")
-    alone = [estimate_noise(series[k:k + window], team="AAA", window_start=k)
+    together = sliding_noise_estimates(series, window)
+    alone = [estimate_noise(series[k:k + window])
              for k in range(len(series) - window + 1)]
     assert together == alone
-    assert all(type(e.converged) is bool and type(e.window_start) is int
-               for e in together)
+    assert all(type(e.converged) is bool for e in together)
 
 
 def test_sliding_mostly_converges_on_smooth_data():
     rng = np.random.default_rng(44)
     series = simulate_era_path(4.0, NoiseParams(0.5, 0.05), 60, rng)
-    ests = sliding_noise_estimates(series, 30, team="AAA")
+    ests = sliding_noise_estimates(series, 30)
     assert len(ests) == 31
     assert np.mean([e.converged for e in ests]) > 0.9
 

@@ -6,7 +6,6 @@ one-off matchups from tests/matchups.py), so none of them re-derive the
 simulator's internal stream layout.
 """
 
-import dataclasses
 import datetime
 import hashlib
 import math
@@ -43,11 +42,9 @@ from pennantsim.season import (
 )
 
 
-def make_state(team, wins=10, losses=10, deviation=0.0, era=4.0,
-               tercile=""):
+def make_state(team, wins=10, losses=10, deviation=0.0, era=4.0):
     return TeamSimState(team=team, wins=wins, losses=losses,
-                        batting_deviation=deviation, era=era,
-                        tercile=tercile)
+                        batting_deviation=deviation, era=era)
 
 
 def one_replication(initial, schedule, draws, league, seed, **kwargs):
@@ -356,12 +353,11 @@ ERA_MODE_OPTIONS = [SimOptions(), SimOptions(era_mode="path")]
 
 
 def unequal_setup():
-    # 30 teams with unequal records, ERAs and noise (a one-row pool under
-    # each team's own label), 15 games left each: 225 games
+    # 30 teams with unequal records, ERAs and noise (a one-row pool per
+    # team), 15 games left each: 225 games
     league = standard_league()
     states = [make_state(t, wins=8 + i % 7, losses=12 - i % 7,
-                         deviation=0.002 * (i % 5 - 2), era=3.0 + 0.07 * i,
-                         tercile=t)
+                         deviation=0.002 * (i % 5 - 2), era=3.0 + 0.07 * i)
               for i, t in enumerate(league.teams)]
     pools = {t: np.array([(0.2 + 0.01 * i, 0.02 + 0.002 * i)])
              for i, t in enumerate(league.teams)}
@@ -382,7 +378,7 @@ def test_replications_repeat_and_follow_the_seed(opts):
                                 opts=opts, noise_pools=pools)
     first = play(9)
     assert first == play(9)
-    assert first.replication_ids.tolist() == list(range(7))
+    assert len(first) == 7
     assert np.any(first.wins != play(10).wins)
 
 
@@ -413,11 +409,12 @@ def test_level_waves_match_one_game_at_a_time(monkeypatch, opts):
 
 
 def season_setup():
-    # 30 teams with 36 games played, a two-row pool, and the 1,890 games
-    # left of a 162-game season: the early-marginal benchmark's size
+    # 30 teams with 36 games played, one two-row pool for all, and the
+    # 1,890 games left of a 162-game season: the early-marginal benchmark's
+    # size
     league = standard_league()
-    states = [make_state(t, tercile="low") for t in league.teams]
-    pools = {"low": np.array([(0.3, 0.02), (0.5, 0.04)])}
+    states = [make_state(t) for t in league.teams]
+    pools = dict.fromkeys(league.teams, np.array([(0.3, 0.02), (0.5, 0.04)]))
     sched = generate_schedule(league, {t: 36 for t in league.teams}, seed=5)
     assert len(sched) == 1890
     draws = np.random.default_rng(4).uniform(0.5, 2.0, (8000, 3))
@@ -483,14 +480,12 @@ def test_waves_are_the_schedules_level_sets(pairs):
 
 
 def tercile_setup():
-    # 30 teams labelled low/medium/high by tens, and a one-row pool per
-    # tercile, each pair unlike the others
+    # 30 teams in three groups of ten, as terciles, the teams of a group
+    # sharing one one-row pool, each group's pair unlike the others
     league = standard_league()
-    labels = ("low", "medium", "high")
-    states = [make_state(t, tercile=labels[i // 10])
-              for i, t in enumerate(league.teams)]
-    pools = {label: np.array([(0.2 + i * 0.2, 0.03 + i * 0.03)])
-             for i, label in enumerate(labels)}
+    states = [make_state(t) for t in league.teams]
+    groups = [np.array([(0.2 + i * 0.2, 0.03 + i * 0.03)]) for i in range(3)]
+    pools = {t: groups[i // 10] for i, t in enumerate(league.teams)}
     sched = generate_schedule(league, {t: 150 for t in league.teams}, seed=4)
     draws = np.random.default_rng(2).uniform(0.5, 2.0, (100, 3))
     return league, states, pools, sched, draws
@@ -507,18 +502,17 @@ def test_noise_pools_do_not_disturb_game_stream():
 
 
 def test_path_mode_draws_noise_from_each_teams_tercile_pool():
-    # with one row per pool, path mode must play exactly as if each team
-    # had its own one-row pool holding its tercile's pair; and the pools
-    # must matter: rotating them across the terciles changes the play
+    # each team's pool is looked up by its name, so listing the pools in
+    # another order must not change the play; and the pools must matter:
+    # rotating them across the groups changes the play
     league, states, pools, sched, draws = tercile_setup()
     opts = SimOptions(era_mode="path")
     pooled = run_replications(3, states, sched, draws, league, base_seed=12,
                               opts=opts, noise_pools=pools)
-    own = [dataclasses.replace(s, tercile=s.team) for s in states]
-    per_team = {s.team: pools[s.tercile] for s in states}
-    direct = run_replications(3, own, sched, draws, league, base_seed=12,
-                              opts=opts, noise_pools=per_team)
-    rotated = dict(zip(pools, np.roll(list(pools.values()), 1, axis=0)))
+    reordered = dict(reversed(pools.items()))
+    direct = run_replications(3, states, sched, draws, league, base_seed=12,
+                              opts=opts, noise_pools=reordered)
+    rotated = dict(zip(pools, np.roll(list(pools.values()), 10, axis=0)))
     moved = run_replications(3, states, sched, draws, league, base_seed=12,
                              opts=opts, noise_pools=rotated)
     assert pooled == direct
@@ -526,27 +520,27 @@ def test_path_mode_draws_noise_from_each_teams_tercile_pool():
 
 
 def test_noise_pools_require_grouping():
-    # pools are keyed by tercile, so path mode cannot draw noise without
-    # them, for a team without a tercile, or for a tercile without a pool
+    # pools are keyed by team, so path mode cannot draw noise without them,
+    # and a team without a pool is named, whether or not it plays
     league = tiny_league()
-    states = [make_state(t, tercile="low") for t in league.teams]
+    states = [make_state(t) for t in league.teams]
     sched = Schedule(games=(
         ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
-    pools = {"low": np.array([(0.3, 0.02)])}
+    pools = dict.fromkeys(league.teams, np.array([(0.3, 0.02)]))
     path = SimOptions(era_mode="path")
 
-    def play(states, noise_pools):
+    def play(noise_pools):
         return one_replication(states, sched, np.ones((1, 3)), league,
                                seed=1, opts=path, noise_pools=noise_pools)
 
-    play(states, pools)
+    play(pools)
     with pytest.raises(ValueError, match="path mode needs noise pools"):
-        play(states, None)
-    with pytest.raises(ValueError, match="no noise pool for tercile 'low'"):
-        play(states, {"high": pools["low"]})
-    states[2] = make_state("E2")
-    with pytest.raises(ValueError, match="E2 has no tercile"):
-        play(states, pools)
+        play(None)
+    for team in ("E0", "E2"):
+        rest = {t: pool for t, pool in pools.items() if t != team}
+        with pytest.raises(ValueError,
+                           match=f"no noise pool for team '{team}'"):
+            play(rest)
 
 
 def test_replications_rejects_bad_counts():
@@ -562,13 +556,13 @@ def test_replications_rejects_bad_counts():
 # playoffs
 
 
-def qualifiers(final_wins, league, rng, **kwargs):
+def qualifiers(final_wins, league, rng):
     """playoff_qualifiers on one replication's {team: wins}, with tie keys
     drawn from rng in sorted team order, as a set of team names."""
     teams = sorted(final_wins)
     wins = np.array([[final_wins[t] for t in teams]])
     [row] = playoff_qualifiers(wins, rng.random((1, len(teams))), league,
-                               teams, **kwargs)
+                               teams)
     return frozenset(t for t, made in zip(teams, row) if made)
 
 
@@ -609,15 +603,15 @@ def test_playoff_tie_break_is_seeded_and_fair():
     assert first == frozenset(wins)
 
 
-def test_playoff_division_tie_frequency():
+def test_playoff_division_tie_frequency(monkeypatch):
+    monkeypatch.setattr(season, "WILD_CARDS", 0)
     rows = [(lg, "D", f"{lg}{k}") for lg in ("E", "W") for k in range(4)]
     league = LeagueStructure.from_rows(rows, season_length=10)
     wins = {"E0": 9, "E1": 9, "E2": 2, "E3": 1,
             "W0": 9, "W1": 2, "W2": 1, "W3": 0}
     picks = []
     for seed in range(400):
-        got = qualifiers(wins, league, np.random.default_rng(seed),
-                         wild_cards=0)
+        got = qualifiers(wins, league, np.random.default_rng(seed))
         assert len(got) == 2 and "W0" in got
         picks.append("E0" in got)
     rate = np.mean(picks)
@@ -625,9 +619,11 @@ def test_playoff_division_tie_frequency():
 
 
 @pytest.mark.parametrize("wild_cards", [3, 0, 13])
-def test_playoff_arrays_match_scalar_oracle_on_tied_standings(wild_cards):
+def test_playoff_arrays_match_scalar_oracle_on_tied_standings(monkeypatch,
+                                                            wild_cards):
     # wins from a six-value range tie often, both for division titles and
     # in the wild-card race; both sides see the same tie-key streams
+    monkeypatch.setattr(season, "WILD_CARDS", wild_cards)
     league = standard_league()
     teams = league.teams
     n = 1000
@@ -635,8 +631,7 @@ def test_playoff_arrays_match_scalar_oracle_on_tied_standings(wild_cards):
     seeds = np.random.SeedSequence(22).spawn(n)
     tie_keys = np.array([np.random.default_rng(seed).random(len(teams))
                          for seed in seeds])
-    got = playoff_qualifiers(wins, tie_keys, league, teams,
-                             wild_cards=wild_cards)
+    got = playoff_qualifiers(wins, tie_keys, league, teams)
     for row, seed, picked in zip(wins.tolist(), seeds, got):
         expected = scalar_playoff_qualifiers(
             dict(zip(teams, row)), league, np.random.default_rng(seed),
@@ -661,7 +656,7 @@ def test_playoff_missing_record_errors():
 
 def hand_results():
     return SeasonResults(
-        teams=("A", "B", "C"), replication_ids=np.arange(4),
+        teams=("A", "B", "C"),
         wins=np.array([[90, 80, 70], [88, 84, 70], [92, 76, 70],
                        [90, 80, 70]]),
         qualified=np.array([[True, False, False], [True, True, False],
@@ -685,7 +680,7 @@ def test_summarize_hand_computed():
 
 
 def test_summarize_tie_falls_back_to_team_id():
-    results = SeasonResults(teams=("A", "B"), replication_ids=np.zeros(1),
+    results = SeasonResults(teams=("A", "B"),
                             wins=np.array([[81, 81]]),
                             qualified=np.zeros((1, 2), dtype=bool))
     summary = summarize(results)
@@ -693,7 +688,7 @@ def test_summarize_tie_falls_back_to_team_id():
 
 
 def test_summarize_rejects_empty():
-    empty = SeasonResults(teams=("A",), replication_ids=np.zeros(0),
+    empty = SeasonResults(teams=("A",),
                           wins=np.zeros((0, 1), dtype=int),
                           qualified=np.zeros((0, 1), dtype=bool))
     with pytest.raises(ValueError, match="no replications"):
