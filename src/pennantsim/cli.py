@@ -26,7 +26,7 @@ from .gamelog import (DatasetFilter, derive_pregame_records,
 from .kalman import (MIN_WINDOW, TERCILES, NoiseParams, filter_series,
                      group_terciles, sliding_noise_estimates)
 from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
-                   effective_sample_size, log_ratio_design,
+                   effective_sample_size, laplace_surrogate, log_ratio_design,
                    posterior_summaries, run_chains, split_rhat,
                    tune_proposal_std)
 from .season import (DRAW_MODES, ERA_MODES, LEAGUE_BATTING_MEAN, STREAMS,
@@ -363,10 +363,13 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
         diag.append(f"acceptance_chain_{chain.chain_id},"
                     f"{chain.acceptance_rate:.6f},,,,,")
     outputs["diagnostics.csv"] = diag
+    # the chains' screen is flat (C = 0) when the likelihood has no usable mode
+    screened = np.any(laplace_surrogate(design)[0])
     meta = {"r_max": repr(cfg.r_max), "iterations": cfg.iterations,
             "burn_in": cfg.burn_in, "thin": cfg.thin, "chains": cfg.chains,
             "proposal_std": repr(float(std)),
             "proposal_std_source": std_source,
+            "proposal_screen": "laplace" if screened else "none",
             "filter_mode": cfg.filter_mode,
             "training_records": len(training)}
     for chain in chains:

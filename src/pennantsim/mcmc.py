@@ -1,11 +1,15 @@
-"""Random-walk Metropolis sampling of the three contribution exponents.
+"""Delayed-acceptance Metropolis sampling of the three contribution exponents.
 
 The prior is independent Uniform(0, r_max) per exponent; the target is the
 marginalized game-outcome likelihood, a stable softplus sum over one design
 of per-game log strength ratios shared by every pilot and chain of a fit.
-Chains use joint Gaussian proposals, derive per-chain seeds from a base seed,
-run in a fork pool when asked for more than one worker, and come with split
-R-hat / ESS diagnostics and posterior summaries.
+Chains use joint Gaussian proposals, screened by the quadratic (Laplace)
+expansion of the log-likelihood at its mode so that only proposals passing
+the screen pay for the exact likelihood (Christen & Fox 2005); the chain
+still targets the exact posterior. A likelihood with no usable mode gets a
+flat screen, which is plain random-walk Metropolis. Chains derive per-chain
+seeds from a base seed, run in a fork pool when asked for more than one
+worker, and come with split R-hat / ESS diagnostics and posterior summaries.
 """
 
 from __future__ import annotations
@@ -116,6 +120,45 @@ def design_log_likelihood(L: np.ndarray, won: np.ndarray, r: np.ndarray) -> floa
                             + np.log1p(np.exp(-np.abs(u)))).sum())
 
 
+# laplace_surrogate's Newton step cap and convergence threshold
+NEWTON_STEPS, NEWTON_TOL = 20, 1e-10
+
+
+def laplace_surrogate(design: Design) -> tuple[list[list[float]], list[float]]:
+    """Quadratic expansion of the log-likelihood at its mode, as (C, mode).
+
+    Newton steps from r = (1, 1, 1) use the closed-form gradient
+    L.T @ (won - p) and negative Hessian L.T @ (p(1 - p) L), with the win
+    probability p = sigma(L @ r) taken as 0.5 (1 + tanh(u / 2)), which
+    cannot overflow. Once a step is below NEWTON_TOL in every coordinate,
+    C is the upper Cholesky factor of that negative Hessian, so the
+    surrogate log-likelihood is -|C (r - mode)|^2 / 2 up to a constant.
+    A singular or indefinite Hessian, a non-finite step, or no convergence
+    within NEWTON_STEPS (a separated design has its mode at infinity) gives
+    the flat surrogate, whose C and mode are zero. Both come back as Python
+    floats.
+    """
+    L, won = design
+    r = np.ones(3)
+    for _ in range(NEWTON_STEPS):
+        p = 0.5 * (1.0 + np.tanh(0.5 * (L @ r)))
+        neg_hessian = L.T @ ((p * (1.0 - p))[:, None] * L)
+        try:
+            step = np.linalg.solve(neg_hessian, L.T @ (won - p))
+        except np.linalg.LinAlgError:
+            break
+        if not np.isfinite(step).all():
+            break
+        r = r + step
+        if np.abs(step).max() < NEWTON_TOL:
+            try:
+                lower = np.linalg.cholesky(neg_hessian)
+            except np.linalg.LinAlgError:
+                break
+            return lower.T.tolist(), r.tolist()
+    return [[0.0] * 3 for _ in range(3)], [0.0] * 3
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -131,20 +174,39 @@ def default_init(prior: PriorConfig) -> np.ndarray:
 
 def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
               *, chain_id: int = 0, init=None) -> PosteriorDraws:
-    """One random-walk Metropolis chain over the exponents.
+    """One delayed-acceptance random-walk Metropolis chain over the exponents.
 
     Joint Gaussian proposals; a proposal leaving the prior box has zero prior
-    density and is rejected outright. Every iteration's post-move state is
-    recorded; burn-in is dropped and the remainder thinned. Fully
-    deterministic given cfg.seed. design is `log_ratio_design`'s (L, won).
+    density and is rejected outright. An in-box proposal is first screened
+    by `laplace_surrogate`'s s(r) = -|C (r - mode)|^2 / 2: with
+    d = s(prop) - s(r) and a1 = min(0, d), it is rejected when log u >= a1,
+    without evaluating the exact likelihood; otherwise it is accepted when
+    log u < a1 + min(0, delta - d), delta being the exact log-likelihood
+    difference.
+    One uniform thus accepts with probability alpha1 * alpha2, so the chain
+    targets the exact posterior (Christen & Fox 2005). With the flat
+    surrogate a1 = d = 0 and the rule is log u < delta: plain Metropolis,
+    draw for draw. Every iteration's post-move state is recorded; burn-in is
+    dropped and the remainder thinned. Fully deterministic given cfg.seed.
+    design is `log_ratio_design`'s (L, won).
     """
     L, won = design
     r_max = prior.r_max
     rng = _chain_rng(cfg)
+    chol, (m0, m1, m2) = laplace_surrogate(design)
+    (c00, c01, c02), (_, c11, c12), (_, _, c22) = chol
+
+    def surrogate(x0, x1, x2):
+        d0, d1, d2 = x0 - m0, x1 - m1, x2 - m2
+        y0 = c00 * d0 + c01 * d1 + c02 * d2
+        y1 = c11 * d1 + c12 * d2
+        y2 = c22 * d2
+        return -0.5 * (y0 * y0 + y1 * y1 + y2 * y2)
 
     r = default_init(prior) if init is None else np.clip(np.asarray(init, float),
                                                          0.0, r_max)
     ll = design_log_likelihood(L, won, r)
+    s = surrogate(*r.tolist())
     out = np.empty((cfg.n_iterations, 3))
     n_accept = 0
     for i in range(cfg.n_iterations):
@@ -153,11 +215,17 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
         prop = r + step
         coords = prop.tolist()   # cheaper than prop.min()/prop.max()
         if min(coords) >= 0.0 and max(coords) <= r_max:
-            ll_prop = design_log_likelihood(L, won, prop)
-            if math.log(u) < ll_prop - ll:
-                r = prop
-                ll = ll_prop
-                n_accept += 1
+            log_u = math.log(u)
+            s_prop = surrogate(*coords)
+            screen = s_prop - s
+            a1 = min(0.0, screen)
+            if log_u < a1:
+                ll_prop = design_log_likelihood(L, won, prop)
+                if log_u < a1 + min(0.0, ll_prop - ll - screen):
+                    r = prop
+                    ll = ll_prop
+                    s = s_prop
+                    n_accept += 1
         out[i] = r
 
     kept = out[cfg.burn_in::cfg.thin].copy()   # ChainConfig: nonempty

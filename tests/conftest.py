@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from games import game_table
-from oracles import grid_posterior_means
+from oracles import grid_posterior_moments
 from pennantsim.mcmc import (
     ChainConfig,
     PriorConfig,
@@ -57,7 +57,8 @@ def recovery_dataset():
 def grid_oracle(recovery_dataset):
     """Posterior means from the 40^3 midpoint-lattice oracle."""
     _, log_ratios, home_won = recovery_dataset
-    return grid_posterior_means(log_ratios, home_won, r_max=5.0, n_cells=40)
+    return grid_posterior_moments(log_ratios, home_won, r_max=5.0,
+                                  n_cells=40)[0]
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,10 @@ sequential filter; lattice integration instead of MCMC; per-game Bernoulli
 probabilities from the game table's columns instead of the log-ratio design;
 Gauss-Hermite quadrature over the trajectory laws instead of the season
 engine's simulated paths; one replication's playoff field picked team by
-team instead of ranked as arrays). It also holds the synthetic ERA generator
-the noise tests draw their windows from.
+team instead of ranked as arrays; plain Metropolis with no screen instead
+of the delayed-acceptance sampler; central differences instead of the
+closed-form Hessian). It also holds the synthetic ERA generator the noise
+tests draw their windows from.
 """
 
 import math
@@ -104,9 +106,10 @@ def batch_window_loglik(windows, init_means, init_vars,
     return -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
 
 
-def grid_posterior_means(log_ratios, home_won, r_max, n_cells=40,
-                         chunk=2000):
-    """Posterior means of the exponents on a midpoint lattice over [0, r_max]^3.
+def grid_posterior_moments(log_ratios, home_won, r_max, n_cells=40,
+                           chunk=2000):
+    """Posterior means and standard deviations of the exponents on a
+    midpoint lattice over [0, r_max]^3.
 
     The prior is uniform on the box, so the posterior is the normalized
     marginal likelihood evaluated at each lattice midpoint. Works in chunks
@@ -130,7 +133,63 @@ def grid_posterior_means(log_ratios, home_won, r_max, n_cells=40,
 
     w = np.exp(loglik - loglik.max())
     w /= w.sum()
-    return points.T @ w                               # (3,)
+    means = points.T @ w                              # (3,)
+    return means, np.sqrt((points ** 2).T @ w - means ** 2)
+
+
+def plain_metropolis(loglik, r_max, n_iterations, proposal_std, seed, init):
+    """Random-walk Metropolis on the box [0, r_max]^3 with no screen.
+
+    Each iteration draws a N(0, proposal_std^2) step in the three
+    coordinates and then one uniform u from default_rng(SeedSequence(seed));
+    a proposal inside the box is accepted when log u is below its
+    log-likelihood difference. Returns every iteration's post-move state,
+    (n_iterations, 3), and the acceptance rate.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    r = np.asarray(init, dtype=float)
+    ll = loglik(r)
+    states = np.empty((n_iterations, 3))
+    accepted = 0
+    for i in range(n_iterations):
+        step = rng.normal(0.0, proposal_std, 3)
+        u = rng.random()
+        prop = r + step
+        if np.all((prop >= 0.0) & (prop <= r_max)):
+            ll_prop = loglik(prop)
+            if math.log(u) < ll_prop - ll:
+                r, ll = prop, ll_prop
+                accepted += 1
+        states[i] = r
+    return states, accepted / n_iterations
+
+
+def in_box_proposals(states, init, r_max, proposal_std, seed):
+    """How many of a chain's proposals fell inside [0, r_max]^3, replayed
+    from its stream (plain_metropolis's) and its post-move states."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    r = np.asarray(init, dtype=float)
+    count = 0
+    for state in states:
+        prop = r + rng.normal(0.0, proposal_std, 3)
+        rng.random()
+        count += bool(np.all((prop >= 0.0) & (prop <= r_max)))
+        r = state
+    return count
+
+
+def central_differences(f, x, h):
+    """Gradient and Hessian of a scalar function f at x by central
+    differences with step h."""
+    x = np.asarray(x, dtype=float)
+    e = h * np.eye(x.size)
+    grad = np.array([(f(x + e[i]) - f(x - e[i])) / (2.0 * h)
+                     for i in range(x.size)])
+    hess = np.array([[(f(x + e[i] + e[j]) - f(x + e[i] - e[j])
+                       - f(x - e[i] + e[j]) + f(x - e[i] - e[j]))
+                      / (4.0 * h * h) for j in range(x.size)]
+                     for i in range(x.size)])
+    return grad, hess
 
 
 def simulate_era_path(init_mean, noise, n_steps, rng, *,

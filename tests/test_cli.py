@@ -167,6 +167,7 @@ def test_fit_output_schema(pipeline):
                 for line in (out / "fit_metadata.txt").read_text().splitlines())
     assert meta["master_seed"] == "11"
     assert meta["proposal_std_source"] == "tuned"
+    assert meta["proposal_screen"] == "laplace"
     assert "chain_seed_0" in meta and "chain_seed_1" in meta
 
 
@@ -227,6 +228,9 @@ def test_fit_flat_likelihood_returns_prior(tmp_path):
         ess = float(row["ess"])
         tol = 3.5 * (5.0 / np.sqrt(12.0)) / np.sqrt(ess)
         assert abs(float(row["mean"]) - 2.5) < tol, row
+    # a flat likelihood has no mode to screen proposals with
+    assert "proposal_screen=none" in \
+        (out / "fit_metadata.txt").read_text().splitlines()
 
 
 def test_fit_signal_lands_on_win_pct_exponent(tmp_path):

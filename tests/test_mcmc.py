@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from games import game_table
-from oracles import game_log_likelihood
+from oracles import (central_differences, game_log_likelihood,
+                     grid_posterior_moments, in_box_proposals,
+                     plain_metropolis)
+from pennantsim import mcmc
 from pennantsim.mcmc import (
     ChainConfig,
     PriorConfig,
     design_log_likelihood,
     derived_seed,
     effective_sample_size,
+    laplace_surrogate,
     log_ratio_design,
     posterior_summaries,
     run_chain,
@@ -241,6 +245,120 @@ def test_tuning_is_deterministic():
     cfg = ChainConfig(n_iterations=1_000, burn_in=100, seed=21)
     assert tune_proposal_std(design, PriorConfig(), cfg) == \
         tune_proposal_std(design, PriorConfig(), cfg)
+
+
+# ---------------------------------------------------------------------------
+# proposal screen
+
+
+FLAT = ([[0.0] * 3 for _ in range(3)], [0.0] * 3)
+
+
+def separated_games(n, seed):
+    """The home side wins exactly when its win percentage is the higher:
+    the likelihood rises without bound along r1, so it has no mode."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for _ in range(n):
+        home, away = rng.uniform(0.35, 0.65, 2).tolist()
+        games.append(dict(home_win_pct=home, away_win_pct=away,
+                          home_won=home > away))
+    return game_table(games)
+
+
+def assert_plain_metropolis(design, prior, cfg):
+    # every state of a chain from the neutral init (burn_in 0, thin 1)
+    L, won = design
+    out = run_chain(design, prior, cfg)
+    states, rate = plain_metropolis(
+        lambda r: design_log_likelihood(L, won, r), prior.r_max,
+        cfg.n_iterations, cfg.proposal_std, cfg.seed, np.ones(3))
+    assert np.array_equal(out.draws, states)
+    assert out.acceptance_rate == rate
+    return out
+
+
+def test_flat_surrogate_chain_is_plain_metropolis(monkeypatch):
+    design = log_ratio_design(skewed_games(40, seed=8))
+    cfg = ChainConfig(n_iterations=3_000, burn_in=0, thin=1,
+                      proposal_std=0.5, seed=55)
+    screened = run_chain(design, PriorConfig(), cfg)
+    monkeypatch.setattr(mcmc, "laplace_surrogate", lambda design: FLAT)
+    plain = assert_plain_metropolis(design, PriorConfig(), cfg)
+    assert not np.array_equal(plain.draws, screened.draws)
+
+
+def test_likelihoods_without_a_mode_get_the_flat_screen():
+    # a flat likelihood (every ratio 1) and a separated one (the mode is at
+    # r1 = infinity) both fall back to plain Metropolis, draw for draw
+    prior = PriorConfig(r_max=5.0)
+    cfg = ChainConfig(n_iterations=3_000, burn_in=0, thin=1,
+                      proposal_std=0.8, seed=9)
+    for games in (even_games(50), separated_games(200, seed=3)):
+        design = log_ratio_design(games)
+        assert laplace_surrogate(design) == FLAT
+        out = assert_plain_metropolis(design, prior, cfg)
+        assert 0.0 <= out.draws.min() and out.draws.max() <= prior.r_max
+
+
+def test_surrogate_is_the_expansion_at_the_mode(recovery_dataset):
+    # zero gradient at the mode, and C^T C the negative Hessian, both by
+    # central differences of the exact likelihood
+    L, won = design = log_ratio_design(recovery_dataset[0])
+    chol, mode = laplace_surrogate(design)
+    grad, hess = central_differences(
+        lambda r: design_log_likelihood(L, won, r), mode, 1e-3)
+    assert np.abs(grad).max() < 1e-6
+    C = np.array(chol)
+    assert np.array_equal(C, np.triu(C))
+    np.testing.assert_allclose(C.T @ C, -hess, rtol=0.0,
+                               atol=1e-4 * np.abs(hess).max())
+
+
+def test_misplaced_screen_still_targets_the_exact_posterior(monkeypatch):
+    # a surrogate centred half a unit off the mode and 1.5x too narrow
+    # screens badly, but the second stage corrects for it: the posterior
+    # mean and sd match the lattice oracle within 4 Monte Carlo errors
+    rng = np.random.default_rng(5)
+    L = rng.uniform(math.log(0.8), math.log(1.25), (400, 3))
+    lam = np.exp(L @ np.array([1.5, 0.8, 0.6]))
+    won = (rng.random(400) < lam / (1.0 + lam)).astype(float)
+    chol, mode = laplace_surrogate((L, won))
+    misplaced = ((1.5 * np.array(chol)).tolist(),
+                 (np.array(mode) + 0.5).tolist())
+    monkeypatch.setattr(mcmc, "laplace_surrogate", lambda design: misplaced)
+    out = run_chain((L, won), PriorConfig(r_max=5.0),
+                    ChainConfig(n_iterations=20_000, burn_in=2_000, thin=2,
+                                proposal_std=0.5, seed=0))
+    means, sds = grid_posterior_moments(L, won, r_max=5.0)
+    for j in range(3):
+        draws = out.draws[:, j]
+        ess = effective_sample_size([draws])
+        assert abs(draws.mean() - means[j]) < 4.0 * sds[j] / math.sqrt(ess)
+        assert abs(draws.std() - sds[j]) < 4.0 * sds[j] / math.sqrt(2.0 * ess)
+
+
+def test_screen_spares_most_exact_evaluations(recovery_dataset, recovery_fit,
+                                              monkeypatch):
+    design = log_ratio_design(recovery_dataset[0])
+    prior = recovery_fit["prior"]
+    std = recovery_fit["tuned_std"]
+    calls = []
+
+    def counted(L, won, r):
+        calls.append(1)
+        return design_log_likelihood(L, won, r)
+
+    monkeypatch.setattr(mcmc, "design_log_likelihood", counted)
+    for k in range(2):
+        calls.clear()
+        cfg = ChainConfig(n_iterations=4_000, burn_in=0, thin=1,
+                          proposal_std=std, seed=derived_seed(2024, k))
+        out = run_chain(design, prior, cfg)
+        in_box = in_box_proposals(out.draws, np.ones(3), prior.r_max, std,
+                                  cfg.seed)
+        # one evaluation at the start, then one per proposal passing the screen
+        assert len(calls) - 1 <= 0.6 * in_box
 
 
 # ---------------------------------------------------------------------------
