@@ -26,13 +26,13 @@ from .gamelog import (DatasetFilter, derive_pregame_records,
 from .kalman import (MIN_WINDOW, TERCILES, NoiseParams, filter_series,
                      group_terciles, sliding_noise_estimates)
 from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
-                   effective_sample_size, laplace_surrogate, log_ratio_design,
+                   effective_sample_size, log_ratio_design,
                    posterior_summaries, run_chains, split_rhat,
                    tune_proposal_std)
-from .season import (DRAW_MODES, ERA_MODES, LEAGUE_BATTING_MEAN, STREAMS,
-                     SeasonResults, SimOptions, TeamSimState, csv_rows,
-                     export_win_histogram, generate_schedule, read_league_csv,
-                     read_schedule_csv, run_replications, summarize)
+from .season import (DRAW_MODES, ERA_MODES, STREAMS, SeasonResults,
+                     SimOptions, TeamSimState, csv_rows, export_win_histogram,
+                     generate_schedule, read_league_csv, read_schedule_csv,
+                     run_replications, summarize)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -363,13 +363,11 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
         diag.append(f"acceptance_chain_{chain.chain_id},"
                     f"{chain.acceptance_rate:.6f},,,,,")
     outputs["diagnostics.csv"] = diag
-    # the chains' screen is flat (C = 0) when the likelihood has no usable mode
-    screened = np.any(laplace_surrogate(design)[0])
     meta = {"r_max": repr(cfg.r_max), "iterations": cfg.iterations,
             "burn_in": cfg.burn_in, "thin": cfg.thin, "chains": cfg.chains,
             "proposal_std": repr(float(std)),
             "proposal_std_source": std_source,
-            "proposal_screen": "laplace" if screened else "none",
+            "proposal_screen": "laplace" if chains[0].screened else "none",
             "filter_mode": cfg.filter_mode,
             "training_records": len(training)}
     for chain in chains:
@@ -498,8 +496,8 @@ def _load_noise_artifacts(cfg: RunConfig) -> dict[str, np.ndarray]:
         except ValueError as exc:
             raise PipelineError(f"{pool_path} row {lineno}: {exc}") from None
         rows.setdefault(labels[team], []).append((sobs, sproc))
-    for label in set(labels.values()):
-        if label not in rows:
+    for label in TERCILES:
+        if label in labels.values() and label not in rows:
             raise PipelineError(f"tercile {label!r} has no converged noise "
                                 f"estimates; rerun the `noise` command")
     pools = {label: np.array(pool) for label, pool in rows.items()}
@@ -512,7 +510,7 @@ def _median_noise(pool) -> NoiseParams:
 
 
 def _initial_states(season, league, pools):
-    """Current record, batting deviation, and filtered ERA level per team,
+    """Current record, batting average, and filtered ERA level per team,
     from `latest_season`; pools is {team: noise pool}."""
     states = []
     for team in league.teams:
@@ -524,7 +522,7 @@ def _initial_states(season, league, pools):
                                 f"rerun the `noise` command")
         states.append(TeamSimState(
             team=team, wins=season[team].wins, losses=season[team].losses,
-            batting_deviation=season[team].batting - LEAGUE_BATTING_MEAN,
+            batting=season[team].batting,
             era=filter_series(season[team].eras, _median_noise(pools[team]))))
     return states
 
@@ -576,7 +574,7 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
     results = run_replications(cfg.replications, states, schedule, draws,
                                league, cfg.seed, opts=cfg.sim_options(),
                                noise_pools=pools)
-    summary = summarize(results)
+    forecasts = summarize(results)
 
     outputs = {}
     rep_lines = ["replication,team,wins,qualified"]
@@ -585,7 +583,7 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
         rep_lines += [f"{rep},{team},{w},{q}"
                       for team, w, q in zip(results.teams, wins, made)]
     outputs["replication_results.csv"] = rep_lines
-    outputs["summary.csv"] = _summary_csv_lines(summary)
+    outputs["summary.csv"] = _summary_csv_lines(forecasts)
     for team in hist_teams:
         hist = export_win_histogram(results, team)
         outputs[f"histogram_{team}.csv"] = (
@@ -594,7 +592,7 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
             "draws_mode": cfg.draws, "era_mode": cfg.era_mode,
             "burn_in_games": cfg.burn_in_games,
             "walk_std": repr(cfg.walk_std),
-            "schedule_source": "synthetic" if schedule.synthetic else "file",
+            "schedule_source": "file" if cfg.schedule else "synthetic",
             "scheduled_games": len(schedule),
             "replication_seed_scheme":
                 f"SeedSequence({cfg.seed}) streams {'/'.join(STREAMS)}, "
@@ -602,26 +600,26 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
     outputs["simulate_metadata.txt"] = _metadata_lines(cfg, "simulate", meta)
     _emit_outputs(cfg, outputs)
 
-    for line in _summary_stdout_lines(summary):
+    for line in _summary_stdout_lines(forecasts, len(results)):
         print(line)
     return EXIT_OK
 
 
-def _summary_csv_lines(summary) -> list:
+def _summary_csv_lines(forecasts) -> list:
     lines = ["Team,MeanWins,CI5,CI95,PlayoffPct"]
-    for f in summary.teams:
+    for f in forecasts:
         lines.append(f"{f.team},{f.mean_wins:.4f},{int(f.ci5)},{int(f.ci95)},"
                      f"{100.0 * f.playoff_prob:.4f}")
     return lines
 
 
-def _summary_stdout_lines(summary) -> list:
+def _summary_stdout_lines(forecasts, replications: int) -> list:
     rows = [(f.team, f"{f.mean_wins:.2f}", f"{int(f.ci5)}", f"{int(f.ci95)}",
              f"{100.0 * f.playoff_prob:.1f}")
-            for f in summary.teams]
+            for f in forecasts]
     table = _aligned_table(("Team", "MeanWins", "CI5", "CI95", "PlayoffPct"),
                            rows)
-    table.append(f"{summary.n_replications} replications")
+    table.append(f"{replications} replications")
     return table
 
 
@@ -662,7 +660,7 @@ def _read_replication_results(path) -> SeasonResults:
 def cmd_report(cfg: RunConfig, extras) -> int:
     path = _artifact(cfg, "replication_results.csv", "simulate")
     results = _read_replication_results(path)
-    for line in _summary_stdout_lines(summarize(results)):
+    for line in _summary_stdout_lines(summarize(results), len(results)):
         print(line)
     return EXIT_OK
 

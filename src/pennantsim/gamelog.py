@@ -53,16 +53,14 @@ TRAINING_WINDOW = ((5, 20), (8, 20))
 class GameLog:
     """A game log as equal-length columns, one entry per game, in file order.
 
-    `row` is each game's 1-based file line and `source` names the file. The
-    win percentages are the file's own (precomputed shape) until
-    `derive_pregame_records` fills them; the records are the file's "W-L"
-    entering each game as (wins, losses) pairs, when its header has them;
-    the prior-game counts come from `derive_pregame_records`. A column the
-    log does not have is None.
+    `source` names the file. The win percentages are the file's own
+    (precomputed shape) until `derive_pregame_records` fills them; the
+    records are the file's "W-L" entering each game as (wins, losses) pairs,
+    when its header has them; the prior-game counts come from
+    `derive_pregame_records`. A column the log does not have is None.
     """
 
     source: str
-    row: np.ndarray
     date: np.ndarray               # datetime64[D], non-decreasing
     home: np.ndarray
     away: np.ndarray
@@ -79,7 +77,7 @@ class GameLog:
     away_prior_games: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.row)
+        return len(self.date)
 
     def take(self, keep: np.ndarray) -> GameLog:
         """The games where the boolean mask is set, in order."""
@@ -174,7 +172,7 @@ def _parse_stream(fh, name, known_teams) -> GameLog:
         raise ValueError(f"{name}: unexpected trailing columns {extra}")
     stats = {column: [] for column in STAT_COLUMNS if column in header}
     records = {column: [] for column in extra}
-    rows, dates, homes, aways, home_won = [], [], [], [], []
+    dates, homes, aways, home_won = [], [], [], []
 
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
@@ -227,14 +225,13 @@ def _parse_stream(fh, name, known_teams) -> GameLog:
             series.append(value)
         for column, series in records.items():
             series.append(_parse_record(cell[column], name, lineno, column))
-        rows.append(lineno)
         dates.append(date)
         homes.append(home)
         aways.append(away)
         home_won.append(won)
 
     return GameLog(
-        source=name, row=np.array(rows, dtype=int),
+        source=name,
         date=np.array(dates, dtype="datetime64[D]"),
         home=np.array(homes, dtype=object), away=np.array(aways, dtype=object),
         home_won=np.array(home_won, dtype=bool),

@@ -66,11 +66,14 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Retained (post burn-in, thinned) samples of the three exponents."""
+    """Retained (post burn-in, thinned) samples of the three exponents, and
+    whether the chain screened its proposals with a Laplace surrogate (False
+    when the likelihood had no usable mode and the screen was flat)."""
 
     draws: np.ndarray          # (n_kept, 3)
     acceptance_rate: float
     chain_id: int = 0
+    screened: bool = False
 
     def __post_init__(self):
         if self.draws.ndim != 2 or self.draws.shape[1] != 3:
@@ -230,7 +233,7 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
 
     kept = out[cfg.burn_in::cfg.thin].copy()   # ChainConfig: nonempty
     return PosteriorDraws(draws=kept, acceptance_rate=n_accept / cfg.n_iterations,
-                          chain_id=chain_id)
+                          chain_id=chain_id, screened=any(map(any, chol)))
 
 
 def derived_seed(base_seed: int, chain_id: int) -> int:

@@ -1,13 +1,14 @@
 """Replicated full-season Monte Carlo simulation.
 
 Plays a remaining-season schedule from the fitted posterior while team
-state (record, batting deviation, latent ERA) evolves, then aggregates win
+state (wins, batting average, latent ERA) evolves, then aggregates win
 totals and playoff qualification over many replications. Each game plays
 in the wave of its level, one past its two teams' previous games, on every
 replication at once; each wave's variates are drawn just before it plays,
-so memory is the (team, replication) state plus one wave of variates.
-Results stay (replication, team) arrays from the kernel to every writer,
-and depend on (seed, replications) alone.
+so memory is the (team, replication) state plus one wave of variates. A
+side's games played is the same in every replication, so it comes from the
+schedule, not from the state. Results stay (replication, team) arrays from
+the kernel to every writer, and depend on (seed, replications) alone.
 """
 
 from __future__ import annotations
@@ -27,23 +28,22 @@ DRAW_MODES = ("posterior-predictive", "point")
 ERA_MODES = ("forecast", "path")
 
 
-# Batting random walk: team averages are deviations from the league mean,
-# and each game a team plays adds one Normal(0, step_std^2) increment to its
-# deviation. The implied average (mean + deviation) is clamped to
-# [BATTING_LOW, BATTING_HIGH]; the raw deviation is not.
-LEAGUE_BATTING_MEAN = 0.250
+# Batting random walk: each game a team plays adds one Normal(0, step_std^2)
+# increment to its batting average, which starts at the team's own average
+# and has no pull toward any centre. A game sees the average clamped to
+# [BATTING_LOW, BATTING_HIGH]; the walk itself is not.
 BATTING_LOW, BATTING_HIGH = 0.150, 0.400
 
 
 @dataclass(frozen=True)
 class TeamSimState:
-    """Evolving per-team state during a simulated season. era is the latent
-    ERA level the season starts from (the filtered mean)."""
+    """A team's state when the simulated season starts: its record, its
+    batting average, and era, the latent ERA level (the filtered mean)."""
 
     team: str
     wins: int
     losses: int
-    batting_deviation: float
+    batting: float
     era: float
 
     def __post_init__(self):
@@ -72,7 +72,6 @@ class Schedule:
     """Remaining unplayed games, ordered by date."""
 
     games: tuple[ScheduledGame, ...]
-    synthetic: bool = False
 
     def __post_init__(self):
         for prev, cur in zip(self.games, self.games[1:]):
@@ -192,14 +191,6 @@ class TeamForecast:
 
 
 @dataclass(frozen=True)
-class ForecastSummary:
-    """Per-team aggregates over replications, ordered by descending mean wins."""
-
-    teams: tuple[TeamForecast, ...]
-    n_replications: int
-
-
-@dataclass(frozen=True)
 class SimOptions:
     """How outcomes are generated. The home team wins a game with
     probability s/(1+s), s its strength ratio.
@@ -239,16 +230,24 @@ STREAMS = ("outcomes", "draw_rows", "walk", "era_steps", "era_errors",
            "tie_keys", "noise_rows")
 
 
-def _waves(pairs):
-    """The games in stable level order and one slice of it per level, a
-    game's level being one past the larger of its two teams' previous levels.
-    A level's games share no team, and no valid grouping has fewer waves."""
+def _waves(pairs, played):
+    """The games in stable level order, one slice of it per level, and each
+    game's (home, away) games played before it as a (2, games) array in
+    level order; played[t] is team t's games before the schedule. A game's
+    level is one past the larger of its two teams' previous levels. A
+    level's games share no team, and no valid grouping has fewer waves."""
     level, last = np.empty(len(pairs), dtype=np.intp), {}
+    games, before = list(played), []   # games: each team's games so far
     for g, (home, away) in enumerate(pairs):
         level[g] = last[home] = last[away] = 1 + max(last.get(home, -1),
                                                      last.get(away, -1))
+        before.append((games[home], games[away]))
+        games[home] += 1
+        games[away] += 1
     ends = [0, *np.cumsum(np.bincount(level)).tolist()]
-    return np.argsort(level, kind="stable"), list(map(slice, ends, ends[1:]))
+    order = np.argsort(level, kind="stable")
+    return (order, list(map(slice, ends, ends[1:])),
+            np.array(before, dtype=np.int64).reshape(-1, 2)[order].T)
 
 
 def _team_pools(teams, noise_pools):
@@ -310,7 +309,8 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     path = opts.era_mode == "path"
     pairs = [(index[g.home], index[g.away]) for g in schedule.games]
     n_games = len(pairs)
-    order, waves = _waves(pairs)
+    order, waves, games_played = _waves(pairs,
+                                        [s.games_played for s in states])
     # (2, games) home and away team rows, in level order
     sides = np.array(pairs, dtype=np.intp).reshape(n_games, 2)[order].T
     (outcome_rng, row_rng, walk_rng, step_rng, error_rng, tie_rng,
@@ -320,12 +320,12 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     def normals(rng, k, scale):   # (2, k, R), drawn as (k, 2, R)
         return scale * rng.standard_normal((k, 2, replications)).swapaxes(0, 1)
 
-    # team state is a (team, replication) array, so a wave's rows are
-    # gathered by one index; axis 0 of ix and of the normals is home/away
-    wins, losses, dev, era = (
+    # the state that differs between replications is a (team, replication)
+    # array, so a wave's rows are gathered by one index; axis 0 of ix and of
+    # the normals is home/away
+    wins, batting, era = (
         np.repeat(np.array(column)[:, None], replications, axis=1)
-        for column in zip(*[(s.wins, s.losses, s.batting_deviation, s.era)
-                            for s in states]))
+        for column in zip(*[(s.wins, s.batting, s.era) for s in states]))
     tie_keys = tie_rng.random((replications, len(teams)))
     if path:   # (team, replication) sigmas, one intact pool row each
         sigma_obs, sigma_process = np.array(
@@ -335,10 +335,9 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     for w in waves:
         ix = sides[:, w]
         k = ix.shape[1]
-        won, lost = wins[ix], losses[ix]
-        win_pct = won / (won + lost)
-        avg = np.clip(LEAGUE_BATTING_MEAN + dev[ix], BATTING_LOW,
-                      BATTING_HIGH)
+        won = wins[ix]
+        win_pct = won / games_played[:, w, None]
+        avg = np.clip(batting[ix], BATTING_LOW, BATTING_HIGH)
         era_now = era[ix] + normals(error_rng, k, sigma_obs[ix]) if path \
             else era[ix]
         ratios = log_ratios(win_pct[0], win_pct[1], avg[0], avg[1],
@@ -350,17 +349,14 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         home_won = outcome_rng.random((k, replications)) \
             < strength / (1.0 + strength)
         wins[ix] = won + (home_won, ~home_won)
-        losses[ix] = lost + (~home_won, home_won)
-        dev[ix] += normals(walk_rng, k, opts.step_std)
+        batting[ix] += normals(walk_rng, k, opts.step_std)
         if path:
             era[ix] = np.maximum(
                 era[ix] + normals(step_rng, k, sigma_process[ix]), ERA_FLOOR)
 
-    # every simulated game hands out exactly one win and one loss
+    # every simulated game hands out exactly one win
     if np.any(wins.sum(axis=0) != sum(s.wins for s in states) + n_games):
         raise RuntimeError("game accounting error: wins do not add up")
-    if np.any(losses.sum(axis=0) != sum(s.losses for s in states) + n_games):
-        raise RuntimeError("game accounting error: losses do not add up")
 
     final = wins.T
     return SeasonResults(
@@ -412,7 +408,7 @@ def playoff_qualifiers(wins, tie_keys, league: LeagueStructure,
     return qualified
 
 
-def summarize(results: SeasonResults) -> ForecastSummary:
+def summarize(results: SeasonResults) -> tuple[TeamForecast, ...]:
     """Mean wins, nearest-rank 5/95 quantiles, and playoff rate per team,
     ordered by descending mean wins (team id breaks exact ties)."""
     if not len(results):
@@ -427,7 +423,7 @@ def summarize(results: SeasonResults) -> ForecastSummary:
             results.teams, wins.T, wins.mean(axis=0),
             results.qualified.mean(axis=0))]
     forecasts.sort(key=lambda f: (-f.mean_wins, f.team))
-    return ForecastSummary(teams=tuple(forecasts), n_replications=len(results))
+    return tuple(forecasts)
 
 
 def export_win_histogram(results: SeasonResults,
@@ -456,8 +452,7 @@ def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
 
     Repeatedly matches the team with the most games left against an opponent
     that still needs games — same-division with probability DIVISION_WEIGHT
-    — until every team reaches the season length. Marked synthetic so
-    reports can flag it.
+    — until every team reaches the season length.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5CED)))
     need = {}
@@ -490,7 +485,7 @@ def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
         games.append(ScheduledGame(date=day, home=home, away=away))
         need[team] -= 1
         need[opponent] -= 1
-    return Schedule(games=tuple(games), synthetic=True)
+    return Schedule(games=tuple(games))
 
 
 def csv_rows(path, columns: dict, what: str):
@@ -533,7 +528,7 @@ def read_schedule_csv(path) -> Schedule:
             games.append(ScheduledGame(date=day, home=home, away=away))
         except ValueError as exc:
             raise ValueError(f"{path} row {lineno}: {exc}") from None
-    return Schedule(games=tuple(games), synthetic=False)
+    return Schedule(games=tuple(games))
 
 
 def read_league_csv(path, season_length: int = 162) -> LeagueStructure:

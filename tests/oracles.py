@@ -4,12 +4,12 @@ Nothing in here calls into the package's own numerics: the point is a second
 route to the same answers (batch linear-Gaussian conditioning instead of the
 sequential filter; lattice integration instead of MCMC; per-game Bernoulli
 probabilities from the game table's columns instead of the log-ratio design;
-Gauss-Hermite quadrature over the trajectory laws instead of the season
-engine's simulated paths; one replication's playoff field picked team by
-team instead of ranked as arrays; plain Metropolis with no screen instead
-of the delayed-acceptance sampler; central differences instead of the
-closed-form Hessian). It also holds the synthetic ERA generator the noise
-tests draw their windows from.
+Gauss-Hermite quadrature over the trajectory laws, and dynamic programming
+over the records, instead of the season engine's simulated paths; one
+replication's playoff field picked team by team instead of ranked as
+arrays; plain Metropolis with no screen instead of the delayed-acceptance
+sampler; central differences instead of the closed-form Hessian). It also
+holds the synthetic ERA generator the noise tests draw their windows from.
 """
 
 import math
@@ -259,6 +259,33 @@ def path_home_wins(n_games, exponent, home_era, away_era, sigma_obs,
         n_games, -exponent, home_era, away_era,
         lambda j: math.sqrt(j * sigma_process ** 2 + sigma_obs ** 2),
         ERA_FLOOR, math.inf, nodes)
+
+
+def record_home_wins(n_games, exponent, home_record, away_record):
+    """Expected home wins of one pair that meets n_games times while only
+    the records differ, exactly, by dynamic programming over how many of
+    the pair's games so far the home side has won.
+
+    Each record is (wins, losses) before the first meeting. Game g (0-based)
+    sees each side's wins over its games played so far, floored at
+    STAT_FLOOR; the home side's strength is the home/away ratio of the two
+    raised to the exponent.
+    """
+    (home_wins, home_losses), (away_wins, away_losses) = home_record, \
+        away_record
+    chance = [1.0]   # chance[j]: the home side won j of the games so far
+    for g in range(n_games):
+        after = [0.0] * (g + 2)
+        for j, q in enumerate(chance):
+            home = max((home_wins + j) / (home_wins + home_losses + g),
+                       STAT_FLOOR)
+            away = max((away_wins + g - j) / (away_wins + away_losses + g),
+                       STAT_FLOOR)
+            s = (home / away) ** exponent
+            after[j + 1] += q * s / (1.0 + s)
+            after[j] += q / (1.0 + s)
+        chance = after
+    return sum(j * q for j, q in enumerate(chance))
 
 
 def playoff_qualifiers(final_wins, league, rng, *, wild_cards=3):

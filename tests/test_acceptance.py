@@ -2,13 +2,13 @@
 
 Every test here pins a user-visible property of the engine at the tolerance
 we are prepared to stand behind — conservation and speed of the season
-simulator, the batting walk and path-mode ERA laws as the engine plays
-them, agreement of the filter and the sampler with independent oracles,
-output schemas, and end-to-end reproducibility. The engine's one outcome
-law, home win with probability s/(1+s), is held in tests/test_season.py.
-Heavier shared artifacts (the exponent-recovery fit, the CLI pipeline runs)
-come from session fixtures so the whole gate stays cheap to run on every
-change.
+simulator, the win-percentage path and the batting walk and path-mode ERA
+laws as the engine plays them, agreement of the filter and the sampler
+with independent oracles, output schemas, and end-to-end reproducibility.
+The engine's one outcome law, home win with probability s/(1+s), is held
+in tests/test_season.py. Heavier shared artifacts (the exponent-recovery
+fit, the CLI pipeline runs) come from session fixtures so the whole gate
+stays cheap to run on every change.
 """
 
 import math
@@ -23,7 +23,8 @@ from cli_fixtures import league_teams, write_game_log_file, write_league_file
 from games import game_table
 from matchups import Matchups
 from oracles import (batch_filtered_moments, batch_window_loglik,
-                     path_home_wins, simulate_era_path, walk_home_wins)
+                     path_home_wins, record_home_wins, simulate_era_path,
+                     walk_home_wins)
 from pennantsim.cli import main
 from pennantsim.kalman import (
     NoiseParams,
@@ -42,7 +43,6 @@ from pennantsim.mcmc import (
 from pennantsim.season import (
     BATTING_HIGH,
     BATTING_LOW,
-    LEAGUE_BATTING_MEAN,
     LeagueStructure,
     SimOptions,
     TeamSimState,
@@ -78,7 +78,7 @@ def test_season_totals_conserved_and_fast():
         wins = 12 if i % 2 == 0 else 8   # balanced: 20 games each, 300 wins
         states.append(TeamSimState(
             team=team, wins=wins, losses=20 - wins,
-            batting_deviation=0.004 * ((i % 5) - 2),
+            batting=0.242 + 0.004 * (i % 5),
             era=3.4 + 0.08 * (i % 13)))
     assert sum(s.wins for s in states) == 300
     schedule = generate_schedule(league, {t: 20 for t in league.teams}, seed=7)
@@ -231,31 +231,47 @@ TRAJECTORY_PAIRS = 5_000
 TRAJECTORY_GAMES = 30
 
 
-def engine_home_wins(home, away, draws, opts, seed, noise_pools=None):
-    # each of 5,000 pairs meets 30 times on consecutive dates, so its
-    # states evolve over the pair's games exactly as on a real schedule
-    matchups = Matchups(TRAJECTORY_PAIRS, games=TRAJECTORY_GAMES)
+def engine_home_wins(home, away, draws, opts, seed, noise_pools=None,
+                     games=TRAJECTORY_GAMES):
+    # each of 5,000 pairs meets 30 times (or games times) on consecutive
+    # dates, so its states evolve over the pair's games exactly as on a
+    # real schedule
+    matchups = Matchups(TRAJECTORY_PAIRS, games=games)
     wins = np.array(matchups.home_wins(home, away, draws, seed=seed,
                                        opts=opts, noise_pools=noise_pools),
                     dtype=float)
     return wins.mean(), wins.std(ddof=1) / math.sqrt(wins.size)
 
 
+def test_win_percentage_trajectory_on_engine():
+    # win-percentage exponent only: game j sees each side's wins over its
+    # games played after the pair's first j games. The sides start from
+    # unequal games played (20 and 30): with equal totals a wrong
+    # denominator, such as a loss credited to the winner, would cancel in
+    # the ratio; here it moves the mean home wins by many standard errors
+    home = TeamSimState(team="H", wins=14, losses=6, batting=0.25, era=4.0)
+    away = replace(home, team="A", wins=9, losses=21)
+    mean, se = engine_home_wins(home, away, np.array([[3.0, 0.0, 0.0]]),
+                                SimOptions(), seed=43, games=10)
+    expected = record_home_wins(10, 3.0, (14, 6), (9, 21))
+    assert abs(mean - expected) < 4.0 * se, \
+        f"engine {mean:.4f} +/- {se:.4f} vs oracle {expected:.4f}"
+
+
 def test_batting_walk_variance_scaling():
     # batting exponent only: game j sees each side's average after j walk
-    # steps, league mean + deviation + step_std * sqrt(j) * Z, clamped. A
-    # step that is too large or too small, or a walk that does not move,
-    # shifts the mean home wins by many standard errors (the home side's
-    # 0.01 lead erodes as the walks spread)
+    # steps, its starting average + step_std * sqrt(j) * Z, clamped. A step
+    # that is too large or too small, or a walk that does not move, shifts
+    # the mean home wins by many standard errors (the home side's 0.011
+    # lead erodes as the walks spread)
     opts = SimOptions(step_std=0.004)
-    home = TeamSimState(team="H", wins=10, losses=10, batting_deviation=0.01,
+    home = TeamSimState(team="H", wins=10, losses=10, batting=0.268,
                         era=4.0)
-    away = replace(home, batting_deviation=0.0)
+    away = replace(home, batting=0.257)
     mean, se = engine_home_wins(home, away, np.array([[0.0, 30.0, 0.0]]),
                                 opts, seed=41)
-    expected = walk_home_wins(TRAJECTORY_GAMES, 30.0,
-                              LEAGUE_BATTING_MEAN + 0.01,
-                              LEAGUE_BATTING_MEAN, opts.step_std,
+    expected = walk_home_wins(TRAJECTORY_GAMES, 30.0, home.batting,
+                              away.batting, opts.step_std,
                               clamp=(BATTING_LOW, BATTING_HIGH))
     assert abs(mean - expected) < 4.0 * se, \
         f"engine {mean:.3f} +/- {se:.3f} vs oracle {expected:.3f}"
@@ -268,8 +284,7 @@ def test_path_mode_era_law_on_engine():
     # mean home wins by many standard errors. Both sides draw their noise
     # from one one-row pool
     noise = NoiseParams(sigma_obs=0.5, sigma_process=0.1)
-    home = TeamSimState(team="H", wins=10, losses=10, batting_deviation=0.0,
-                        era=4.0)
+    home = TeamSimState(team="H", wins=10, losses=10, batting=0.25, era=4.0)
     away = replace(home, era=4.4)
     pool = np.array([(noise.sigma_obs, noise.sigma_process)])
     pools = {f"{side}{k}": pool for side in "HA"

@@ -10,6 +10,8 @@ import datetime
 import os
 import re
 import shutil
+import subprocess
+import sys
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -526,6 +528,7 @@ def test_report_matches_simulate_table(pipeline, capsys):
     assert main(["simulate", *pipeline["common"], "--replications", "8",
                  "--histogram", "EN0"]) == 0
     sim_out = capsys.readouterr().out
+    assert sim_out.splitlines()[-1] == "8 replications"
     assert main(["report", *pipeline["common"]]) == 0
     rep_out = capsys.readouterr().out
     assert rep_out == sim_out
@@ -598,6 +601,34 @@ def test_duplicate_tercile_row_names_the_row(pipeline, tmp_path, capsys):
     assert run_on_artifacts("simulate", args) == 3
     assert f"{path} row 32: a second row for team" \
         in capsys.readouterr().err
+
+
+def test_missing_tercile_is_named_in_tercile_order(tmp_path):
+    # with only the low tercile estimated, the error names the first label
+    # missing in TERCILES order, whatever the interpreter's string hashing
+    (tmp_path / "terciles.csv").write_text(
+        "team,tercile,early_era\nA,low,3.1\nB,medium,4.0\nC,high,4.9\n")
+    (tmp_path / "noise_estimates.csv").write_text(
+        "team,window_start,sigma_obs,sigma_process,converged\n"
+        "A,0,0.4,0.05,1\n")
+    probe = ("import sys\n"
+             "from pennantsim.cli import (PipelineError, RunConfig,\n"
+             "                            _load_noise_artifacts)\n"
+             "try:\n"
+             "    _load_noise_artifacts(RunConfig(out=sys.argv[1]))\n"
+             "except PipelineError as exc:\n"
+             "    print(exc)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    errors = set()
+    for hash_seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, [
+                   str(src), os.environ.get("PYTHONPATH")]))}
+        errors.add(subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path)], env=env,
+            capture_output=True, text=True, check=True).stdout.strip())
+    assert errors == {"tercile 'medium' has no converged noise estimates; "
+                      "rerun the `noise` command"}
 
 
 def test_duplicate_noise_window_names_the_row(pipeline, tmp_path, capsys):

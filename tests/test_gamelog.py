@@ -67,7 +67,6 @@ def test_parse_precomputed_shape():
             "2024-06-02,BOS,NYA,0,0.55,0.62,0.249,0.251,4.0,3.1\n")
     log = parse_game_log(io.StringIO(text))
     assert len(log) == 2
-    assert log.row[0] == 2
     assert log.date.tolist()[0] == datetime.date(2024, 6, 1)
     assert (log.home[0], log.away[0]) == ("NYA", "BOS")
     assert log.home_won.tolist()[0] is True
@@ -158,7 +157,7 @@ def test_round_trip_precomputed():
             "2024-06-02,BOS,NYA,0,0.55,0.62,0.249,0.251,4.0,3.1\n")
     log = parse_game_log(io.StringIO(text))
     assert columns(log) == dict(
-        source="<stream>", row=[2, 3],
+        source="<stream>",
         date=[datetime.date(2024, 6, 1), datetime.date(2024, 6, 2)],
         home=["NYA", "BOS"], away=["BOS", "NYA"], home_won=[True, False],
         home_batting_avg=[0.251, 0.249], away_batting_avg=[0.249, 0.251],
@@ -176,7 +175,7 @@ def test_round_trip_raw_with_records():
             "2024-06-03,BOS,NYA,9,1,0.249,0.251,4.0,3.1,18-23,26-15\n")
     log = parse_game_log(io.StringIO(text))
     assert columns(log) == dict(
-        source="<stream>", row=[2, 3],
+        source="<stream>",
         date=[datetime.date(2024, 6, 1), datetime.date(2024, 6, 3)],
         home=["NYA", "BOS"], away=["BOS", "NYA"], home_won=[True, True],
         home_batting_avg=[0.251, 0.249], away_batting_avg=[0.249, 0.251],

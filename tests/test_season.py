@@ -22,8 +22,6 @@ from oracles import playoff_qualifiers as scalar_playoff_qualifiers
 from pennantsim import season
 from pennantsim.mcmc import design_log_likelihood, log_ratio_design
 from pennantsim.season import (
-    LEAGUE_BATTING_MEAN,
-    ForecastSummary,
     LeagueStructure,
     Schedule,
     ScheduledGame,
@@ -42,9 +40,9 @@ from pennantsim.season import (
 )
 
 
-def make_state(team, wins=10, losses=10, deviation=0.0, era=4.0):
-    return TeamSimState(team=team, wins=wins, losses=losses,
-                        batting_deviation=deviation, era=era)
+def make_state(team, wins=10, losses=10, batting=0.25, era=4.0):
+    return TeamSimState(team=team, wins=wins, losses=losses, batting=batting,
+                        era=era)
 
 
 def one_replication(initial, schedule, draws, league, seed, **kwargs):
@@ -123,12 +121,10 @@ def test_sim_options_validation():
 
 
 def test_walk_config_validation():
-    # The batting walk's step lives on SimOptions; its clamp band is fixed
-    # and must contain the league mean the deviations are measured from.
+    # The batting walk's step lives on SimOptions; its clamp band is fixed.
     for bad in (0.0, -0.001, math.nan, math.inf):
         with pytest.raises(ValueError, match="step_std"):
             SimOptions(step_std=bad)
-    assert season.BATTING_LOW < LEAGUE_BATTING_MEAN < season.BATTING_HIGH
 
 
 def test_team_forecast_probability_bounds():
@@ -166,8 +162,8 @@ def test_engine_matches_analytic_probability():
 def test_engine_tracks_strength_ratio():
     # skewed matchup: empirical rate should match s/(1+s), with s worked
     # out by hand from the states
-    home = make_state("H", wins=13, losses=7, deviation=0.02, era=3.5)
-    away = make_state("A", wins=8, losses=12, deviation=-0.01, era=4.4)
+    home = make_state("H", wins=13, losses=7, batting=0.27, era=3.5)
+    away = make_state("A", wins=8, losses=12, batting=0.24, era=4.4)
     s = (((13 / 20) / (8 / 20)) ** 1.4 * (0.27 / 0.24) ** 0.7
          * (4.4 / 3.5) ** 0.5)
     p = s / (1 + s)
@@ -195,18 +191,17 @@ def test_engine_point_mode_uses_posterior_mean():
 def test_engine_strength_matches_fit_design_with_floors_binding():
     # The engine's game loop and mcmc.log_ratio_design are the two shipped
     # copies of the strength formula. A winless home side and a 0.00 home
-    # ERA make both floors bind, and the batting deviations and unequal
+    # ERA make both floors bind, and the unequal batting averages and
     # exponents make every ratio count, so a floor dropped or changed on
     # either side moves the engine's rate off the design's probability.
-    home = make_state("H", wins=0, losses=20, deviation=0.02, era=0.0)
-    away = make_state("A", wins=3, losses=17, deviation=-0.015, era=4.0)
+    home = make_state("H", wins=0, losses=20, batting=0.283, era=0.0)
+    away = make_state("A", wins=3, losses=17, batting=0.231, era=4.0)
     r = np.array([0.3, 1.1, 0.2])
     game = game_table([dict(
         home="H", away="A",
         home_win_pct=home.wins / home.games_played,
         away_win_pct=away.wins / away.games_played,
-        home_batting_avg=LEAGUE_BATTING_MEAN + home.batting_deviation,
-        away_batting_avg=LEAGUE_BATTING_MEAN + away.batting_deviation,
+        home_batting_avg=home.batting, away_batting_avg=away.batting,
         home_era=home.era, away_era=away.era,
         home_won=True)])
     p = math.exp(design_log_likelihood(*log_ratio_design(game), r))
@@ -217,11 +212,11 @@ def test_engine_strength_matches_fit_design_with_floors_binding():
 
 
 def test_walk_averages_clamped():
-    # implied averages 0.55 and 0.05 are clamped to 0.40 and 0.15 before the
+    # averages 0.55 and 0.05 are clamped to 0.40 and 0.15 before the
     # batting ratio is formed: s = 0.40 / 0.15 at unit exponent, where the
     # raw averages would give s = 11
-    home = make_state("H", deviation=0.30)
-    away = make_state("A", deviation=-0.20)
+    home = make_state("H", batting=0.55)
+    away = make_state("A", batting=0.05)
     s = 0.40 / 0.15
     p = s / (1 + s)
     n = 20_000
@@ -357,7 +352,7 @@ def unequal_setup():
     # team), 15 games left each: 225 games
     league = standard_league()
     states = [make_state(t, wins=8 + i % 7, losses=12 - i % 7,
-                         deviation=0.002 * (i % 5 - 2), era=3.0 + 0.07 * i)
+                         batting=0.246 + 0.002 * (i % 5), era=3.0 + 0.07 * i)
               for i, t in enumerate(league.teams)]
     pools = {t: np.array([(0.2 + 0.01 * i, 0.02 + 0.002 * i)])
              for i, t in enumerate(league.teams)}
@@ -394,8 +389,8 @@ def test_level_waves_match_one_game_at_a_time(monkeypatch, opts):
     assert any({g.home, g.away} & {h.home, h.away}
                for g, h in zip(games, games[1:]))
     index = {t: i for i, t in enumerate(league.teams)}
-    order, _ = season._waves([(index[g.home], index[g.away])
-                              for g in sched.games])
+    order, _, _ = season._waves([(index[g.home], index[g.away])
+                                 for g in sched.games], [20] * len(states))
     assert np.any(order != np.arange(len(sched)))   # levels reorder games
 
     def play():
@@ -403,8 +398,12 @@ def test_level_waves_match_one_game_at_a_time(monkeypatch, opts):
                                 opts=opts, noise_pools=pools)
     levels = play()
     waves = season._waves
-    monkeypatch.setattr(season, "_waves", lambda pairs: (
-        waves(pairs)[0], [slice(g, g + 1) for g in range(len(pairs))]))
+
+    def one_game_each(pairs, played):
+        order, _, games_played = waves(pairs, played)
+        return order, [slice(g, g + 1) for g in range(len(pairs))], \
+            games_played
+    monkeypatch.setattr(season, "_waves", one_game_each)
     assert levels == play()
 
 
@@ -428,9 +427,9 @@ def test_schedule_work_is_done_once_per_run(monkeypatch):
     calls = []
     waves = season._waves
 
-    def counted(pairs):
+    def counted(pairs, played):
         calls.append(len(pairs))
-        return waves(pairs)
+        return waves(pairs, played)
     monkeypatch.setattr(season, "_waves", counted)
     run_replications(500, states, sched, draws, league, base_seed=9)
     assert calls == [len(sched)]
@@ -457,7 +456,7 @@ def test_memory_is_team_state_plus_one_wave(opts):
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))
                 .filter(lambda pair: pair[0] != pair[1]), max_size=40))
 def test_waves_are_the_schedules_level_sets(pairs):
-    order, waves = season._waves(pairs)
+    order, waves, _ = season._waves(pairs, [0] * 7)
     # the slices cover the ordered games once each, in order
     assert sorted(order.tolist()) == list(range(len(pairs)))
     bounds = [0] + [w.stop for w in waves]
@@ -477,6 +476,22 @@ def test_waves_are_the_schedules_level_sets(pairs):
         chain.append(1 + max((chain[h] for h in range(g)
                               if set(pair) & set(pairs[h])), default=0))
     assert len(waves) == max(chain, default=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=7, max_size=7),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))
+                .filter(lambda pair: pair[0] != pair[1]), max_size=40))
+def test_games_played_are_initial_plus_earlier_scheduled_games(played,
+                                                               pairs):
+    # a side's games played, the win percentage's denominator, is the same
+    # in every replication: its team's games before the schedule plus the
+    # team's earlier games in it, listed in the order the waves play
+    order, _, games_played = season._waves(pairs, played)
+    expected = [[played[team] + sum(team in pairs[h] for h in range(g))
+                 for team in pairs[g]] for g in order.tolist()]
+    assert games_played.shape == (2, len(pairs))
+    assert games_played.T.tolist() == expected
 
 
 def tercile_setup():
@@ -664,9 +679,9 @@ def hand_results():
 
 
 def test_summarize_hand_computed():
-    summary = summarize(hand_results())
-    assert [f.team for f in summary.teams] == ["A", "B", "C"]
-    a, b, c = summary.teams
+    forecasts = summarize(hand_results())
+    assert [f.team for f in forecasts] == ["A", "B", "C"]
+    a, b, c = forecasts
     assert a.mean_wins == pytest.approx(90.0)
     assert b.mean_wins == pytest.approx(80.0)
     # nearest-rank on 4 values: rank ceil(0.05*4)=1 and ceil(0.95*4)=4
@@ -676,15 +691,13 @@ def test_summarize_hand_computed():
     assert a.playoff_prob == pytest.approx(0.75)
     assert b.playoff_prob == pytest.approx(0.5)
     assert c.playoff_prob == 0.0
-    assert summary.n_replications == 4
 
 
 def test_summarize_tie_falls_back_to_team_id():
     results = SeasonResults(teams=("A", "B"),
                             wins=np.array([[81, 81]]),
                             qualified=np.zeros((1, 2), dtype=bool))
-    summary = summarize(results)
-    assert [f.team for f in summary.teams] == ["A", "B"]
+    assert [f.team for f in summarize(results)] == ["A", "B"]
 
 
 def test_summarize_rejects_empty():
@@ -715,7 +728,6 @@ def test_generate_schedule_fills_every_team():
     league = standard_league()
     played = {t: 20 for t in league.teams}
     sched = generate_schedule(league, played, seed=3)
-    assert sched.synthetic
     counts = sched.games_per_team()
     assert set(counts.values()) == {142}
     assert len(sched) == 30 * 142 // 2
@@ -771,7 +783,6 @@ def test_schedule_csv_round_trip(tmp_path):
     assert sched.games == (ScheduledGame(day(2024, 8, 1), "E0", "W0"),
                            ScheduledGame(day(2024, 8, 1), "W1", "E2"),
                            ScheduledGame(day(2024, 8, 3), "E1", "W2"))
-    assert not sched.synthetic  # a file schedule is not synthetic
 
 
 def test_schedule_csv_rejects_bad_header(tmp_path):
