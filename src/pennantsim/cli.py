@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .gamelog import (DatasetFilter, derive_pregame_records,
+from .gamelog import (DatasetFilter, csv_rows, derive_pregame_records,
                       filter_training_window, latest_season, parse_game_log,
                       require_games)
 from .kalman import (MIN_WINDOW, TERCILES, NoiseParams, filter_series,
@@ -30,7 +30,7 @@ from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
                    posterior_summaries, run_chains, split_rhat,
                    tune_proposal_std)
 from .season import (DRAW_MODES, ERA_MODES, STREAMS, SeasonResults,
-                     SimOptions, TeamSimState, csv_rows, export_win_histogram,
+                     SimOptions, TeamSimState, export_win_histogram,
                      generate_schedule, read_league_csv, read_schedule_csv,
                      run_replications, summarize)
 

@@ -1,4 +1,4 @@
-"""Game-log ingestion: one columnar table from the CSV file to the fit.
+"""Input files: the one CSV reader, and the game log from its file to the fit.
 
 Two input shapes are accepted. The precomputed shape carries pregame win
 percentages directly; the raw shape carries final run totals instead, and
@@ -14,9 +14,10 @@ takes the `GameLog` it returns as valid.
 from __future__ import annotations
 
 import datetime
-import io
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,28 +139,79 @@ def _parse_record(raw, source, lineno, column):
     _fail(source, lineno, column, f"expected WINS-LOSSES, got {raw!r}")
 
 
+def _read_rows(source):
+    """Split a CSV file at a path (read as UTF-8) or in a text stream: yields
+    its name, header line and header names, then (line number, fields) for
+    each data row. Every comma splits (no quoting); names and fields are
+    stripped, blank lines skipped, a short row gets empty fields, and a
+    long row or an undecodable byte is an error naming the file."""
+    if hasattr(source, "read"):
+        name, opened = getattr(source, "name", "<stream>"), nullcontext(source)
+    else:
+        name, opened = str(source), open(source, encoding="utf-8", newline="")
+    with opened as fh:
+        try:
+            line = fh.readline().strip()
+            names = tuple(n.strip() for n in line.split(","))
+            yield name, line, names
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                values = [v.strip() for v in line.split(",")]
+                if len(values) > len(names):
+                    raise ValueError(f"{name} row {lineno}: more fields than "
+                                     f"the header's {len(names)}")
+                if len(values) < len(names):
+                    values += [""] * (len(names) - len(values))
+                yield lineno, values
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{name}: not UTF-8 text: {exc.reason} "
+                             f"{exc.object[exc.start:exc.end]!r}") from None
+
+
+def csv_rows(source, columns: dict, what: str):
+    """(line number, values) for each data row of a CSV file whose header
+    names the given columns, each converted by the type columns maps it to;
+    an empty or unconvertible field is an error naming the row."""
+    rows = _read_rows(source)
+    name, _, header = next(rows)
+    if not set(columns) <= set(header):
+        raise ValueError(f"{name}: {what} header must contain "
+                         f"{sorted(columns)}")
+    at = {column: i for i, column in enumerate(header)}   # last one wins
+    for lineno, fields in rows:
+        values = []
+        for column, kind in columns.items():
+            field = fields[at[column]]
+            if not field:
+                raise ValueError(f"{name} row {lineno}: missing {column}")
+            try:
+                values.append(kind(field))
+            except ValueError:
+                raise ValueError(f"{name} row {lineno}: bad {column} "
+                                 f"{field!r}") from None
+        yield lineno, values
+
+
+@lru_cache(maxsize=1024)   # a log repeats each date for every game that day
+def parse_date(text: str) -> datetime.date:
+    """A YYYY-MM-DD date, the one form taken on every Python version."""
+    date = datetime.date.fromisoformat(text)
+    if date.isoformat() != text:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date
+
+
 def parse_game_log(source, *, known_teams=None) -> GameLog:
-    """Parse and check a game log from a path or a text/byte stream.
+    """Parse and check a game log from a path or a text stream.
 
     The header picks the shape: outcome columns are either `home_won` plus
     pregame win percentages, or `home_runs,away_runs`. The first problem in
     file order is reported with the file, its row number and column name.
     With known_teams given, team codes outside the set are rejected.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        fh = io.StringIO(data)
-        name = getattr(source, "name", "<stream>")
-        return _parse_stream(fh, name, known_teams)
-    with open(source, encoding="utf-8", newline="") as fh:
-        return _parse_stream(fh, str(source), known_teams)
-
-
-def _parse_stream(fh, name, known_teams) -> GameLog:
-    header_line = fh.readline().strip()
-    header = tuple(h.strip() for h in header_line.split(","))
+    rows = _read_rows(source)
+    name, header_line, header = next(rows)
     if header[: len(RAW_COLUMNS)] == RAW_COLUMNS:
         raw_shape, base = True, RAW_COLUMNS
     elif header[: len(PRECOMPUTED_COLUMNS)] == PRECOMPUTED_COLUMNS:
@@ -174,17 +226,10 @@ def _parse_stream(fh, name, known_teams) -> GameLog:
     records = {column: [] for column in extra}
     dates, homes, aways, home_won = [], [], [], []
 
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        values = [v.strip() for v in line.split(",")]
-        if len(values) != len(header):
-            raise ValueError(f"{name} row {lineno}: expected {len(header)} "
-                             f"columns, got {len(values)}")
+    for lineno, values in rows:
         cell = dict(zip(header, values))
         try:
-            date = datetime.date.fromisoformat(cell["date"])
+            date = parse_date(cell["date"])
         except ValueError:
             _fail(name, lineno, "date", f"bad date {cell['date']!r}")
         if dates and date < dates[-1]:

@@ -13,13 +13,13 @@ the kernel to every writer, and depend on (seed, replications) alone.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .gamelog import csv_rows, parse_date
 from .kalman import sample_noise
 from .model import ERA_FLOOR, log_ratios
 from .stats import nearest_rank_quantile
@@ -72,12 +72,6 @@ class Schedule:
     """Remaining unplayed games, ordered by date."""
 
     games: tuple[ScheduledGame, ...]
-
-    def __post_init__(self):
-        for prev, cur in zip(self.games, self.games[1:]):
-            if cur.date < prev.date:
-                raise ValueError(f"schedule out of date order at {cur.date} "
-                                 f"(after {prev.date})")
 
     def __len__(self):
         return len(self.games)
@@ -488,39 +482,10 @@ def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
     return Schedule(games=tuple(games))
 
 
-def csv_rows(path, columns: dict, what: str):
-    """(line number, field values) for each data row of a CSV file whose
-    header names the given columns; columns maps each name to the type its
-    values are converted by. A missing, empty or unconvertible field, or a
-    field past the header's last column, is an error naming the row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None \
-                or not set(columns) <= set(reader.fieldnames):
-            raise ValueError(f"{path}: {what} header must contain "
-                             f"{sorted(columns)}")
-        for row in reader:
-            line = f"{path} row {reader.line_num}"
-            if None in row:
-                raise ValueError(f"{line}: more fields than the header's "
-                                 f"{len(reader.fieldnames)}")
-            values = []
-            for column, kind in columns.items():
-                if not row[column]:
-                    raise ValueError(f"{line}: missing {column}")
-                try:
-                    values.append(kind(row[column]))
-                except ValueError:
-                    raise ValueError(f"{line}: bad {column} "
-                                     f"{row[column]!r}") from None
-            yield reader.line_num, values
-
-
 def read_schedule_csv(path) -> Schedule:
     games = []
-    for lineno, (day, home, away) in csv_rows(
-            path, {"date": datetime.date.fromisoformat, "home": str,
-                   "away": str}, "schedule"):
+    columns = {"date": parse_date, "home": str, "away": str}
+    for lineno, (day, home, away) in csv_rows(path, columns, "schedule"):
         if games and day < games[-1].date:
             raise ValueError(f"{path} row {lineno}: date {day} is before "
                              f"the previous row's {games[-1].date}")

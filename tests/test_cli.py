@@ -109,6 +109,50 @@ def test_short_schedule_row_is_a_row_error(pipeline, tmp_path, capsys):
     assert "row 2: missing away" in capsys.readouterr().err
 
 
+def with_bad_field(pipeline, tmp_path, kind, field):
+    """A league file whose team EN0 is renamed to field, or a one-game
+    schedule whose away team is field; returns its path and the pipeline's
+    arguments reading it."""
+    path = tmp_path / f"{kind}.csv"
+    if kind == "league":
+        text = (pipeline["base"] / "league.csv").read_text(encoding="utf-8")
+        path.write_text(text.replace(",EN0\n", f",{field}\n"),
+                        encoding="utf-8")
+        swap = {str(pipeline["base"] / "league.csv"): str(path)}
+        return path, [swap.get(a, a) for a in pipeline["common"]]
+    path.write_text(f"date,home,away\n2024-09-01,EN0,{field}\n",
+                    encoding="utf-8")
+    return path, [*pipeline["common"], "--schedule", str(path)]
+
+
+@pytest.mark.parametrize("field", ["X" * 200_000, "EN\x000"],
+                         ids=["long-field", "nul-byte"])
+@pytest.mark.parametrize("kind", ["league", "schedule"])
+def test_odd_fields_end_in_cli_exit_codes(pipeline, tmp_path, capsys, kind,
+                                          field):
+    # neither field is a team the game log or the league knows, so each
+    # run reports it; none may end in a traceback
+    path, args = with_bad_field(pipeline, tmp_path, kind, field)
+    assert main(["validate", *args]) == 1
+    assert "issue: " in capsys.readouterr().out
+    assert main(["simulate", *args, "--replications", "2"]) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+def test_undecodable_input_names_the_file(pipeline, tmp_path, capsys):
+    league = tmp_path / "league.csv"
+    league.write_bytes(b"league,division,team\nE,N,A\xffA\n")
+    assert main(["validate", "--league", str(league)]) == 1
+    assert f"issue: league: {league}: not UTF-8 text" \
+        in capsys.readouterr().out
+    log = tmp_path / "log.csv"
+    log.write_bytes((pipeline["base"] / "log.csv").read_bytes()
+                    .replace(b",EN0,", b",EN\xff0,", 1))
+    assert main(["fit", "--game-log", str(log), "--out",
+                 str(tmp_path / "out")]) == 3
+    assert f"error: {log}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_over_season_schedule_refused_by_validate_and_simulate(
         pipeline, tmp_path, capsys):
     # every team has played 32 games, so three more EN0-EN1 games overrun a

@@ -120,7 +120,17 @@ def test_parse_bad_era_names_row_and_column():
 def test_parse_bad_date_names_row():
     text = (PRECOMPUTED_HEADER + "\n"
             "06/01/2024,NYA,BOS,1,0.6,0.55,0.251,0.249,3.5,4.2\n")
-    with pytest.raises(ValueError, match=r"row 2.*date"):
+    with pytest.raises(ValueError, match=r"^<stream> row 2, column 'date': "
+                                         r"bad date '06/01/2024'$"):
+        parse_game_log(io.StringIO(text))
+
+
+def test_parse_compact_date_rejected():
+    # 20240601 passes date.fromisoformat from Python 3.11 on
+    text = (PRECOMPUTED_HEADER + "\n"
+            "20240601,NYA,BOS,1,0.6,0.55,0.251,0.249,3.5,4.2\n")
+    with pytest.raises(ValueError, match=r"^<stream> row 2, column 'date': "
+                                         r"bad date '20240601'$"):
         parse_game_log(io.StringIO(text))
 
 
@@ -145,8 +155,19 @@ def test_parse_bad_header_rejected():
 
 
 def test_parse_short_row_rejected():
+    # a short row reads empty fields, so it fails on its first missing one
     text = PRECOMPUTED_HEADER + "\n2024-06-01,NYA,BOS,1,0.6\n"
-    with pytest.raises(ValueError, match="expected 10 columns, got 5"):
+    with pytest.raises(ValueError, match=r"^<stream> row 2, column "
+                                         r"'away_winpct_pre': unparseable "
+                                         r"value ''$"):
+        parse_game_log(io.StringIO(text))
+
+
+def test_parse_long_row_rejected():
+    text = (PRECOMPUTED_HEADER + "\n"
+            "2024-06-01,NYA,BOS,1,0.6,0.55,0.251,0.249,3.5,4.2,9\n")
+    with pytest.raises(ValueError, match=r"^<stream> row 2: more fields "
+                                         r"than the header's 10$"):
         parse_game_log(io.StringIO(text))
 
 

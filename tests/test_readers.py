@@ -11,7 +11,7 @@ import io
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pennantsim.cli import RunConfig
@@ -75,6 +75,7 @@ def csv_path(tmp_path_factory):
 
 @settings(deadline=None)
 @given(rows=rows_under(LEAGUE_COLUMNS))
+@example(rows=[["E", "N", "A\x00A"]])
 def test_league_reader_parses_or_names_the_row(csv_path, rows):
     csv_path.write_text(join(LEAGUE_COLUMNS, rows), encoding="utf-8")
     read_or_error(read_league_csv, csv_path, csv_path)
@@ -82,6 +83,7 @@ def test_league_reader_parses_or_names_the_row(csv_path, rows):
 
 @settings(deadline=None)
 @given(rows=rows_under(SCHEDULE_COLUMNS))
+@example(rows=[["2024-08-01", "A\x00A", "BBB"]])
 def test_schedule_reader_parses_or_names_the_row(csv_path, rows):
     csv_path.write_text(join(SCHEDULE_COLUMNS, rows), encoding="utf-8")
     read_or_error(read_schedule_csv, csv_path, csv_path)

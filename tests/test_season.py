@@ -103,11 +103,12 @@ def test_league_team_count():
     assert league.season_length == 162
 
 
-def test_schedule_rejects_out_of_order_dates():
-    games = (ScheduledGame(datetime.date(2024, 8, 2), "A", "B"),
-             ScheduledGame(datetime.date(2024, 8, 1), "B", "A"))
-    with pytest.raises(ValueError, match="out of date order"):
-        Schedule(games=games)
+def test_schedule_reader_rejects_out_of_order_dates(tmp_path):
+    path = tmp_path / "schedule.csv"
+    path.write_text("date,home,away\n2024-08-02,A,B\n2024-08-01,B,A\n")
+    with pytest.raises(ValueError, match=r"row 3: date 2024-08-01 is before "
+                                         r"the previous row's 2024-08-02$"):
+        season.read_schedule_csv(path)
 
 
 def test_scheduled_game_rejects_self_play():
@@ -795,7 +796,16 @@ def test_schedule_csv_rejects_bad_header(tmp_path):
 def test_schedule_csv_rejects_bad_date(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("date,home,away\n08/01/2024,A,B\n")
-    with pytest.raises(ValueError, match="row 2"):
+    with pytest.raises(ValueError, match=r"row 2: bad date '08/01/2024'$"):
+        read_schedule_csv(path)
+
+
+def test_schedule_csv_rejects_compact_date(tmp_path):
+    # date.fromisoformat takes 20240801 from Python 3.11 on; the readers take
+    # YYYY-MM-DD alone, on every version
+    path = tmp_path / "bad.csv"
+    path.write_text("date,home,away\n20240801,A,B\n")
+    with pytest.raises(ValueError, match=r"row 2: bad date '20240801'$"):
         read_schedule_csv(path)
 
 
