@@ -20,9 +20,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .gamelog import (DatasetFilter, csv_rows, derive_pregame_records,
-                      filter_training_window, latest_season, parse_game_log,
-                      require_games)
+from .gamelog import (DatasetFilter, csv_rows, filter_training_window,
+                      latest_season, parse_game_log, require_games)
 from .kalman import (MIN_WINDOW, TERCILES, NoiseParams, filter_series,
                      group_terciles, sliding_noise_estimates)
 from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
@@ -148,7 +147,7 @@ def parse_config_file(path) -> dict:
     and a key set twice is an error."""
     values, first = {}, {}   # first: key -> the line that set it
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
@@ -319,8 +318,7 @@ def _schedule_issues(schedule, league, season) -> list:
 
 def cmd_fit(cfg: RunConfig, extras) -> int:
     path = _require(cfg.game_log, "fit", "a game log", "game_log")
-    log = derive_pregame_records(require_games(
-        parse_game_log(_open_input(path, "game log"))))
+    log = require_games(parse_game_log(_open_input(path, "game log")))
     training = filter_training_window(log, cfg.training_filter())
     if not len(training):
         raise PipelineError(f"{path}: no training records left after "

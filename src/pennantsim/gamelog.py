@@ -2,8 +2,8 @@
 
 Two input shapes are accepted. The precomputed shape carries pregame win
 percentages directly; the raw shape carries final run totals instead, and
-win percentages are reconstructed from each team's prior games in the same
-season. Batting average and starter ERA must be supplied either way —
+win percentages are reconstructed from each team's W-L record entering the
+game. Batting average and starter ERA must be supplied either way —
 rebuilding them would need box scores, which are out of scope.
 
 The parser is the one place a log is checked: every value's format, range
@@ -54,11 +54,9 @@ TRAINING_WINDOW = ((5, 20), (8, 20))
 class GameLog:
     """A game log as equal-length columns, one entry per game, in file order.
 
-    `source` names the file. The win percentages are the file's own
-    (precomputed shape) until `derive_pregame_records` fills them; the
-    records are the file's "W-L" entering each game as (wins, losses) pairs,
-    when its header has them; the prior-game counts come from
-    `derive_pregame_records`. A column the log does not have is None.
+    `source` names the file. Each side's record is its (wins, losses)
+    entering the game in its season, and its win percentage the file's own
+    (precomputed shape) or that record's; see `derive_pregame_records`.
     """
 
     source: str
@@ -70,22 +68,18 @@ class GameLog:
     away_batting_avg: np.ndarray
     home_era: np.ndarray
     away_era: np.ndarray
-    home_win_pct: np.ndarray | None = None
-    away_win_pct: np.ndarray | None = None
-    home_record: np.ndarray | None = None
-    away_record: np.ndarray | None = None
-    home_prior_games: np.ndarray | None = None
-    away_prior_games: np.ndarray | None = None
+    home_win_pct: np.ndarray
+    away_win_pct: np.ndarray
+    home_record: np.ndarray        # (n, 2) ints: wins, losses
+    away_record: np.ndarray
 
     def __len__(self) -> int:
         return len(self.date)
 
     def take(self, keep: np.ndarray) -> GameLog:
         """The games where the boolean mask is set, in order."""
-        columns = {f.name: getattr(self, f.name) for f in fields(self)}
-        return replace(self, **{name: column[keep]
-                                for name, column in columns.items()
-                                if isinstance(column, np.ndarray)})
+        return replace(self, **{f.name: getattr(self, f.name)[keep]
+                                for f in fields(self) if f.name != "source"})
 
 
 @dataclass(frozen=True)
@@ -140,15 +134,17 @@ def _parse_record(raw, source, lineno, column):
 
 
 def _read_rows(source):
-    """Split a CSV file at a path (read as UTF-8) or in a text stream: yields
-    its name, header line and header names, then (line number, fields) for
-    each data row. Every comma splits (no quoting); names and fields are
-    stripped, blank lines skipped, a short row gets empty fields, and a
-    long row or an undecodable byte is an error naming the file."""
+    """Split a CSV file at a path (read as UTF-8, skipping a leading
+    byte-order mark) or in a text stream: yields its name, header line and
+    header names, then (line number, fields) for each data row. Every comma
+    splits (no quoting); names and fields are stripped, blank lines
+    skipped, a short row gets empty fields, and a long row or an
+    undecodable byte is an error naming the file."""
     if hasattr(source, "read"):
         name, opened = getattr(source, "name", "<stream>"), nullcontext(source)
     else:
-        name, opened = str(source), open(source, encoding="utf-8", newline="")
+        name = str(source)
+        opened = open(source, encoding="utf-8-sig", newline="")
     with opened as fh:
         try:
             line = fh.readline().strip()
@@ -275,7 +271,7 @@ def parse_game_log(source, *, known_teams=None) -> GameLog:
         aways.append(away)
         home_won.append(won)
 
-    return GameLog(
+    return derive_pregame_records(dict(
         source=name,
         date=np.array(dates, dtype="datetime64[D]"),
         home=np.array(homes, dtype=object), away=np.array(aways, dtype=object),
@@ -284,7 +280,7 @@ def parse_game_log(source, *, known_teams=None) -> GameLog:
            for column, series in stats.items()},
         **{column.removesuffix("_pre"): np.array(series,
                                                  dtype=int).reshape(-1, 2)
-           for column, series in records.items()})
+           for column, series in records.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -296,44 +292,45 @@ def _seasons(dates: np.ndarray) -> np.ndarray:
     return dates.astype("datetime64[Y]")
 
 
-def derive_pregame_records(log: GameLog) -> GameLog:
-    """The log with its pregame win-percentage and prior-game columns filled.
+def derive_pregame_records(columns: dict) -> GameLog:
+    """The complete `GameLog` of a parsed log's {`GameLog` field: column}.
 
-    Win percentages are taken from the file when present; otherwise each
-    team's prior wins and losses in the same season (calendar year) are
-    accumulated, with 0.5 standing in before a team's first game — those
-    games have a prior-game count of zero. W-L record columns, when given,
-    stand in for the accumulated counts.
-    """
-    given = None
-    if log.home_record is not None:
-        given = np.stack([log.home_record, log.away_record], axis=1).tolist()
-    tallies = {}   # (season, team) -> [wins, losses]
-    win_pct, prior_games = [], []
-    for i, (season, home, away, home_won) in enumerate(zip(
-            _seasons(log.date).tolist(), log.home.tolist(), log.away.tolist(),
-            log.home_won.tolist())):
-        for side, team in enumerate((home, away)):
-            wins, losses = tallies.setdefault((season, team), [0, 0])
-            if given is not None:
-                wins, losses = given[i][side]
-            games = wins + losses
-            win_pct.append(wins / games if games else DEFAULT_WIN_PCT)
-            prior_games.append(games)
-        tallies[(season, home)][0 if home_won else 1] += 1
-        tallies[(season, away)][1 if home_won else 0] += 1
-    win_pct = np.array(win_pct, dtype=float).reshape(-1, 2)
-    prior_games = np.array(prior_games, dtype=int).reshape(-1, 2)
-    if log.home_win_pct is None:
-        log = replace(log, home_win_pct=win_pct[:, 0],
-                      away_win_pct=win_pct[:, 1])
-    return replace(log, home_prior_games=prior_games[:, 0],
-                   away_prior_games=prior_games[:, 1])
+    Each side's W-L record entering the game is the file's, when its header
+    has the record columns, or else tallied from the log's own games in the
+    same season (calendar year). Win percentages, unless the file gives
+    them, are wins / games, or 0.5 before a team's first game."""
+    if "home_record" in columns:
+        record = np.stack([columns["home_record"], columns["away_record"]], 1)
+    else:
+        # one entry per side of each game, in file order; grouped by (season,
+        # team) in that order, each entry counts its group's earlier games
+        sides = np.column_stack([columns["home"], columns["away"]]).ravel()
+        home_won = columns["home_won"]
+        won = np.column_stack([home_won, ~home_won]).ravel()
+        _, season = np.unique(_seasons(columns["date"]), return_inverse=True)
+        number = {}   # team -> its number, in order of first appearance
+        team = np.array([number.setdefault(t, len(number))
+                         for t in sides.tolist()], dtype=int)
+        key = np.repeat(season, 2) * len(number) + team
+        order = np.argsort(key, kind="stable")
+        start = np.searchsorted(key[order], key[order])   # group's first
+        wins_before = np.cumsum(won[order]) - won[order]
+        record = np.empty((len(order), 2), dtype=int)
+        record[order, 0] = wins_before - wins_before[start]
+        record[order, 1] = np.arange(len(order)) - start - record[order, 0]
+        record = record.reshape(-1, 2, 2)   # game, side, (wins, losses)
+    games = record.sum(axis=2)
+    win_pct = np.divide(record[..., 0], games, where=games > 0,
+                        out=np.full(games.shape, DEFAULT_WIN_PCT))
+    return GameLog(**{"home_win_pct": win_pct[:, 0],
+                      "away_win_pct": win_pct[:, 1], **columns,
+                      "home_record": record[:, 0],
+                      "away_record": record[:, 1]})
 
 
 def filter_training_window(log: GameLog, flt: DatasetFilter) -> GameLog:
-    """The games of a `derive_pregame_records` log that pass the filter.
-    Order-preserving and idempotent."""
+    """The games of a log that pass the filter. Order-preserving and
+    idempotent."""
     keep = np.ones(len(log), dtype=bool)
     if flt.date_window:
         season = _seasons(log.date)
@@ -341,8 +338,8 @@ def filter_training_window(log: GameLog, flt: DatasetFilter) -> GameLog:
             "datetime64[D]") + (day - 1) for month, day in TRAINING_WINDOW)
         keep &= (start <= log.date) & (log.date <= end)
     if flt.min_games_played > 0:
-        keep &= np.minimum(log.home_prior_games, log.away_prior_games) \
-            >= flt.min_games_played
+        played = np.minimum(log.home_record.sum(1), log.away_record.sum(1))
+        keep &= played >= flt.min_games_played
     return log.take(keep)
 
 
@@ -355,20 +352,22 @@ def require_games(log: GameLog) -> GameLog:
 
 
 def latest_season(log: GameLog) -> dict[str, TeamSeason]:
-    """Each team's `TeamSeason` in the latest season of the log, counting
-    every outcome in that season; a team's home and away games both
-    contribute its own side's statistics."""
+    """Each team's `TeamSeason` in the latest season of the log: its record
+    is the one entering its last game plus that game's result; a team's
+    home and away games both contribute its own side's statistics."""
     season = _seasons(require_games(log).date)
     latest = log.take(season == season.max())
     teams = {}
     for team in np.unique(np.concatenate([latest.home, latest.away])):
         at_home = latest.home == team
         plays = at_home | (latest.away == team)
-        wins = int(np.count_nonzero(plays & (latest.home_won == at_home)))
+        last = np.flatnonzero(plays)[-1]
+        side = "home" if at_home[last] else "away"
+        won = int(latest.home_won[last] == at_home[last])
+        wins, losses = getattr(latest, f"{side}_record")[last].tolist()
         teams[team] = TeamSeason(
-            wins=wins, losses=int(np.count_nonzero(plays)) - wins,
+            wins=wins + won, losses=losses + 1 - won,
             eras=np.where(at_home, latest.home_era,
                           latest.away_era)[plays].tolist(),
-            batting=np.where(at_home, latest.home_batting_avg,
-                             latest.away_batting_avg)[plays][-1].item())
+            batting=getattr(latest, f"{side}_batting_avg")[last].item())
     return teams

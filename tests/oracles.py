@@ -8,8 +8,10 @@ Gauss-Hermite quadrature over the trajectory laws, and dynamic programming
 over the records, instead of the season engine's simulated paths; one
 replication's playoff field picked team by team instead of ranked as
 arrays; plain Metropolis with no screen instead of the delayed-acceptance
-sampler; central differences instead of the closed-form Hessian). It also
-holds the synthetic ERA generator the noise tests draw their windows from.
+sampler; central differences instead of the closed-form Hessian; a
+per-game tally of W-L records instead of the game log's array tally). It
+also holds the synthetic ERA generator the noise tests draw their windows
+from.
 """
 
 import math
@@ -311,3 +313,31 @@ def playoff_qualifiers(final_wins, league, rng, *, wild_cards=3):
         rest.sort(key=lambda t: (final_wins[t], tie_key[t]), reverse=True)
         qualifiers.update(rest[:wild_cards])
     return frozenset(qualifiers)
+
+
+def pregame_records(games, start=None):
+    """Each game's home and away W-L records entering it, tallied one game at
+    a time per (calendar year, team).
+
+    games are (date, home, away, home_won) in date order; start maps
+    (year, team) to the (wins, losses) the team enters the log's games of
+    that year with, 0-0 when absent. Returns ((home wins, home losses),
+    (away wins, away losses)) per game.
+    """
+    start = start or {}
+    tally = {}
+    records = []
+    for date, home, away, home_won in games:
+        sides = [tally.setdefault((date.year, team),
+                                  list(start.get((date.year, team), (0, 0))))
+                 for team in (home, away)]
+        records.append(tuple(tuple(side) for side in sides))
+        for side, won in zip(sides, (home_won, not home_won)):
+            side[0 if won else 1] += 1
+    return records
+
+
+def win_pct(record):
+    """Wins over games of a (wins, losses) record; 0.5 before any game."""
+    wins, losses = record
+    return wins / (wins + losses) if wins + losses else 0.5

@@ -25,6 +25,7 @@ from pennantsim.kalman import sliding_noise_estimates
 
 from cli_fixtures import (write_constant_log_file, write_game_log_file,
                           write_league_file, write_recovery_log_file)
+from oracles import pregame_records, win_pct
 
 FIT_FLAGS = ["--iterations", "3000", "--burn-in", "500", "--thin", "5",
              "--chains", "2"]
@@ -171,6 +172,77 @@ def test_over_season_schedule_refused_by_validate_and_simulate(
         *(f"issue: schedule: {issue}" for issue in over), "2 issue(s) found"]
     assert main(["simulate", *args, "--replications", "2"]) == 3
     assert capsys.readouterr().err == f"error: {sched}: {over[0]}\n"
+
+
+def mid_season_args(pipeline, tmp_path, precomputed, rounds=10):
+    """The pipeline's arguments on a copy of its artifacts and a log that
+    starts mid-season: the last rounds rounds of its log, in the raw or
+    precomputed shape, each side carrying its real W-L entering the game
+    (its tally over the whole season) in `*_record_pre` columns. Returns
+    them with each team's games played at the end of the log."""
+    _, *rows = (pipeline["base"] / "log.csv").read_text().splitlines()
+    games = [row.split(",") for row in rows]
+    records = pregame_records([
+        (datetime.date.fromisoformat(date), home, away, int(hr) > int(ar))
+        for date, home, away, hr, ar, *_ in games])
+    cut = sorted({game[0] for game in games})[-rounds]
+    header = ("date,home,away,home_runs,away_runs," if not precomputed else
+              "date,home,away,home_won,home_winpct_pre,away_winpct_pre,")
+    lines = [header + "home_avg_pre,away_avg_pre,home_era_pre,away_era_pre,"
+             "home_record_pre,away_record_pre"]
+    for game, (hrec, arec) in zip(games, records):
+        date, home, away, hr, ar, *stats = game
+        if date < cut:
+            continue
+        outcome = [hr, ar] if not precomputed else \
+            [str(int(int(hr) > int(ar))), repr(win_pct(hrec)),
+             repr(win_pct(arec))]
+        lines.append(",".join([date, home, away, *outcome, *stats,
+                               "%d-%d" % hrec, "%d-%d" % arec]))
+    log = tmp_path / "mid_season.csv"
+    log.write_text("\n".join(lines) + "\n")
+    shutil.copytree(pipeline["out"], tmp_path / "out")
+    swap = {str(pipeline["base"] / "log.csv"): str(log),
+            str(pipeline["out"]): str(tmp_path / "out")}
+    played = {team: sum(team in game[1:3] for game in games)
+              for team in pipeline["teams"]}
+    return [swap.get(a, a) for a in pipeline["common"]], played
+
+
+@pytest.mark.parametrize("precomputed", [False, True],
+                         ids=["raw", "precomputed"])
+def test_simulate_fills_a_mid_season_log_from_its_records(
+        pipeline, tmp_path, precomputed):
+    # 10 logged games per team, 32 on record: the synthetic schedule fills
+    # each team from its record to the season length, and the 20-game
+    # burn-in counts the record too
+    args, played = mid_season_args(pipeline, tmp_path, precomputed)
+    assert set(played.values()) == {32}
+    assert main(["simulate", *args, "--replications", "2",
+                 "--season-length", "40"]) == 0
+    meta = dict(line.split("=", 1) for line in
+                (tmp_path / "out" / "simulate_metadata.txt").read_text()
+                .splitlines())
+    assert int(meta["scheduled_games"]) == \
+        sum(40 - games for games in played.values()) // 2
+
+
+@pytest.mark.parametrize("precomputed", [False, True],
+                         ids=["raw", "precomputed"])
+def test_validate_counts_a_mid_season_log_from_its_records(
+        pipeline, tmp_path, capsys, precomputed):
+    # nine more EN0-EN1 games overrun a 40-game season from 32 games on
+    # record, though only 10 of them are in the log
+    args, _ = mid_season_args(pipeline, tmp_path, precomputed)
+    sched = tmp_path / "sched.csv"
+    sched.write_text("date,home,away\n" + "".join(
+        f"2024-09-0{day},EN0,EN1\n" for day in range(1, 10)))
+    assert main(["validate", *args, "--schedule", str(sched),
+                 "--season-length", "40"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"issue: schedule: {team} has 32 played + 9 scheduled = 41 games, "
+          f"over the 40-game season" for team in ("EN0", "EN1")),
+        "2 issue(s) found"]
 
 
 def test_validate_missing_file_reported_not_thrown(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 The derivation check builds one synthetic season twice — once with explicit
 pregame win percentages, once with raw run totals — and requires the table
-derived from the raw file to reproduce the explicit columns exactly.
+derived from the raw file to reproduce the explicit columns exactly. A
+property test holds the parsed records and win percentages to a plain
+per-game tally (`oracles.pregame_records`) on random multi-season logs.
 """
 
 import datetime
@@ -11,11 +13,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import pregame_records, win_pct
 from pennantsim.gamelog import (
     DEFAULT_WIN_PCT,
     DatasetFilter,
-    derive_pregame_records,
     filter_training_window,
     latest_season,
     parse_game_log,
@@ -28,19 +32,22 @@ RAW_HEADER = ("date,home,away,home_runs,away_runs,home_avg_pre,away_avg_pre,"
               "home_era_pre,away_era_pre")
 
 
-def make_log(*games, records=None):
-    """Parsed raw-shape log of (date, home, away, home_won) games, each with
-    the given statistics (home_avg_pre, away_avg_pre, home_era_pre,
-    away_era_pre, defaulting to 0.25, 0.26, 3.8, 4.1) after the first four;
-    records, when given, holds each game's (home, away) W-L entering it."""
-    header = RAW_HEADER + (",home_record_pre,away_record_pre"
-                           if records else "")
-    lines = [header]
+def make_log(*games, records=None, win_pcts=None):
+    """Parsed log of (date, home, away, home_won) games, each with the given
+    statistics (home_avg_pre, away_avg_pre, home_era_pre, away_era_pre,
+    defaulting to 0.25, 0.26, 3.8, 4.1) after the first four; records, when
+    given, holds each game's (home, away) W-L entering it. The log has the
+    raw shape, or with win_pcts (each game's (home, away) win percentage)
+    the precomputed one."""
+    header = PRECOMPUTED_HEADER if win_pcts is not None else RAW_HEADER
+    lines = [header + (",home_record_pre,away_record_pre"
+                       if records is not None else "")]
     for i, (date, home, away, home_won, *stats) in enumerate(games):
         stats = stats or [0.25, 0.26, 3.8, 4.1]
-        line = (f"{date},{home},{away},{'1,0' if home_won else '0,1'},"
-                + ",".join(map(repr, stats)))
-        if records:
+        outcome = ",".join(map(repr, [int(home_won), *win_pcts[i]])) \
+            if win_pcts is not None else ("1,0" if home_won else "0,1")
+        line = f"{date},{home},{away},{outcome}," + ",".join(map(repr, stats))
+        if records is not None:
             (hw, hl), (aw, al) = records[i]
             line += f",{hw}-{hl},{aw}-{al}"
         lines.append(line)
@@ -48,13 +55,9 @@ def make_log(*games, records=None):
 
 
 def columns(log):
-    """Every column of a game table as plain lists (None where absent)."""
-    out = {}
-    for f in fields(log):
-        value = getattr(log, f.name)
-        out[f.name] = value.tolist() if isinstance(value, np.ndarray) \
-            else value
-    return out
+    """Every column of a game table as plain lists, and its source."""
+    return {f.name: getattr(log, f.name) if f.name == "source"
+            else getattr(log, f.name).tolist() for f in fields(log)}
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +75,10 @@ def test_parse_precomputed_shape():
     assert log.home_won.tolist()[0] is True
     assert log.home_win_pct[0] == 0.6
     assert log.away_era[0] == 4.2
-    assert log.home_record is None
     assert log.home_won.tolist()[1] is False
+    # the file's win percentages stand; the records are tallied
+    assert log.home_win_pct[1] == 0.55
+    assert log.home_record.tolist() == [[0, 0], [0, 1]]
 
 
 def test_parse_raw_shape_derives_outcome():
@@ -82,8 +87,9 @@ def test_parse_raw_shape_derives_outcome():
             "2024-06-02,BOS,NYA,2,7,0.249,0.251,4.0,3.1\n")
     log = parse_game_log(io.StringIO(text))
     assert log.home_won.tolist() == [True, False]
-    # the win percentages are derived later, from the outcomes
-    assert log.home_win_pct is None and log.away_win_pct is None
+    # the win percentages come from the records tallied from the outcomes
+    assert log.home_win_pct.tolist() == [DEFAULT_WIN_PCT, 0.0]
+    assert log.away_win_pct.tolist() == [DEFAULT_WIN_PCT, 1.0]
 
 
 def test_parse_record_columns():
@@ -184,8 +190,7 @@ def test_round_trip_precomputed():
         home_batting_avg=[0.251, 0.249], away_batting_avg=[0.249, 0.251],
         home_era=[3.5, 4.0], away_era=[4.2, 3.1],
         home_win_pct=[0.6, 0.55], away_win_pct=[0.55, 0.62],
-        home_record=None, away_record=None,
-        home_prior_games=None, away_prior_games=None)
+        home_record=[[0, 0], [0, 1]], away_record=[[0, 0], [1, 0]])
 
 
 def test_round_trip_raw_with_records():
@@ -201,9 +206,8 @@ def test_round_trip_raw_with_records():
         home=["NYA", "BOS"], away=["BOS", "NYA"], home_won=[True, True],
         home_batting_avg=[0.251, 0.249], away_batting_avg=[0.249, 0.251],
         home_era=[3.5, 4.0], away_era=[4.2, 3.1],
-        home_win_pct=None, away_win_pct=None,
-        home_record=[[25, 15], [18, 23]], away_record=[[18, 22], [26, 15]],
-        home_prior_games=None, away_prior_games=None)
+        home_win_pct=[25 / 40, 18 / 41], away_win_pct=[18 / 40, 26 / 41],
+        home_record=[[25, 15], [18, 23]], away_record=[[18, 22], [26, 15]])
 
 
 # ---------------------------------------------------------------------------
@@ -211,39 +215,39 @@ def test_round_trip_raw_with_records():
 
 
 def test_derive_cumulative_win_pct():
-    log = derive_pregame_records(make_log(
+    log = make_log(
         (datetime.date(2024, 4, 1), "A", "B", True),
         (datetime.date(2024, 4, 2), "A", "B", True),
         (datetime.date(2024, 4, 3), "B", "A", True),
-        (datetime.date(2024, 4, 4), "A", "B", False)))
-    # openers: defaulted and flagged by a zero prior-game count
+        (datetime.date(2024, 4, 4), "A", "B", False))
+    # openers: defaulted and flagged by a 0-0 record
     assert log.home_win_pct[0] == DEFAULT_WIN_PCT
-    assert log.home_prior_games[0] == 0
+    assert log.home_record[0].tolist() == [0, 0]
     # A is 2-0 and B 0-2 entering game 3
     assert log.away_win_pct[2] == 1.0
     assert log.home_win_pct[2] == 0.0
     # entering game 4: A 2-1, B 1-2
     assert log.home_win_pct[3] == pytest.approx(2 / 3)
     assert log.away_win_pct[3] == pytest.approx(1 / 3)
-    assert log.home_prior_games[3] == 3
+    assert log.home_record[3].tolist() == [2, 1]
 
 
 def test_derive_explicit_record_columns():
     # 25-15 entering the game: win pct 0.625 from the stored record
-    log = derive_pregame_records(make_log(
+    log = make_log(
         (datetime.date(2024, 6, 1), "AAA", "BBB", True),
-        records=[((25, 15), (15, 25))]))
+        records=[((25, 15), (15, 25))])
     assert log.home_win_pct[0] == 0.625
     assert log.away_win_pct[0] == 0.375
-    assert log.home_prior_games[0] == 40
+    assert log.home_record[0].tolist() == [25, 15]
 
 
 def test_derive_season_boundary_resets_counts():
-    log = derive_pregame_records(make_log(
+    log = make_log(
         (datetime.date(2023, 9, 30), "A", "B", True),
-        (datetime.date(2024, 4, 1), "A", "B", True)))
+        (datetime.date(2024, 4, 1), "A", "B", True))
     assert log.home_win_pct[1] == DEFAULT_WIN_PCT
-    assert log.home_prior_games[1] == 0
+    assert log.home_record[1].tolist() == [0, 0]
 
 
 def simulate_season_rows(seed=0, n_teams=6, n_games=120):
@@ -280,14 +284,56 @@ def simulate_season_rows(seed=0, n_teams=6, n_games=120):
 
 def test_derived_records_match_explicit_fixture():
     raw_text, explicit_text = simulate_season_rows(seed=7)
-    derived = derive_pregame_records(parse_game_log(io.StringIO(raw_text)))
-    explicit = derive_pregame_records(
-        parse_game_log(io.StringIO(explicit_text)))
+    derived = parse_game_log(io.StringIO(raw_text))
+    explicit = parse_game_log(io.StringIO(explicit_text))
     assert len(derived) == len(explicit) == 120
     for name in ("home_win_pct", "away_win_pct", "home_won", "date", "home",
-                 "away"):
+                 "away", "home_record", "away_record"):
         assert getattr(derived, name).tolist() == \
             getattr(explicit, name).tolist(), name
+
+
+# Random multi-season logs: up to 40 games among five teams over three
+# seasons, so a team can miss a season; each game is (season, day of the
+# season, two distinct teams first, home won).
+SEASON_GAMES = st.lists(st.tuples(
+    st.sampled_from((2021, 2022, 2023)), st.integers(0, 150),
+    st.permutations("ABCDE"), st.booleans()), max_size=40)
+
+
+@settings(deadline=None)
+@given(data=st.data(), games=SEASON_GAMES, with_records=st.booleans(),
+       precomputed=st.booleans())
+@example(data=None, with_records=False, precomputed=False, games=[
+    (2021, 0, "CABDE", True), (2022, 0, "ABCDE", False),
+    (2023, 5, "BCADE", True), (2023, 6, "CBADE", False)])
+def test_records_and_win_pcts_match_a_per_game_tally(
+        data, games, with_records, precomputed):
+    games = sorted(((datetime.date(year, 4, 1) + datetime.timedelta(days=day),
+                     teams[0], teams[1], won)
+                    for year, day, teams, won in games), key=lambda g: g[0])
+    start = None
+    if with_records:
+        # a log that starts mid-season: each team enters each season's
+        # first logged game with a record of its own
+        start = data.draw(st.fixed_dictionaries({
+            (date.year, team): st.tuples(st.integers(0, 90),
+                                         st.integers(0, 90))
+            for date, home, away, _ in games for team in (home, away)}))
+    expected = pregame_records(games, start)
+    pcts = None
+    if precomputed:
+        pct = st.floats(0.0, 1.0)
+        pcts = data.draw(st.lists(st.tuples(pct, pct), min_size=len(games),
+                                  max_size=len(games)))
+    log = make_log(*games, records=expected if with_records else None,
+                   win_pcts=pcts)
+    assert list(zip(map(tuple, log.home_record.tolist()),
+                    map(tuple, log.away_record.tolist()))) == expected
+    if not precomputed:
+        pcts = [(win_pct(home), win_pct(away)) for home, away in expected]
+    assert list(zip(log.home_win_pct.tolist(),
+                    log.away_win_pct.tolist())) == pcts
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +341,13 @@ def test_derived_records_match_explicit_fixture():
 
 
 def games_on(*dates, prior_games=None):
-    """A derived log of A-B games on the given dates; prior_games holds
-    each game's (home, away) count of games played before it."""
+    """A log of A-B games on the given dates; prior_games holds each game's
+    (home, away) count of games played before it, about half of them won."""
     prior_games = prior_games or [(10, 10)] * len(dates)
-    return derive_pregame_records(make_log(
+    return make_log(
         *[(date, "A", "B", True) for date in dates],
-        records=[((home, 0), (away, 0)) for home, away in prior_games]))
+        records=[((home // 2, home - home // 2), (away // 2, away - away // 2))
+                 for home, away in prior_games])
 
 
 GAMES_PLAYED_50 = DatasetFilter(date_window=False, min_games_played=50)
@@ -339,7 +386,7 @@ def test_filter_idempotent_and_order_preserving():
 
 
 def test_filter_empty_input():
-    empty = derive_pregame_records(make_log())
+    empty = make_log()
     for flt in (DatasetFilter(), GAMES_PLAYED_50):
         assert len(filter_training_window(empty, flt)) == 0
 
@@ -378,3 +425,22 @@ def test_batting_series_collects_both_sides():
 def test_latest_season_of_empty_log_names_the_file():
     with pytest.raises(ValueError, match=r"^<stream>: no games"):
         latest_season(make_log())
+
+
+@pytest.mark.parametrize("precomputed", [False, True],
+                         ids=["raw", "precomputed"])
+def test_latest_season_of_a_mid_season_log(precomputed):
+    # the latest season's games start in July: a team's current record is
+    # its W-L entering its last game plus that game's result, not a count
+    # of the logged games
+    games = [(datetime.date(2023, 9, 1), "A", "C", True),
+             (datetime.date(2024, 7, 1), "A", "B", True),
+             (datetime.date(2024, 7, 2), "B", "C", True),
+             (datetime.date(2024, 7, 3), "A", "C", False)]
+    records = [((80, 70), (70, 80)), ((50, 40), (40, 50)),
+               ((40, 51), (60, 30)), ((51, 40), (60, 31))]
+    season = latest_season(make_log(
+        *games, records=records,
+        win_pcts=[(0.5, 0.5)] * len(games) if precomputed else None))
+    assert {team: (s.wins, s.losses) for team, s in season.items()} == \
+        {"A": (51, 41), "B": (41, 51), "C": (61, 31)}

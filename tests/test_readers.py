@@ -1,10 +1,9 @@
 """Property tests for the input readers: any rows under a valid header either
 parse or fail with a ValueError that names the file (and the row, when one
 row is at fault), never with another exception type. A game log that parses
-also goes through the fit's ingest, `derive_pregame_records` and
-`filter_training_window` in both filter modes, under the same rule. The
-minimal failing inputs the properties found are pinned as explicit tests
-below.
+also goes through the fit's `filter_training_window` in both filter modes,
+under the same rule. The minimal failing inputs the properties found are
+pinned as explicit tests below.
 """
 
 import io
@@ -14,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pennantsim.cli import RunConfig
+from pennantsim.cli import RunConfig, parse_config_file
 from pennantsim.gamelog import (PRECOMPUTED_COLUMNS, RAW_COLUMNS,
-                                RECORD_COLUMNS, derive_pregame_records,
-                                filter_training_window, parse_game_log)
+                                RECORD_COLUMNS, filter_training_window,
+                                parse_game_log)
 from pennantsim.season import read_league_csv, read_schedule_csv
 
 LEAGUE_COLUMNS = ("league", "division", "team")
@@ -97,11 +96,10 @@ def test_game_log_parser_parses_or_names_the_row(data, header):
                         "<stream>")
     if isinstance(log, ValueError):
         return
-    derived = read_or_error(derive_pregame_records, log, "<stream>")
     for mode in ("date-window", "games-played"):
         flt = RunConfig(filter_mode=mode).training_filter()
         read_or_error(lambda table: filter_training_window(table, flt),
-                      derived, "<stream>")
+                      log, "<stream>")
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +165,28 @@ def test_non_finite_stat_names_the_row():
     with pytest.raises(ValueError,
                        match=r"row 2, column 'home_era_pre': non-finite"):
         parse_game_log(io.StringIO(text))
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_league_csv, "league,division,team\nE,N,AAA\nE,N,BBB\n"),
+    (parse_game_log, join(RAW_COLUMNS + RECORD_COLUMNS, [
+        ["2024-08-01", "AAA", "BBB", "3", "1", "0.25", "0.25", "4.1", "3.9",
+         "10-5", "5-10"]])),
+    (parse_config_file, "seed = 3\nreplications = 40\n"),
+], ids=["league", "game-log", "config"])
+def test_byte_order_mark_is_skipped(tmp_path, read, text):
+    # spreadsheet programs save UTF-8 text with a leading byte-order mark;
+    # such a file reads the same as one without
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+
+    def shown(path):   # every field read, with the file's name replaced
+        value = read(path)
+        return repr(getattr(value, "__dict__", value)).replace(str(path), "F")
+
+    assert shown(marked) == shown(plain)
 
 
 def test_unequal_divisions_name_the_file(csv_path):
