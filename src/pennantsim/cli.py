@@ -20,18 +20,19 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .gamelog import (DatasetFilter, csv_rows, filter_training_window,
-                      latest_season, parse_game_log, require_games)
+from .gamelog import (csv_rows, filter_training_window, latest_season,
+                      parse_game_log, require_games)
 from .kalman import (MIN_WINDOW, TERCILES, NoiseParams, filter_series,
                      group_terciles, sliding_noise_estimates)
 from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
                    effective_sample_size, log_ratio_design,
                    posterior_summaries, run_chains, split_rhat,
                    tune_proposal_std)
-from .season import (DRAW_MODES, ERA_MODES, STREAMS, SeasonResults,
-                     SimOptions, TeamSimState, export_win_histogram,
-                     generate_schedule, read_league_csv, read_schedule_csv,
-                     run_replications, summarize)
+from .season import (DRAW_MODES, ERA_MODES, STREAMS, LeagueStructure,
+                     SeasonResults, SimOptions, TeamSimState,
+                     export_win_histogram, generate_schedule, read_league_csv,
+                     read_schedule_csv, run_replications, season_overruns,
+                     summarize)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -43,10 +44,6 @@ RHAT_LIMIT = 1.1  # fit exits nonzero when any parameter diverges past this
 
 class UsageError(Exception):
     """Bad invocation: missing required setting, unknown key, bad value."""
-
-
-class PipelineError(Exception):
-    """Runtime failure: missing prerequisite artifact, bad data."""
 
 
 # the choice settings; simulate plays one outcome law in either mode
@@ -66,29 +63,30 @@ def _cores() -> int:
 class RunConfig:
     """Resolved settings for one command invocation. Each field is a
     setting: config key NAME and flag --NAME (- for _) of the subcommands
-    SUBCOMMANDS gives it, both typed by its annotation."""
+    SUBCOMMANDS gives it, both typed by its annotation. A setting that a
+    library record takes has that record's default."""
 
     game_log: str | None = None
     schedule: str | None = None
     league: str | None = None
     out: str = "out"
     seed: int = 0
-    r_max: float = 5.0
+    r_max: float = PriorConfig.r_max
     proposal_std: float | None = None
-    iterations: int = 20_000
-    burn_in: int = 2_000
-    thin: int = 5
+    iterations: int = ChainConfig.n_iterations
+    burn_in: int = ChainConfig.burn_in
+    thin: int = ChainConfig.thin
     chains: int = 4
     replications: int = 1000
-    burn_in_games: int = 20
+    burn_in_games: int = SimOptions.burn_in_games
     mode: str = "marginal"
-    draws: str = "posterior-predictive"
-    era_mode: str = "forecast"
-    walk_std: float = 0.0015
+    draws: str = SimOptions.draw_mode
+    era_mode: str = SimOptions.era_mode
+    walk_std: float = SimOptions.step_std
     window_length: int = 30
     filter_mode: str = "date-window"
     min_games: int = 50
-    season_length: int = 162
+    season_length: int = LeagueStructure.season_length
     jobs: int = field(default_factory=_cores)
 
     def __post_init__(self):
@@ -112,21 +110,17 @@ class RunConfig:
         if self.min_games < 0:
             raise UsageError("min_games must be >= 0")
 
-    def training_filter(self) -> DatasetFilter:
-        if self.filter_mode == "games-played":
-            return DatasetFilter(date_window=False,
-                                 min_games_played=self.min_games)
-        return DatasetFilter()
-
     def prior_config(self) -> PriorConfig:
         return PriorConfig(r_max=self.r_max)
 
     def chain_config(self) -> ChainConfig:
-        """Chain settings; an unset proposal_std starts tuning at 0.05."""
-        return ChainConfig(n_iterations=self.iterations, burn_in=self.burn_in,
-                           thin=self.thin, seed=self.seed,
-                           proposal_std=0.05 if self.proposal_std is None
-                           else self.proposal_std)
+        """Chain settings; an unset proposal_std keeps ChainConfig's, where
+        tuning starts."""
+        chain = ChainConfig(n_iterations=self.iterations, burn_in=self.burn_in,
+                            thin=self.thin, seed=self.seed)
+        if self.proposal_std is None:
+            return chain
+        return replace(chain, proposal_std=self.proposal_std)
 
     def sim_options(self) -> SimOptions:
         return SimOptions(draw_mode=self.draws, era_mode=self.era_mode,
@@ -211,15 +205,15 @@ def _require(value, command: str, what: str, key: str):
 
 def _open_input(path, what: str):
     if not os.path.exists(path):
-        raise PipelineError(f"{what} {path} does not exist")
+        raise ValueError(f"{what} {path} does not exist")
     return path
 
 
 def _artifact(cfg: RunConfig, filename: str, producer: str) -> str:
     path = os.path.join(cfg.out, filename)
     if not os.path.exists(path):
-        raise PipelineError(f"{path} not found; run the `{producer}` command "
-                            f"first")
+        raise ValueError(f"{path} not found; run the `{producer}` command "
+                         f"first")
     return path
 
 
@@ -255,31 +249,35 @@ def _aligned_table(header, rows) -> list:
 
 def cmd_validate(cfg: RunConfig, extras) -> int:
     issues = []
-    league = None
+    league = log = schedule = None
     if cfg.league:
         try:
             league = read_league_csv(_open_input(cfg.league, "league file"),
                                      season_length=cfg.season_length)
-        except (ValueError, PipelineError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             issues.append(f"league: {exc}")
-    log = None
     if cfg.game_log:
         try:
             known = set(league.teams) if league else None
             log = require_games(parse_game_log(
                 _open_input(cfg.game_log, "game log"), known_teams=known))
-        except (ValueError, PipelineError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             issues.append(f"game log: {exc}")
     if cfg.schedule:
         try:
             schedule = read_schedule_csv(
                 _open_input(cfg.schedule, "schedule file"))
-            if league is not None:
-                season = latest_season(log) if log is not None else None
-                issues += [f"schedule: {issue}" for issue
-                           in _schedule_issues(schedule, league, season)]
-        except (ValueError, PipelineError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             issues.append(f"schedule: {exc}")
+    if league is not None:
+        played = None if log is None else {
+            team: season.games for team, season in latest_season(log).items()}
+        if schedule is not None:
+            issues += [f"schedule: {issue}" for issue
+                       in _schedule_issues(schedule, league, played)]
+        elif played is not None:
+            issues += [f"game log: {issue}" for issue
+                       in season_overruns(league, played)]
     if not (cfg.league or cfg.game_log or cfg.schedule):
         issues.append("nothing to validate: no league, game log, or schedule "
                       "configured")
@@ -293,22 +291,16 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
     return EXIT_OK
 
 
-def _schedule_issues(schedule, league, season) -> list:
-    """Each game's team missing from the league, then each team the
-    schedule takes past the league's season length given the games it has
-    played in season (`latest_season`'s table), unless season is None."""
+def _schedule_issues(schedule, league, played) -> list:
+    """Each game's team missing from the league, then, unless played (games
+    played by team) is None, each team the schedule takes past the
+    league's season length (`season_overruns`)."""
     known = set(league.teams)
     issues = [f"team {team!r} on {game.date} missing from league structure"
               for game in schedule.games for team in (game.home, game.away)
               if team not in known]
-    remaining = schedule.games_per_team() if season is not None else {}
-    for team in sorted(remaining):
-        played = season[team].games if team in season else 0
-        total = played + remaining[team]
-        if total > league.season_length:
-            issues.append(f"{team} has {played} played + {remaining[team]} "
-                          f"scheduled = {total} games, over the "
-                          f"{league.season_length}-game season")
+    if played is not None:
+        issues += season_overruns(league, played, schedule.games_per_team())
     return issues
 
 
@@ -319,11 +311,11 @@ def _schedule_issues(schedule, league, season) -> list:
 def cmd_fit(cfg: RunConfig, extras) -> int:
     path = _require(cfg.game_log, "fit", "a game log", "game_log")
     log = require_games(parse_game_log(_open_input(path, "game log")))
-    training = filter_training_window(log, cfg.training_filter())
+    training = filter_training_window(
+        log, cfg.min_games if cfg.filter_mode == "games-played" else None)
     if not len(training):
-        raise PipelineError(f"{path}: no training records left after "
-                            f"filtering; widen the window or supply more "
-                            f"data")
+        raise ValueError(f"{path}: no training records left after filtering; "
+                         f"widen the window or supply more data")
     design = log_ratio_design(training)
     prior = cfg.prior_config()
     base = cfg.chain_config()
@@ -414,8 +406,8 @@ def cmd_noise(cfg: RunConfig, extras) -> int:
             continue
         estimates[team] = sliding_noise_estimates(series[team], window)
     if not estimates:
-        raise PipelineError("no team has an ERA series long enough for the "
-                            f"{window}-game window")
+        raise ValueError("no team has an ERA series long enough for the "
+                         f"{window}-game window")
     for line in skipped:
         print(f"warning: {line}", file=sys.stderr)
 
@@ -468,11 +460,11 @@ def _load_noise_artifacts(cfg: RunConfig) -> dict[str, np.ndarray]:
             terc_path, {"team": str, "tercile": str, "early_era": float},
             "terciles"):
         if team in labels:
-            raise PipelineError(f"{terc_path} row {lineno}: a second row "
-                                f"for team {team!r}")
+            raise ValueError(f"{terc_path} row {lineno}: a second row "
+                             f"for team {team!r}")
         if label not in TERCILES:
-            raise PipelineError(f"{terc_path} row {lineno}: tercile must be "
-                                f"one of {', '.join(TERCILES)}, got {label!r}")
+            raise ValueError(f"{terc_path} row {lineno}: tercile must be "
+                             f"one of {', '.join(TERCILES)}, got {label!r}")
         labels[team] = label
     windows = set()   # (team, window_start)
     for lineno, (team, start, sobs, sproc, conv) in csv_rows(
@@ -480,24 +472,24 @@ def _load_noise_artifacts(cfg: RunConfig) -> dict[str, np.ndarray]:
                         "sigma_process": float, "converged": int},
             "noise estimates"):
         if conv != 1:
-            raise PipelineError(f"{pool_path} row {lineno}: converged must "
-                                f"be 1 (converged windows only), got {conv}")
+            raise ValueError(f"{pool_path} row {lineno}: converged must "
+                             f"be 1 (converged windows only), got {conv}")
         if team not in labels:
-            raise PipelineError(f"{pool_path} row {lineno}: team {team!r} "
-                                f"has no tercile assignment")
+            raise ValueError(f"{pool_path} row {lineno}: team {team!r} "
+                             f"has no tercile assignment")
         if (team, start) in windows:
-            raise PipelineError(f"{pool_path} row {lineno}: a second row "
-                                f"for team {team!r} window_start {start}")
+            raise ValueError(f"{pool_path} row {lineno}: a second row "
+                             f"for team {team!r} window_start {start}")
         windows.add((team, start))
         try:
             NoiseParams(sobs, sproc)   # each sigma finite and >= 0
         except ValueError as exc:
-            raise PipelineError(f"{pool_path} row {lineno}: {exc}") from None
+            raise ValueError(f"{pool_path} row {lineno}: {exc}") from None
         rows.setdefault(labels[team], []).append((sobs, sproc))
     for label in TERCILES:
         if label in labels.values() and label not in rows:
-            raise PipelineError(f"tercile {label!r} has no converged noise "
-                                f"estimates; rerun the `noise` command")
+            raise ValueError(f"tercile {label!r} has no converged noise "
+                             f"estimates; rerun the `noise` command")
     pools = {label: np.array(pool) for label, pool in rows.items()}
     return {team: pools[label] for team, label in labels.items()}
 
@@ -513,11 +505,12 @@ def _initial_states(season, league, pools):
     states = []
     for team in league.teams:
         if team not in season:
-            raise PipelineError(f"team {team!r} has no games in the log; "
-                                f"cannot build an initial state")
+            raise ValueError(f"team {team!r} has no games in the log; "
+                             f"cannot build an initial state")
         if team not in pools:
-            raise PipelineError(f"team {team!r} has no tercile assignment; "
-                                f"rerun the `noise` command")
+            raise ValueError(f"team {team!r} has no row in terciles.csv: "
+                             f"`noise` skips a team whose ERA series is "
+                             f"shorter than --window-length")
         states.append(TeamSimState(
             team=team, wins=season[team].wins, losses=season[team].losses,
             batting=season[team].batting,
@@ -531,11 +524,11 @@ def _read_draw_matrix(cfg: RunConfig) -> np.ndarray:
     for lineno, values in csv_rows(path, dict.fromkeys(PARAM_NAMES, float),
                                    "draws"):
         if not all(map(math.isfinite, values)):
-            raise PipelineError(f"{path} row {lineno}: posterior draws must "
-                                f"be finite, got {values}")
+            raise ValueError(f"{path} row {lineno}: posterior draws must "
+                             f"be finite, got {values}")
         rows.append(values)
     if not rows:
-        raise PipelineError(f"{path}: no posterior draws; rerun `fit`")
+        raise ValueError(f"{path}: no posterior draws; rerun `fit`")
     return np.array(rows)
 
 
@@ -559,14 +552,13 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
             raise UsageError(f"histogram team {team!r} is not in the league "
                              f"structure")
 
+    played = {team: season[team].games for team in league.teams}
     if cfg.schedule:
         schedule = read_schedule_csv(
             _open_input(cfg.schedule, "schedule file"))
-        issues = _schedule_issues(schedule, league, season)
-        if issues:
-            raise PipelineError(f"{cfg.schedule}: {issues[0]}")
+        if issues := _schedule_issues(schedule, league, played):
+            raise ValueError(f"{cfg.schedule}: {issues[0]}")
     else:
-        played = {t: season[t].games for t in league.teams}
         schedule = generate_schedule(league, played, seed=cfg.seed)
 
     results = run_replications(cfg.replications, states, schedule, draws,
@@ -634,22 +626,22 @@ def _read_replication_results(path) -> SeasonResults:
             path, {"replication": int, "team": str, "wins": int,
                    "qualified": int}, "replication results"):
         if qualified not in (0, 1):
-            raise PipelineError(f"{path} row {lineno}: qualified must be 0 "
-                                f"or 1, got {qualified}")
+            raise ValueError(f"{path} row {lineno}: qualified must be 0 "
+                             f"or 1, got {qualified}")
         if (rep, team) in cells:
-            raise PipelineError(f"{path} row {lineno}: a second row for "
-                                f"team {team!r} in replication {rep}")
+            raise ValueError(f"{path} row {lineno}: a second row for "
+                             f"team {team!r} in replication {rep}")
         cells[rep, team] = (wins, qualified == 1)
         first_row.setdefault(rep, lineno)
     if not cells:
-        raise PipelineError(f"{path}: no replication rows; rerun `simulate`")
+        raise ValueError(f"{path}: no replication rows; rerun `simulate`")
     reps, teams = sorted(first_row), sorted({team for _, team in cells})
     for rep in reps:
         for team in teams:
             if (rep, team) not in cells:
-                raise PipelineError(f"{path} row {first_row[rep]}: "
-                                    f"replication {rep} has no row for team "
-                                    f"{team!r}")
+                raise ValueError(f"{path} row {first_row[rep]}: "
+                                 f"replication {rep} has no row for team "
+                                 f"{team!r}")
     table = np.array([[cells[rep, team] for team in teams] for rep in reps])
     return SeasonResults(teams=tuple(teams), wins=table[..., 0],
                          qualified=table[..., 1] == 1)
@@ -733,9 +725,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -83,16 +83,6 @@ class GameLog:
 
 
 @dataclass(frozen=True)
-class DatasetFilter:
-    """Which games train the fit: with date_window, those inside
-    TRAINING_WINDOW of their own season; and those where both teams have
-    played at least min_games_played games before."""
-
-    date_window: bool = True
-    min_games_played: int = 0
-
-
-@dataclass(frozen=True)
 class TeamSeason:
     """One team's latest season in a game log: its record, its own starter
     ERA game by game in date order, and its latest pregame batting average."""
@@ -328,19 +318,19 @@ def derive_pregame_records(columns: dict) -> GameLog:
                       "away_record": record[:, 1]})
 
 
-def filter_training_window(log: GameLog, flt: DatasetFilter) -> GameLog:
-    """The games of a log that pass the filter. Order-preserving and
-    idempotent."""
-    keep = np.ones(len(log), dtype=bool)
-    if flt.date_window:
-        season = _seasons(log.date)
-        start, end = ((season + np.timedelta64(month - 1, "M")).astype(
-            "datetime64[D]") + (day - 1) for month, day in TRAINING_WINDOW)
-        keep &= (start <= log.date) & (log.date <= end)
-    if flt.min_games_played > 0:
+def filter_training_window(log: GameLog,
+                           min_games_played: int | None = None) -> GameLog:
+    """The games of a log that train the fit: with min_games_played None,
+    those inside TRAINING_WINDOW of their own season; otherwise those where
+    both teams have played at least min_games_played games before.
+    Order-preserving and idempotent."""
+    if min_games_played is not None:
         played = np.minimum(log.home_record.sum(1), log.away_record.sum(1))
-        keep &= played >= flt.min_games_played
-    return log.take(keep)
+        return log.take(played >= min_games_played)
+    season = _seasons(log.date)
+    start, end = ((season + np.timedelta64(month - 1, "M")).astype(
+        "datetime64[D]") + (day - 1) for month, day in TRAINING_WINDOW)
+    return log.take((start <= log.date) & (log.date <= end))
 
 
 def require_games(log: GameLog) -> GameLog:
@@ -358,7 +348,7 @@ def latest_season(log: GameLog) -> dict[str, TeamSeason]:
     season = _seasons(require_games(log).date)
     latest = log.take(season == season.max())
     teams = {}
-    for team in np.unique(np.concatenate([latest.home, latest.away])):
+    for team in sorted({*latest.home.tolist(), *latest.away.tolist()}):
         at_home = latest.home == team
         plays = at_home | (latest.away == team)
         last = np.flatnonzero(plays)[-1]

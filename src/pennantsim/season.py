@@ -128,14 +128,15 @@ class LeagueStructure:
         object.__setattr__(self, "_by_team", by_team)
 
     @classmethod
-    def from_rows(cls, rows, season_length: int = 162) -> "LeagueStructure":
-        """Build from (league, division, team) triples."""
+    def from_rows(cls, rows, **fields) -> "LeagueStructure":
+        """Build from (league, division, team) triples; fields sets the
+        other fields (season_length)."""
         divisions: dict[str, dict[str, list[str]]] = {}
         for lg, div, team in rows:
             divisions.setdefault(lg, {}).setdefault(div, []).append(team)
         frozen = {lg: {div: tuple(teams) for div, teams in divs.items()}
                   for lg, divs in divisions.items()}
-        return cls(divisions=frozen, season_length=season_length)
+        return cls(divisions=frozen, **fields)
 
     @property
     def teams(self) -> tuple[str, ...]:
@@ -440,6 +441,24 @@ SCHEDULE_START = datetime.date(2024, 8, 1)   # a synthetic schedule's first day
 DIVISION_WEIGHT = 0.6
 
 
+def season_overruns(league: LeagueStructure, played: dict[str, int],
+                    scheduled: dict[str, int] | None = None) -> list[str]:
+    """A message for each team, in sorted order, whose games played (0
+    when absent from played) plus its games in scheduled exceed the
+    league's season length; every league team is checked, and every team
+    in scheduled."""
+    scheduled, length, issues = scheduled or {}, league.season_length, []
+    for team in sorted(set(league.teams) | scheduled.keys()):
+        n, more = played.get(team, 0), scheduled.get(team, 0)
+        if team in scheduled and n + more > length:
+            issues.append(f"{team} has {n} played + {more} scheduled = "
+                          f"{n + more} games, over the {length}-game season")
+        elif n > length:
+            issues.append(f"{team} has played {n} games, more than the "
+                          f"{length}-game season")
+    return issues
+
+
 def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
                       seed: int) -> Schedule:
     """Synthetic remaining-season schedule when no real one is available.
@@ -449,14 +468,10 @@ def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
     — until every team reaches the season length.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5CED)))
-    need = {}
-    for team in league.teams:
-        played = games_played.get(team, 0)
-        remaining = league.season_length - played
-        if remaining < 0:
-            raise ValueError(f"{team} has played {played} games, more than "
-                             f"the {league.season_length}-game season")
-        need[team] = remaining
+    if overruns := season_overruns(league, games_played):
+        raise ValueError(overruns[0])
+    need = {team: league.season_length - games_played.get(team, 0)
+            for team in league.teams}
     if sum(need.values()) % 2:
         raise ValueError("total remaining games is odd; cannot pair teams")
 
@@ -496,7 +511,9 @@ def read_schedule_csv(path) -> Schedule:
     return Schedule(games=tuple(games))
 
 
-def read_league_csv(path, season_length: int = 162) -> LeagueStructure:
+def read_league_csv(path, **fields) -> LeagueStructure:
+    """The league file's structure; fields sets the structure's other
+    fields (season_length)."""
     rows, first = [], {}    # team -> (its row, (league, division))
     for lineno, (lg, div, team) in csv_rows(
             path, dict.fromkeys(("league", "division", "team"), str),
@@ -511,6 +528,6 @@ def read_league_csv(path, season_length: int = 162) -> LeagueStructure:
     if not rows:
         raise ValueError(f"{path}: no teams in league file")
     try:
-        return LeagueStructure.from_rows(rows, season_length=season_length)
+        return LeagueStructure.from_rows(rows, **fields)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -22,6 +22,8 @@ import pytest
 from pennantsim.cli import RunConfig, build_parser, main, resolve_config
 from pennantsim.gamelog import latest_season, parse_game_log
 from pennantsim.kalman import sliding_noise_estimates
+from pennantsim.mcmc import ChainConfig, PriorConfig
+from pennantsim.season import LeagueStructure, SimOptions, read_league_csv
 
 from cli_fixtures import (write_constant_log_file, write_game_log_file,
                           write_league_file, write_recovery_log_file)
@@ -172,6 +174,20 @@ def test_over_season_schedule_refused_by_validate_and_simulate(
         *(f"issue: schedule: {issue}" for issue in over), "2 issue(s) found"]
     assert main(["simulate", *args, "--replications", "2"]) == 3
     assert capsys.readouterr().err == f"error: {sched}: {over[0]}\n"
+
+
+def test_validate_without_schedule_checks_the_season_length(pipeline,
+                                                            capsys):
+    # every team has played 32 games, past a 30-game season: with no
+    # schedule, validate lists each team and simulate refuses the first
+    args = [*pipeline["common"], "--season-length", "30"]
+    over = [f"{team} has played 32 games, more than the 30-game season"
+            for team in sorted(pipeline["teams"])]
+    assert main(["validate", *args]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"issue: game log: {issue}" for issue in over), "30 issue(s) found"]
+    assert main(["simulate", *args, "--replications", "2"]) == 3
+    assert capsys.readouterr().err == f"error: {over[0]}\n"
 
 
 def mid_season_args(pipeline, tmp_path, precomputed, rounds=10):
@@ -487,6 +503,27 @@ def test_noise_short_series_warned_and_skipped(tmp_path, capsys):
     assert teams == {"A", "B", "E", "F"}
 
 
+def test_simulate_names_the_team_noise_skipped(pipeline, tmp_path, capsys):
+    # without the log's last game its two teams have 31 ERAs, below a
+    # 32-game window: noise skips them, and simulate says so rather than
+    # asking for a rerun that would skip them again
+    *rows, last = (pipeline["base"] / "log.csv").read_text().splitlines()
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join(rows) + "\n")
+    first = min(last.split(",")[1:3])
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(pipeline["out"] / "draws.csv", out / "draws.csv")
+    args = ["--game-log", str(log), "--out", str(out),
+            "--league", str(pipeline["base"] / "league.csv")]
+    assert main(["noise", *args, "--window-length", "32"]) == 0
+    assert f"warning: {first}: series length 31" in capsys.readouterr().err
+    assert main(["simulate", *args, "--replications", "2"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: team {first!r} has no row in terciles.csv: `noise` skips a "
+        f"team whose ERA series is shorter than --window-length\n")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -728,11 +765,10 @@ def test_missing_tercile_is_named_in_tercile_order(tmp_path):
         "team,window_start,sigma_obs,sigma_process,converged\n"
         "A,0,0.4,0.05,1\n")
     probe = ("import sys\n"
-             "from pennantsim.cli import (PipelineError, RunConfig,\n"
-             "                            _load_noise_artifacts)\n"
+             "from pennantsim.cli import RunConfig, _load_noise_artifacts\n"
              "try:\n"
              "    _load_noise_artifacts(RunConfig(out=sys.argv[1]))\n"
-             "except PipelineError as exc:\n"
+             "except ValueError as exc:\n"
              "    print(exc)\n")
     src = Path(__file__).resolve().parent.parent / "src"
     errors = set()
@@ -970,6 +1006,20 @@ def test_bad_setting_value_is_usage_error(capsys):
     assert "jobs must be >= 1" in capsys.readouterr().err
 
 
+def test_library_records_own_the_defaults(tmp_path):
+    # RunConfig's defaults are the library records' own, so a release gate
+    # built on SimOptions() or PriorConfig() runs what simulate and fit run
+    cfg = RunConfig()
+    assert cfg.prior_config() == PriorConfig()
+    assert cfg.chain_config() == ChainConfig()
+    assert cfg.sim_options() == SimOptions()
+    write_league_file(tmp_path / "league.csv")
+    assert read_league_csv(tmp_path / "league.csv").season_length \
+        == cfg.season_length
+    assert LeagueStructure.from_rows([("E", "N", "A")]).season_length \
+        == cfg.season_length
+
+
 def test_jobs_default_without_affinity_call(monkeypatch):
     # macOS and Windows have no sched_getaffinity: every core counts
     monkeypatch.delattr(os, "sched_getaffinity")
@@ -1027,6 +1077,7 @@ def test_window_below_noise_minimum_is_usage_error(tmp_path, capsys, value):
     (["fit", "--iterations", "100", "--burn-in", "200"], "burn_in"),
     (["fit", "--r-max", "inf"], "r_max"),
     (["simulate", "--walk-std", "nan"], "step_std"),
+    (["fit", "--proposal-std", "0"], "proposal_std"),
 ])
 def test_domain_config_value_is_usage_error(pipeline, tmp_path, capsys, argv,
                                             named):

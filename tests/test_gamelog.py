@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from oracles import pregame_records, win_pct
 from pennantsim.gamelog import (
     DEFAULT_WIN_PCT,
-    DatasetFilter,
     filter_training_window,
     latest_season,
     parse_game_log,
@@ -350,13 +349,10 @@ def games_on(*dates, prior_games=None):
                  for home, away in prior_games])
 
 
-GAMES_PLAYED_50 = DatasetFilter(date_window=False, min_games_played=50)
-
-
 def test_filter_window_is_inclusive():
     log = games_on(datetime.date(2024, 5, 19), datetime.date(2024, 5, 20),
                    datetime.date(2024, 8, 20), datetime.date(2024, 8, 21))
-    kept = filter_training_window(log, DatasetFilter()).date.tolist()
+    kept = filter_training_window(log).date.tolist()
     assert [d.day for d in kept] == [20, 20]
     assert [d.month for d in kept] == [5, 8]
 
@@ -364,7 +360,7 @@ def test_filter_window_is_inclusive():
 def test_filter_applies_per_season_year():
     log = games_on(datetime.date(2023, 6, 1), datetime.date(2024, 6, 1),
                    datetime.date(2024, 11, 1))
-    kept = filter_training_window(log, DatasetFilter()).date.tolist()
+    kept = filter_training_window(log).date.tolist()
     assert [d.year for d in kept] == [2023, 2024]
 
 
@@ -372,23 +368,23 @@ def test_filter_min_games_drops_early_rows():
     log = games_on(datetime.date(2024, 6, 1), datetime.date(2024, 6, 2),
                    datetime.date(2024, 6, 3),
                    prior_games=[(49, 55), (50, 55), (58, 12)])
-    kept = filter_training_window(log, GAMES_PLAYED_50).date.tolist()
+    kept = filter_training_window(log, 50).date.tolist()
     assert [d.day for d in kept] == [2]
 
 
 def test_filter_idempotent_and_order_preserving():
     log = games_on(*[datetime.date(2024, 6, d) for d in (1, 3, 9)])
     # (every game inside the window: all are kept, in file order)
-    once = filter_training_window(log, DatasetFilter())
-    twice = filter_training_window(once, DatasetFilter())
+    once = filter_training_window(log)
+    twice = filter_training_window(once)
     assert columns(once) == columns(log)
     assert columns(twice) == columns(once)
 
 
 def test_filter_empty_input():
     empty = make_log()
-    for flt in (DatasetFilter(), GAMES_PLAYED_50):
-        assert len(filter_training_window(empty, flt)) == 0
+    for min_games_played in (None, 50):
+        assert len(filter_training_window(empty, min_games_played)) == 0
 
 
 # ---------------------------------------------------------------------------

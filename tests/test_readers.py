@@ -96,10 +96,9 @@ def test_game_log_parser_parses_or_names_the_row(data, header):
                         "<stream>")
     if isinstance(log, ValueError):
         return
-    for mode in ("date-window", "games-played"):
-        flt = RunConfig(filter_mode=mode).training_filter()
-        read_or_error(lambda table: filter_training_window(table, flt),
-                      log, "<stream>")
+    for min_games_played in (None, RunConfig().min_games):
+        read_or_error(lambda table: filter_training_window(
+            table, min_games_played), log, "<stream>")
 
 
 # ---------------------------------------------------------------------------
