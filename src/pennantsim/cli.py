@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 validation/diagnostic failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import typing
@@ -20,8 +19,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .gamelog import (csv_rows, filter_training_window, latest_season,
-                      parse_game_log, require_games)
+from .gamelog import (count, csv_rows, filter_training_window, finite,
+                      latest_season, nonnegative, one_of, parse_game_log,
+                      require_games, team_code)
 from .kalman import (MIN_WINDOW, TERCILES, NoiseParams, filter_series,
                      group_terciles, sliding_noise_estimates)
 from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
@@ -256,9 +256,9 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
                                      season_length=cfg.season_length)
         except (ValueError, OSError) as exc:
             issues.append(f"league: {exc}")
+    known = set(league.teams) if league else None
     if cfg.game_log:
         try:
-            known = set(league.teams) if league else None
             log = require_games(parse_game_log(
                 _open_input(cfg.game_log, "game log"), known_teams=known))
         except (ValueError, OSError) as exc:
@@ -266,18 +266,16 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
     if cfg.schedule:
         try:
             schedule = read_schedule_csv(
-                _open_input(cfg.schedule, "schedule file"))
+                _open_input(cfg.schedule, "schedule file"), known_teams=known)
         except (ValueError, OSError) as exc:
             issues.append(f"schedule: {exc}")
-    if league is not None:
-        played = None if log is None else {
-            team: season.games for team, season in latest_season(log).items()}
-        if schedule is not None:
-            issues += [f"schedule: {issue}" for issue
-                       in _schedule_issues(schedule, league, played)]
-        elif played is not None:
-            issues += [f"game log: {issue}" for issue
-                       in season_overruns(league, played)]
+    if league is not None and log is not None:
+        played = {team: season.games
+                  for team, season in latest_season(log).items()}
+        source, scheduled = ("game log", None) if schedule is None \
+            else ("schedule", schedule.games_per_team())
+        issues += [f"{source}: {issue}"
+                   for issue in season_overruns(league, played, scheduled)]
     if not (cfg.league or cfg.game_log or cfg.schedule):
         issues.append("nothing to validate: no league, game log, or schedule "
                       "configured")
@@ -289,19 +287,6 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
         return EXIT_INVALID
     print("no issues found")
     return EXIT_OK
-
-
-def _schedule_issues(schedule, league, played) -> list:
-    """Each game's team missing from the league, then, unless played (games
-    played by team) is None, each team the schedule takes past the
-    league's season length (`season_overruns`)."""
-    known = set(league.teams)
-    issues = [f"team {team!r} on {game.date} missing from league structure"
-              for game in schedule.games for team in (game.home, game.away)
-              if team not in known]
-    if played is not None:
-        issues += season_overruns(league, played, schedule.games_per_team())
-    return issues
 
 
 # ---------------------------------------------------------------------------
@@ -457,23 +442,18 @@ def _load_noise_artifacts(cfg: RunConfig) -> dict[str, np.ndarray]:
     rows: dict[str, list[tuple[float, float]]] = {}
     labels: dict[str, str] = {}
     for lineno, (team, label, _) in csv_rows(
-            terc_path, {"team": str, "tercile": str, "early_era": float},
-            "terciles"):
+            terc_path, {"team": team_code(), "tercile": one_of(*TERCILES),
+                        "early_era": finite}, "terciles"):
         if team in labels:
             raise ValueError(f"{terc_path} row {lineno}: a second row "
                              f"for team {team!r}")
-        if label not in TERCILES:
-            raise ValueError(f"{terc_path} row {lineno}: tercile must be "
-                             f"one of {', '.join(TERCILES)}, got {label!r}")
         labels[team] = label
     windows = set()   # (team, window_start)
-    for lineno, (team, start, sobs, sproc, conv) in csv_rows(
-            pool_path, {"team": str, "window_start": int, "sigma_obs": float,
-                        "sigma_process": float, "converged": int},
-            "noise estimates"):
-        if conv != 1:
-            raise ValueError(f"{pool_path} row {lineno}: converged must "
-                             f"be 1 (converged windows only), got {conv}")
+    for lineno, (team, start, sobs, sproc, _) in csv_rows(
+            pool_path, {"team": team_code(), "window_start": count,
+                        "sigma_obs": nonnegative,
+                        "sigma_process": nonnegative,
+                        "converged": one_of("1")}, "noise estimates"):
         if team not in labels:
             raise ValueError(f"{pool_path} row {lineno}: team {team!r} "
                              f"has no tercile assignment")
@@ -481,10 +461,6 @@ def _load_noise_artifacts(cfg: RunConfig) -> dict[str, np.ndarray]:
             raise ValueError(f"{pool_path} row {lineno}: a second row "
                              f"for team {team!r} window_start {start}")
         windows.add((team, start))
-        try:
-            NoiseParams(sobs, sproc)   # each sigma finite and >= 0
-        except ValueError as exc:
-            raise ValueError(f"{pool_path} row {lineno}: {exc}") from None
         rows.setdefault(labels[team], []).append((sobs, sproc))
     for label in TERCILES:
         if label in labels.values() and label not in rows:
@@ -520,13 +496,8 @@ def _initial_states(season, league, pools):
 
 def _read_draw_matrix(cfg: RunConfig) -> np.ndarray:
     path = _artifact(cfg, "draws.csv", "fit")
-    rows = []
-    for lineno, values in csv_rows(path, dict.fromkeys(PARAM_NAMES, float),
-                                   "draws"):
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{path} row {lineno}: posterior draws must "
-                             f"be finite, got {values}")
-        rows.append(values)
+    rows = [values for _, values in csv_rows(
+        path, dict.fromkeys(PARAM_NAMES, finite), "draws")]
     if not rows:
         raise ValueError(f"{path}: no posterior draws; rerun `fit`")
     return np.array(rows)
@@ -537,26 +508,25 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
                            "league")
     league = read_league_csv(_open_input(league_path, "league file"),
                              season_length=cfg.season_length)
+    known = set(league.teams)
+    hist_teams = list(dict.fromkeys(extras.histogram or []))
+    for team in hist_teams:
+        if team not in known:
+            raise UsageError(f"histogram team {team!r} is not in the league "
+                             f"structure")
     log_path = _require(cfg.game_log, "simulate", "a game log", "game_log")
-    log = parse_game_log(_open_input(log_path, "game log"),
-                         known_teams=set(league.teams))
+    log = parse_game_log(_open_input(log_path, "game log"), known_teams=known)
     draws = _read_draw_matrix(cfg)
     pools = _load_noise_artifacts(cfg)
     season = latest_season(log)
     states = _initial_states(season, league, pools)
 
-    hist_teams = list(dict.fromkeys(extras.histogram or []))
-    known = set(league.teams)
-    for team in hist_teams:
-        if team not in known:
-            raise UsageError(f"histogram team {team!r} is not in the league "
-                             f"structure")
-
     played = {team: season[team].games for team in league.teams}
     if cfg.schedule:
         schedule = read_schedule_csv(
-            _open_input(cfg.schedule, "schedule file"))
-        if issues := _schedule_issues(schedule, league, played):
+            _open_input(cfg.schedule, "schedule file"), known_teams=known)
+        if issues := season_overruns(league, played,
+                                     schedule.games_per_team()):
             raise ValueError(f"{cfg.schedule}: {issues[0]}")
     else:
         schedule = generate_schedule(league, played, seed=cfg.seed)
@@ -623,15 +593,12 @@ def _read_replication_results(path) -> SeasonResults:
     cells = {}        # (replication, team) -> (wins, qualified)
     first_row = {}    # replication -> its first row
     for lineno, (rep, team, wins, qualified) in csv_rows(
-            path, {"replication": int, "team": str, "wins": int,
-                   "qualified": int}, "replication results"):
-        if qualified not in (0, 1):
-            raise ValueError(f"{path} row {lineno}: qualified must be 0 "
-                             f"or 1, got {qualified}")
+            path, {"replication": count, "team": team_code(), "wins": count,
+                   "qualified": one_of("0", "1")}, "replication results"):
         if (rep, team) in cells:
             raise ValueError(f"{path} row {lineno}: a second row for "
                              f"team {team!r} in replication {rep}")
-        cells[rep, team] = (wins, qualified == 1)
+        cells[rep, team] = (wins, qualified == "1")
         first_row.setdefault(rep, lineno)
     if not cells:
         raise ValueError(f"{path}: no replication rows; rerun `simulate`")

@@ -1,4 +1,5 @@
-"""Input files: the one CSV reader, and the game log from its file to the fit.
+"""Input files: the one CSV reader, its field converters, and the game log
+from its file to the fit.
 
 Two input shapes are accepted. The precomputed shape carries pregame win
 percentages directly; the raw shape carries final run totals instead, and
@@ -6,6 +7,8 @@ win percentages are reconstructed from each team's W-L record entering the
 game. Batting average and starter ERA must be supplied either way —
 rebuilding them would need box scores, which are out of scope.
 
+Every reader converts and checks each field in one loop, by its column's
+converter, and reports a problem as `{file} row N, column 'C': {problem}`.
 The parser is the one place a log is checked: every value's format, range
 and finiteness, the team codes and the date order. Everything downstream
 takes the `GameLog` it returns as valid.
@@ -29,21 +32,6 @@ PRECOMPUTED_COLUMNS = ("date", "home", "away", "home_won",
 RAW_COLUMNS = ("date", "home", "away", "home_runs", "away_runs",
                "home_avg_pre", "away_avg_pre", "home_era_pre", "away_era_pre")
 RECORD_COLUMNS = ("home_record_pre", "away_record_pre")
-
-
-# range checks: (test, what a value failing it is)
-_WIN_PCT = (lambda value: 0.0 <= value <= 1.0, "out of [0, 1]")
-_BATTING = (lambda value: 0.0 < value < 1.0, "out of (0, 1)")
-_ERA = (lambda value: value >= 0.0, "negative")
-# statistic column -> (GameLog field, test, problem)
-STAT_COLUMNS = {
-    "home_winpct_pre": ("home_win_pct", *_WIN_PCT),
-    "away_winpct_pre": ("away_win_pct", *_WIN_PCT),
-    "home_avg_pre": ("home_batting_avg", *_BATTING),
-    "away_avg_pre": ("away_batting_avg", *_BATTING),
-    "home_era_pre": ("home_era", *_ERA),
-    "away_era_pre": ("away_era", *_ERA),
-}
 
 DEFAULT_WIN_PCT = 0.5  # season openers: no prior games to take a rate from
 # The paper's training window in each season, inclusive: May 20 to Aug 20.
@@ -101,28 +89,6 @@ class TeamSeason:
 # parsing
 
 
-def _fail(source, lineno, column, problem):
-    raise ValueError(f"{source} row {lineno}, column {column!r}: {problem}")
-
-
-def _parse_float(raw, source, lineno, column):
-    try:
-        value = float(raw)
-    except ValueError:
-        _fail(source, lineno, column, f"unparseable value {raw!r}")
-    if not math.isfinite(value):
-        _fail(source, lineno, column, f"non-finite value {raw!r}")
-    return value
-
-
-def _parse_record(raw, source, lineno, column):
-    parts = raw.split("-")
-    if len(parts) == 2 and parts[0].strip().isdecimal() \
-            and parts[1].strip().isdecimal():
-        return int(parts[0]), int(parts[1])
-    _fail(source, lineno, column, f"expected WINS-LOSSES, got {raw!r}")
-
-
 def _read_rows(source):
     """Split a CSV file at a path (read as UTF-8, skipping a leading
     byte-order mark) or in a text stream: yields its name, header line and
@@ -157,35 +123,146 @@ def _read_rows(source):
 
 def csv_rows(source, columns: dict, what: str):
     """(line number, values) for each data row of a CSV file whose header
-    names the given columns, each converted by the type columns maps it to;
-    an empty or unconvertible field is an error naming the row."""
+    names the given columns, each field converted by the function columns
+    maps its column to (see `_converted`)."""
     rows = _read_rows(source)
     name, _, header = next(rows)
     if not set(columns) <= set(header):
         raise ValueError(f"{name}: {what} header must contain "
                          f"{sorted(columns)}")
+    yield from _converted(name, header, rows, columns)
+
+
+def _converted(name, header, rows, columns):
+    """(line number, values) for each of rows, `_read_rows`' data rows under
+    header: each of columns' fields converted by its function, in columns'
+    order. The ValueError a function raises is the problem reported with
+    the file, the row and the column."""
     at = {column: i for i, column in enumerate(header)}   # last one wins
+    plan = [(column, at[column], convert)
+            for column, convert in columns.items()]
     for lineno, fields in rows:
         values = []
-        for column, kind in columns.items():
-            field = fields[at[column]]
-            if not field:
-                raise ValueError(f"{name} row {lineno}: missing {column}")
+        for column, i, convert in plan:
             try:
-                values.append(kind(field))
-            except ValueError:
-                raise ValueError(f"{name} row {lineno}: bad {column} "
-                                 f"{field!r}") from None
+                values.append(convert(fields[i]))
+            except ValueError as exc:
+                raise ValueError(f"{name} row {lineno}, column {column!r}: "
+                                 f"{exc}") from None
         yield lineno, values
 
 
+# Converters: each takes a stripped field and returns its value, or raises
+# ValueError with the problem.
+
+
 @lru_cache(maxsize=1024)   # a log repeats each date for every game that day
-def parse_date(text: str) -> datetime.date:
+def parse_date(field: str) -> datetime.date:
     """A YYYY-MM-DD date, the one form taken on every Python version."""
-    date = datetime.date.fromisoformat(text)
-    if date.isoformat() != text:
-        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
-    return date
+    try:
+        date = datetime.date.fromisoformat(field)
+        if date.isoformat() == field:
+            return date
+    except ValueError:
+        pass
+    raise ValueError(f"bad date {field!r}")
+
+
+def team_code(known_teams=None):
+    """The converter of a team code: any nonempty field, or with
+    known_teams given, one in the set."""
+    def convert(field):
+        if not field:
+            raise ValueError("empty team code")
+        if known_teams is not None and field not in known_teams:
+            raise ValueError(f"unknown team {field!r}")
+        return field
+    return convert
+
+
+def nonempty(field: str) -> str:
+    if not field:
+        raise ValueError("empty value")
+    return field
+
+
+def one_of(*choices):
+    """The converter of a field that must be one of choices."""
+    def convert(field):
+        if field not in choices:
+            raise ValueError(f"expected {' or '.join(choices)}, "
+                             f"got {field!r}")
+        return field
+    return convert
+
+
+def count(field: str) -> int:
+    if not field.isdecimal():
+        raise ValueError(f"expected a nonnegative integer, got {field!r}")
+    return int(field)
+
+
+def finite(field: str) -> float:
+    try:
+        value = float(field)
+    except ValueError:
+        raise ValueError(f"unparseable value {field!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {field!r}")
+    return value
+
+
+def bounded(in_range, problem: str):
+    """The converter of a finite number that in_range accepts; problem is
+    what a number it refuses is."""
+    def convert(field):
+        value = finite(field)
+        if not in_range(value):
+            raise ValueError(f"{problem}: {value!r}")
+        return value
+    return convert
+
+
+def record(field: str) -> tuple[int, int]:
+    """A WINS-LOSSES record."""
+    parts = field.split("-")
+    if len(parts) == 2 and parts[0].strip().isdecimal() \
+            and parts[1].strip().isdecimal():
+        return int(parts[0]), int(parts[1])
+    raise ValueError(f"expected WINS-LOSSES, got {field!r}")
+
+
+nonnegative = bounded(lambda value: value >= 0.0, "negative")
+_WIN_PCT = bounded(lambda value: 0.0 <= value <= 1.0, "out of [0, 1]")
+_BATTING = bounded(lambda value: 0.0 < value < 1.0, "out of (0, 1)")
+# statistic column -> (GameLog field, converter)
+STAT_COLUMNS = {
+    "home_winpct_pre": ("home_win_pct", _WIN_PCT),
+    "away_winpct_pre": ("away_win_pct", _WIN_PCT),
+    "home_avg_pre": ("home_batting_avg", _BATTING),
+    "away_avg_pre": ("away_batting_avg", _BATTING),
+    "home_era_pre": ("home_era", nonnegative),
+    "away_era_pre": ("away_era", nonnegative),
+}
+# the converter of each game-log column after date, home and away
+LOG_CONVERTERS = {"home_runs": count, "away_runs": count,
+                  "home_won": one_of("0", "1"),
+                  **{column: convert
+                     for column, (_, convert) in STAT_COLUMNS.items()},
+                  **dict.fromkeys(RECORD_COLUMNS, record)}
+
+
+def check_game(name, lineno, previous, date, home, away):
+    """The checks across the fields of a row of games, in a game log or a
+    schedule: its date is not before previous, the last row's (None on
+    the first row), and its two teams differ."""
+    if previous is not None and date < previous:
+        raise ValueError(f"{name} row {lineno}, column 'date': {date} is "
+                         f"before the previous row's {previous}; rows must "
+                         f"be sorted by date")
+    if home == away:
+        raise ValueError(f"{name} row {lineno}, column 'away': home and away "
+                         f"are both {home!r}")
 
 
 def parse_game_log(source, *, known_teams=None) -> GameLog:
@@ -208,69 +285,31 @@ def parse_game_log(source, *, known_teams=None) -> GameLog:
     extra = header[len(base):]
     if extra not in ((), RECORD_COLUMNS):
         raise ValueError(f"{name}: unexpected trailing columns {extra}")
-    stats = {column: [] for column in STAT_COLUMNS if column in header}
-    records = {column: [] for column in extra}
-    dates, homes, aways, home_won = [], [], [], []
-
-    for lineno, values in rows:
-        cell = dict(zip(header, values))
-        try:
-            date = parse_date(cell["date"])
-        except ValueError:
-            _fail(name, lineno, "date", f"bad date {cell['date']!r}")
-        if dates and date < dates[-1]:
-            _fail(name, lineno, "date", f"{date} is before the previous "
-                                        f"row's {dates[-1]}; rows must be "
-                                        f"sorted by date")
-        home, away = cell["home"], cell["away"]
-        for column, team in (("home", home), ("away", away)):
-            if not team:
-                _fail(name, lineno, column, "empty team code")
-            if known_teams is not None and team not in known_teams:
-                _fail(name, lineno, column, f"unknown team {team!r}")
-        if home == away:
-            _fail(name, lineno, "away", f"home and away are both {home!r}")
-
-        if raw_shape:
-            runs = []
-            for column in ("home_runs", "away_runs"):
-                if not cell[column].isdecimal():
-                    _fail(name, lineno, column,
-                          f"expected a nonnegative integer, got {cell[column]!r}")
-                runs.append(int(cell[column]))
-            if runs[0] == runs[1]:
-                _fail(name, lineno, "home_runs",
-                      f"tied score {runs[0]}-{runs[1]} has no winner")
-            won = runs[0] > runs[1]
-        else:
-            flag = cell["home_won"]
-            if flag not in ("0", "1"):
-                _fail(name, lineno, "home_won",
-                      f"expected 0 or 1, got {flag!r}")
-            won = flag == "1"
-        for column, series in stats.items():
-            value = _parse_float(cell[column], name, lineno, column)
-            _, in_range, problem = STAT_COLUMNS[column]
-            if not in_range(value):
-                _fail(name, lineno, column, f"{problem}: {value!r}")
-            series.append(value)
-        for column, series in records.items():
-            series.append(_parse_record(cell[column], name, lineno, column))
-        dates.append(date)
-        homes.append(home)
-        aways.append(away)
-        home_won.append(won)
-
+    team = team_code(known_teams)
+    columns = {"date": parse_date, "home": team, "away": team,
+               **{column: LOG_CONVERTERS[column] for column in header[3:]}}
+    games, previous = [], None
+    for lineno, game in _converted(name, header, rows, columns):
+        check_game(name, lineno, previous, *game[:3])
+        if raw_shape and game[3] == game[4]:
+            raise ValueError(f"{name} row {lineno}, column 'home_runs': tied "
+                             f"score {game[3]}-{game[4]} has no winner")
+        games.append(game)
+        previous = game[0]
+    table = dict(zip(columns, zip(*games))) if games \
+        else dict.fromkeys(columns, ())
     return derive_pregame_records(dict(
         source=name,
-        date=np.array(dates, dtype="datetime64[D]"),
-        home=np.array(homes, dtype=object), away=np.array(aways, dtype=object),
-        home_won=np.array(home_won, dtype=bool),
-        **{STAT_COLUMNS[column][0]: np.array(series, dtype=float)
-           for column, series in stats.items()},
-        **{column.removesuffix("_pre"): np.array(series,
+        date=np.array(table["date"], dtype="datetime64[D]"),
+        home=np.array(table["home"], dtype=object),
+        away=np.array(table["away"], dtype=object),
+        home_won=np.greater(table["home_runs"], table["away_runs"])
+        if raw_shape else np.array(table["home_won"], dtype="U1") == "1",
+        **{field: np.array(table[column], dtype=float)
+           for column, (field, _) in STAT_COLUMNS.items() if column in table},
+        **{column.removesuffix("_pre"): np.array(table[column],
                                                  dtype=int).reshape(-1, 2)
-           for column, series in records.items()}))
+           for column in extra}))
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ the kernel to every writer, and depend on (seed, replications) alone.
 
 from __future__ import annotations
 
-import datetime
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gamelog import csv_rows, parse_date
+from .gamelog import check_game, csv_rows, nonempty, parse_date, team_code
 from .kalman import sample_noise
 from .model import ERA_FLOOR, log_ratios
 from .stats import nearest_rank_quantile
@@ -56,36 +56,21 @@ class TeamSimState:
 
 
 @dataclass(frozen=True)
-class ScheduledGame:
-    date: datetime.date
-    home: str
-    away: str
-
-    def __post_init__(self):
-        if self.home == self.away:
-            raise ValueError(f"{self.date}: team {self.home!r} scheduled "
-                             f"against itself")
-
-
-@dataclass(frozen=True)
 class Schedule:
-    """Remaining unplayed games, ordered by date."""
+    """Remaining unplayed games in the order they are played, each a
+    (home, away) pair of team codes."""
 
-    games: tuple[ScheduledGame, ...]
+    games: tuple[tuple[str, str], ...]
 
     def __len__(self):
         return len(self.games)
 
     @property
     def teams(self) -> set[str]:
-        return {g.home for g in self.games} | {g.away for g in self.games}
+        return {team for game in self.games for team in game}
 
     def games_per_team(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for g in self.games:
-            counts[g.home] = counts.get(g.home, 0) + 1
-            counts[g.away] = counts.get(g.away, 0) + 1
-        return counts
+        return Counter(team for game in self.games for team in game)
 
 
 def _listed_twice(team: str, first: tuple[str, str],
@@ -283,10 +268,12 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         if t not in index:
             raise ValueError(f"no final record for team {t!r}: it has no "
                              f"initial state")
-    for g in schedule.games:
-        if g.home not in index or g.away not in index:
-            raise ValueError(f"scheduled team {g.home if g.home not in index else g.away!r} "
-                             f"has no initial state")
+    unknown = [t for game in schedule.games for t in game if t not in index]
+    if unknown:
+        raise ValueError(f"scheduled team {unknown[0]!r} has no initial state")
+    for home, away in schedule.games:
+        if home == away:
+            raise ValueError(f"team {home!r} scheduled against itself")
     scheduled_teams = schedule.teams
     for s in states:
         if s.team in scheduled_teams and s.games_played < opts.burn_in_games:
@@ -302,7 +289,7 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
 
     predictive = opts.draw_mode == "posterior-predictive"
     path = opts.era_mode == "path"
-    pairs = [(index[g.home], index[g.away]) for g in schedule.games]
+    pairs = [(index[home], index[away]) for home, away in schedule.games]
     n_games = len(pairs)
     order, waves, games_played = _waves(pairs,
                                         [s.games_played for s in states])
@@ -437,7 +424,6 @@ def export_win_histogram(results: SeasonResults,
 # ---------------------------------------------------------------------------
 # schedules and league files
 
-SCHEDULE_START = datetime.date(2024, 8, 1)   # a synthetic schedule's first day
 DIVISION_WEIGHT = 0.6
 
 
@@ -475,7 +461,6 @@ def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
     if sum(need.values()) % 2:
         raise ValueError("total remaining games is odd; cannot pair teams")
 
-    per_day = max(len(league.teams) // 2, 1)
     division = {t: league.membership(t) for t in need}
     games = []
     while pending := [t for t in need if need[t] > 0]:   # in team order
@@ -490,24 +475,23 @@ def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
             else other
         opponent = pool[int(rng.integers(len(pool)))]
         home, away = (team, opponent) if rng.random() < 0.5 else (opponent, team)
-        day = SCHEDULE_START + datetime.timedelta(days=len(games) // per_day)
-        games.append(ScheduledGame(date=day, home=home, away=away))
+        games.append((home, away))
         need[team] -= 1
         need[opponent] -= 1
     return Schedule(games=tuple(games))
 
 
-def read_schedule_csv(path) -> Schedule:
-    games = []
-    columns = {"date": parse_date, "home": str, "away": str}
-    for lineno, (day, home, away) in csv_rows(path, columns, "schedule"):
-        if games and day < games[-1].date:
-            raise ValueError(f"{path} row {lineno}: date {day} is before "
-                             f"the previous row's {games[-1].date}")
-        try:
-            games.append(ScheduledGame(date=day, home=home, away=away))
-        except ValueError as exc:
-            raise ValueError(f"{path} row {lineno}: {exc}") from None
+def read_schedule_csv(path, *, known_teams=None) -> Schedule:
+    """The schedule file's games in file order, which is date order; with
+    known_teams given, team codes outside the set are rejected."""
+    games, previous = [], None
+    team = team_code(known_teams)
+    for lineno, (day, home, away) in csv_rows(
+            path, {"date": parse_date, "home": team, "away": team},
+            "schedule"):
+        check_game(path, lineno, previous, day, home, away)
+        games.append((home, away))
+        previous = day
     return Schedule(games=tuple(games))
 
 
@@ -516,8 +500,8 @@ def read_league_csv(path, **fields) -> LeagueStructure:
     fields (season_length)."""
     rows, first = [], {}    # team -> (its row, (league, division))
     for lineno, (lg, div, team) in csv_rows(
-            path, dict.fromkeys(("league", "division", "team"), str),
-            "league"):
+            path, {"league": nonempty, "division": nonempty,
+                   "team": team_code()}, "league"):
         if team in first:
             row, place = first[team]
             raise ValueError(f"{path} row {lineno}: "

@@ -1,7 +1,7 @@
 """Matchups between copies of two team states, run through the season engine.
 
 K pairs of teams, home copies H0..H(K-1) against away copies A0..A(K-1), each
-pair meeting n times on n consecutive dates. With n = 1 every team plays
+pair meeting n times in a row. With n = 1 every team plays
 exactly once, so one replication is K independent draws of the same game;
 with n > 1 each pair's states evolve over its n games (record, batting walk,
 ERA path) exactly as on a real schedule, and the K pairs are independent
@@ -10,10 +10,9 @@ real schedules.
 """
 
 import dataclasses
-import datetime
 
-from pennantsim.season import (LeagueStructure, Schedule, ScheduledGame,
-                               SimOptions, TeamSimState, run_replications)
+from pennantsim.season import (LeagueStructure, Schedule, SimOptions,
+                               TeamSimState, run_replications)
 
 
 class Matchups:
@@ -30,11 +29,8 @@ class Matchups:
         self.league = LeagueStructure.from_rows(
             [("L", "H", f"H{k}") for k in range(pairs)]
             + [("L", "A", f"A{k}") for k in range(pairs)])
-        first = datetime.date(2024, 8, 1)
         self.schedule = Schedule(games=tuple(
-            ScheduledGame(first + datetime.timedelta(days=j), f"H{k}",
-                          f"A{k}")
-            for j in range(games) for k in range(pairs)))
+            (f"H{k}", f"A{k}") for _ in range(games) for k in range(pairs)))
         self._copies = {}    # prefix -> (state, its renamed copies)
         # results columns are the sorted team names: H10 precedes H2
         column = {t: j for j, t in enumerate(self.league.teams)}

@@ -72,12 +72,18 @@ def test_validate_clean_inputs(pipeline, capsys):
 
 
 def test_validate_schedule_with_unknown_team(pipeline, capsys, tmp_path):
+    # the schedule reader checks its teams against the league file, and
+    # both commands name the row and the column
     sched = tmp_path / "sched.csv"
-    sched.write_text("date,home,away\n2024-09-01,EN0,ZZZ\n")
-    code = main(["validate", *pipeline["common"], "--schedule", str(sched)])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "'ZZZ'" in out and "missing from league structure" in out
+    sched.write_text("date,home,away\n2024-09-01,EN0,EN1\n"
+                     "2024-09-01,EN2,ZZZ\n")
+    problem = f"{sched} row 3, column 'away': unknown team 'ZZZ'"
+    args = [*pipeline["common"], "--schedule", str(sched)]
+    assert main(["validate", *args]) == 1
+    assert capsys.readouterr().out == \
+        f"issue: schedule: {problem}\n1 issue(s) found\n"
+    assert main(["simulate", *args, "--replications", "2"]) == 3
+    assert capsys.readouterr().err == f"error: {problem}\n"
 
 
 def test_validate_duplicate_team_in_league(tmp_path, capsys):
@@ -93,11 +99,11 @@ def test_short_league_row_is_a_row_error(pipeline, tmp_path, capsys):
     league = tmp_path / "league.csv"
     league.write_text("league,division,team\nE,N\n")
     assert main(["validate", "--league", str(league)]) == 1
-    assert "row 2: missing team" in capsys.readouterr().out
+    assert "row 2, column 'team': empty team code" in capsys.readouterr().out
     args = [str(league) if a == str(pipeline["base"] / "league.csv") else a
             for a in pipeline["common"]]
     assert main(["simulate", *args, "--replications", "2"]) == 3
-    assert "row 2: missing team" in capsys.readouterr().err
+    assert "row 2, column 'team': empty team code" in capsys.readouterr().err
 
 
 def test_short_schedule_row_is_a_row_error(pipeline, tmp_path, capsys):
@@ -106,10 +112,10 @@ def test_short_schedule_row_is_a_row_error(pipeline, tmp_path, capsys):
     assert main(["validate", *pipeline["common"], "--schedule",
                  str(sched)]) == 1
     out = capsys.readouterr().out
-    assert "row 2: missing away" in out and "None" not in out
+    assert "row 2, column 'away': empty team code" in out and "None" not in out
     assert main(["simulate", *pipeline["common"], "--replications", "2",
                  "--schedule", str(sched)]) == 3
-    assert "row 2: missing away" in capsys.readouterr().err
+    assert "row 2, column 'away': empty team code" in capsys.readouterr().err
 
 
 def with_bad_field(pipeline, tmp_path, kind, field):
@@ -673,6 +679,18 @@ def test_simulate_unknown_histogram_team(pipeline, capsys):
     assert "'NOPE'" in capsys.readouterr().err
 
 
+def test_unknown_histogram_team_is_a_usage_error_without_artifacts(
+        pipeline, tmp_path, capsys):
+    # the usage check runs right after the league read, so an --out with
+    # no fit or noise artifacts does not turn it into a runtime error
+    empty = tmp_path / "empty"
+    args = [str(empty) if a == str(pipeline["out"]) else a
+            for a in pipeline["common"]]
+    assert main(["simulate", *args, "--histogram", "ZZZ"]) == 2
+    assert capsys.readouterr().err == \
+        "error: histogram team 'ZZZ' is not in the league structure\n"
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -694,16 +712,25 @@ def test_report_missing_results(tmp_path, capsys):
 
 def edited_artifacts(pipeline, tmp_path, name, edit):
     """A copy of the pipeline's outputs with edit(lines) applied to one
-    file's lines; returns the file's path and the common arguments."""
+    file's lines; returns the file's path and the common arguments. The
+    file may also be an input: a copy of league.csv, or schedule.csv, a
+    two-game schedule that the arguments pass with --schedule."""
     out = tmp_path / "out"
     shutil.copytree(pipeline["out"], out)
-    path = out / name
+    swap, extra, path = {str(pipeline["out"]): str(out)}, [], out / name
+    if name == "league.csv":
+        path = tmp_path / name
+        shutil.copy(pipeline["base"] / name, path)
+        swap[str(pipeline["base"] / name)] = str(path)
+    elif name == "schedule.csv":
+        path = tmp_path / name
+        path.write_text("date,home,away\n2024-09-01,EN0,EN1\n"
+                        "2024-09-02,EN1,EN0\n")
+        extra = ["--schedule", str(path)]
     lines = path.read_text().splitlines()
     edit(lines)
     path.write_text("\n".join(lines) + "\n")
-    args = [a if a != str(pipeline["out"]) else str(out)
-            for a in pipeline["common"]]
-    return path, args
+    return path, [swap.get(a, a) for a in pipeline["common"]] + extra
 
 
 def test_report_missing_team_names_the_row(pipeline, tmp_path, capsys):
@@ -730,8 +757,8 @@ def test_report_duplicate_row_names_the_row(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value, problem", [
-    ("2", "qualified must be 0 or 1, got 2"),
-    ("yes", "bad qualified 'yes'"),
+    ("2", "expected 0 or 1, got '2'"),
+    ("yes", "expected 0 or 1, got 'yes'"),
 ])
 def test_report_bad_qualified_names_the_row(pipeline, tmp_path, capsys,
                                             value, problem):
@@ -740,7 +767,8 @@ def test_report_bad_qualified_names_the_row(pipeline, tmp_path, capsys,
     path, args = edited_artifacts(pipeline, tmp_path,
                                   "replication_results.csv", replace)
     assert main(["report", *args]) == 3
-    assert f"{path} row 2: {problem}" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"error: {path} row 2, column 'qualified': {problem}\n"
 
 
 def test_duplicate_tercile_row_names_the_row(pipeline, tmp_path, capsys):
@@ -799,56 +827,78 @@ def run_on_artifacts(command, args):
     return main([command, *args, *extra])
 
 
-@pytest.mark.parametrize("command, name, column", [
-    ("simulate", "draws.csv", "r3"),
-    ("simulate", "noise_estimates.csv", "converged"),
-    ("simulate", "terciles.csv", "early_era"),
-    ("report", "replication_results.csv", "qualified"),
-])
+# (command, file, the column a short second row leaves empty, the problem
+# that column's converter reports)
+SHORT_ROWS = [
+    ("simulate", "draws.csv", "r3", "unparseable value ''"),
+    ("simulate", "noise_estimates.csv", "converged", "expected 1, got ''"),
+    ("simulate", "terciles.csv", "early_era", "unparseable value ''"),
+    ("report", "replication_results.csv", "qualified",
+     "expected 0 or 1, got ''"),
+    ("simulate", "league.csv", "team", "empty team code"),
+    ("simulate", "schedule.csv", "away", "empty team code"),
+]
+
+
+@pytest.mark.parametrize("command, name, column, problem", SHORT_ROWS,
+                         ids=["-".join(case[:3]) for case in SHORT_ROWS])
 def test_short_artifact_row_names_the_row(pipeline, tmp_path, capsys,
-                                          command, name, column):
+                                          command, name, column, problem):
     def shorten(lines):
         lines[1] = lines[1].rsplit(",", 1)[0]
     path, args = edited_artifacts(pipeline, tmp_path, name, shorten)
     assert run_on_artifacts(command, args) == 3
-    assert f"{path} row 2: missing {column}" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"error: {path} row 2, column {column!r}: {problem}\n"
 
 
-@pytest.mark.parametrize("command, name, field, column", [
-    ("simulate", "draws.csv", 1, "r1"),
-    ("simulate", "noise_estimates.csv", 2, "sigma_obs"),
-    ("report", "replication_results.csv", 2, "wins"),
-])
+# (command, file, the field of its second row set to abc, that field's
+# column, the problem its converter reports)
+BAD_FIELDS = [
+    ("simulate", "draws.csv", 1, "r1", "unparseable value 'abc'"),
+    ("simulate", "noise_estimates.csv", 2, "sigma_obs",
+     "unparseable value 'abc'"),
+    ("report", "replication_results.csv", 2, "wins",
+     "expected a nonnegative integer, got 'abc'"),
+    ("simulate", "schedule.csv", 0, "date", "bad date 'abc'"),
+]
+
+
+@pytest.mark.parametrize("command, name, field, column, problem", BAD_FIELDS,
+                         ids=["-".join(map(str, case[:4]))
+                              for case in BAD_FIELDS])
 def test_bad_artifact_number_names_the_row(pipeline, tmp_path, capsys,
-                                           command, name, field, column):
+                                           command, name, field, column,
+                                           problem):
     def garble(lines):
         values = lines[1].split(",")
         values[field] = "abc"
         lines[1] = ",".join(values)
     path, args = edited_artifacts(pipeline, tmp_path, name, garble)
     assert run_on_artifacts(command, args) == 3
-    assert f"{path} row 2: bad {column} 'abc'" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"error: {path} row 2, column {column!r}: {problem}\n"
 
 
-@pytest.mark.parametrize("name, fields, value, problem", [
-    ("draws.csv", (1, 2, 3), "nan",
-     "posterior draws must be finite, got [nan, nan, nan]"),
-    ("draws.csv", (2,), "-inf", "posterior draws must be finite"),
-    ("noise_estimates.csv", (2,), "-0.5",
-     "sigma_obs must be nonnegative, got -0.5"),
-    ("noise_estimates.csv", (3,), "nan",
-     "sigma_process must be nonnegative, got nan"),
+@pytest.mark.parametrize("name, fields, value, column, problem", [
+    ("draws.csv", (1, 2, 3), "nan", "r1", "non-finite value 'nan'"),
+    ("draws.csv", (2,), "-inf", "r2", "non-finite value '-inf'"),
+    ("noise_estimates.csv", (2,), "-0.5", "sigma_obs", "negative: -0.5"),
+    ("noise_estimates.csv", (3,), "nan", "sigma_process",
+     "non-finite value 'nan'"),
     # the pool holds converged windows only
-    ("noise_estimates.csv", (4,), "0",
-     "converged must be 1 (converged windows only), got 0"),
-    ("noise_estimates.csv", (4,), "yes", "bad converged 'yes'"),
+    ("noise_estimates.csv", (4,), "0", "converged", "expected 1, got '0'"),
+    ("noise_estimates.csv", (4,), "yes", "converged",
+     "expected 1, got 'yes'"),
     # any other label would make a pool of its own
-    ("terciles.csv", (1,), "lwo",
-     "tercile must be one of low, medium, high, got 'lwo'"),
+    ("terciles.csv", (1,), "lwo", "tercile",
+     "expected low or medium or high, got 'lwo'"),
+    ("league.csv", (1,), "", "division", "empty value"),
+    ("schedule.csv", (2,), "ZZZ", "away", "unknown team 'ZZZ'"),
 ])
 def test_out_of_domain_artifact_value_names_the_row(pipeline, tmp_path, capsys,
                                                     name, fields, value,
-                                                    problem):
+                                                    column, problem):
     def garble(lines):
         values = lines[1].split(",")
         for field in fields:
@@ -856,7 +906,8 @@ def test_out_of_domain_artifact_value_names_the_row(pipeline, tmp_path, capsys,
         lines[1] = ",".join(values)
     path, args = edited_artifacts(pipeline, tmp_path, name, garble)
     assert run_on_artifacts("simulate", args) == 3
-    assert f"{path} row 2: {problem}" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"error: {path} row 2, column {column!r}: {problem}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,8 @@ def test_game_log_parser_parses_or_names_the_row(data, header):
 
 def test_short_league_row_names_the_row(csv_path):
     csv_path.write_text("league,division,team\nE,N,AAA\nE,N\n")
-    with pytest.raises(ValueError, match=r"row 3: missing team"):
+    with pytest.raises(ValueError, match=r"row 3, column 'team': empty "
+                                         r"team code$"):
         read_league_csv(csv_path)
 
 
@@ -120,7 +121,8 @@ def test_long_league_row_names_the_row(csv_path):
 
 def test_short_schedule_row_names_the_row(csv_path):
     csv_path.write_text("date,home,away\n2024-08-01,A\n")
-    with pytest.raises(ValueError, match=r"row 2: missing away"):
+    with pytest.raises(ValueError, match=r"row 2, column 'away': empty "
+                                         r"team code$"):
         read_schedule_csv(csv_path)
 
 

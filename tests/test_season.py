@@ -6,7 +6,6 @@ one-off matchups from tests/matchups.py), so none of them re-derive the
 simulator's internal stream layout.
 """
 
-import datetime
 import hashlib
 import math
 import tracemalloc
@@ -24,7 +23,6 @@ from pennantsim.mcmc import design_log_likelihood, log_ratio_design
 from pennantsim.season import (
     LeagueStructure,
     Schedule,
-    ScheduledGame,
     SeasonResults,
     SimOptions,
     TeamForecast,
@@ -106,14 +104,20 @@ def test_league_team_count():
 def test_schedule_reader_rejects_out_of_order_dates(tmp_path):
     path = tmp_path / "schedule.csv"
     path.write_text("date,home,away\n2024-08-02,A,B\n2024-08-01,B,A\n")
-    with pytest.raises(ValueError, match=r"row 3: date 2024-08-01 is before "
-                                         r"the previous row's 2024-08-02$"):
+    with pytest.raises(ValueError) as info:
         season.read_schedule_csv(path)
+    assert str(info.value) == (f"{path} row 3, column 'date': 2024-08-01 is "
+                               f"before the previous row's 2024-08-02; rows "
+                               f"must be sorted by date")
 
 
-def test_scheduled_game_rejects_self_play():
-    with pytest.raises(ValueError, match="against itself"):
-        ScheduledGame(datetime.date(2024, 8, 1), "A", "A")
+def test_schedule_reader_rejects_self_play(tmp_path):
+    path = tmp_path / "schedule.csv"
+    path.write_text("date,home,away\n2024-08-01,A,B\n2024-08-02,A,A\n")
+    with pytest.raises(ValueError) as info:
+        season.read_schedule_csv(path)
+    assert str(info.value) == (f"{path} row 3, column 'away': home and away "
+                               f"are both 'A'")
 
 
 def test_sim_options_validation():
@@ -140,8 +144,7 @@ def test_state_win_pct_requires_games():
     league = tiny_league()
     states = [make_state(t) for t in league.teams]
     states[0] = make_state("E0", wins=0, losses=0)
-    sched = Schedule(games=(
-        ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
+    sched = Schedule(games=(("E0", "W0"),))
     with pytest.raises(ValueError, match="win percentage undefined"):
         one_replication(states, sched, np.ones((1, 3)), league, seed=0,
                         opts=SimOptions(burn_in_games=0))
@@ -245,8 +248,7 @@ def balanced_states(league, games=20):
 def test_one_game_schedule_moves_one_win():
     league = tiny_league()
     states = [make_state(t, wins=2, losses=2) for t in league.teams]
-    sched = Schedule(games=(
-        ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
+    sched = Schedule(games=(("E0", "W0"),))
     opts = SimOptions(burn_in_games=4)
     wins = final_wins(one_replication(states, sched, np.ones((1, 3)), league,
                                       seed=3, opts=opts))
@@ -264,8 +266,7 @@ def test_forced_outcome_strong_team_sweeps():
     states = [make_state(t, wins=10, losses=10) for t in league.teams]
     states[0] = make_state("E0", wins=19, losses=1)
     states[3] = make_state("W0", wins=1, losses=19)
-    games = tuple(ScheduledGame(datetime.date(2024, 8, 1 + d), "E0", "W0")
-                  for d in range(6))
+    games = (("E0", "W0"),) * 6
     for exponent in (8.0, 300.0):
         wins = final_wins(one_replication(
             states, Schedule(games=games), np.array([[exponent, 0.0, 0.0]]),
@@ -280,8 +281,7 @@ def test_forced_outcome_era_dominates():
     states = [make_state(t) for t in league.teams]
     states[0] = make_state("E0", era=2.0)
     states[3] = make_state("W0", era=8.0)
-    games = tuple(ScheduledGame(datetime.date(2024, 8, 1 + d), "E0", "W0")
-                  for d in range(6))
+    games = (("E0", "W0"),) * 6
     draws = np.array([[0.0, 0.0, 8.0]])
     wins = final_wins(one_replication(states, Schedule(games=games), draws,
                                       league, seed=11,
@@ -293,15 +293,13 @@ def test_burn_in_enforced_for_scheduled_teams_only():
     league = tiny_league()
     states = [make_state(t, wins=2, losses=2) for t in league.teams]
     states[5] = make_state("W2", wins=1, losses=1)  # idle team, under burn-in
-    sched = Schedule(games=(
-        ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
+    sched = Schedule(games=(("E0", "W0"),))
     opts = SimOptions(burn_in_games=4)
     wins = final_wins(one_replication(states, sched, np.ones((1, 3)), league,
                                       seed=3, opts=opts))
     assert wins["W2"] == 1
 
-    short_sched = Schedule(games=(
-        ScheduledGame(datetime.date(2024, 8, 1), "W2", "E0"),))
+    short_sched = Schedule(games=(("W2", "E0"),))
     with pytest.raises(ValueError, match="below the 4-game burn-in"):
         one_replication(states, short_sched, np.ones((1, 3)), league, seed=3,
                         opts=opts)
@@ -310,9 +308,18 @@ def test_burn_in_enforced_for_scheduled_teams_only():
 def test_unknown_scheduled_team_errors():
     league = tiny_league()
     states = [make_state(t, wins=2, losses=2) for t in league.teams]
-    sched = Schedule(games=(
-        ScheduledGame(datetime.date(2024, 8, 1), "E0", "XX"),))
+    sched = Schedule(games=(("E0", "XX"),))
     with pytest.raises(ValueError, match="no initial state"):
+        one_replication(states, sched, np.ones((1, 3)), league, seed=3,
+                        opts=SimOptions(burn_in_games=0))
+
+
+def test_self_play_scheduled_game_errors():
+    # the kernel's own check: a schedule built in code skips the reader
+    league = tiny_league()
+    states = [make_state(t, wins=2, losses=2) for t in league.teams]
+    sched = Schedule(games=(("E0", "W0"), ("E1", "E1")))
+    with pytest.raises(ValueError, match="'E1' scheduled against itself"):
         one_replication(states, sched, np.ones((1, 3)), league, seed=3,
                         opts=SimOptions(burn_in_games=0))
 
@@ -387,11 +394,10 @@ def test_level_waves_match_one_game_at_a_time(monkeypatch, opts):
     league, states, pools, sched, draws = unequal_setup()
     games = sched.games
     # some consecutive games share a team, so they play at different levels
-    assert any({g.home, g.away} & {h.home, h.away}
-               for g, h in zip(games, games[1:]))
+    assert any(set(g) & set(h) for g, h in zip(games, games[1:]))
     index = {t: i for i, t in enumerate(league.teams)}
-    order, _, _ = season._waves([(index[g.home], index[g.away])
-                                 for g in sched.games], [20] * len(states))
+    order, _, _ = season._waves([(index[home], index[away])
+                                 for home, away in games], [20] * len(states))
     assert np.any(order != np.arange(len(sched)))   # levels reorder games
 
     def play():
@@ -540,8 +546,7 @@ def test_noise_pools_require_grouping():
     # and a team without a pool is named, whether or not it plays
     league = tiny_league()
     states = [make_state(t) for t in league.teams]
-    sched = Schedule(games=(
-        ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
+    sched = Schedule(games=(("E0", "W0"),))
     pools = dict.fromkeys(league.teams, np.array([(0.3, 0.02)]))
     path = SimOptions(era_mode="path")
 
@@ -659,8 +664,7 @@ def test_playoff_missing_record_errors():
     # a league team without an initial state is refused before any game
     league = tiny_league()
     states = [make_state(t) for t in league.teams if t != "E1"]
-    sched = Schedule(games=(
-        ScheduledGame(datetime.date(2024, 8, 1), "E0", "W0"),))
+    sched = Schedule(games=(("E0", "W0"),))
     with pytest.raises(ValueError, match="no final record"):
         one_replication(states, sched, np.ones((1, 3)), league, seed=0,
                         opts=SimOptions(burn_in_games=0))
@@ -750,19 +754,19 @@ def test_generate_schedule_is_pinned():
     league = standard_league()
     played = {t: 20 + 2 * (i % 3) for i, t in enumerate(league.teams)}
     digests = {
-        3: "0194d1e325033be0be498236682ec6e4bd3bef214a17e39d6879997a2a0b1302",
-        11: "9e20874b251d9300a8cae6424b99de53848528be2e3e39e97679f4bd4469c996"}
+        3: "11df1fb68fac9fd1d5ac49999f3073f408e59aebf6e97f26d5ae86b32c5f1af7",
+        11: "92b3340ada3705a75eeb292b42d1b1595ba18b4279db3fef346fcba8a1d48752"}
     for seed, digest in digests.items():
         games = generate_schedule(league, played, seed=seed).games
-        text = "\n".join(f"{g.date},{g.home},{g.away}" for g in games)
+        text = "\n".join(f"{home},{away}" for home, away in games)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generate_schedule_division_weighting():
     league = standard_league()
     sched = generate_schedule(league, {t: 20 for t in league.teams}, seed=3)
-    same = sum(league.membership(g.home) == league.membership(g.away)
-               for g in sched.games)
+    same = sum(league.membership(home) == league.membership(away)
+               for home, away in sched.games)
     assert 0.55 < same / len(sched) < 0.67
 
 
@@ -780,10 +784,7 @@ def test_schedule_csv_round_trip(tmp_path):
     path.write_text("date,home,away\n2024-08-01,E0,W0\n"
                     "2024-08-01,W1,E2\n2024-08-03,E1,W2\n")
     sched = read_schedule_csv(path)
-    day = datetime.date
-    assert sched.games == (ScheduledGame(day(2024, 8, 1), "E0", "W0"),
-                           ScheduledGame(day(2024, 8, 1), "W1", "E2"),
-                           ScheduledGame(day(2024, 8, 3), "E1", "W2"))
+    assert sched.games == (("E0", "W0"), ("W1", "E2"), ("E1", "W2"))
 
 
 def test_schedule_csv_rejects_bad_header(tmp_path):
@@ -796,7 +797,8 @@ def test_schedule_csv_rejects_bad_header(tmp_path):
 def test_schedule_csv_rejects_bad_date(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("date,home,away\n08/01/2024,A,B\n")
-    with pytest.raises(ValueError, match=r"row 2: bad date '08/01/2024'$"):
+    with pytest.raises(ValueError, match=r"row 2, column 'date': bad date "
+                                         r"'08/01/2024'$"):
         read_schedule_csv(path)
 
 
@@ -805,7 +807,8 @@ def test_schedule_csv_rejects_compact_date(tmp_path):
     # YYYY-MM-DD alone, on every version
     path = tmp_path / "bad.csv"
     path.write_text("date,home,away\n20240801,A,B\n")
-    with pytest.raises(ValueError, match=r"row 2: bad date '20240801'$"):
+    with pytest.raises(ValueError, match=r"row 2, column 'date': bad date "
+                                         r"'20240801'$"):
         read_schedule_csv(path)
 
 
