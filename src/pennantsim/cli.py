@@ -115,7 +115,7 @@ class RunConfig:
 
     def chain_config(self) -> ChainConfig:
         """Chain settings; an unset proposal_std keeps ChainConfig's, where
-        tuning starts."""
+        tuning starts a fit with no Laplace screen."""
         chain = ChainConfig(n_iterations=self.iterations, burn_in=self.burn_in,
                             thin=self.thin, seed=self.seed)
         if self.proposal_std is None:
@@ -269,9 +269,10 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
                 _open_input(cfg.schedule, "schedule file"), known_teams=known)
         except (ValueError, OSError) as exc:
             issues.append(f"schedule: {exc}")
-    if league is not None and log is not None:
-        played = {team: season.games
-                  for team, season in latest_season(log).items()}
+    # with no game log, every team has played nothing yet
+    if league is not None and (log is not None or not cfg.game_log):
+        played = {} if log is None else {
+            team: season.games for team, season in latest_season(log).items()}
         source, scheduled = ("game log", None) if schedule is None \
             else ("schedule", schedule.games_per_team())
         issues += [f"{source}: {issue}"
@@ -648,6 +649,9 @@ SETTING_HELP = {
     "jobs": "fit: chain worker processes (default: the cores available); "
             "no effect elsewhere",
     "mode": "accepted; no effect",
+    "proposal_std": "proposal step scale c: with the Laplace screen, a "
+                    "multiple of the surrogate's posterior sd in each "
+                    "direction; without it, an absolute sd (default: tuned)",
 }
 
 

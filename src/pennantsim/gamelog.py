@@ -196,8 +196,14 @@ def one_of(*choices):
     return convert
 
 
+def _digits(text: str) -> bool:
+    """Whether text is one or more ASCII digits; str.isdecimal alone also
+    takes other scripts' digits, such as Arabic-Indic '٣'."""
+    return text.isascii() and text.isdecimal()
+
+
 def count(field: str) -> int:
-    if not field.isdecimal():
+    if not _digits(field):
         raise ValueError(f"expected a nonnegative integer, got {field!r}")
     return int(field)
 
@@ -226,8 +232,8 @@ def bounded(in_range, problem: str):
 def record(field: str) -> tuple[int, int]:
     """A WINS-LOSSES record."""
     parts = field.split("-")
-    if len(parts) == 2 and parts[0].strip().isdecimal() \
-            and parts[1].strip().isdecimal():
+    if len(parts) == 2 and _digits(parts[0].strip()) \
+            and _digits(parts[1].strip()):
         return int(parts[0]), int(parts[1])
     raise ValueError(f"expected WINS-LOSSES, got {field!r}")
 

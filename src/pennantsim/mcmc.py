@@ -3,13 +3,15 @@
 The prior is independent Uniform(0, r_max) per exponent; the target is the
 marginalized game-outcome likelihood, a stable softplus sum over one design
 of per-game log strength ratios shared by every pilot and chain of a fit.
-Chains use joint Gaussian proposals, screened by the quadratic (Laplace)
-expansion of the log-likelihood at its mode so that only proposals passing
-the screen pay for the exact likelihood (Christen & Fox 2005); the chain
-still targets the exact posterior. A likelihood with no usable mode gets a
-flat screen, which is plain random-walk Metropolis. Chains derive per-chain
-seeds from a base seed, run in a fork pool when asked for more than one
-worker, and come with split R-hat / ESS diagnostics and posterior summaries.
+The quadratic (Laplace) expansion of the log-likelihood at its mode does two
+jobs: it shapes each joint Gaussian proposal to its covariance, and it
+screens proposals so that only those passing the screen pay for the exact
+likelihood (Christen & Fox 2005); the chain still targets the exact
+posterior. A likelihood with no usable mode gets a flat surrogate:
+isotropic proposals and no screen, which is plain random-walk Metropolis.
+Chains derive per-chain seeds from a base seed, run in a fork pool when
+asked for more than one worker, and come with split R-hat / ESS
+diagnostics and posterior summaries.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class ChainConfig:
     n_iterations: int = 20_000
     burn_in: int = 2_000
     thin: int = 5
-    proposal_std: float = 0.05
+    proposal_std: float = 0.05   # the step scale c of run_chain
     seed: int = 0
 
     def __post_init__(self):
@@ -166,6 +168,11 @@ def laplace_surrogate(design: Design) -> tuple[list[list[float]], list[float]]:
 # samplers
 
 
+# run_chain draws its variates this many iterations at a time: Generator
+# calls amortized over a block, memory bounded by it, not by the chain
+VARIATE_BLOCK = 1024
+
+
 def _chain_rng(cfg: ChainConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(cfg.seed))
 
@@ -179,25 +186,35 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
               *, chain_id: int = 0, init=None) -> PosteriorDraws:
     """One delayed-acceptance random-walk Metropolis chain over the exponents.
 
-    Joint Gaussian proposals; a proposal leaving the prior box has zero prior
-    density and is rejected outright. An in-box proposal is first screened
-    by `laplace_surrogate`'s s(r) = -|C (r - mode)|^2 / 2: with
-    d = s(prop) - s(r) and a1 = min(0, d), it is rejected when log u >= a1,
-    without evaluating the exact likelihood; otherwise it is accepted when
+    The proposal is r + c C^-1 z, with z standard normal, c =
+    cfg.proposal_std and C `laplace_surrogate`'s upper Cholesky factor, so
+    its covariance is c^2 (C^T C)^-1, the surrogate's posterior covariance
+    scaled by c^2; with the flat surrogate it is r + c z. A proposal
+    leaving the prior box has zero prior density and is rejected outright.
+    An in-box proposal is first screened by the surrogate's
+    s(r) = -|C (r - mode)|^2 / 2: with d = s(prop) - s(r) and
+    a1 = min(0, d), it is rejected when log u >= a1, without evaluating the
+    exact likelihood; otherwise it is accepted when
     log u < a1 + min(0, delta - d), delta being the exact log-likelihood
     difference.
     One uniform thus accepts with probability alpha1 * alpha2, so the chain
     targets the exact posterior (Christen & Fox 2005). With the flat
-    surrogate a1 = d = 0 and the rule is log u < delta: plain Metropolis,
-    draw for draw. Every iteration's post-move state is recorded; burn-in is
-    dropped and the remainder thinned. Fully deterministic given cfg.seed.
-    design is `log_ratio_design`'s (L, won).
+    surrogate a1 = d = 0 and the rule is log u < delta: plain Metropolis.
+    The variates come VARIATE_BLOCK iterations at a time: a block's normals
+    z as one (k, 3) draw, then its uniforms as one (k,) draw, taken as
+    log u = log1p(-u), which is finite. Every iteration's post-move state is
+    recorded; burn-in is dropped and the remainder thinned. Fully
+    deterministic given cfg.seed. design is `log_ratio_design`'s (L, won).
     """
     L, won = design
     r_max = prior.r_max
     rng = _chain_rng(cfg)
     chol, (m0, m1, m2) = laplace_surrogate(design)
     (c00, c01, c02), (_, c11, c12), (_, _, c22) = chol
+    screened = any(map(any, chol))
+    # a block's steps are z @ shape: row k is c C^-1 z_k
+    shape = cfg.proposal_std * (np.linalg.inv(chol).T if screened
+                                else np.eye(3))
 
     def surrogate(x0, x1, x2):
         d0, d1, d2 = x0 - m0, x1 - m1, x2 - m2
@@ -209,31 +226,35 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
     r = default_init(prior) if init is None else np.clip(np.asarray(init, float),
                                                          0.0, r_max)
     ll = design_log_likelihood(L, won, r)
-    s = surrogate(*r.tolist())
+    state = x0, x1, x2 = tuple(r.tolist())
+    s = surrogate(x0, x1, x2)
     out = np.empty((cfg.n_iterations, 3))
     n_accept = 0
-    for i in range(cfg.n_iterations):
-        step = rng.normal(0.0, cfg.proposal_std, 3)
-        u = rng.random()
-        prop = r + step
-        coords = prop.tolist()   # cheaper than prop.min()/prop.max()
-        if min(coords) >= 0.0 and max(coords) <= r_max:
-            log_u = math.log(u)
-            s_prop = surrogate(*coords)
-            screen = s_prop - s
-            a1 = min(0.0, screen)
-            if log_u < a1:
-                ll_prop = design_log_likelihood(L, won, prop)
-                if log_u < a1 + min(0.0, ll_prop - ll - screen):
-                    r = prop
-                    ll = ll_prop
-                    s = s_prop
-                    n_accept += 1
-        out[i] = r
+    for start in range(0, cfg.n_iterations, VARIATE_BLOCK):
+        k = min(VARIATE_BLOCK, cfg.n_iterations - start)
+        steps = (rng.standard_normal((k, 3)) @ shape).tolist()
+        log_us = np.log1p(-rng.random(k)).tolist()
+        states = []
+        for (d0, d1, d2), log_u in zip(steps, log_us):
+            p0, p1, p2 = x0 + d0, x1 + d1, x2 + d2
+            if min(p0, p1, p2) >= 0.0 and max(p0, p1, p2) <= r_max:
+                s_prop = surrogate(p0, p1, p2)
+                screen = s_prop - s
+                a1 = min(0.0, screen)
+                if log_u < a1:
+                    prop = p0, p1, p2
+                    ll_prop = design_log_likelihood(L, won, np.array(prop))
+                    if log_u < a1 + min(0.0, ll_prop - ll - screen):
+                        state = x0, x1, x2 = prop
+                        ll = ll_prop
+                        s = s_prop
+                        n_accept += 1
+            states.append(state)
+        out[start:start + k] = states
 
     kept = out[cfg.burn_in::cfg.thin].copy()   # ChainConfig: nonempty
     return PosteriorDraws(draws=kept, acceptance_rate=n_accept / cfg.n_iterations,
-                          chain_id=chain_id, screened=any(map(any, chol)))
+                          chain_id=chain_id, screened=screened)
 
 
 def derived_seed(base_seed: int, chain_id: int) -> int:
@@ -297,6 +318,10 @@ def run_chains(design: Design, prior: PriorConfig, base_cfg: ChainConfig,
 
 # tune_proposal_std's target acceptance, pilot chain length and round cap
 TUNE_TARGET, TUNE_PILOT, TUNE_ROUNDS = 0.3, 400, 8
+# where tuning starts a screened fit's c: about the optimal random-walk
+# scale for a d = 3 Gaussian target, 2.38 / sqrt(d) (Roberts, Gelman &
+# Gilks 1997)
+SHAPED_START = 2.38 / math.sqrt(3)
 
 
 def tune_proposal_std(design: Design, prior: PriorConfig,
@@ -305,10 +330,13 @@ def tune_proposal_std(design: Design, prior: PriorConfig,
 
     Runs short pilot chains, nudging the scale by
     exp(acceptance - TUNE_TARGET) until the pilot acceptance lands in a
-    workable band. Deterministic given cfg.seed; the tuned value is then
-    used for the real run.
+    workable band. A screened fit's scale is c, the multiple of the
+    surrogate's sd, and starts at SHAPED_START; a flat one's is absolute
+    and starts at cfg.proposal_std. Deterministic given cfg.seed; the
+    tuned value is then used for the real run.
     """
-    std = cfg.proposal_std
+    chol, _ = laplace_surrogate(design)
+    std = SHAPED_START if any(map(any, chol)) else cfg.proposal_std
     for round_no in range(TUNE_ROUNDS):
         pilot_cfg = replace(cfg, n_iterations=TUNE_PILOT, burn_in=0, thin=1,
                             proposal_std=std,

@@ -139,45 +139,59 @@ def grid_posterior_moments(log_ratios, home_won, r_max, n_cells=40,
     return means, np.sqrt((points ** 2).T @ w - means ** 2)
 
 
-def plain_metropolis(loglik, r_max, n_iterations, proposal_std, seed, init):
-    """Random-walk Metropolis on the box [0, r_max]^3 with no screen.
+def proposal_stream(seed, n_iterations, factor, block):
+    """A chain's proposal steps and log-uniforms, (n_iterations, 3) and
+    (n_iterations,), replayed from default_rng(SeedSequence(seed)).
 
-    Each iteration draws a N(0, proposal_std^2) step in the three
-    coordinates and then one uniform u from default_rng(SeedSequence(seed));
-    a proposal inside the box is accepted when log u is below its
-    log-likelihood difference. Returns every iteration's post-move state,
-    (n_iterations, 3), and the acceptance rate.
+    The stream comes block iterations at a time (the last block may be
+    shorter): the block's standard normals z as one (k, 3) draw, then its
+    uniforms u as one (k,) draw. Step k is z_k @ factor, or factor * z_k
+    for a scalar factor, and its log-uniform log(1 - u_k).
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    steps, log_us = [], []
+    for start in range(0, n_iterations, block):
+        k = min(block, n_iterations - start)
+        z = rng.standard_normal((k, 3))
+        steps.append(factor * z if np.isscalar(factor) else z @ factor)
+        log_us.append(np.log1p(-rng.random(k)))
+    return np.concatenate(steps), np.concatenate(log_us)
+
+
+def plain_metropolis(loglik, r_max, n_iterations, proposal_std, seed, init,
+                     block):
+    """Random-walk Metropolis on the box [0, r_max]^3 with no screen.
+
+    Iteration i proposes the current state plus proposal_stream's step i,
+    N(0, proposal_std^2) in each coordinate; a proposal inside the box is
+    accepted when its log-uniform is below its log-likelihood difference.
+    Returns every iteration's post-move state, (n_iterations, 3), and the
+    acceptance rate.
+    """
+    steps, log_us = proposal_stream(seed, n_iterations, proposal_std, block)
     r = np.asarray(init, dtype=float)
     ll = loglik(r)
     states = np.empty((n_iterations, 3))
     accepted = 0
     for i in range(n_iterations):
-        step = rng.normal(0.0, proposal_std, 3)
-        u = rng.random()
-        prop = r + step
+        prop = r + steps[i]
         if np.all((prop >= 0.0) & (prop <= r_max)):
             ll_prop = loglik(prop)
-            if math.log(u) < ll_prop - ll:
+            if log_us[i] < ll_prop - ll:
                 r, ll = prop, ll_prop
                 accepted += 1
         states[i] = r
     return states, accepted / n_iterations
 
 
-def in_box_proposals(states, init, r_max, proposal_std, seed):
+def in_box_proposals(states, init, r_max, factor, seed, block):
     """How many of a chain's proposals fell inside [0, r_max]^3, replayed
-    from its stream (plain_metropolis's) and its post-move states."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    r = np.asarray(init, dtype=float)
-    count = 0
-    for state in states:
-        prop = r + rng.normal(0.0, proposal_std, 3)
-        rng.random()
-        count += bool(np.all((prop >= 0.0) & (prop <= r_max)))
-        r = state
-    return count
+    from its stream (proposal_stream's, with the chain's proposal factor)
+    and its post-move states."""
+    steps, _ = proposal_stream(seed, len(states), factor, block)
+    before = np.vstack([np.asarray(init, dtype=float), states[:-1]])
+    props = before + steps
+    return int(np.all((props >= 0.0) & (props <= r_max), axis=1).sum())
 
 
 def central_differences(f, x, h):

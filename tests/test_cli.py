@@ -196,6 +196,21 @@ def test_validate_without_schedule_checks_the_season_length(pipeline,
     assert capsys.readouterr().err == f"error: {over[0]}\n"
 
 
+def test_validate_schedule_without_a_log_checks_the_season_length(
+        pipeline, tmp_path, capsys):
+    # with no game log every team starts at 0 played, so two EN0-EN1
+    # games overrun a one-game season
+    sched = tmp_path / "sched.csv"
+    sched.write_text("date,home,away\n2024-09-01,EN0,EN1\n"
+                     "2024-09-02,EN1,EN0\n")
+    assert main(["validate", "--league", str(pipeline["base"] / "league.csv"),
+                 "--schedule", str(sched), "--season-length", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"issue: schedule: {team} has 0 played + 2 scheduled = 2 games, "
+          f"over the 1-game season" for team in ("EN0", "EN1")),
+        "2 issue(s) found"]
+
+
 def mid_season_args(pipeline, tmp_path, precomputed, rounds=10):
     """The pipeline's arguments on a copy of its artifacts and a log that
     starts mid-season: the last rounds rounds of its log, in the raw or

@@ -153,6 +153,20 @@ def test_parse_tie_score_rejected():
         parse_game_log(io.StringIO(text))
 
 
+@pytest.mark.parametrize("row, column, problem", [
+    ("2024-06-01,NYA,BOS,٣,1,0.251,0.249,3.5,4.2,25-15,18-22",
+     "home_runs", "expected a nonnegative integer, got '٣'"),
+    ("2024-06-01,NYA,BOS,3,1,0.251,0.249,3.5,4.2,٣-1,18-22",
+     "home_record_pre", "expected WINS-LOSSES, got '٣-1'"),
+], ids=["run-total", "record"])
+def test_parse_non_ascii_digits_rejected(row, column, problem):
+    # str.isdecimal and int() take the Arabic-Indic digit three as 3
+    text = RAW_HEADER + ",home_record_pre,away_record_pre\n" + row + "\n"
+    with pytest.raises(ValueError) as exc:
+        parse_game_log(io.StringIO(text))
+    assert str(exc.value) == f"<stream> row 2, column '{column}': {problem}"
+
+
 def test_parse_bad_header_rejected():
     text = "date,teams,stuff\n2024-06-01,a,b\n"
     with pytest.raises(ValueError, match="unrecognized game-log header"):

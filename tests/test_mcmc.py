@@ -3,6 +3,7 @@
 import logging
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from games import game_table
 from oracles import (central_differences, game_log_likelihood,
                      grid_posterior_moments, in_box_proposals,
-                     plain_metropolis)
+                     plain_metropolis, proposal_stream)
 from pennantsim import mcmc
 from pennantsim.mcmc import (
     ChainConfig,
@@ -247,6 +248,27 @@ def test_tuning_is_deterministic():
         tune_proposal_std(design, PriorConfig(), cfg)
 
 
+def test_screened_tuning_starts_at_the_shaped_scale(monkeypatch):
+    # a screened fit's scale multiplies the surrogate's sd, so its first
+    # pilot runs at 2.38 / sqrt(3) whatever cfg says; a flat fit's scale is
+    # absolute and starts at cfg's
+    real_run_chain = mcmc.run_chain
+    pilots = []
+
+    def recorded(design, prior, cfg, **kwargs):
+        pilots.append(cfg.proposal_std)
+        return real_run_chain(design, prior, cfg, **kwargs)
+
+    monkeypatch.setattr(mcmc, "run_chain", recorded)
+    cfg = ChainConfig(proposal_std=0.07, seed=21)
+    firsts = []
+    for games in (skewed_games(100, seed=12), even_games(50)):
+        pilots.clear()
+        tune_proposal_std(log_ratio_design(games), PriorConfig(), cfg)
+        firsts.append(pilots[0])
+    assert firsts == [2.38 / math.sqrt(3), 0.07]
+
+
 # ---------------------------------------------------------------------------
 # proposal screen
 
@@ -272,7 +294,8 @@ def assert_plain_metropolis(design, prior, cfg):
     out = run_chain(design, prior, cfg)
     states, rate = plain_metropolis(
         lambda r: design_log_likelihood(L, won, r), prior.r_max,
-        cfg.n_iterations, cfg.proposal_std, cfg.seed, np.ones(3))
+        cfg.n_iterations, cfg.proposal_std, cfg.seed, np.ones(3),
+        mcmc.VARIATE_BLOCK)
     assert np.array_equal(out.draws, states)
     assert out.acceptance_rate == rate
     return out
@@ -315,10 +338,50 @@ def test_surrogate_is_the_expansion_at_the_mode(recovery_dataset):
                                atol=1e-4 * np.abs(hess).max())
 
 
+def correlated_design(n, seed):
+    """Games whose three log ratios are correlated, so the surrogate's
+    Cholesky factor is far from diagonal."""
+    rng = np.random.default_rng(seed)
+    mixing = np.array([[1.0, 0.7, 0.3], [0.0, 1.0, 0.6], [0.0, 0.0, 1.0]])
+    L = rng.uniform(math.log(0.8), math.log(1.25), (n, 3)) @ mixing
+    lam = np.exp(L @ np.array([1.5, 0.8, 0.6]))
+    return L, (rng.random(n) < lam / (1.0 + lam)).astype(float)
+
+
+def assert_moves_are_shaped(draws, first, chol, cfg):
+    # draws[j] is the state after iteration first + j (thin 1); every move
+    # between two of them is c C^-1 z for that iteration's stream normals
+    # z, solved for here rather than through an inverse
+    z, _ = proposal_stream(cfg.seed, cfg.n_iterations, 1.0,
+                           mcmc.VARIATE_BLOCK)
+    expected = cfg.proposal_std * np.linalg.solve(
+        np.array(chol), z[first + 1:first + len(draws)].T).T
+    moves = np.diff(draws, axis=0)
+    moved = np.any(moves != 0.0, axis=1)
+    assert moved.mean() > 0.1
+    np.testing.assert_allclose(moves[moved], expected[moved], rtol=0.0,
+                               atol=1e-12)
+
+
+def test_screened_steps_are_shaped_by_the_surrogate():
+    # with C far from diagonal, a lower factor (C^-T z) or the factor
+    # itself (C z) moves the chain elsewhere
+    design = correlated_design(400, seed=6)
+    chol, _ = laplace_surrogate(design)
+    C = np.array(chol)
+    assert np.abs(C[0, 1:]).max() > 0.3 * C[0, 0]
+    cfg = ChainConfig(n_iterations=3_000, burn_in=0, thin=1,
+                      proposal_std=1.2, seed=17)
+    out = run_chain(design, PriorConfig(), cfg)
+    assert out.screened
+    assert_moves_are_shaped(out.draws, 0, chol, cfg)
+
+
 def test_misplaced_screen_still_targets_the_exact_posterior(monkeypatch):
     # a surrogate centred half a unit off the mode and 1.5x too narrow
-    # screens badly, but the second stage corrects for it: the posterior
-    # mean and sd match the lattice oracle within 4 Monte Carlo errors
+    # shapes the proposals and screens them badly, but the second stage
+    # corrects for it: the posterior mean and sd match the lattice oracle
+    # within 4 Monte Carlo errors
     rng = np.random.default_rng(5)
     L = rng.uniform(math.log(0.8), math.log(1.25), (400, 3))
     lam = np.exp(L @ np.array([1.5, 0.8, 0.6]))
@@ -327,9 +390,10 @@ def test_misplaced_screen_still_targets_the_exact_posterior(monkeypatch):
     misplaced = ((1.5 * np.array(chol)).tolist(),
                  (np.array(mode) + 0.5).tolist())
     monkeypatch.setattr(mcmc, "laplace_surrogate", lambda design: misplaced)
-    out = run_chain((L, won), PriorConfig(r_max=5.0),
-                    ChainConfig(n_iterations=20_000, burn_in=2_000, thin=2,
-                                proposal_std=0.5, seed=0))
+    cfg = ChainConfig(n_iterations=20_000, burn_in=2_000, thin=1,
+                      proposal_std=1.0, seed=0)
+    out = run_chain((L, won), PriorConfig(r_max=5.0), cfg)
+    assert_moves_are_shaped(out.draws, cfg.burn_in, misplaced[0], cfg)
     means, sds = grid_posterior_moments(L, won, r_max=5.0)
     for j in range(3):
         draws = out.draws[:, j]
@@ -343,6 +407,7 @@ def test_screen_spares_most_exact_evaluations(recovery_dataset, recovery_fit,
     design = log_ratio_design(recovery_dataset[0])
     prior = recovery_fit["prior"]
     std = recovery_fit["tuned_std"]
+    factor = std * np.linalg.inv(laplace_surrogate(design)[0]).T
     calls = []
 
     def counted(L, won, r):
@@ -355,10 +420,26 @@ def test_screen_spares_most_exact_evaluations(recovery_dataset, recovery_fit,
         cfg = ChainConfig(n_iterations=4_000, burn_in=0, thin=1,
                           proposal_std=std, seed=derived_seed(2024, k))
         out = run_chain(design, prior, cfg)
-        in_box = in_box_proposals(out.draws, np.ones(3), prior.r_max, std,
-                                  cfg.seed)
+        in_box = in_box_proposals(out.draws, np.ones(3), prior.r_max, factor,
+                                  cfg.seed, mcmc.VARIATE_BLOCK)
         # one evaluation at the start, then one per proposal passing the screen
         assert len(calls) - 1 <= 0.6 * in_box
+
+
+def test_variate_blocks_keep_a_long_chain_small():
+    # the per-iteration sampler's peak was the chain's two arrays, every
+    # state (n, 3) and the retained draws; the blocks of variates, drawn
+    # and converted one at a time, may add at most 10 % to that. A wide
+    # proposal, screened out at once, keeps the traced run short
+    design = log_ratio_design(skewed_games(40, seed=8))
+    cfg = ChainConfig(n_iterations=100_000, proposal_std=1.3, seed=3)
+    tracemalloc.start()
+    try:
+        out = run_chain(design, PriorConfig(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (cfg.n_iterations * 3 * 8 + out.draws.nbytes)
 
 
 # ---------------------------------------------------------------------------
