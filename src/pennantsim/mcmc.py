@@ -30,7 +30,6 @@ logger = logging.getLogger(__name__)
 
 # Wire-format column names for the three exponents (win pct, batting, ERA).
 PARAM_NAMES = ("r1", "r2", "r3")
-Design = tuple[np.ndarray, np.ndarray]   # (L, won) from log_ratio_design
 
 
 @dataclass(frozen=True)
@@ -101,21 +100,37 @@ class ParamSummary:
 # likelihood plumbing
 
 
+@dataclass(frozen=True, eq=False)
+class Design:
+    """The games a fit samples from: L[i] holds the log strength ratios of
+    game i and won[i] its home-win flag; surrogate is their likelihood's
+    `laplace_surrogate`, worked out once for every pilot and chain. It
+    unpacks as (L, won)."""
+
+    L: np.ndarray                  # (games, 3)
+    won: np.ndarray                # (games,) 0.0 / 1.0
+    surrogate: tuple[list[list[float]], list[float]]
+
+    def __iter__(self):
+        return iter((self.L, self.won))
+
+
 def log_ratio_design(games: GameLog) -> Design:
     """Design arrays for fast likelihood evaluation.
 
-    Returns (L, won): L[i] holds the log strength ratios of game i, won[i]
-    the home-win flag, from `model.log_ratios` on the table's columns. With
-    u = L @ r, the relative strength is e^u and the marginal log-likelihood
-    is won.u - sum softplus(u), with softplus(u) = log(1 + e^u) taken in
-    its stable form max(u, 0) + log1p(e^-|u|), finite for any finite u.
+    L[i] holds the log strength ratios of game i, won[i] the home-win flag,
+    from `model.log_ratios` on the table's columns. With u = L @ r, the
+    relative strength is e^u and the marginal log-likelihood is
+    won.u - sum softplus(u), with softplus(u) = log(1 + e^u) taken in its
+    stable form max(u, 0) + log1p(e^-|u|), finite for any finite u.
     """
     if not len(games):
         raise ValueError("no games to fit")
-    L = log_ratios(games.home_win_pct, games.away_win_pct,
-                   games.home_batting_avg, games.away_batting_avg,
-                   games.home_era, games.away_era)
-    return L, games.home_won.astype(float)
+    L = np.stack(log_ratios(games.home_win_pct, games.away_win_pct,
+                            games.home_batting_avg, games.away_batting_avg,
+                            games.home_era, games.away_era), axis=-1)
+    won = games.home_won.astype(float)
+    return Design(L, won, laplace_surrogate((L, won)))
 
 
 def design_log_likelihood(L: np.ndarray, won: np.ndarray, r: np.ndarray) -> float:
@@ -129,8 +144,9 @@ def design_log_likelihood(L: np.ndarray, won: np.ndarray, r: np.ndarray) -> floa
 NEWTON_STEPS, NEWTON_TOL = 20, 1e-10
 
 
-def laplace_surrogate(design: Design) -> tuple[list[list[float]], list[float]]:
-    """Quadratic expansion of the log-likelihood at its mode, as (C, mode).
+def laplace_surrogate(design) -> tuple[list[list[float]], list[float]]:
+    """Quadratic expansion of the log-likelihood of design, an (L, won)
+    pair, at its mode, as (C, mode).
 
     Newton steps from r = (1, 1, 1) use the closed-form gradient
     L.T @ (won - p) and negative Hessian L.T @ (p(1 - p) L), with the win
@@ -187,7 +203,7 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
     """One delayed-acceptance random-walk Metropolis chain over the exponents.
 
     The proposal is r + c C^-1 z, with z standard normal, c =
-    cfg.proposal_std and C `laplace_surrogate`'s upper Cholesky factor, so
+    cfg.proposal_std and C the upper Cholesky factor of design.surrogate, so
     its covariance is c^2 (C^T C)^-1, the surrogate's posterior covariance
     scaled by c^2; with the flat surrogate it is r + c z. A proposal
     leaving the prior box has zero prior density and is rejected outright.
@@ -204,12 +220,12 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
     z as one (k, 3) draw, then its uniforms as one (k,) draw, taken as
     log u = log1p(-u), which is finite. Every iteration's post-move state is
     recorded; burn-in is dropped and the remainder thinned. Fully
-    deterministic given cfg.seed. design is `log_ratio_design`'s (L, won).
+    deterministic given cfg.seed.
     """
     L, won = design
     r_max = prior.r_max
     rng = _chain_rng(cfg)
-    chol, (m0, m1, m2) = laplace_surrogate(design)
+    chol, (m0, m1, m2) = design.surrogate
     (c00, c01, c02), (_, c11, c12), (_, _, c22) = chol
     screened = any(map(any, chol))
     # a block's steps are z @ shape: row k is c C^-1 z_k
@@ -335,7 +351,7 @@ def tune_proposal_std(design: Design, prior: PriorConfig,
     and starts at cfg.proposal_std. Deterministic given cfg.seed; the
     tuned value is then used for the real run.
     """
-    chol, _ = laplace_surrogate(design)
+    chol, _ = design.surrogate
     std = SHAPED_START if any(map(any, chol)) else cfg.proposal_std
     for round_no in range(TUNE_ROUNDS):
         pilot_cfg = replace(cfg, n_iterations=TUNE_PILOT, burn_in=0, thin=1,

@@ -304,16 +304,22 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
 
     # the state that differs between replications is a (team, replication)
     # array, so a wave's rows are gathered by one index; axis 0 of ix and of
-    # the normals is home/away
-    wins, batting, era = (
-        np.repeat(np.array(column)[:, None], replications, axis=1)
-        for column in zip(*[(s.wins, s.batting, s.era) for s in states]))
+    # the normals is home/away. Forecast-mode ERA never moves, so it stays
+    # a (team, 1) column that broadcasts over the replications
+    wins, batting, era = (np.array(column)[:, None] for column in zip(
+        *[(s.wins, s.batting, s.era) for s in states]))
+    wins, batting = (np.repeat(column, replications, axis=1)
+                     for column in (wins, batting))
     tie_keys = tie_rng.random((replications, len(teams)))
     if path:   # (team, replication) sigmas, one intact pool row each
+        era = np.repeat(era, replications, axis=1)
         sigma_obs, sigma_process = np.array(
             [sample_noise(pool, noise_rng, replications)
              for pool in _team_pools(teams, noise_pools)]).transpose(2, 0, 1)
-    mean_row = matrix.mean(axis=0)
+    # each exponent's draws as one contiguous array, gathered per wave; the
+    # point exponents stay matrix.mean(axis=0), as a mean of each column
+    # sums pairwise and can move a last bit
+    columns, mean_row = matrix.T.copy(), matrix.mean(axis=0)
     for w in waves:
         ix = sides[:, w]
         k = ix.shape[1]
@@ -322,12 +328,22 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         avg = np.clip(batting[ix], BATTING_LOW, BATTING_HIGH)
         era_now = era[ix] + normals(error_rng, k, sigma_obs[ix]) if path \
             else era[ix]
-        ratios = log_ratios(win_pct[0], win_pct[1], avg[0], avg[1],
-                            era_now[0], era_now[1])
-        r = matrix[row_rng.integers(0, len(matrix), (k, replications))] \
-            if predictive else mean_row
+        u, l1, l2 = log_ratios(win_pct[0], win_pct[1], avg[0], avg[1],
+                               era_now[0], era_now[1])
+        if predictive:
+            rows = row_rng.integers(0, len(matrix), (k, replications))
+            r0, r1, r2 = (column[rows] for column in columns)
+        else:
+            r0, r1, r2 = mean_row
+        # u = L.r with its terms added left to right, the order of numpy's
+        # sum over a stacked last axis, so it keeps that sum's bits; l2 is
+        # (games, 1) in forecast mode
+        u *= r0
+        l1 *= r1
+        u += l1
+        u += l2 * r2
         # exp overflows above 709; a strength of e^700 already gives p = 1
-        strength = np.exp(np.minimum((ratios * r).sum(axis=-1), 700.0))
+        strength = np.exp(np.minimum(u, 700.0, out=u), out=u)
         home_won = outcome_rng.random((k, replications)) \
             < strength / (1.0 + strength)
         wins[ix] = won + (home_won, ~home_won)
@@ -449,28 +465,35 @@ def generate_schedule(league: LeagueStructure, games_played: dict[str, int],
                       seed: int) -> Schedule:
     """Synthetic remaining-season schedule when no real one is available.
 
-    Repeatedly matches the team with the most games left against an opponent
-    that still needs games — same-division with probability DIVISION_WEIGHT
-    — until every team reaches the season length.
+    Repeatedly matches the team with the most games left, the last in team
+    order among equals, against an opponent that still needs games: from
+    its own division with probability DIVISION_WEIGHT when both kinds are
+    left, drawn uniformly in team order, with a coin for the home side,
+    until every team reaches the season length. Each team's division mates
+    and rivals are listed once, and each game keeps those with games left.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5CED)))
     if overruns := season_overruns(league, games_played):
         raise ValueError(overruns[0])
+    teams = league.teams
     need = {team: league.season_length - games_played.get(team, 0)
-            for team in league.teams}
+            for team in teams}
     if sum(need.values()) % 2:
         raise ValueError("total remaining games is odd; cannot pair teams")
 
-    division = {t: league.membership(t) for t in need}
-    games = []
-    while pending := [t for t in need if need[t] > 0]:   # in team order
-        team = max(pending, key=lambda t: (need[t], t))
-        others = [t for t in pending if t != team]
-        if not others:
+    division = {t: league.membership(t) for t in teams}
+    mates = {t: [u for u in teams if u != t and division[u] == division[t]]
+             for t in teams}
+    rivals = {t: [u for u in teams if division[u] != division[t]]
+              for t in teams}
+    backwards, games = teams[::-1], []
+    # max keeps the first of equals, so the last in team order
+    while need[team := max(backwards, key=need.__getitem__)] > 0:
+        same = [t for t in mates[team] if need[t] > 0]
+        other = [t for t in rivals[team] if need[t] > 0]
+        if not same and not other:
             raise ValueError(f"{team} still needs {need[team]} games but no "
                              f"opponent has games left")
-        same = [t for t in others if division[t] == division[team]]
-        other = [t for t in others if division[t] != division[team]]
         pool = same if same and (not other or rng.random() < DIVISION_WEIGHT) \
             else other
         opponent = pool[int(rng.integers(len(pool)))]

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracles import (central_differences, game_log_likelihood,
 from pennantsim import mcmc
 from pennantsim.mcmc import (
     ChainConfig,
+    Design,
     PriorConfig,
     design_log_likelihood,
     derived_seed,
@@ -248,6 +250,23 @@ def test_tuning_is_deterministic():
         tune_proposal_std(design, PriorConfig(), cfg)
 
 
+def test_a_fit_solves_for_its_surrogate_once(monkeypatch):
+    # the design carries the surrogate, so tuning's pilots and the chains,
+    # in process or in forked workers, never solve for it again
+    design = log_ratio_design(skewed_games(100, seed=12))
+    assert any(map(any, design.surrogate[0]))   # a screened fit
+
+    def solved_again(design):
+        raise AssertionError("the surrogate was solved for again")
+
+    monkeypatch.setattr(mcmc, "laplace_surrogate", solved_again)
+    cfg = ChainConfig(n_iterations=400, burn_in=100, seed=21)
+    std = tune_proposal_std(design, PriorConfig(), cfg)
+    for n_jobs in (1, 2):
+        run_chains(design, PriorConfig(), replace(cfg, proposal_std=std),
+                   n_chains=3, n_jobs=n_jobs)
+
+
 def test_screened_tuning_starts_at_the_shaped_scale(monkeypatch):
     # a screened fit's scale multiplies the surrogate's sd, so its first
     # pilot runs at 2.38 / sqrt(3) whatever cfg says; a flat fit's scale is
@@ -301,13 +320,13 @@ def assert_plain_metropolis(design, prior, cfg):
     return out
 
 
-def test_flat_surrogate_chain_is_plain_metropolis(monkeypatch):
+def test_flat_surrogate_chain_is_plain_metropolis():
     design = log_ratio_design(skewed_games(40, seed=8))
     cfg = ChainConfig(n_iterations=3_000, burn_in=0, thin=1,
                       proposal_std=0.5, seed=55)
     screened = run_chain(design, PriorConfig(), cfg)
-    monkeypatch.setattr(mcmc, "laplace_surrogate", lambda design: FLAT)
-    plain = assert_plain_metropolis(design, PriorConfig(), cfg)
+    plain = assert_plain_metropolis(replace(design, surrogate=FLAT),
+                                    PriorConfig(), cfg)
     assert not np.array_equal(plain.draws, screened.draws)
 
 
@@ -345,7 +364,8 @@ def correlated_design(n, seed):
     mixing = np.array([[1.0, 0.7, 0.3], [0.0, 1.0, 0.6], [0.0, 0.0, 1.0]])
     L = rng.uniform(math.log(0.8), math.log(1.25), (n, 3)) @ mixing
     lam = np.exp(L @ np.array([1.5, 0.8, 0.6]))
-    return L, (rng.random(n) < lam / (1.0 + lam)).astype(float)
+    won = (rng.random(n) < lam / (1.0 + lam)).astype(float)
+    return Design(L, won, laplace_surrogate((L, won)))
 
 
 def assert_moves_are_shaped(draws, first, chol, cfg):
@@ -367,7 +387,7 @@ def test_screened_steps_are_shaped_by_the_surrogate():
     # with C far from diagonal, a lower factor (C^-T z) or the factor
     # itself (C z) moves the chain elsewhere
     design = correlated_design(400, seed=6)
-    chol, _ = laplace_surrogate(design)
+    chol, _ = design.surrogate
     C = np.array(chol)
     assert np.abs(C[0, 1:]).max() > 0.3 * C[0, 0]
     cfg = ChainConfig(n_iterations=3_000, burn_in=0, thin=1,
@@ -377,7 +397,7 @@ def test_screened_steps_are_shaped_by_the_surrogate():
     assert_moves_are_shaped(out.draws, 0, chol, cfg)
 
 
-def test_misplaced_screen_still_targets_the_exact_posterior(monkeypatch):
+def test_misplaced_screen_still_targets_the_exact_posterior():
     # a surrogate centred half a unit off the mode and 1.5x too narrow
     # shapes the proposals and screens them badly, but the second stage
     # corrects for it: the posterior mean and sd match the lattice oracle
@@ -389,10 +409,9 @@ def test_misplaced_screen_still_targets_the_exact_posterior(monkeypatch):
     chol, mode = laplace_surrogate((L, won))
     misplaced = ((1.5 * np.array(chol)).tolist(),
                  (np.array(mode) + 0.5).tolist())
-    monkeypatch.setattr(mcmc, "laplace_surrogate", lambda design: misplaced)
     cfg = ChainConfig(n_iterations=20_000, burn_in=2_000, thin=1,
                       proposal_std=1.0, seed=0)
-    out = run_chain((L, won), PriorConfig(r_max=5.0), cfg)
+    out = run_chain(Design(L, won, misplaced), PriorConfig(r_max=5.0), cfg)
     assert_moves_are_shaped(out.draws, cfg.burn_in, misplaced[0], cfg)
     means, sds = grid_posterior_moments(L, won, r_max=5.0)
     for j in range(3):
@@ -407,7 +426,7 @@ def test_screen_spares_most_exact_evaluations(recovery_dataset, recovery_fit,
     design = log_ratio_design(recovery_dataset[0])
     prior = recovery_fit["prior"]
     std = recovery_fit["tuned_std"]
-    factor = std * np.linalg.inv(laplace_surrogate(design)[0]).T
+    factor = std * np.linalg.inv(design.surrogate[0]).T
     calls = []
 
     def counted(L, won, r):

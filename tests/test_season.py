@@ -369,6 +369,54 @@ def unequal_setup():
     return league, states, pools, sched, draws
 
 
+def floored_setup():
+    # 18 teams with unequal games played (20-24), a winless side and a
+    # 0.00 ERA, so both floors bind, and 6 of each league's 9 teams
+    # qualify; each team's pool has two unlike rows
+    rows = [(lg, div, f"{lg}{div}{k}")
+            for lg in ("E", "W") for div in ("N", "C", "S") for k in range(3)]
+    league = LeagueStructure.from_rows(rows, season_length=30)
+    played = {t: 20 + (3 * i) % 5 for i, t in enumerate(league.teams)}
+    states = []
+    for i, t in enumerate(league.teams):
+        wins = 7 * i % played[t]
+        states.append(make_state(t, wins=wins, losses=played[t] - wins,
+                                 batting=0.22 + 0.005 * i, era=0.3 * i))
+    assert states[0].wins == 0 and states[0].era == 0.0
+    pools = {t: np.array([(0.1 + 0.02 * i, 0.01), (0.3, 0.03 + 0.001 * i)])
+             for i, t in enumerate(league.teams)}
+    sched = generate_schedule(league, played, seed=8)
+    draws = np.random.default_rng(5).uniform(0.2, 2.5, (25, 3))
+    return league, states, pools, sched, draws
+
+
+KERNEL_DIGESTS = {
+    ("posterior-predictive", "forecast"):
+        "a041fe1a1ae17237e093f964ed996f1ec36ff6ca039735240d724d7422613c4b",
+    ("posterior-predictive", "path"):
+        "cabd353890bdbbc32c95093c95b24a3ac79480004eda2e3665d7a1b59734c90e",
+    ("point", "forecast"):
+        "8c2cd5042872fbb5d1b2aec156cfee080887b911bd44327d1267884dbcc3e3ad",
+    ("point", "path"):
+        "c173b20a96120e9dc9cbb749868046b646d0d925d16e1ecab7a6e52b39164510"}
+
+
+@pytest.mark.parametrize("draw_mode, era_mode", KERNEL_DIGESTS)
+def test_replication_bytes_are_pinned(draw_mode, era_mode):
+    # digests of the kernel's wins and playoff flags on inputs where both
+    # floors bind, in each mode: a change to the strength formula, a floor,
+    # the gather of the posterior rows or a stream moves them
+    league, states, pools, sched, draws = floored_setup()
+    results = run_replication(states, sched, draws, league, 21, 16,
+                              opts=SimOptions(draw_mode=draw_mode,
+                                              era_mode=era_mode),
+                              noise_pools=pools)
+    data = (results.wins.astype("<i8").tobytes()
+            + results.qualified.astype(np.uint8).tobytes())
+    assert hashlib.sha256(data).hexdigest() == \
+        KERNEL_DIGESTS[draw_mode, era_mode]
+
+
 @pytest.mark.parametrize("opts", ERA_MODE_OPTIONS,
                          ids=["marginal-forecast", "marginal-path"])
 def test_replications_repeat_and_follow_the_seed(opts):
@@ -760,6 +808,38 @@ def test_generate_schedule_is_pinned():
         games = generate_schedule(league, played, seed=seed).games
         text = "\n".join(f"{home},{away}" for home, away in games)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def interleaved_league():
+    # 2 leagues x 2 divisions x 4 teams whose divisions alternate in
+    # sorted team order, so no division is a run of consecutive teams
+    rows = [("EW"[i % 2], "NS"[i // 2 % 2], f"T{i:02d}") for i in range(16)]
+    return LeagueStructure.from_rows(rows, season_length=40)
+
+
+def test_generate_schedule_is_pinned_on_interleaved_divisions():
+    # which team plays next, and which opponents it can draw, follow team
+    # order; with divisions interleaved in it, a pick taken in another
+    # order or from the wrong division changes the schedule
+    league = interleaved_league()
+    played = {t: 28 + 3 * i % 8 for i, t in enumerate(league.teams)}
+    digests = {
+        0: "876e1a0863d5b90168e91d6a87bd3093e15ad4122d2a66888f87163ec01508f1",
+        5: "ad687b48a7a4e5b6e9661d559d029dae7a3d02435a5178be26455a17406cba0c"}
+    for seed, digest in digests.items():
+        games = generate_schedule(league, played, seed=seed).games
+        text = "\n".join(f"{home},{away}" for home, away in games)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_generate_schedule_names_a_team_left_without_opponents():
+    league = tiny_league()
+    played = dict.fromkeys(league.teams, 10)
+    played["E1"] = 8
+    with pytest.raises(ValueError) as err:
+        generate_schedule(league, played, seed=0)
+    assert str(err.value) == ("E1 still needs 2 games but no opponent has "
+                              "games left")
 
 
 def test_generate_schedule_division_weighting():
