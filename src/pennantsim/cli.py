@@ -28,11 +28,10 @@ from .mcmc import (PARAM_NAMES, ChainConfig, PriorConfig, derived_seed,
                    effective_sample_size, log_ratio_design,
                    posterior_summaries, run_chains, split_rhat,
                    tune_proposal_std)
-from .season import (DRAW_MODES, ERA_MODES, STREAMS, LeagueStructure,
-                     SeasonResults, SimOptions, TeamSimState,
-                     export_win_histogram, generate_schedule, read_league_csv,
-                     read_schedule_csv, run_replications, season_overruns,
-                     summarize)
+from .season import (STREAMS, LeagueStructure, SeasonResults, SimOptions,
+                     TeamSimState, export_win_histogram, generate_schedule,
+                     read_league_csv, read_schedule_csv, run_replications,
+                     season_overruns, summarize)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -47,8 +46,9 @@ class UsageError(Exception):
 
 
 # the choice settings; simulate plays one outcome law in either mode
-CHOICES = {"mode": ("marginal", "two-stage"), "draws": DRAW_MODES,
-           "era_mode": ERA_MODES,
+CHOICES = {"mode": ("marginal", "two-stage"),
+           "draws": ("posterior-predictive", "point"),
+           "era_mode": ("forecast", "path"),
            "filter_mode": ("date-window", "games-played")}
 
 
@@ -80,8 +80,8 @@ class RunConfig:
     replications: int = 1000
     burn_in_games: int = SimOptions.burn_in_games
     mode: str = "marginal"
-    draws: str = SimOptions.draw_mode
-    era_mode: str = SimOptions.era_mode
+    draws: str = "posterior-predictive"
+    era_mode: str = "forecast"
     walk_std: float = SimOptions.step_std
     window_length: int = 30
     filter_mode: str = "date-window"
@@ -98,7 +98,7 @@ class RunConfig:
                              f"got {self.replications}")
         if self.jobs < 1:
             raise UsageError(f"jobs must be >= 1, got {self.jobs}")
-        for name in ("mode", "filter_mode"):   # SimOptions checks the rest
+        for name in CHOICES:
             value = getattr(self, name)
             if value not in CHOICES[name]:
                 raise UsageError(f"{name} must be {' or '.join(CHOICES[name])}"
@@ -123,8 +123,7 @@ class RunConfig:
         return replace(chain, proposal_std=self.proposal_std)
 
     def sim_options(self) -> SimOptions:
-        return SimOptions(draw_mode=self.draws, era_mode=self.era_mode,
-                          step_std=self.walk_std,
+        return SimOptions(step_std=self.walk_std,
                           burn_in_games=self.burn_in_games)
 
 
@@ -203,12 +202,6 @@ def _require(value, command: str, what: str, key: str):
     return value
 
 
-def _open_input(path, what: str):
-    if not os.path.exists(path):
-        raise ValueError(f"{what} {path} does not exist")
-    return path
-
-
 def _artifact(cfg: RunConfig, filename: str, producer: str) -> str:
     path = os.path.join(cfg.out, filename)
     if not os.path.exists(path):
@@ -252,22 +245,21 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
     league = log = schedule = None
     if cfg.league:
         try:
-            league = read_league_csv(_open_input(cfg.league, "league file"),
+            league = read_league_csv(cfg.league,
                                      season_length=cfg.season_length)
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             issues.append(f"league: {exc}")
     known = set(league.teams) if league else None
     if cfg.game_log:
         try:
-            log = require_games(parse_game_log(
-                _open_input(cfg.game_log, "game log"), known_teams=known))
-        except (ValueError, OSError) as exc:
+            log = require_games(parse_game_log(cfg.game_log,
+                                               known_teams=known))
+        except ValueError as exc:
             issues.append(f"game log: {exc}")
     if cfg.schedule:
         try:
-            schedule = read_schedule_csv(
-                _open_input(cfg.schedule, "schedule file"), known_teams=known)
-        except (ValueError, OSError) as exc:
+            schedule = read_schedule_csv(cfg.schedule, known_teams=known)
+        except ValueError as exc:
             issues.append(f"schedule: {exc}")
     # with no game log, every team has played nothing yet
     if league is not None and (log is not None or not cfg.game_log):
@@ -296,7 +288,7 @@ def cmd_validate(cfg: RunConfig, extras) -> int:
 
 def cmd_fit(cfg: RunConfig, extras) -> int:
     path = _require(cfg.game_log, "fit", "a game log", "game_log")
-    log = require_games(parse_game_log(_open_input(path, "game log")))
+    log = require_games(parse_game_log(path))
     training = filter_training_window(
         log, cfg.min_games if cfg.filter_mode == "games-played" else None)
     if not len(training):
@@ -343,7 +335,7 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
             "burn_in": cfg.burn_in, "thin": cfg.thin, "chains": cfg.chains,
             "proposal_std": repr(float(std)),
             "proposal_std_source": std_source,
-            "proposal_screen": "laplace" if chains[0].screened else "none",
+            "proposal_screen": "laplace" if design.screened else "none",
             "filter_mode": cfg.filter_mode,
             "training_records": len(training)}
     for chain in chains:
@@ -378,7 +370,7 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
 
 def cmd_noise(cfg: RunConfig, extras) -> int:
     path = _require(cfg.game_log, "noise", "a game log", "game_log")
-    log = parse_game_log(_open_input(path, "game log"))
+    log = parse_game_log(path)
     series = {team: season.eras
               for team, season in latest_season(log).items()}
     window = cfg.window_length
@@ -507,8 +499,7 @@ def _read_draw_matrix(cfg: RunConfig) -> np.ndarray:
 def cmd_simulate(cfg: RunConfig, extras) -> int:
     league_path = _require(cfg.league, "simulate", "a league structure file",
                            "league")
-    league = read_league_csv(_open_input(league_path, "league file"),
-                             season_length=cfg.season_length)
+    league = read_league_csv(league_path, season_length=cfg.season_length)
     known = set(league.teams)
     hist_teams = list(dict.fromkeys(extras.histogram or []))
     for team in hist_teams:
@@ -516,7 +507,7 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
             raise UsageError(f"histogram team {team!r} is not in the league "
                              f"structure")
     log_path = _require(cfg.game_log, "simulate", "a game log", "game_log")
-    log = parse_game_log(_open_input(log_path, "game log"), known_teams=known)
+    log = parse_game_log(log_path, known_teams=known)
     draws = _read_draw_matrix(cfg)
     pools = _load_noise_artifacts(cfg)
     season = latest_season(log)
@@ -524,17 +515,21 @@ def cmd_simulate(cfg: RunConfig, extras) -> int:
 
     played = {team: season[team].games for team in league.teams}
     if cfg.schedule:
-        schedule = read_schedule_csv(
-            _open_input(cfg.schedule, "schedule file"), known_teams=known)
+        schedule = read_schedule_csv(cfg.schedule, known_teams=known)
         if issues := season_overruns(league, played,
                                      schedule.games_per_team()):
             raise ValueError(f"{cfg.schedule}: {issues[0]}")
     else:
         schedule = generate_schedule(league, played, seed=cfg.seed)
 
-    results = run_replications(cfg.replications, states, schedule, draws,
-                               league, cfg.seed, opts=cfg.sim_options(),
-                               noise_pools=pools)
+    # a point estimate plays as a posterior of one row, and ERA follows a
+    # noisy path exactly when the kernel is handed the noise pools
+    if cfg.draws == "point":
+        draws = draws.mean(axis=0, keepdims=True)
+    results = run_replications(
+        cfg.replications, states, schedule, draws, league, cfg.seed,
+        opts=cfg.sim_options(),
+        noise_pools=pools if cfg.era_mode == "path" else None)
     forecasts = summarize(results)
 
     outputs = {}

@@ -94,13 +94,17 @@ def _read_rows(source):
     byte-order mark) or in a text stream: yields its name, header line and
     header names, then (line number, fields) for each data row. Every comma
     splits (no quoting); names and fields are stripped, blank lines
-    skipped, a short row gets empty fields, and a long row or an
-    undecodable byte is an error naming the file."""
+    skipped, a short row gets empty fields, and a file that cannot be
+    opened, a long row or an undecodable byte is an error naming the
+    file."""
     if hasattr(source, "read"):
         name, opened = getattr(source, "name", "<stream>"), nullcontext(source)
     else:
         name = str(source)
-        opened = open(source, encoding="utf-8-sig", newline="")
+        try:
+            opened = open(source, encoding="utf-8-sig", newline="")
+        except OSError as exc:
+            raise ValueError(f"{name}: cannot open: {exc.strerror}") from None
     with opened as fh:
         try:
             line = fh.readline().strip()
@@ -209,7 +213,11 @@ def count(field: str) -> int:
 
 
 def finite(field: str) -> float:
+    """A finite number in float's syntax, in ASCII and without the `_`
+    digit separators float also takes."""
     try:
+        if not field.isascii() or "_" in field:
+            raise ValueError
         value = float(field)
     except ValueError:
         raise ValueError(f"unparseable value {field!r}") from None

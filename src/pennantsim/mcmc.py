@@ -67,14 +67,11 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Retained (post burn-in, thinned) samples of the three exponents, and
-    whether the chain screened its proposals with a Laplace surrogate (False
-    when the likelihood had no usable mode and the screen was flat)."""
+    """Retained (post burn-in, thinned) samples of the three exponents."""
 
     draws: np.ndarray          # (n_kept, 3)
     acceptance_rate: float
     chain_id: int = 0
-    screened: bool = False
 
     def __post_init__(self):
         if self.draws.ndim != 2 or self.draws.shape[1] != 3:
@@ -113,6 +110,13 @@ class Design:
 
     def __iter__(self):
         return iter((self.L, self.won))
+
+    @property
+    def screened(self) -> bool:
+        """Whether a fit on this design shapes and screens its proposals:
+        False when the surrogate is flat, its likelihood having no usable
+        mode."""
+        return any(map(any, self.surrogate[0]))
 
 
 def log_ratio_design(games: GameLog) -> Design:
@@ -227,9 +231,8 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
     rng = _chain_rng(cfg)
     chol, (m0, m1, m2) = design.surrogate
     (c00, c01, c02), (_, c11, c12), (_, _, c22) = chol
-    screened = any(map(any, chol))
     # a block's steps are z @ shape: row k is c C^-1 z_k
-    shape = cfg.proposal_std * (np.linalg.inv(chol).T if screened
+    shape = cfg.proposal_std * (np.linalg.inv(chol).T if design.screened
                                 else np.eye(3))
 
     def surrogate(x0, x1, x2):
@@ -270,7 +273,7 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
 
     kept = out[cfg.burn_in::cfg.thin].copy()   # ChainConfig: nonempty
     return PosteriorDraws(draws=kept, acceptance_rate=n_accept / cfg.n_iterations,
-                          chain_id=chain_id, screened=screened)
+                          chain_id=chain_id)
 
 
 def derived_seed(base_seed: int, chain_id: int) -> int:
@@ -351,8 +354,7 @@ def tune_proposal_std(design: Design, prior: PriorConfig,
     and starts at cfg.proposal_std. Deterministic given cfg.seed; the
     tuned value is then used for the real run.
     """
-    chol, _ = design.surrogate
-    std = SHAPED_START if any(map(any, chol)) else cfg.proposal_std
+    std = SHAPED_START if design.screened else cfg.proposal_std
     for round_no in range(TUNE_ROUNDS):
         pilot_cfg = replace(cfg, n_iterations=TUNE_PILOT, burn_in=0, thin=1,
                             proposal_std=std,

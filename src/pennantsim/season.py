@@ -2,13 +2,16 @@
 
 Plays a remaining-season schedule from the fitted posterior while team
 state (wins, batting average, latent ERA) evolves, then aggregates win
-totals and playoff qualification over many replications. Each game plays
-in the wave of its level, one past its two teams' previous games, on every
-replication at once; each wave's variates are drawn just before it plays,
-so memory is the (team, replication) state plus one wave of variates. A
-side's games played is the same in every replication, so it comes from the
-schedule, not from the state. Results stay (replication, team) arrays from
-the kernel to every writer, and depend on (seed, replications) alone.
+totals and playoff qualification over many replications. The kernel has
+no modes: each game plays a row drawn from the posterior it is given (one
+row for a point estimate), and ERA follows a noisy path exactly when it is
+given noise pools. Each game plays in the wave of its level, one past its
+two teams' previous games, on every replication at once; each wave's
+variates are drawn just before it plays, so memory is the (team,
+replication) state plus one wave of variates. A side's games played is the
+same in every replication, so it comes from the schedule, not from the
+state. Results stay (replication, team) arrays from the kernel to every
+writer, and depend on (seed, replications) alone.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ from .gamelog import check_game, csv_rows, nonempty, parse_date, team_code
 from .kalman import sample_noise
 from .model import ERA_FLOOR, log_ratios
 from .stats import nearest_rank_quantile
-
-DRAW_MODES = ("posterior-predictive", "point")
-ERA_MODES = ("forecast", "path")
 
 
 # Batting random walk: each game a team plays adds one Normal(0, step_std^2)
@@ -172,29 +172,17 @@ class TeamForecast:
 
 @dataclass(frozen=True)
 class SimOptions:
-    """How outcomes are generated. The home team wins a game with
-    probability s/(1+s), s its strength ratio.
+    """The kernel's two settings: step_std, the batting walk's per-game
+    step, and burn_in_games, the games a scheduled team must have played.
+    Which posterior rows and which ERA law a season plays follow from the
+    data run_replication is given, not from an option."""
 
-    draw_mode: one posterior draw per game ('posterior-predictive') or the
-    posterior mean ('point'). era_mode: 'forecast' feeds each game the
-    current ERA forecast mean; 'path' random-walks the latent ERA and feeds
-    a noisy observation. step_std: the batting walk's per-game step.
-    """
-
-    draw_mode: str = "posterior-predictive"
-    era_mode: str = "forecast"
     step_std: float = 0.0015
     burn_in_games: int = 20
 
     def __post_init__(self):
         if not (math.isfinite(self.step_std) and self.step_std > 0):
             raise ValueError(f"step_std must be positive, got {self.step_std}")
-        if self.draw_mode not in DRAW_MODES:
-            raise ValueError(f"draw_mode must be one of {DRAW_MODES}, "
-                             f"got {self.draw_mode!r}")
-        if self.era_mode not in ERA_MODES:
-            raise ValueError(f"era_mode must be one of {ERA_MODES}, "
-                             f"got {self.era_mode!r}")
         if self.burn_in_games < 0:
             raise ValueError(f"burn_in_games must be nonnegative, "
                              f"got {self.burn_in_games}")
@@ -205,7 +193,7 @@ class SimOptions:
 
 # The kinds of variate the kernel draws, each from its own stream; the
 # streams are SeedSequence(seed).spawn(len(STREAMS)) in this order, in every
-# mode, so no kind's numbers depend on which others a mode reads.
+# run, so no kind's numbers depend on which others a run reads.
 STREAMS = ("outcomes", "draw_rows", "walk", "era_steps", "era_errors",
            "tie_keys", "noise_rows")
 
@@ -233,8 +221,6 @@ def _waves(pairs, played):
 def _team_pools(teams, noise_pools):
     """Each team's noise pool, in the order of teams: a (k, 2) array of
     (sigma_obs, sigma_process) rows."""
-    if noise_pools is None:
-        raise ValueError("path mode needs noise pools")
     for team in teams:
         if team not in noise_pools:
             raise ValueError(f"no noise pool for team {team!r}")
@@ -248,15 +234,21 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
     """The season kernel: every replication played side by side, one wave
     of games at a time. perfbench/tracing.py times the kernel by this name.
 
+    Every game of every replication plays a row of draws, an (n, 3)
+    posterior, drawn uniformly; a point estimate is a posterior of one row.
+    With noise_pools, {team: (k, 2) array of (sigma_obs, sigma_process)
+    rows}, ERA follows a path: each team's R noise pairs are drawn from its
+    pool before the first game, the latent level random-walks and each game
+    sees a noisy observation of it. Without them each game sees the
+    starting level, the forecast mean.
+
     The seed spawns one stream per kind of variate (see STREAMS): outcome
     uniforms, draw rows, walk normals, ERA steps, ERA errors, tie keys and
     noise rows. Each level (see _waves) plays at once, and each kind is
     drawn for it just before it plays, game-major in level order: (games,
     R), or (games, 2, R) for the home and away sides. So splitting a wave
     gives every game the same numbers, and results depend on (seed,
-    replications) alone. Path mode draws each team's R noise pairs from its
-    pool in noise_pools, {team: (k, 2) array of (sigma_obs, sigma_process)
-    rows}, before the first game; forecast mode reads no noise.
+    replications) alone.
     """
     opts = opts or SimOptions()
     states = sorted(initial, key=lambda s: s.team)   # results' column order
@@ -287,8 +279,7 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         raise ValueError(f"posterior draws must be a nonempty (n, 3) array, "
                          f"got shape {matrix.shape}")
 
-    predictive = opts.draw_mode == "posterior-predictive"
-    path = opts.era_mode == "path"
+    path = noise_pools is not None
     pairs = [(index[home], index[away]) for home, away in schedule.games]
     n_games = len(pairs)
     order, waves, games_played = _waves(pairs,
@@ -304,7 +295,7 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
 
     # the state that differs between replications is a (team, replication)
     # array, so a wave's rows are gathered by one index; axis 0 of ix and of
-    # the normals is home/away. Forecast-mode ERA never moves, so it stays
+    # the normals is home/away. Without a path ERA never moves, so it stays
     # a (team, 1) column that broadcasts over the replications
     wins, batting, era = (np.array(column)[:, None] for column in zip(
         *[(s.wins, s.batting, s.era) for s in states]))
@@ -316,10 +307,8 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
         sigma_obs, sigma_process = np.array(
             [sample_noise(pool, noise_rng, replications)
              for pool in _team_pools(teams, noise_pools)]).transpose(2, 0, 1)
-    # each exponent's draws as one contiguous array, gathered per wave; the
-    # point exponents stay matrix.mean(axis=0), as a mean of each column
-    # sums pairwise and can move a last bit
-    columns, mean_row = matrix.T.copy(), matrix.mean(axis=0)
+    # each exponent's draws as one contiguous array, gathered per wave
+    columns = matrix.T.copy()
     for w in waves:
         ix = sides[:, w]
         k = ix.shape[1]
@@ -330,14 +319,11 @@ def run_replication(initial, schedule: Schedule, draws, league: LeagueStructure,
             else era[ix]
         u, l1, l2 = log_ratios(win_pct[0], win_pct[1], avg[0], avg[1],
                                era_now[0], era_now[1])
-        if predictive:
-            rows = row_rng.integers(0, len(matrix), (k, replications))
-            r0, r1, r2 = (column[rows] for column in columns)
-        else:
-            r0, r1, r2 = mean_row
+        rows = row_rng.integers(0, len(matrix), (k, replications))
+        r0, r1, r2 = (column[rows] for column in columns)
         # u = L.r with its terms added left to right, the order of numpy's
         # sum over a stacked last axis, so it keeps that sum's bits; l2 is
-        # (games, 1) in forecast mode
+        # (games, 1) without a path
         u *= r0
         l1 *= r1
         u += l1

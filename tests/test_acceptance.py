@@ -290,7 +290,7 @@ def test_path_mode_era_law_on_engine():
     pools = {f"{side}{k}": pool for side in "HA"
              for k in range(TRAJECTORY_PAIRS)}
     mean, se = engine_home_wins(home, away, np.array([[0.0, 0.0, 8.0]]),
-                                SimOptions(era_mode="path"), seed=42,
+                                SimOptions(), seed=42,
                                 noise_pools=pools)
     expected = path_home_wins(TRAJECTORY_GAMES, 8.0, 4.0, 4.4,
                               noise.sigma_obs, noise.sigma_process)

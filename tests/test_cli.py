@@ -7,6 +7,7 @@ own inputs where the shared artifacts would get in the way.
 
 import argparse
 import datetime
+import hashlib
 import os
 import re
 import shutil
@@ -283,8 +284,18 @@ def test_validate_counts_a_mid_season_log_from_its_records(
 
 
 def test_validate_missing_file_reported_not_thrown(tmp_path, capsys):
-    assert main(["validate", "--game-log", str(tmp_path / "nope.csv")]) == 1
-    assert "does not exist" in capsys.readouterr().out
+    # the reader that opens a file reports it like any other input problem:
+    # validate as an issue, the other stages as a runtime error
+    nope = tmp_path / "nope.csv"
+    for flag, what in (("--game-log", "game log"), ("--league", "league"),
+                       ("--schedule", "schedule")):
+        assert main(["validate", flag, str(nope)]) == 1
+        assert capsys.readouterr().out == (
+            f"issue: {what}: {nope}: cannot open: No such file or "
+            f"directory\n1 issue(s) found\n")
+    assert main(["fit", "--game-log", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path}: cannot open: Is a directory\n"
 
 
 def test_validate_nothing_configured(capsys):
@@ -634,6 +645,45 @@ def test_simulate_mode_has_no_effect(pipeline, tmp_path, capsys):
     assert "mode must be marginal or two-stage" in capsys.readouterr().err
 
 
+# sha256 of replication_results.csv, summary.csv and stdout of a 6-replication
+# simulate on the pipeline's artifacts, per (--draws, --era-mode)
+SIMULATE_DIGESTS = {
+    ("posterior-predictive", "forecast"): (
+        "ef287b21aeca66f993debd827dfc997c790444af9204e3a43662701f6aaedc7c",
+        "51c91194cff08991ac60fba9fdc0ffde91c7c15d14dc3010bd481bf2a9102817",
+        "36d2e88d56927d1b5439e21193b342a33e964dad129edaf77e23d68a15eb3bcb"),
+    ("posterior-predictive", "path"): (
+        "30f327342306cde4412ec7778784c40b0e50d7992fa05cfa0ffd14cb5a820240",
+        "c56d4c6cfe7b4e0cc6c581e7149cabd654613f1fa13fe9e39d0bf2d7e9cd5735",
+        "42498db152d388ce34897ed7e099ebfde100f4582f65a0dd320fd3d70804b8b6"),
+    ("point", "forecast"): (
+        "8c6c35f689d4d5069e677d721898a1fe1be48a3019a1bd9004563949506e4c2c",
+        "b6d18b7dfb0429824d3272786772d8a6236eb82f04cdc0f0eceacdabe4aeb21a",
+        "385ccae271debbd71629ef66c1444d20a15aa2f50133398a5154e54589632c88"),
+    ("point", "path"): (
+        "5fe3f9c69d6d44a591d9f0ad9be220b5d4679a51e939f010c05c0acbcfd85c04",
+        "d4a49a9a338d762cdd1b96ece4bfcc791dbba80d615e91ac73d3828249467507",
+        "f29f839724d7a8880ae9d70680d9d3860cc5f82aabeaa830eb76d66fd72eab0f"),
+}
+
+
+@pytest.mark.parametrize("draws, era_mode", SIMULATE_DIGESTS)
+def test_simulate_bytes_are_pinned(pipeline, tmp_path, capsys, draws,
+                                   era_mode):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["out"], out)
+    args = [a if a != str(pipeline["out"]) else str(out)
+            for a in pipeline["common"]]
+    capsys.readouterr()
+    assert main(["simulate", *args, "--replications", "6",
+                 "--draws", draws, "--era-mode", era_mode]) == 0
+    written = [(out / name).read_bytes() for name in
+               ("replication_results.csv", "summary.csv")]
+    written.append(capsys.readouterr().out.encode())
+    assert tuple(hashlib.sha256(data).hexdigest() for data in written) \
+        == SIMULATE_DIGESTS[draws, era_mode]
+
+
 def test_simulate_schedule_file(pipeline, tmp_path, capsys):
     sched = tmp_path / "sched.csv"
     teams = pipeline["teams"]
@@ -910,6 +960,8 @@ def test_bad_artifact_number_names_the_row(pipeline, tmp_path, capsys,
      "expected low or medium or high, got 'lwo'"),
     ("league.csv", (1,), "", "division", "empty value"),
     ("schedule.csv", (2,), "ZZZ", "away", "unknown team 'ZZZ'"),
+    # float() takes digit separators; a number field does not
+    ("draws.csv", (3,), "1_000", "r3", "unparseable value '1_000'"),
 ])
 def test_out_of_domain_artifact_value_names_the_row(pipeline, tmp_path, capsys,
                                                     name, fields, value,
@@ -1070,6 +1122,19 @@ def test_bad_setting_value_is_usage_error(capsys):
     assert "min_games" in capsys.readouterr().err
     assert main(["fit", "--jobs", "0"]) == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("draws = map", "draws must be posterior-predictive or point, got 'map'"),
+    ("era_mode = walk", "era_mode must be forecast or path, got 'walk'")],
+    ids=["draws", "era_mode"])
+def test_choice_setting_outside_its_choices_is_usage_error(tmp_path, capsys,
+                                                           line, message):
+    # argparse checks a flag's choices; RunConfig checks a config file's
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_library_records_own_the_defaults(tmp_path):

@@ -158,9 +158,17 @@ def test_parse_tie_score_rejected():
      "home_runs", "expected a nonnegative integer, got '٣'"),
     ("2024-06-01,NYA,BOS,3,1,0.251,0.249,3.5,4.2,٣-1,18-22",
      "home_record_pre", "expected WINS-LOSSES, got '٣-1'"),
-], ids=["run-total", "record"])
+    ("2024-06-01,NYA,BOS,3,1,0.251,0.249,٣.٥,4.2,25-15,18-22",
+     "home_era_pre", "unparseable value '٣.٥'"),
+    ("2024-06-01,NYA,BOS,3,1,0.251,0.249,3.5,３.５,25-15,18-22",
+     "away_era_pre", "unparseable value '３.５'"),
+    ("2024-06-01,NYA,BOS,3,1,0.251,0.249,1_000,4.2,25-15,18-22",
+     "home_era_pre", "unparseable value '1_000'"),
+], ids=["run-total", "record", "arabic-indic-era", "fullwidth-era",
+        "separator-era"])
 def test_parse_non_ascii_digits_rejected(row, column, problem):
-    # str.isdecimal and int() take the Arabic-Indic digit three as 3
+    # str.isdecimal, int() and float() take the Arabic-Indic digit three as
+    # 3, float() fullwidth digits and `_` separators too
     text = RAW_HEADER + ",home_record_pre,away_record_pre\n" + row + "\n"
     with pytest.raises(ValueError) as exc:
         parse_game_log(io.StringIO(text))

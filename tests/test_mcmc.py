@@ -254,7 +254,7 @@ def test_a_fit_solves_for_its_surrogate_once(monkeypatch):
     # the design carries the surrogate, so tuning's pilots and the chains,
     # in process or in forked workers, never solve for it again
     design = log_ratio_design(skewed_games(100, seed=12))
-    assert any(map(any, design.surrogate[0]))   # a screened fit
+    assert design.screened
 
     def solved_again(design):
         raise AssertionError("the surrogate was solved for again")
@@ -338,7 +338,7 @@ def test_likelihoods_without_a_mode_get_the_flat_screen():
                       proposal_std=0.8, seed=9)
     for games in (even_games(50), separated_games(200, seed=3)):
         design = log_ratio_design(games)
-        assert laplace_surrogate(design) == FLAT
+        assert laplace_surrogate(design) == FLAT and not design.screened
         out = assert_plain_metropolis(design, prior, cfg)
         assert 0.0 <= out.draws.min() and out.draws.max() <= prior.r_max
 
@@ -392,8 +392,8 @@ def test_screened_steps_are_shaped_by_the_surrogate():
     assert np.abs(C[0, 1:]).max() > 0.3 * C[0, 0]
     cfg = ChainConfig(n_iterations=3_000, burn_in=0, thin=1,
                       proposal_std=1.2, seed=17)
+    assert design.screened
     out = run_chain(design, PriorConfig(), cfg)
-    assert out.screened
     assert_moves_are_shaped(out.draws, 0, chol, cfg)
 
 

@@ -120,11 +120,6 @@ def test_schedule_reader_rejects_self_play(tmp_path):
                                f"are both 'A'")
 
 
-def test_sim_options_validation():
-    with pytest.raises(ValueError, match="draw_mode"):
-        SimOptions(draw_mode="map")
-
-
 def test_walk_config_validation():
     # The batting walk's step lives on SimOptions; its clamp band is fixed.
     for bad in (0.0, -0.001, math.nan, math.inf):
@@ -179,17 +174,24 @@ def test_engine_tracks_strength_ratio():
 
 
 def test_engine_point_mode_uses_posterior_mean():
-    # an outlier draw dominates the uniform picks but not the mean
+    # a point estimate plays as a one-row posterior: the engine draws a row
+    # per game, so an outlier row plays one game in eight, while the mean
+    # row plays every game
     home = make_state("H", wins=19, losses=1)
     away = make_state("A", wins=1, losses=19)
     draws = np.array([[8.0, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 7)
-    opts = SimOptions(draw_mode="point")
-    # mean exponents (1, 0, 0) -> s = 19 -> p = 0.95
     n = 20_000
-    wins = sum(Matchups(n).home_wins(home, away, draws, seed=5,
-                                           opts=opts))
+    # mean exponents (1, 0, 0) -> s = 19 -> p = 0.95
+    wins = sum(Matchups(n).home_wins(home, away,
+                                     draws.mean(axis=0, keepdims=True),
+                                     seed=5))
     se = np.sqrt(0.95 * 0.05 / n)
     assert abs(wins / n - 0.95) < 4 * se
+    # the rows: p = 19^8 / (1 + 19^8) once in eight, else 0.5
+    mixture = (19.0 ** 8 / (1 + 19.0 ** 8) + 7 * 0.5) / 8
+    wins = sum(Matchups(n).home_wins(home, away, draws, seed=5))
+    se = np.sqrt(mixture * (1 - mixture) / n)
+    assert abs(wins / n - mixture) < 4 * se
 
 
 def test_engine_strength_matches_fit_design_with_floors_binding():
@@ -352,7 +354,8 @@ def test_wins_conserved_every_replication():
         assert sum(wins.tolist()) / 6 == 5.0
 
 
-ERA_MODE_OPTIONS = [SimOptions(), SimOptions(era_mode="path")]
+# forecast ERA is a run without noise pools, path ERA one with them
+ERA_MODES = {"marginal-forecast": False, "marginal-path": True}
 
 
 def unequal_setup():
@@ -404,38 +407,39 @@ KERNEL_DIGESTS = {
 @pytest.mark.parametrize("draw_mode, era_mode", KERNEL_DIGESTS)
 def test_replication_bytes_are_pinned(draw_mode, era_mode):
     # digests of the kernel's wins and playoff flags on inputs where both
-    # floors bind, in each mode: a change to the strength formula, a floor,
-    # the gather of the posterior rows or a stream moves them
+    # floors bind, for each way simulate runs it: point draws as the
+    # one-row mean, path ERA by passing the pools. A change to the strength
+    # formula, a floor, the gather of the posterior rows or a stream moves
+    # them
     league, states, pools, sched, draws = floored_setup()
+    if draw_mode == "point":
+        draws = draws.mean(axis=0, keepdims=True)
     results = run_replication(states, sched, draws, league, 21, 16,
-                              opts=SimOptions(draw_mode=draw_mode,
-                                              era_mode=era_mode),
-                              noise_pools=pools)
+                              noise_pools=pools if era_mode == "path"
+                              else None)
     data = (results.wins.astype("<i8").tobytes()
             + results.qualified.astype(np.uint8).tobytes())
     assert hashlib.sha256(data).hexdigest() == \
         KERNEL_DIGESTS[draw_mode, era_mode]
 
 
-@pytest.mark.parametrize("opts", ERA_MODE_OPTIONS,
-                         ids=["marginal-forecast", "marginal-path"])
-def test_replications_repeat_and_follow_the_seed(opts):
+@pytest.mark.parametrize("path", ERA_MODES.values(), ids=list(ERA_MODES))
+def test_replications_repeat_and_follow_the_seed(path):
     # results are a function of (base_seed, n): a repeat gives the same
     # bytes, and another seed other results
     league, states, pools, sched, draws = unequal_setup()
 
     def play(base_seed):
         return run_replications(7, states, sched, draws, league, base_seed,
-                                opts=opts, noise_pools=pools)
+                                noise_pools=pools if path else None)
     first = play(9)
     assert first == play(9)
     assert len(first) == 7
     assert np.any(first.wins != play(10).wins)
 
 
-@pytest.mark.parametrize("opts", ERA_MODE_OPTIONS,
-                         ids=["marginal-forecast", "marginal-path"])
-def test_level_waves_match_one_game_at_a_time(monkeypatch, opts):
+@pytest.mark.parametrize("path", ERA_MODES.values(), ids=list(ERA_MODES))
+def test_level_waves_match_one_game_at_a_time(monkeypatch, path):
     # a game reads only its own teams' state, and each kind of variate is
     # drawn game-major in level order, so playing each level at once must
     # give exactly the results of playing the levels' games one at a time
@@ -450,7 +454,7 @@ def test_level_waves_match_one_game_at_a_time(monkeypatch, opts):
 
     def play():
         return run_replications(7, states, sched, draws, league, base_seed=9,
-                                opts=opts, noise_pools=pools)
+                                noise_pools=pools if path else None)
     levels = play()
     waves = season._waves
 
@@ -490,9 +494,8 @@ def test_schedule_work_is_done_once_per_run(monkeypatch):
     assert calls == [len(sched)]
 
 
-@pytest.mark.parametrize("opts", ERA_MODE_OPTIONS,
-                         ids=["marginal-forecast", "marginal-path"])
-def test_memory_is_team_state_plus_one_wave(opts):
+@pytest.mark.parametrize("path", ERA_MODES.values(), ids=list(ERA_MODES))
+def test_memory_is_team_state_plus_one_wave(path):
     # drawing every variate of 500 replications before the first game
     # would take 500 * 1,890 * 8 bytes (7.6 MB) per kind; the kernel holds
     # the (team, replication) state and one wave's variates
@@ -500,7 +503,7 @@ def test_memory_is_team_state_plus_one_wave(opts):
     tracemalloc.start()
     try:
         run_replications(500, states, sched, draws, league, base_seed=3,
-                         opts=opts, noise_pools=pools)
+                         noise_pools=pools if path else None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -562,13 +565,15 @@ def tercile_setup():
 
 
 def test_noise_pools_do_not_disturb_game_stream():
-    # forecast-mode outcomes cannot depend on noise, so passing the pools
-    # must leave every win total unchanged
+    # noise comes from streams of its own: a path whose pools hold only
+    # zero noise never leaves the starting level, so it must play exactly
+    # the games of a run without pools
     league, states, pools, sched, draws = tercile_setup()
     bare = run_replications(3, states, sched, draws, league, base_seed=12)
+    silent = dict.fromkeys(pools, np.zeros((2, 2)))
     pooled = run_replications(3, states, sched, draws, league, base_seed=12,
-                              noise_pools=pools)
-    assert np.array_equal(bare.wins, pooled.wins)
+                              noise_pools=silent)
+    assert pooled == bare
 
 
 def test_path_mode_draws_noise_from_each_teams_tercile_pool():
@@ -576,35 +581,31 @@ def test_path_mode_draws_noise_from_each_teams_tercile_pool():
     # another order must not change the play; and the pools must matter:
     # rotating them across the groups changes the play
     league, states, pools, sched, draws = tercile_setup()
-    opts = SimOptions(era_mode="path")
     pooled = run_replications(3, states, sched, draws, league, base_seed=12,
-                              opts=opts, noise_pools=pools)
+                              noise_pools=pools)
     reordered = dict(reversed(pools.items()))
     direct = run_replications(3, states, sched, draws, league, base_seed=12,
-                              opts=opts, noise_pools=reordered)
+                              noise_pools=reordered)
     rotated = dict(zip(pools, np.roll(list(pools.values()), 10, axis=0)))
     moved = run_replications(3, states, sched, draws, league, base_seed=12,
-                             opts=opts, noise_pools=rotated)
+                             noise_pools=rotated)
     assert pooled == direct
     assert np.any(pooled.wins != moved.wins)
 
 
 def test_noise_pools_require_grouping():
-    # pools are keyed by team, so path mode cannot draw noise without them,
-    # and a team without a pool is named, whether or not it plays
+    # pools are keyed by team, so a team without a pool is named, whether
+    # or not it plays
     league = tiny_league()
     states = [make_state(t) for t in league.teams]
     sched = Schedule(games=(("E0", "W0"),))
     pools = dict.fromkeys(league.teams, np.array([(0.3, 0.02)]))
-    path = SimOptions(era_mode="path")
 
     def play(noise_pools):
         return one_replication(states, sched, np.ones((1, 3)), league,
-                               seed=1, opts=path, noise_pools=noise_pools)
+                               seed=1, noise_pools=noise_pools)
 
     play(pools)
-    with pytest.raises(ValueError, match="path mode needs noise pools"):
-        play(None)
     for team in ("E0", "E2"):
         rest = {t: pool for t, pool in pools.items() if t != team}
         with pytest.raises(ValueError,
