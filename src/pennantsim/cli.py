@@ -311,26 +311,18 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
     esss = [effective_sample_size(seqs) for seqs in by_param]
     pooled_summary = posterior_summaries(np.vstack([c.draws for c in chains]))
 
-    outputs = {}
+    # row k of a chain's draws is its iteration burn_in + thin * k
     draw_lines = ["chain,r1,r2,r3"]
-    for chain in chains:
-        values = [",".join(map(repr, row)) for row in chain.draws.tolist()]
-        draw_lines += [f"{chain.chain_id},{row}" for row in values]
-        # a trace row carries its draw's iteration in the chain
-        outputs[f"trace_chain{chain.chain_id}.csv"] = (
-            ["iteration,r1,r2,r3"]
-            + [f"{cfg.burn_in + cfg.thin * k},{row}"
-               for k, row in enumerate(values)])
-    outputs["draws.csv"] = draw_lines
+    for k, chain in enumerate(chains):
+        draw_lines += [f"{k}," + ",".join(map(repr, row))
+                       for row in chain.draws.tolist()]
     diag = ["parameter,mean,sd,q5,q95,rhat,ess"]
     for j, name in enumerate(PARAM_NAMES):
         s = pooled_summary[j]
         diag.append(f"{name},{s.mean:.6f},{s.sd:.6f},{s.q5:.6f},{s.q95:.6f},"
                     f"{rhats[j]:.6f},{esss[j]:.1f}")
-    for chain in chains:
-        diag.append(f"acceptance_chain_{chain.chain_id},"
-                    f"{chain.acceptance_rate:.6f},,,,,")
-    outputs["diagnostics.csv"] = diag
+    for k, chain in enumerate(chains):
+        diag.append(f"acceptance_chain_{k},{chain.acceptance_rate:.6f},,,,,")
     meta = {"r_max": repr(cfg.r_max), "iterations": cfg.iterations,
             "burn_in": cfg.burn_in, "thin": cfg.thin, "chains": cfg.chains,
             "proposal_std": repr(float(std)),
@@ -338,12 +330,10 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
             "proposal_screen": "laplace" if design.screened else "none",
             "filter_mode": cfg.filter_mode,
             "training_records": len(training)}
-    for chain in chains:
-        meta[f"chain_seed_{chain.chain_id}"] = derived_seed(
-            cfg.seed, chain.chain_id)
-    outputs["fit_metadata.txt"] = _metadata_lines(cfg, "fit", meta)
-
-    _emit_outputs(cfg, outputs)
+    for k in range(len(chains)):
+        meta[f"chain_seed_{k}"] = derived_seed(cfg.seed, k)
+    _emit_outputs(cfg, {"draws.csv": draw_lines, "diagnostics.csv": diag,
+                        "fit_metadata.txt": _metadata_lines(cfg, "fit", meta)})
 
     rows = [(name, f"{pooled_summary[j].mean:.4f}",
              f"{pooled_summary[j].sd:.4f}", f"{pooled_summary[j].q5:.4f}",
@@ -353,8 +343,8 @@ def cmd_fit(cfg: RunConfig, extras) -> int:
     for line in _aligned_table(
             ("parameter", "mean", "sd", "q5", "q95", "rhat", "ess"), rows):
         print(line)
-    accept = ", ".join(f"chain {c.chain_id}: {c.acceptance_rate:.3f}"
-                       for c in chains)
+    accept = ", ".join(f"chain {k}: {c.acceptance_rate:.3f}"
+                       for k, c in enumerate(chains))
     print(f"acceptance rates: {accept}")
     worst = max(rhats)
     if worst > RHAT_LIMIT:

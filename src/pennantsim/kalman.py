@@ -132,8 +132,12 @@ def estimate_noise(window) -> NoiseEstimate:
     observations, and the profile likelihood leaves a 1-D search over psi:
     zero plus a fixed log grid, then two linear zooms around the best point.
     A zero psi is a legitimate maximum (about half of all 30-game windows
-    have one) and is reported as sigma_process = 0, converged. A maximum at
-    the top of the grid is flagged not converged. A window with no variation
+    have one) and is reported as sigma_process = 0, converged. At the top
+    of the grid the search also weighs psi = infinity, a noiseless random
+    walk whose process variance q is the mean squared step and whose
+    profile log-likelihood is -(n - 1) log(q) / 2; where that beats the
+    grid, the fit is (0, sqrt(q)), converged, and a maximum at the top it
+    does not beat is flagged not converged. A window with no variation
     at all has its MLE at zero noise with an unbounded likelihood; it
     short-circuits to (0, 0), flagged not converged.
     """
@@ -165,10 +169,14 @@ def _fit_windows(windows) -> list[NoiseEstimate]:
                           _ZOOM_POINTS, axis=1)
         loglik, r = profile(psi)
     best = np.argmax(loglik, axis=1)
-    r, psi = r[rows, best], psi[rows, best]
-    return [NoiseEstimate(math.sqrt(r_k), math.sqrt(psi_k * r_k),
-                          converged=bool(psi_k < _PSI_GRID[-1]))
-            for r_k, psi_k in zip(r, psi)]
+    r, psi, top = r[rows, best], psi[rows, best], loglik[rows, best]
+    # psi = infinity: a noiseless random walk with q the mean squared step
+    q = (np.diff(windows, axis=1) ** 2).mean(axis=1)
+    walk = (psi >= _PSI_GRID[-1]) & (-0.5 * n * np.log(q) > top)
+    return [NoiseEstimate(0.0, math.sqrt(q_k), converged=True) if walk_k
+            else NoiseEstimate(math.sqrt(r_k), math.sqrt(psi_k * r_k),
+                               converged=bool(psi_k < _PSI_GRID[-1]))
+            for r_k, psi_k, q_k, walk_k in zip(r, psi, q, walk)]
 
 
 def sliding_noise_estimates(series, window_len: int) -> list[NoiseEstimate]:

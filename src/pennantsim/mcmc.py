@@ -71,7 +71,6 @@ class PosteriorDraws:
 
     draws: np.ndarray          # (n_kept, 3)
     acceptance_rate: float
-    chain_id: int = 0
 
     def __post_init__(self):
         if self.draws.ndim != 2 or self.draws.shape[1] != 3:
@@ -101,15 +100,11 @@ class ParamSummary:
 class Design:
     """The games a fit samples from: L[i] holds the log strength ratios of
     game i and won[i] its home-win flag; surrogate is their likelihood's
-    `laplace_surrogate`, worked out once for every pilot and chain. It
-    unpacks as (L, won)."""
+    `laplace_surrogate`, worked out once for every pilot and chain."""
 
     L: np.ndarray                  # (games, 3)
     won: np.ndarray                # (games,) 0.0 / 1.0
     surrogate: tuple[list[list[float]], list[float]]
-
-    def __iter__(self):
-        return iter((self.L, self.won))
 
     @property
     def screened(self) -> bool:
@@ -134,7 +129,7 @@ def log_ratio_design(games: GameLog) -> Design:
                             games.home_batting_avg, games.away_batting_avg,
                             games.home_era, games.away_era), axis=-1)
     won = games.home_won.astype(float)
-    return Design(L, won, laplace_surrogate((L, won)))
+    return Design(L, won, laplace_surrogate(L, won))
 
 
 def design_log_likelihood(L: np.ndarray, won: np.ndarray, r: np.ndarray) -> float:
@@ -148,9 +143,10 @@ def design_log_likelihood(L: np.ndarray, won: np.ndarray, r: np.ndarray) -> floa
 NEWTON_STEPS, NEWTON_TOL = 20, 1e-10
 
 
-def laplace_surrogate(design) -> tuple[list[list[float]], list[float]]:
-    """Quadratic expansion of the log-likelihood of design, an (L, won)
-    pair, at its mode, as (C, mode).
+def laplace_surrogate(L: np.ndarray,
+                      won: np.ndarray) -> tuple[list[list[float]], list[float]]:
+    """Quadratic expansion of the design log-likelihood at its mode, as
+    (C, mode).
 
     Newton steps from r = (1, 1, 1) use the closed-form gradient
     L.T @ (won - p) and negative Hessian L.T @ (p(1 - p) L), with the win
@@ -163,7 +159,6 @@ def laplace_surrogate(design) -> tuple[list[list[float]], list[float]]:
     the flat surrogate, whose C and mode are zero. Both come back as Python
     floats.
     """
-    L, won = design
     r = np.ones(3)
     for _ in range(NEWTON_STEPS):
         p = 0.5 * (1.0 + np.tanh(0.5 * (L @ r)))
@@ -193,18 +188,11 @@ def laplace_surrogate(design) -> tuple[list[list[float]], list[float]]:
 VARIATE_BLOCK = 1024
 
 
-def _chain_rng(cfg: ChainConfig) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed))
-
-
-def default_init(prior: PriorConfig) -> np.ndarray:
-    """Neutral starting point: all exponents 1 (clipped into the prior box)."""
-    return np.clip(np.ones(3), 0.0, prior.r_max)
-
-
 def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
-              *, chain_id: int = 0, init=None) -> PosteriorDraws:
+              *, init=None) -> PosteriorDraws:
     """One delayed-acceptance random-walk Metropolis chain over the exponents.
+
+    It starts at init, or at every exponent 1, clipped into the prior box.
 
     The proposal is r + c C^-1 z, with z standard normal, c =
     cfg.proposal_std and C the upper Cholesky factor of design.surrogate, so
@@ -226,9 +214,9 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
     recorded; burn-in is dropped and the remainder thinned. Fully
     deterministic given cfg.seed.
     """
-    L, won = design
+    L, won = design.L, design.won
     r_max = prior.r_max
-    rng = _chain_rng(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     chol, (m0, m1, m2) = design.surrogate
     (c00, c01, c02), (_, c11, c12), (_, _, c22) = chol
     # a block's steps are z @ shape: row k is c C^-1 z_k
@@ -242,8 +230,7 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
         y2 = c22 * d2
         return -0.5 * (y0 * y0 + y1 * y1 + y2 * y2)
 
-    r = default_init(prior) if init is None else np.clip(np.asarray(init, float),
-                                                         0.0, r_max)
+    r = np.clip(np.ones(3) if init is None else init, 0.0, r_max)
     ll = design_log_likelihood(L, won, r)
     state = x0, x1, x2 = tuple(r.tolist())
     s = surrogate(x0, x1, x2)
@@ -272,8 +259,7 @@ def run_chain(design: Design, prior: PriorConfig, cfg: ChainConfig,
         out[start:start + k] = states
 
     kept = out[cfg.burn_in::cfg.thin].copy()   # ChainConfig: nonempty
-    return PosteriorDraws(draws=kept, acceptance_rate=n_accept / cfg.n_iterations,
-                          chain_id=chain_id)
+    return PosteriorDraws(draws=kept, acceptance_rate=n_accept / cfg.n_iterations)
 
 
 def derived_seed(base_seed: int, chain_id: int) -> int:
@@ -297,7 +283,7 @@ def run_chains(design: Design, prior: PriorConfig, base_cfg: ChainConfig,
         raise ValueError(f"n_chains must be >= 1, got {n_chains}")
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    tasks = []   # (cfg_k, chain_id, init)
+    tasks = []   # (cfg_k, init)
     for k in range(n_chains):
         cfg_k = replace(base_cfg, seed=derived_seed(base_cfg.seed, k))
         init = None
@@ -305,11 +291,11 @@ def run_chains(design: Design, prior: PriorConfig, base_cfg: ChainConfig,
             init_rng = np.random.default_rng(
                 np.random.SeedSequence((base_cfg.seed, k, 0xD15)))
             init = init_rng.uniform(0.0, prior.r_max, 3)
-        tasks.append((cfg_k, k, init))
+        tasks.append((cfg_k, init))
     workers = min(n_chains, n_jobs)
     if workers == 1:
-        results = [run_chain(design, prior, cfg_k, chain_id=k, init=init)
-                   for cfg_k, k, init in tasks]
+        results = [run_chain(design, prior, cfg_k, init=init)
+                   for cfg_k, init in tasks]
     else:
         # imported here: ~20 ms that validate, noise and simulate never use
         import multiprocessing
@@ -320,9 +306,8 @@ def run_chains(design: Design, prior: PriorConfig, base_cfg: ChainConfig,
         # importing it again (~0.3 s each), as spawn and forkserver would
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(run_chain, design, prior, cfg_k,
-                                   chain_id=k, init=init)
-                       for cfg_k, k, init in tasks]
+            futures = [pool.submit(run_chain, design, prior, cfg_k, init=init)
+                       for cfg_k, init in tasks]
             results = [future.result() for future in futures]
     for chain in results:
         near_edge = [name for name, mean

@@ -323,32 +323,24 @@ def test_fit_output_schema(pipeline):
         assert float(row["rhat"]) < 1.1
         assert float(row["ess"]) > 50
 
-    for k in (0, 1):
-        trace = (out / f"trace_chain{k}.csv").read_text().splitlines()
-        assert trace[0] == "iteration,r1,r2,r3"
-        assert trace[1].split(",")[0] == "500"
-        assert trace[2].split(",")[0] == "505"
-
     meta = dict(line.split("=", 1)
                 for line in (out / "fit_metadata.txt").read_text().splitlines())
     assert meta["master_seed"] == "11"
+    # row k of a chain's draws is its iteration burn_in + thin * k
+    assert meta["burn_in"] == "500" and meta["thin"] == "5"
     assert meta["proposal_std_source"] == "tuned"
     assert meta["proposal_screen"] == "laplace"
     assert "chain_seed_0" in meta and "chain_seed_1" in meta
 
 
-def test_trace_csv_round_trip(pipeline):
-    # trace k holds chain k's rows of draws.csv, bit for bit, each at its
-    # chain iteration burn_in + thin * row
-    out = pipeline["out"]
-    draws = np.loadtxt(out / "draws.csv", delimiter=",", skiprows=1)
-    for k in (0, 1):
-        trace = np.loadtxt(out / f"trace_chain{k}.csv", delimiter=",",
-                           skiprows=1)
-        chain = draws[draws[:, 0] == k, 1:]
-        assert trace.shape == (500, 4)
-        np.testing.assert_array_equal(trace[:, 0], 500 + 5 * np.arange(500))
-        assert trace[:, 1:].tobytes() == chain.tobytes()
+def test_fit_writes_exactly_its_three_files(pipeline, tmp_path):
+    # draws.csv is the one copy of the draws: no per-chain trace repeats them
+    out2 = tmp_path / "fit"
+    args = [a if a != str(pipeline["out"]) else str(out2)
+            for a in pipeline["common"]]
+    assert main(["fit", *args, *FIT_FLAGS, "--jobs", "1"]) == 0
+    assert sorted(os.listdir(out2)) == ["diagnostics.csv", "draws.csv",
+                                        "fit_metadata.txt"]
 
 
 def test_fit_byte_deterministic(pipeline, tmp_path, capsys):
@@ -362,8 +354,7 @@ def test_fit_byte_deterministic(pipeline, tmp_path, capsys):
                 for a in pipeline["common"]]
         assert main(["fit", *args, *FIT_FLAGS, *jobs]) == 0
         printed.append(capsys.readouterr())
-        for name in ("draws.csv", "diagnostics.csv", "trace_chain0.csv",
-                     "trace_chain1.csv", "fit_metadata.txt"):
+        for name in ("draws.csv", "diagnostics.csv", "fit_metadata.txt"):
             assert (out2 / name).read_bytes() == \
                 (pipeline["out"] / name).read_bytes(), (name, jobs)
         assert "jobs" not in (out2 / "fit_metadata.txt").read_text()

@@ -119,6 +119,9 @@ def test_filter_series_hand_computed():
     # the level moves halfway to the second observation
     assert filter_series([4.0, 5.0], NoiseParams(1.0, 0.0)) == 4.5
     assert filter_series([3.7], NoiseParams(0.5, 0.1)) == 3.7
+    # sigma_obs = 0, as a noiseless-walk fit has: the start variance is 0
+    # and every gain 1, so the level is the last observation exactly
+    assert filter_series([4.1, 3.2, 5.7, 4.4], NoiseParams(0.0, 0.3)) == 4.4
 
 
 def test_series_rejects_empty_and_nonfinite():
@@ -166,13 +169,29 @@ def test_estimate_zero_process_noise_is_exact():
     assert 0.3 < est.sigma_obs < 0.6
 
 
-def test_estimate_flags_maximum_past_the_grid():
+def test_estimate_takes_a_straight_line_as_a_noiseless_walk():
     # a straight line is a noiseless random walk: the likelihood keeps
-    # rising as sigma_obs -> 0, past the top of the psi grid, so the fit is
-    # flagged, and the noise pools leave it out
+    # rising as sigma_obs -> 0, past the top of the psi grid, to its limit
+    # at psi = infinity, where every step of 1/11 is process noise
     est = estimate_noise(np.linspace(3.0, 4.0, 12))
-    assert est.converged is False
-    assert est.sigma_obs < 1e-2 * est.sigma_process
+    assert est.converged is True
+    assert est.sigma_obs == 0.0
+    assert est.sigma_process == pytest.approx(1.0 / 11.0, rel=1e-12)
+
+
+def test_estimate_noiseless_random_walk_is_its_step_rms():
+    # where successive steps have a positive product sum, the likelihood
+    # falls as observation noise enters the walk (its slope in r at r = 0
+    # is -sum(dy[t] dy[t+1]) / q^2); this walk's MLE is that psi = infinity
+    # endpoint, whose process sd is the root mean square step
+    rng = np.random.default_rng(0)
+    walk = 4.0 + np.cumsum(rng.normal(0.0, 0.3, size=30))
+    steps = np.diff(walk)
+    assert steps[1:] @ steps[:-1] > 0.0
+    est = estimate_noise(walk)
+    assert est.converged and est.sigma_obs == 0.0
+    assert est.sigma_process == pytest.approx(
+        math.sqrt(np.mean(steps ** 2)), rel=1e-12)
 
 
 def test_sliding_window_counts():

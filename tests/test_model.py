@@ -25,14 +25,14 @@ def make_record(home_win_pct=0.5, away_win_pct=0.5, home_avg=0.25,
 
 def design_row(record):
     """The record's (win pct, batting, ERA) log-ratios."""
-    L, _ = log_ratio_design(game_table([record]))
-    return L[0]
+    return log_ratio_design(game_table([record])).L[0]
 
 
 def p_home(record, exponents):
     """The model's home-win probability: exp of a home win's likelihood."""
-    L, won = log_ratio_design(game_table([{**record, "home_won": True}]))
-    return math.exp(design_log_likelihood(L, won, np.asarray(exponents, float)))
+    design = log_ratio_design(game_table([{**record, "home_won": True}]))
+    return math.exp(design_log_likelihood(design.L, design.won,
+                                          np.asarray(exponents, float)))
 
 
 def strength(record, exponents):
@@ -100,8 +100,9 @@ def test_params_validation():
 def test_marginal_prob_even_matchup():
     # strength 1: a home win and a home loss are equally likely
     for won in (True, False):
-        L, w = log_ratio_design(game_table([make_record(home_won=won)]))
-        assert design_log_likelihood(L, w, np.ones(3)) == pytest.approx(
+        design = log_ratio_design(game_table([make_record(home_won=won)]))
+        assert design_log_likelihood(design.L, design.won,
+                                     np.ones(3)) == pytest.approx(
             math.log(0.5), abs=1e-15)
 
 
@@ -188,8 +189,9 @@ def test_game_record_rejects_out_of_range_stats():
 
 
 def test_loglik_single_even_game():
-    L, won = log_ratio_design(game_table([make_record(home_won=True)]))
-    assert design_log_likelihood(L, won, np.ones(3)) == pytest.approx(
+    design = log_ratio_design(game_table([make_record(home_won=True)]))
+    assert design_log_likelihood(design.L, design.won,
+                                 np.ones(3)) == pytest.approx(
         math.log(0.5), abs=1e-12)
 
 
@@ -197,8 +199,9 @@ def test_loglik_two_favored_wins():
     # lam=3 via the win-pct ratio alone; oracle: 2*ln(0.75)
     games = game_table([make_record(home_win_pct=0.75, away_win_pct=0.25,
                                     home_won=True) for _ in range(2)])
-    L, won = log_ratio_design(games)
-    assert design_log_likelihood(L, won, np.array([1.0, 0.0, 0.0])) == \
+    design = log_ratio_design(games)
+    assert design_log_likelihood(design.L, design.won,
+                                 np.array([1.0, 0.0, 0.0])) == \
         pytest.approx(-0.5753641449035618, abs=1e-12)
 
 
@@ -218,7 +221,8 @@ def test_loglik_additive_over_disjoint_sets():
                                     home_won=bool(rng.random() < 0.5))
                         for _ in range(20)])
     r = np.array([1.4, 0.6, 0.8])
-    L, won = log_ratio_design(games)
+    design = log_ratio_design(games)
+    L, won = design.L, design.won
     whole = design_log_likelihood(L, won, r)
     parts = (design_log_likelihood(L[:7], won[:7], r)
              + design_log_likelihood(L[7:], won[7:], r))

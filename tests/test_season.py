@@ -210,7 +210,8 @@ def test_engine_strength_matches_fit_design_with_floors_binding():
         home_batting_avg=home.batting, away_batting_avg=away.batting,
         home_era=home.era, away_era=away.era,
         home_won=True)])
-    p = math.exp(design_log_likelihood(*log_ratio_design(game), r))
+    design = log_ratio_design(game)
+    p = math.exp(design_log_likelihood(design.L, design.won, r))
     n = 40_000
     wins = sum(Matchups(n).home_wins(home, away, r[None, :], seed=13))
     se = math.sqrt(p * (1 - p) / n)
